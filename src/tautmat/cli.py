@@ -96,12 +96,8 @@ def _poly_json(p: SparsePoly):
     return p.to_json()
 
 
-def run(args):
-    """Dispatch one parsed command; returns (report dict, ok flag)."""
-    rng = random.Random(args.seed)
-    checks = []
-    results = {}
-    inputs = {}
+def _dispatch(args, rng, checks, results, inputs):
+    """Compute one verb's results, appending each cross-check to checks."""
 
     def check(name, cond, detail=""):
         checks.append(
@@ -221,8 +217,22 @@ def run(args):
             check("psi-identity", True)
         else:
             raise SystemExit(f"unhandled verb {verb}")
+
+
+def run(args):
+    """Dispatch one parsed command; returns (report dict, ok flag)."""
+    rng = random.Random(args.seed)
+    checks = []
+    results = {}
+    inputs = {}
+
+    try:
+        _dispatch(args, rng, checks, results, inputs)
+    except AssertionError as exc:
+        # a cross-check that raised is a failed check, not an input error
+        checks.append({"name": type(exc).__name__, "status": "fail", "detail": str(exc)})
     report = {
-        "command": verb,
+        "command": args.verb,
         "command_line": getattr(args, "argv_echo", None),
         "inputs": inputs,
         "inputs_digest": digest(inputs),

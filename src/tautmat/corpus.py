@@ -51,13 +51,3 @@ def corpus(max_elements=None):
         if max_elements is None or m.n_elements <= max_elements:
             out.append((name, m))
     return out
-
-
-def split_triple():
-    """The hypersimplex split (U_{2,4}; M1, M2, M12)."""
-    return (
-        builtin_matroid("uniform_2_4"),
-        builtin_matroid("split_m1"),
-        builtin_matroid("split_m2"),
-        builtin_matroid("split_m12"),
-    )

@@ -1,6 +1,6 @@
 """Fixed-point pushforward machinery.
 
-Two pushforward paths:
+Three pushforward paths:
 
 * a graded path for top-degree extraction: sum over all permutations of
   (localized class value)/(product of adjacent differences) at an integer
@@ -9,10 +9,15 @@ Two pushforward paths:
   of all pairwise coordinate differences, so integer numerators scaled by
   D are accumulated and a single exact division happens at the end.
 
-* a q-interpolation path for inhomogeneous/Euler-characteristic values:
-  restrict to a one-parameter subgroup T_i = q^{w_i}, sample the resulting
-  Laurent polynomial at integer q, interpolate exactly, verify extra
-  samples, and evaluate at q = 1 (K-theory) or q = 0 (Chow).
+* a character path for Euler characteristics: restrict to a one-parameter
+  subgroup T_i = q^{w_i} and sample the shifted character, an integer
+  polynomial in q, at q = 2, 3, ...; integer forward differences of the
+  samples give its value at q = 1, and three extra samples verify the
+  degree bound (their differences above it must vanish).
+
+* a zeta route for inhomogeneous Chow values: sample along t = q*w at
+  integer q, interpolate exactly, verify extra samples, and evaluate at
+  q = 0.
 
 Single-threaded runs use the incremental permutation/basis enumerator; with
 jobs > 1 the permutation range is split across processes, each recomputing
@@ -488,7 +493,10 @@ def euler_char_many(kclasses, *, rng, jobs=1):
     try:
         return _chi_interpolate(kclasses, keysets, groups, ground, w, dmax)
     except InconsistentSamples:
-        return _chi_interpolate(kclasses, keysets, groups, ground, w, 2 * dmax + 1)
+        try:
+            return _chi_interpolate(kclasses, keysets, groups, ground, w, 2 * dmax + 1)
+        except InconsistentSamples as exc:
+            raise InterpolationInconsistent(str(exc)) from exc
 
 
 def _compress_orbits(kclasses, ground, w):
@@ -548,11 +556,10 @@ def _chi_interpolate(kclasses, keysets, groups, ground, w, dmax):
     atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms))
     slots = [tuple(atoms.index(a) for a in c.atoms) for c in kclasses]
     n_samples = 2 * dmax + 1 + 3
-    qs = [j + 2 for j in range(n_samples)]
     pair_mags = [abs(a - b) for a, b in itertools.combinations(w, 2)]
     samples = [[] for _ in kclasses]
     maxpow = 2 * dmax + sum(pair_mags) + 1
-    for q in qs:
+    for q in range(2, 2 + n_samples):
         qpow = [1] * (maxpow + 1)
         for i in range(1, maxpow + 1):
             qpow[i] = qpow[i - 1] * q
@@ -589,14 +596,27 @@ def _chi_interpolate(kclasses, keysets, groups, ground, w, dmax):
                 raise NonIntegral(
                     f"scaled character at q={q} is not divisible by the common denominator"
                 )
-            samples[ci].append((q, num))
-    out = []
-    for cls, ss in zip(kclasses, samples):
-        poly = interpolate_univariate(ss, 2 * dmax)
-        chi = poly.evaluate({"q": Rat(1)})
-        if not is_integral(chi):
-            raise NonIntegral(f"chi of {cls.name} is {chi}")
-        out.append(as_int(chi))
+            samples[ci].append(num)
+    return [_extrapolate_back(ss, 2 * dmax) for ss in samples]
+
+
+def _extrapolate_back(values, degree_bound):
+    """P(q0 - 1) for an integer polynomial P of degree <= degree_bound.
+
+    values are P(q0), P(q0 + 1), ... at consecutive integers.  By forward
+    differences, P(q0 - 1) = sum_k (-1)^k Delta^k P(q0).  Every sample past
+    the first degree_bound + 1 verifies the bound: each must make one more
+    difference of order degree_bound + 1 vanish, else InconsistentSamples.
+    """
+    diffs = list(values)
+    out = 0
+    for k in range(degree_bound + 1):
+        out += -diffs[0] if k & 1 else diffs[0]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    if any(diffs):
+        raise InconsistentSamples(
+            f"order-{degree_bound + 1} differences of the samples do not vanish"
+        )
     return out
 
 

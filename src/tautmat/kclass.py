@@ -324,22 +324,6 @@ def debug_dump(cls: KClassLoc):
     return out
 
 
-def zeta_pole_data(classes, keys_per_class):
-    """(pole multiplicity, max positive monomial degree) over given key sets.
-
-    Pole multiplicity m = max over monomials of sum_i max(0, -m_i); the
-    degree datum is max over monomials of sum_i m_i, floored at 0.
-    """
-    pole = 0
-    posdeg = 0
-    for cls, keys in zip(classes, keys_per_class):
-        for key in keys:
-            for _, m in cls.monomials(key):
-                pole = max(pole, sum(-x for x in m if x < 0))
-                posdeg = max(posdeg, sum(m))
-    return pole, max(0, posdeg)
-
-
 def restrict_to_chain(m: Matroid, chain):
     """Factor matroids of M along a chain of nonempty proper subsets.
 

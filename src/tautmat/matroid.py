@@ -101,9 +101,6 @@ class Matroid:
             memo[subset] = r
         return r
 
-    def is_basis(self, subset: int) -> bool:
-        return subset in set(self.bases)
-
     def loops(self) -> int:
         m = 0
         for b in self.bases:
@@ -218,9 +215,6 @@ class Matroid:
                     m &= s
             comps[m] = None
         return sorted(comps, key=lambda m: next(bits(m)))
-
-    def n_components(self):
-        return len(self.connected_components())
 
     # -- flats ----------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .rat import RAT_ONE, RAT_ZERO, Rat, is_integral, parse_rat, rat_str
+from .rat import RAT_ONE, RAT_ZERO, Rat, parse_rat, rat_str
 
 
 class VariableMismatch(ValueError):
@@ -193,9 +193,6 @@ class SparsePoly:
         """Drop all terms of total degree strictly greater than d."""
         return SparsePoly(self.vars, {e: c for e, c in self.terms.items() if sum(e) <= d})
 
-    def homogeneous_part(self, d):
-        return SparsePoly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
     # -- evaluation / extraction -------------------------------------------
 
     def _var_index(self, name):
@@ -254,9 +251,6 @@ class SparsePoly:
     def coeff(self, exp):
         """Coefficient of one monomial, given as an exponent tuple."""
         return self.terms.get(tuple(exp), RAT_ZERO)
-
-    def all_integer(self):
-        return all(is_integral(c) for c in self.terms.values())
 
     # -- canonical form ----------------------------------------------------
 

@@ -9,26 +9,17 @@ ever enters or leaves this module.
 from __future__ import annotations
 
 try:
-    from gmpy2 import mpq as _mpq, mpz as _mpz
-
-    def Rat(num=0, den=1):
-        return _mpq(num, den)
-
-    _RAT_TYPES = (type(_mpq()), type(_mpz()), int)
+    from gmpy2 import mpq as _mpq
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as _mpq
 
-    def Rat(num=0, den=1):
-        return _mpq(num, den)
 
-    _RAT_TYPES = (_mpq, int)
+def Rat(num=0, den=1):
+    return _mpq(num, den)
+
 
 RAT_ZERO = Rat(0)
 RAT_ONE = Rat(1)
-
-
-def is_rat(x) -> bool:
-    return isinstance(x, _RAT_TYPES)
 
 
 def is_integral(x) -> bool:

@@ -132,6 +132,20 @@ def test_cli_check_failure_exit_code(capsys, monkeypatch):
     assert main(["check"]) == 1
 
 
+def test_cli_cross_check_exception_is_a_failed_check(capsys, monkeypatch):
+    import tautmat.cli
+    from tautmat.engine import NonIntegral
+
+    def broken(m, **kw):
+        raise NonIntegral("chi of test is 1/2")
+
+    monkeypatch.setattr(tautmat.cli, "fs_tutte", broken)
+    code, out = run_cli(capsys, "fstutte", "uniform:2:4")
+    assert code == 1
+    rep = json.loads(out)
+    assert {"name": "NonIntegral", "status": "fail", "detail": "chi of test is 1/2"} in rep["checks"]
+
+
 def test_cli_check_subset(capsys):
     code, out = run_cli(
         capsys, "check", "--max-elements", "3", "--only", "tutte", "theorem-a"

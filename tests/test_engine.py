@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tautmat.engine
 from tautmat.engine import (
     GenericPointMismatch,
     GradedIntegrand,
@@ -16,6 +19,7 @@ from tautmat.engine import (
     localization_denominator,
     fixed_point_compatibility_check,
     _class_sums,
+    _extrapolate_back,
     _pairwise_diff_product,
 )
 from tautmat.kclass import (
@@ -32,7 +36,7 @@ from tautmat.kclass import (
 )
 from tautmat.genperm import base_polytope, simplex
 from tautmat.matroid import uniform
-from tautmat.poly import SparsePoly
+from tautmat.poly import InconsistentSamples, SparsePoly, interpolate_univariate
 from tautmat.rat import Rat
 
 
@@ -204,6 +208,60 @@ def test_euler_batch_matches_single(rng, u24):
     batch = euler_char_many(classes, rng=rng)
     singles = [euler_char_ab(c, rng=rng) for c in classes]
     assert batch == singles
+
+
+def test_euler_escalation_fails_cleanly(rng, monkeypatch):
+    # verification fails at the first bound and again after escalation
+    bounds = []
+
+    def inconsistent(values, degree_bound):
+        bounds.append(degree_bound)
+        raise InconsistentSamples("forced")
+
+    monkeypatch.setattr(tautmat.engine, "_extrapolate_back", inconsistent)
+    with pytest.raises(InterpolationInconsistent):
+        euler_char_ab(line_bundle(simplex(2)), rng=rng)
+    # degree bound 2*dmax, then 2*(2*dmax + 1) after escalation
+    assert len(bounds) == 2 and bounds[1] == 2 * bounds[0] + 2
+
+
+def _poly_values(coeffs, q0, count):
+    return [sum(c * q**i for i, c in enumerate(coeffs)) for q in range(q0, q0 + count)]
+
+
+@given(
+    st.integers(0, 12).flatmap(
+        lambda d: st.tuples(
+            st.just(d), st.lists(st.integers(-10**6, 10**6), max_size=d + 1)
+        )
+    ),
+    st.integers(-6, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_extrapolate_back_matches_lagrange(bound_coeffs, q0):
+    degree_bound, coeffs = bound_coeffs
+    values = _poly_values(coeffs, q0, degree_bound + 4)
+    samples = [(q0 + j, v) for j, v in enumerate(values)]
+    expected = interpolate_univariate(samples, degree_bound).evaluate({"q": Rat(q0 - 1)})
+    assert _extrapolate_back(values, degree_bound) == expected
+
+
+@given(
+    st.integers(0, 12).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.integers(-100, 100), min_size=d + 1, max_size=d + 1),
+            st.integers(-100, 100).filter(bool),
+        )
+    ),
+    st.integers(-6, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_extrapolate_back_rejects_higher_degree(bound_coeffs_lead, q0):
+    degree_bound, coeffs, lead = bound_coeffs_lead
+    values = _poly_values(coeffs + [lead], q0, degree_bound + 4)
+    with pytest.raises(InconsistentSamples):
+        _extrapolate_back(values, degree_bound)
 
 
 def test_integrate_inhomogeneous_constant_is_zero(rng):
