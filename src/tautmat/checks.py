@@ -44,7 +44,7 @@ def _entry(name, fn):
         return {"name": name, "status": "fail", "detail": f"{type(exc).__name__}: {exc}"}
 
 
-def run_check_ledger(seed=0, jobs=1, max_elements=8, only=None):
+def run_check_ledger(seed=0, max_elements=8, only=None):
     rng = random.Random(seed)
     items = corpus(max_elements)
     ledger = []
@@ -58,14 +58,14 @@ def run_check_ledger(seed=0, jobs=1, max_elements=8, only=None):
     if want("theorem-a"):
         for name, m in items:
             ledger.append(
-                _entry(f"theorem-a:{name}", lambda m=m: bool(theorem_a_check(m, rng=rng, jobs=jobs)) and "")
+                _entry(f"theorem-a:{name}", lambda m=m: bool(theorem_a_check(m, rng=rng)) and "")
             )
     if want("duality"):
         for name, m in items:
-            ledger.append(_entry(f"duality:{name}", lambda m=m: _duality(m, rng, jobs)))
+            ledger.append(_entry(f"duality:{name}", lambda m=m: _duality(m, rng)))
     if want("beta"):
         for name, m in items:
-            ledger.append(_entry(f"beta:{name}", lambda m=m: _beta(m, rng, jobs)))
+            ledger.append(_entry(f"beta:{name}", lambda m=m: _beta(m, rng)))
     if want("minkowski"):
         for name, m in items:
             ledger.append(_entry(f"minkowski:{name}", lambda m=m: _weights(m, rng)))
@@ -76,24 +76,24 @@ def run_check_ledger(seed=0, jobs=1, max_elements=8, only=None):
         for name, m in items:
             if m.n_elements <= 7:
                 ledger.append(
-                    _entry(f"fs-tutte:{name}", lambda m=m: bool(fs_tutte(m, rng=rng, jobs=jobs)) and "")
+                    _entry(f"fs-tutte:{name}", lambda m=m: bool(fs_tutte(m, rng=rng)) and "")
                 )
     if want("cf"):
         for name, m in items:
             if name in ("uniform_1_4", "uniform_2_4", "uniform_3_4", "k4"):
                 ledger.append(
-                    _entry(f"cf:{name}", lambda m=m: bool(cf_check(m, rng=rng, jobs=jobs)) and "")
+                    _entry(f"cf:{name}", lambda m=m: bool(cf_check(m, rng=rng)) and "")
                 )
     if want("gpoly"):
         for name, m in items:
             if m.n_elements <= 6 and not m.loops() and not m.coloops():
                 ledger.append(
-                    _entry(f"gpoly:{name}", lambda m=m: g_polynomial(m, rng=rng, jobs=jobs).render())
+                    _entry(f"gpoly:{name}", lambda m=m: g_polynomial(m, rng=rng).render())
                 )
     if want("flag"):
         for name, m in items:
             if m.n_elements <= 5 and not m.loops() and m.rank_value >= 1:
-                ledger.append(_entry(f"flag:{name}", lambda m=m: _flag(m, rng, jobs)))
+                ledger.append(_entry(f"flag:{name}", lambda m=m: _flag(m, rng)))
     if want("coalgebra"):
         for name, m in items:
             if 2 <= m.n_elements <= 5:
@@ -104,7 +104,7 @@ def run_check_ledger(seed=0, jobs=1, max_elements=8, only=None):
                     )
                 )
     if want("valuativity"):
-        ledger.append(_entry("valuativity:hypersimplex-split", lambda: str(valuativity_demo(rng=rng, jobs=jobs))))
+        ledger.append(_entry("valuativity:hypersimplex-split", lambda: str(valuativity_demo(rng=rng))))
     if want("chi-routes"):
         for name, m in items:
             if m.n_elements <= 4:
@@ -132,9 +132,9 @@ def _triple_tutte(m):
     return ""
 
 
-def _duality(m, rng, jobs):
-    p = taut_degree_polynomial(m, rng=rng, jobs=jobs)
-    pd = taut_degree_polynomial(m.dual(), rng=rng, jobs=jobs)
+def _duality(m, rng):
+    p = taut_degree_polynomial(m, rng=rng)
+    pd = taut_degree_polynomial(m.dual(), rng=rng)
     swapped = SparsePoly(
         ("x", "y", "z", "w"), {(b, a, d, c): v for (a, b, c, d), v in p.terms.items()}
     )
@@ -143,9 +143,9 @@ def _duality(m, rng, jobs):
     return ""
 
 
-def _beta(m, rng, jobs):
+def _beta(m, rng):
     b1, b2 = beta_pair(m)
-    p = taut_degree_polynomial(m, rng=rng, jobs=jobs)
+    p = taut_degree_polynomial(m, rng=rng)
     r, crk = m.rank_value, m.corank
     g1 = as_int(p.coeff((0, 0, r - 1, crk))) if r else 0
     g2 = as_int(p.coeff((0, 0, r, crk - 1))) if crk else 0
@@ -174,15 +174,15 @@ def _logconc(m):
     return ""
 
 
-def _flag(m, rng, jobs):
+def _flag(m, rng):
     flag = FlagMatroid([uniform(1, m.n_elements), m])
-    kt = flag_tutte_kt(flag, rng=rng, jobs=jobs)
+    kt = flag_tutte_kt(flag, rng=rng)
     at_y0 = kt.substitute("y", 0)
     expect = SparsePoly(("x",), {(m.rank_value,): 1})
     if at_y0.with_vars(("x",)) != expect:
         raise AssertionError(f"KT(x,0) = {at_y0.render()} != x^{m.rank_value}")
-    flag_kchi(flag, rng=rng, jobs=jobs)
-    if lvt(m, m, rng=rng, jobs=jobs).substitute("z", 1).with_vars(("x", "y")) != tutte_delcontr(m):
+    flag_kchi(flag, rng=rng)
+    if lvt(m, m, rng=rng).substitute("z", 1).with_vars(("x", "y")) != tutte_delcontr(m):
         raise AssertionError("LVT(M,M) != T_M")
     return ""
 

@@ -54,7 +54,9 @@ def build_parser():
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility and echoed in the report; "
+                        "all computation is single-process")
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--max-ground", type=int, default=None,
                         help="override the ground-set guardrail")
@@ -114,7 +116,6 @@ def _dispatch(args, rng, checks, results, inputs):
         checks.extend(
             run_check_ledger(
                 seed=args.seed,
-                jobs=args.jobs,
                 max_elements=args.max_elements,
                 only=args.only,
             )
@@ -124,19 +125,19 @@ def _dispatch(args, rng, checks, results, inputs):
         inputs["matroids"] = [matroid_to_json(m) for m in mats]
         if verb == "flag-tutte":
             flag = parse_flag(args.matroids)
-            kt = flag_tutte_kt(flag, rng=rng, jobs=args.jobs)
-            kchi = flag_kchi(flag, rng=rng, jobs=args.jobs)
+            kt = flag_tutte_kt(flag, rng=rng)
+            kchi = flag_kchi(flag, rng=rng)
             results["flag_tutte"] = _poly_json(kt)
             results["k_characteristic"] = _poly_json(kchi)
             check("kchi-alternating-signs", True)
         else:
-            out = lvt(mats[0], mats[1], rng=rng, jobs=args.jobs)
+            out = lvt(mats[0], mats[1], rng=rng)
             results["lvt"] = _poly_json(out)
             check("lvt-route-agreement", True)
     elif verb == "ehrhart":
         p = parse_genperm(args.polytope)
         inputs["polytope"] = genperm_to_json(p)
-        count = ehrhart(p, args.c, rng=rng, jobs=args.jobs)
+        count = ehrhart(p, args.c, rng=rng)
         results["dilation"] = args.c
         results["lattice_points"] = count
         check("chi-equals-enumeration", True)
@@ -169,14 +170,14 @@ def _dispatch(args, rng, checks, results, inputs):
             check("delcontr-equals-coranknullity", t == tutte_coranknullity(m))
             check("delcontr-equals-convolution", t == tutte_convolution(m))
         elif verb == "tautdeg":
-            p = taut_degree_polynomial(m, rng=rng, jobs=args.jobs)
+            p = taut_degree_polynomial(m, rng=rng)
             results["degree_polynomial"] = _poly_json(p)
             check("equals-tutte-transform", p == t_transform(m))
         elif verb == "beta":
             b1, b2 = beta_pair(m)
             results["beta"] = b1
             results["beta_dual"] = b2
-            p = taut_degree_polynomial(m, rng=rng, jobs=args.jobs)
+            p = taut_degree_polynomial(m, rng=rng)
             r, crk = m.rank_value, m.corank
             loc1 = int(p.coeff((0, 0, r - 1, crk))) if r else 0
             loc2 = int(p.coeff((0, 0, r, crk - 1))) if crk else 0
@@ -198,18 +199,18 @@ def _dispatch(args, rng, checks, results, inputs):
                 results["csm"][str(k)] = w.to_json()
                 check(f"csm-{k}-balanced", mw_balance_check(w) is None)
         elif verb == "gpoly":
-            g = g_polynomial(m, rng=rng, jobs=args.jobs)
+            g = g_polynomial(m, rng=rng)
             results["g_polynomial"] = _poly_json(g)
             check("route-agreement", True)
         elif verb == "fstutte":
-            t = fs_tutte(m, rng=rng, jobs=args.jobs, zeta_check=args.zeta_check)
+            t = fs_tutte(m, rng=rng, zeta_check=args.zeta_check)
             results["fs_tutte"] = _poly_json(t)
             check("equals-deletion-contraction", True)
         elif verb == "cf":
             n = m.n_elements - 1
             tr = range((args.t_range if args.t_range is not None else n) + 1)
             ur = range((args.u_range if args.u_range is not None else n) + 1)
-            rep = cf_check(m, tr, ur, rng=rng, jobs=args.jobs)
+            rep = cf_check(m, tr, ur, rng=rng)
             results["q_polynomial"] = _poly_json(rep.q_poly)
             results["psi_image"] = _poly_json(rep.psi_image)
             results["grid"] = {f"{t},{u}": v for (t, u), v in sorted(rep.grid.items())}
@@ -267,7 +268,8 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
     args.argv_echo = list(argv)
-    if getattr(args, "max_ground", None):
+    saved_guardrail = os.environ.get("TAUTMAT_GUARDRAIL")
+    if args.max_ground is not None:
         os.environ["TAUTMAT_GUARDRAIL"] = str(args.max_ground)
     t0 = time.monotonic()
     try:
@@ -275,6 +277,11 @@ def main(argv=None):
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if saved_guardrail is None:
+            os.environ.pop("TAUTMAT_GUARDRAIL", None)
+        else:
+            os.environ["TAUTMAT_GUARDRAIL"] = saved_guardrail
     sys.stdout.write(emit(report, getattr(args, "format", "json")))
     print(f"# elapsed {time.monotonic() - t0:.2f}s", file=sys.stderr)
     return 0 if ok else 1

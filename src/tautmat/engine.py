@@ -19,20 +19,19 @@ Three pushforward paths:
   integer q, interpolate exactly, verify extra samples, and evaluate at
   q = 0.
 
-Single-threaded runs use the incremental permutation/basis enumerator; with
-jobs > 1 the permutation range is split across processes, each recomputing
-greedy bases naively.  Exact arithmetic makes every partition of the sum
-produce bit-identical results.
+The graded and character paths share one permutation scan, `_perm_keys`:
+the incremental permutation/greedy-basis enumerator of `perms` yields each
+permutation with the joint key of the atoms its integrand depends on, and
+the paths accumulate per key.  All computation is single-process.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 
-from .genperm import GenPermutohedron, check_guardrail
+from .genperm import check_guardrail
 from .kclass import KClassLoc, atom_value, _dedup_atoms
-from .matroid import Matroid, bits
+from .matroid import bits
 from .perms import all_perms, iter_perm_bases
 from .poly import InconsistentSamples, SparsePoly, interpolate_univariate
 from .rat import Rat, as_int, is_integral
@@ -229,7 +228,6 @@ def integrate_graded(
     *,
     ground=None,
     rng,
-    jobs=1,
     points=None,
 ):
     """Non-equivariant degrees of a graded class, as an integer polynomial.
@@ -253,7 +251,7 @@ def integrate_graded(
     results = []
     for tstar in points:
         if isinstance(ev, GradedIntegrand):
-            terms = _graded_sum_fast(ev, tstar, target, jobs)
+            terms = _graded_sum_fast(ev, tstar, target)
         else:
             terms = _graded_sum_callable(ev, ground, formal_vars, tstar, target)
         results.append(terms)
@@ -283,9 +281,9 @@ def _pairwise_diff_product(tstar):
     return d
 
 
-def _graded_sum_fast(integrand, tstar, cap, jobs):
+def _graded_sum_fast(integrand, tstar, cap):
     dprime = _pairwise_diff_product(tstar)
-    acc = _class_sums(integrand, tstar, dprime, jobs)
+    acc = _class_sums(integrand, tstar, dprime)
     vars = integrand.vars
     vidx = {v: i for i, v in enumerate(vars)}
     nvars = len(vars)
@@ -332,28 +330,31 @@ def _graded_sum_fast(integrand, tstar, cap, jobs):
     return {e: Rat(c, dprime) for e, c in out.items() if c}
 
 
-def _class_sums(integrand, tstar, dprime, jobs):
-    """acc[joint atom key] = sum over matching permutations of dprime/denominator."""
-    basis_atoms = [a for a in integrand.atoms if a[0] == "basis"]
-    matroids = [a[1] for a in basis_atoms]
-    if jobs > 1:
-        return _class_sums_parallel(integrand, tstar, dprime, jobs)
-    acc = {}
-    ground = integrand.ground
-    other = [(i, a) for i, a in enumerate(integrand.atoms) if a[0] != "basis"]
-    slot = {a: i for i, a in enumerate(integrand.atoms)}
-    bslots = [slot[a] for a in basis_atoms]
-    if matroids:
-        iterator = iter_perm_bases(matroids)
+def _perm_keys(atoms, ground):
+    """Yields (sigma, joint atom key) for every permutation of range(ground).
+
+    key[i] is the value of atoms[i] at sigma: greedy bases come from the
+    incremental enumerator, every other atom is read off sigma.
+    """
+    bslots = [i for i, a in enumerate(atoms) if a[0] == "basis"]
+    other = [(i, a) for i, a in enumerate(atoms) if a[0] != "basis"]
+    if bslots:
+        iterator = iter_perm_bases([atoms[i][1] for i in bslots])
     else:
         iterator = ((s, ()) for s in all_perms(ground))
-    key_buf = [None] * len(integrand.atoms)
+    key_buf = [None] * len(atoms)
     for sigma, bvec in iterator:
         for s, bmask in zip(bslots, bvec):
             key_buf[s] = bmask
         for i, a in other:
             key_buf[i] = atom_value(a, sigma)
-        key = tuple(key_buf)
+        yield sigma, tuple(key_buf)
+
+
+def _class_sums(integrand, tstar, dprime):
+    """acc[joint atom key] = sum over matching permutations of dprime/denominator."""
+    acc = {}
+    for sigma, key in _perm_keys(integrand.atoms, integrand.ground):
         d = 1
         prev = tstar[sigma[0]]
         for e in sigma[1:]:
@@ -362,52 +363,6 @@ def _class_sums(integrand, tstar, dprime, jobs):
             prev = cur
         acc[key] = acc.get(key, 0) + dprime // d
     return acc
-
-
-def _class_sums_parallel(integrand, tstar, dprime, jobs):
-    ground = integrand.ground
-    total = 1
-    for i in range(2, ground + 1):
-        total *= i
-    atom_descr = []
-    for a in integrand.atoms:
-        if a[0] == "basis":
-            atom_descr.append(("basis", a[1].n_elements, a[1].bases))
-        elif a[0] in ("vmin", "vmax"):
-            atom_descr.append((a[0], a[1].n_elements, tuple(a[1].rk)))
-        else:
-            atom_descr.append((a[0],))
-    bounds = [total * i // jobs for i in range(jobs + 1)]
-    blocks = [
-        (atom_descr, ground, tstar, dprime, bounds[i], bounds[i + 1])
-        for i in range(jobs)
-        if bounds[i] < bounds[i + 1]
-    ]
-    acc = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_class_sums_block, blocks):
-            for key, v in part:
-                acc[key] = acc.get(key, 0) + v
-    return acc
-
-
-def _class_sums_block(args):
-    atom_descr, ground, tstar, dprime, start, stop = args
-    atoms = []
-    for s in atom_descr:
-        if s[0] == "basis":
-            atoms.append(("basis", Matroid(s[1], s[2], validate=False)))
-        elif s[0] in ("vmin", "vmax"):
-            atoms.append((s[0], GenPermutohedron(s[1], list(s[2]), validate=False)))
-        else:
-            atoms.append((s[0],))
-    acc = {}
-    it = itertools.islice(all_perms(ground), start, stop)
-    for sigma in it:
-        key = tuple(atom_value(a, sigma) for a in atoms)
-        d = localization_denominator(sigma, tstar)
-        acc[key] = acc.get(key, 0) + dprime // d
-    return list(acc.items())
 
 
 def _graded_sum_callable(ev, ground, formal_vars, tstar, cap):
@@ -466,70 +421,51 @@ def debug_contributions(integrand: GradedIntegrand, tstar):
 # ---------------------------------------------------------------------------
 
 
-def euler_char_ab(kclass: KClassLoc, *, rng, jobs=1):
+def euler_char_ab(kclass: KClassLoc, *, rng):
     """chi of a K-class via the fixed-point sum with denominators 1 - T/T."""
-    return euler_char_many([kclass], rng=rng, jobs=jobs)[0]
+    return euler_char_many([kclass], rng=rng)[0]
 
 
-def euler_char_many(kclasses, *, rng, jobs=1):
+def euler_char_many(kclasses, *, rng):
     """chi of several K-classes sharing one ground set.
 
-    One compressed permutation scan serves every class and every sample
-    point; jobs is accepted for interface uniformity but the scan is
-    single-pass (it is far from the bottleneck at guardrail sizes).
+    One compressed permutation scan over the union of the classes' atoms
+    serves every class and every sample point.
     """
-    del jobs
     ground = kclasses[0].ground
     if any(c.ground != ground for c in kclasses):
         raise ValueError("classes on different ground sets")
     check_guardrail(ground)
     w = sample_weight(ground, rng)
-    groups, keysets = _compress_orbits(kclasses, ground, w)
+    atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms))
+    slots = [tuple(atoms.index(a) for a in c.atoms) for c in kclasses]
+    groups = _compress_orbits(atoms, ground, w)
+    joints = {joint for joint, _ in groups}
     dmax = 0
-    for cls, keys in zip(kclasses, keysets):
-        for key in keys:
+    for cls, sl in zip(kclasses, slots):
+        for key in {tuple(j[i] for i in sl) for j in joints}:
             for _, m in cls.monomials(key):
                 dmax = max(dmax, abs(sum(x * ww for x, ww in zip(m, w))))
     try:
-        return _chi_interpolate(kclasses, keysets, groups, ground, w, dmax)
+        return _chi_interpolate(kclasses, slots, groups, w, dmax)
     except InconsistentSamples:
         try:
-            return _chi_interpolate(kclasses, keysets, groups, ground, w, 2 * dmax + 1)
+            return _chi_interpolate(kclasses, slots, groups, w, 2 * dmax + 1)
         except InconsistentSamples as exc:
             raise InterpolationInconsistent(str(exc)) from exc
 
 
-def _compress_orbits(kclasses, ground, w):
-    """Group permutations by (atom keys, denominator shape).
+def _compress_orbits(atoms, ground, w):
+    """Permutation counts per (joint atom key, denominator shape).
 
     The denominator along T_i = q^{w_i} depends only on the multiset of
-    adjacent w-differences; returns counts per (joint key, shape) plus the
-    per-class key sets.
+    adjacent w-differences, so permutations sharing both contribute alike.
     """
-    atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms))
-    slots = [tuple(atoms.index(a) for a in c.atoms) for c in kclasses]
-    matroids = [a[1] for a in atoms if a[0] == "basis"]
-    bslots = [i for i, a in enumerate(atoms) if a[0] == "basis"]
-    other = [(i, a) for i, a in enumerate(atoms) if a[0] != "basis"]
-    if matroids:
-        iterator = iter_perm_bases(matroids)
-    else:
-        iterator = ((s, ()) for s in all_perms(ground))
     groups = {}
-    key_buf = [None] * len(atoms)
-    for sigma, bvec in iterator:
-        for s, bmask in zip(bslots, bvec):
-            key_buf[s] = bmask
-        for i, a in other:
-            key_buf[i] = atom_value(a, sigma)
-        shape = _denom_shape(sigma, w)
-        gk = (tuple(key_buf), shape)
+    for sigma, key in _perm_keys(atoms, ground):
+        gk = (key, _denom_shape(sigma, w))
         groups[gk] = groups.get(gk, 0) + 1
-    keysets = []
-    joints = {g[0] for g in groups}
-    for sl in slots:
-        keysets.append({tuple(j[i] for i in sl) for j in joints})
-    return groups, keysets
+    return groups
 
 
 def _denom_shape(sigma, w):
@@ -552,9 +488,7 @@ def _denom_shape(sigma, w):
     return (sign, neg_pow, tuple(mags))
 
 
-def _chi_interpolate(kclasses, keysets, groups, ground, w, dmax):
-    atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms))
-    slots = [tuple(atoms.index(a) for a in c.atoms) for c in kclasses]
+def _chi_interpolate(kclasses, slots, groups, w, dmax):
     n_samples = 2 * dmax + 1 + 3
     pair_mags = [abs(a - b) for a, b in itertools.combinations(w, 2)]
     samples = [[] for _ in kclasses]

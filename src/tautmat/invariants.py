@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .engine import (
     GradedIntegrand,
+    _perm_keys,
     alpha_series,
     beta_series,
     chern_fixed,
@@ -39,7 +40,6 @@ from .kclass import (
     zeta_monomial_value,
 )
 from .matroid import FlagMatroid, Matroid, bits, is_quotient, popcount
-from .perms import all_perms
 from .poly import SparsePoly, interpolate_univariate, psi_transform
 from .rat import RAT_ZERO, Rat, as_int, is_integral
 from .tutte import beta_pair, t_transform, tutte_delcontr
@@ -86,7 +86,7 @@ T4_VARS = ("x", "y", "z", "w")
 # ---------------------------------------------------------------------------
 
 
-def taut_degree_polynomial(m: Matroid, *, rng, jobs=1) -> SparsePoly:
+def taut_degree_polynomial(m: Matroid, *, rng) -> SparsePoly:
     """sum of (deg alpha^i beta^j c_k(S^v) c_l(Q)) x^i y^j z^k w^l."""
     n1 = m.n_elements
     integrand = GradedIntegrand(
@@ -99,11 +99,11 @@ def taut_degree_polynomial(m: Matroid, *, rng, jobs=1) -> SparsePoly:
         ],
         name="taut_degree",
     )
-    p = integrate_graded(integrand, rng=rng, jobs=jobs)
+    p = integrate_graded(integrand, rng=rng)
     return p.with_vars(T4_VARS)
 
 
-def mixed_degree_generating(subs, quots, *, rng, jobs=1) -> SparsePoly:
+def mixed_degree_generating(subs, quots, *, rng) -> SparsePoly:
     """Generating polynomial of mixed degrees for several S/Q factors.
 
     Variables: x (alpha), y (beta), z1..zm for the dual sub classes,
@@ -127,29 +127,30 @@ def mixed_degree_generating(subs, quots, *, rng, jobs=1) -> SparsePoly:
     factors.append(beta_series("y", n1 - 1))
     factors.append(alpha_series("x", n1 - 1))
     integrand = GradedIntegrand(n1, factors, name="mixed_degree")
-    return integrate_graded(integrand, rng=rng, jobs=jobs).with_vars(tuple(vars_out))
+    return integrate_graded(integrand, rng=rng).with_vars(tuple(vars_out))
 
 
-def alpha_beta_degrees(n1, *, rng, jobs=1) -> SparsePoly:
+def alpha_beta_degrees(n1, *, rng) -> SparsePoly:
     """sum (deg alpha^i beta^j) x^i y^j on the ground set of size n1."""
     integrand = GradedIntegrand(
         n1, [beta_series("y", n1 - 1), alpha_series("x", n1 - 1)]
     )
-    return integrate_graded(integrand, rng=rng, jobs=jobs).with_vars(("x", "y"))
+    return integrate_graded(integrand, rng=rng).with_vars(("x", "y"))
 
 
 def theorem_a_check(m: Matroid, *, rng, jobs=1):
     """Assert the degree polynomial equals the Tutte transform; returns it."""
-    lhs = taut_degree_polynomial(m, rng=rng, jobs=jobs)
+    del jobs  # ignored; kept only because bench/worker.py passes jobs=1
+    lhs = taut_degree_polynomial(m, rng=rng)
     rhs = t_transform(m)
     if lhs != rhs:
         raise IdentityFailure(f"degree polynomial differs from Tutte transform for {m!r}")
     return lhs
 
 
-def beta_via_localization(m: Matroid, *, rng, jobs=1):
+def beta_via_localization(m: Matroid, *, rng):
     """(beta(M), beta(M dual)) read from the degree polynomial."""
-    p = taut_degree_polynomial(m, rng=rng, jobs=jobs)
+    p = taut_degree_polynomial(m, rng=rng)
     r, crk = m.rank_value, m.corank
     b1 = p.coeff((0, 0, r - 1, crk)) if r >= 1 else RAT_ZERO
     b2 = p.coeff((0, 0, r, crk - 1)) if crk >= 1 else RAT_ZERO
@@ -277,7 +278,8 @@ def chi_via_zeta(kcls: KClassLoc, *, rng):
     localization formula; the value at t = 0 is the Euler characteristic.
     """
     n1 = kcls.ground
-    keys = {kcls.key_at(sigma) for sigma in all_perms(n1)}
+    key_of = dict(_perm_keys(kcls.atoms, n1))
+    keys = set(key_of.values())
     pole = 0
     posdeg = 0
     for key in keys:
@@ -288,7 +290,7 @@ def chi_via_zeta(kcls: KClassLoc, *, rng):
 
     def ev_raw(sigma, tpoint):
         val = RAT_ZERO
-        for coeff, mono in kcls.monomials(kcls.key_at(sigma)):
+        for coeff, mono in kcls.monomials(key_of[sigma]):
             val = val + coeff * zeta_monomial_value(mono, tpoint)
         weight = Rat(1)
         for i in sigma[:-1]:
@@ -333,9 +335,10 @@ def fs_tutte(m: Matroid, *, rng, jobs=1, zeta_check=False) -> SparsePoly:
     computed by the fixed-point character sum (optionally cross-checked
     against the zeta route) and verified against deletion-contraction.
     """
+    del jobs  # ignored; kept only because bench/worker.py passes jobs=1
     classes = fs_classes(m)
     pairs = sorted(classes)
-    chis = euler_char_many([classes[p] for p in pairs], rng=rng, jobs=jobs)
+    chis = euler_char_many([classes[p] for p in pairs], rng=rng)
     if zeta_check:
         for p, chi in zip(pairs, chis):
             zz = chi_via_zeta(classes[p], rng=rng)
@@ -377,6 +380,7 @@ def cf_check(m: Matroid, t_range=None, u_range=None, *, rng, jobs=1) -> CfReport
     at most n in each variable, Psi is applied, and the result must equal
     the Tutte transform specialized at (x+1, y, 1, 0).
     """
+    del jobs  # ignored; kept only because bench/worker.py passes jobs=1
     n1 = m.n_elements
     n = n1 - 1
     ts = list(t_range) if t_range is not None else list(range(n + 1))
@@ -388,7 +392,7 @@ def cf_check(m: Matroid, t_range=None, u_range=None, *, rng, jobs=1) -> CfReport
     delta = simplex(n1)
     pairs = [(t, u) for t in ts for u in us]
     classes = [kc_product(alpha_beta_twist(n1, t, u), det_s_dual(m)) for t, u in pairs]
-    chis = euler_char_many(classes, rng=rng, jobs=jobs)
+    chis = euler_char_many(classes, rng=rng)
     grid = {}
     for (t, u), chi in zip(pairs, chis):
         poly = pm + nabla.dilate(t) + delta.dilate(u)
@@ -430,12 +434,12 @@ def _interpolate_grid(grid, ts, us, deg):
     return out
 
 
-def ehrhart(p: GenPermutohedron, c: int, *, rng, jobs=1) -> int:
+def ehrhart(p: GenPermutohedron, c: int, *, rng) -> int:
     """Lattice points of c*P via chi(O(D_{cP})), checked against enumeration."""
     if c < 0:
         raise ValueError("dilation must be nonnegative")
     dilated = p.dilate(c)
-    chi = euler_char_ab(line_bundle(dilated), rng=rng, jobs=jobs)
+    chi = euler_char_ab(line_bundle(dilated), rng=rng)
     count = dilated.count_lattice_points()
     if chi != count:
         raise CountMismatch(f"ehrhart: chi {chi} != enumeration {count}")
@@ -447,7 +451,7 @@ def ehrhart(p: GenPermutohedron, c: int, *, rng, jobs=1) -> int:
 # ---------------------------------------------------------------------------
 
 
-def g_polynomial(m: Matroid, *, rng, jobs=1) -> SparsePoly:
+def g_polynomial(m: Matroid, *, rng) -> SparsePoly:
     """g_M(s) by the Chow route, cross-checked against the character route.
 
     Chow route: (-1)^comp sum_i deg_alpha(c(Q^v) c_{r-i}(S^v) c_crk(Q)) (-s)^i.
@@ -469,7 +473,7 @@ def g_polynomial(m: Matroid, *, rng, jobs=1) -> SparsePoly:
         ],
         name="g_chow",
     )
-    top = integrate_graded(integrand, rng=rng, jobs=jobs)
+    top = integrate_graded(integrand, rng=rng)
     collapsed = top.substitute("x", 1).substitute("u", 1).substitute("w", 1)
     g_chow = SparsePoly.zero(("s",))
     for i in range(r + 1):
@@ -483,7 +487,6 @@ def g_polynomial(m: Matroid, *, rng, jobs=1) -> SparsePoly:
     chis = euler_char_many(
         [kc_product(exterior_power(s, i), exterior_power(qd, j)) for i, j in pairs],
         rng=rng,
-        jobs=jobs,
     )
     x1 = SparsePoly(("x", "y"), {(1, 0): Rat(1), (0, 0): Rat(-1)})
     y1 = SparsePoly(("x", "y"), {(0, 1): Rat(1), (0, 0): Rat(-1)})
@@ -509,7 +512,7 @@ def _exp_for(vars, assignment):
 # ---------------------------------------------------------------------------
 
 
-def flag_tutte_kt(flag: FlagMatroid, *, rng, jobs=1) -> SparsePoly:
+def flag_tutte_kt(flag: FlagMatroid, *, rng) -> SparsePoly:
     """Flag-geometric Tutte polynomial KT(x, y) via localization degrees."""
     mats = flag.constituents
     k = len(mats)
@@ -520,7 +523,7 @@ def flag_tutte_kt(flag: FlagMatroid, *, rng, jobs=1) -> SparsePoly:
     factors.append(chern_series(("sdual", mats[-1]), "z"))
     factors.append(chern_series(("q", mats[0]), "w"))
     factors.append(alpha_series("x", n1 - 1))
-    top = integrate_graded(GradedIntegrand(n1, factors, name="flag_kt"), rng=rng, jobs=jobs)
+    top = integrate_graded(GradedIntegrand(n1, factors, name="flag_kt"), rng=rng)
     collapsed = top.substitute("x", 1)
     if k > 1:
         collapsed = collapsed.substitute("v", 1)
@@ -534,9 +537,9 @@ def flag_tutte_kt(flag: FlagMatroid, *, rng, jobs=1) -> SparsePoly:
     return out
 
 
-def flag_kchi(flag: FlagMatroid, *, rng, jobs=1) -> SparsePoly:
+def flag_kchi(flag: FlagMatroid, *, rng) -> SparsePoly:
     """K-theoretic characteristic polynomial; asserts alternating signs."""
-    kt = flag_tutte_kt(flag, rng=rng, jobs=jobs)
+    kt = flag_tutte_kt(flag, rng=rng)
     one_minus_q = SparsePoly(("q",), {(0,): Rat(1), (1,): Rat(-1)})
     out = kt.substitute("x", one_minus_q).substitute("y", 0).with_vars(("q",))
     out = out * ((-1) ** sum(flag.ranks))
@@ -546,7 +549,7 @@ def flag_kchi(flag: FlagMatroid, *, rng, jobs=1) -> SparsePoly:
     return out
 
 
-def lvt(m1: Matroid, m2: Matroid, *, rng, jobs=1) -> SparsePoly:
+def lvt(m1: Matroid, m2: Matroid, *, rng) -> SparsePoly:
     """Las Vergnas Tutte polynomial of a matroid morphism, two routes.
 
     Route (a): the defining corank-nullity style subset sum.  Route (b):
@@ -578,7 +581,7 @@ def lvt(m1: Matroid, m2: Matroid, *, rng, jobs=1) -> SparsePoly:
         ],
         name="lvt",
     )
-    top = integrate_graded(integrand, rng=rng, jobs=jobs)
+    top = integrate_graded(integrand, rng=rng)
     collapsed = top.substitute("x", 1).with_vars(("u", "v", "s"))
     xx = SparsePoly.variable("x", vars3)
     yy = SparsePoly.variable("y", vars3)
@@ -666,7 +669,7 @@ def _membership(polytope: GenPermutohedron, point):
     return True
 
 
-def valuativity_demo(*, rng, jobs=1, denominator=4):
+def valuativity_demo(*, rng, denominator=4):
     """Brute-force the split's indicator identity, then three invariants.
 
     The indicator identity is checked on the rational grid with the given
@@ -687,10 +690,10 @@ def valuativity_demo(*, rng, jobs=1, denominator=4):
         )
         if lhs != rhs:
             raise IndicatorIdentityFails(f"indicator identity fails at {pt}")
-    t0 = taut_degree_polynomial(u24, rng=rng, jobs=jobs)
-    t1 = taut_degree_polynomial(m1, rng=rng, jobs=jobs)
-    t2 = taut_degree_polynomial(m2, rng=rng, jobs=jobs)
-    t12 = taut_degree_polynomial(m12, rng=rng, jobs=jobs)
+    t0 = taut_degree_polynomial(u24, rng=rng)
+    t1 = taut_degree_polynomial(m1, rng=rng)
+    t2 = taut_degree_polynomial(m2, rng=rng)
+    t12 = taut_degree_polynomial(m12, rng=rng)
     if t0 != t1 + t2 - t12:
         raise ValuativityFails("degree polynomial is not valuative on the split")
     b0 = bergman_weight(u24, rng=rng)

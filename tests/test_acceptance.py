@@ -80,15 +80,15 @@ def test_criterion_1_theorem_a():
             assert dt < 5, f"{name} took {dt:.1f}s"
             slow.append(dt)
     t0 = time.monotonic()
-    par = taut_degree_polynomial(builtin_matroid("vamos"), rng=rng, jobs=8)
-    dt8 = time.monotonic() - t0
-    assert par == t_transform(builtin_matroid("vamos"))
-    assert dt8 < 15, f"vamos with 8 workers took {dt8:.1f}s"
+    again = taut_degree_polynomial(builtin_matroid("vamos"), rng=rng)
+    dt2 = time.monotonic() - t0
+    assert again == t_transform(builtin_matroid("vamos"))
+    assert dt2 < 15, f"vamos at fresh generic points took {dt2:.1f}s"
     report(
         1,
         True,
         f"Theorem A exact on {len(FULL_CORPUS)} matroids; "
-        f"vamos {vamos_time:.2f}s single / {dt8:.2f}s with 8 workers",
+        f"vamos {vamos_time:.2f}s / {dt2:.2f}s at fresh generic points",
     )
 
 

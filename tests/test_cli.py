@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +88,30 @@ def test_cli_jobs_bit_identical(capsys):
     def norm(s):
         return s.replace('"jobs":8', '"jobs":_').replace('"jobs":1', '"jobs":_').replace('"8"', '"_"').replace('"1"', '"_"')
     assert norm(out1) == norm(out8)
+
+
+def test_cli_max_ground_does_not_leak(capsys, monkeypatch):
+    monkeypatch.delenv("TAUTMAT_GUARDRAIL", raising=False)
+    code, _ = run_cli(capsys, "info", "uniform:1:3", "--max-ground", "12")
+    assert code == 0
+    assert "TAUTMAT_GUARDRAIL" not in os.environ
+    assert main(["tautdeg", "uniform:1:10"]) == 2  # default guardrail again
+    monkeypatch.setenv("TAUTMAT_GUARDRAIL", "7")
+    run_cli(capsys, "info", "uniform:1:3", "--max-ground", "12")
+    assert os.environ["TAUTMAT_GUARDRAIL"] == "7"
+
+
+def test_import_loads_no_process_pool():
+    # the CLI is single-process; a process pool import would be paid by every call
+    probe = (
+        "import sys, tautmat.cli, tautmat.checks; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_results_are_seed_independent(capsys):

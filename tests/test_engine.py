@@ -21,9 +21,11 @@ from tautmat.engine import (
     _class_sums,
     _extrapolate_back,
     _pairwise_diff_product,
+    _perm_keys,
 )
 from tautmat.kclass import (
     KClassLoc,
+    atom_value,
     cremona,
     det_s_dual,
     dual_class,
@@ -36,6 +38,7 @@ from tautmat.kclass import (
 )
 from tautmat.genperm import base_polytope, simplex
 from tautmat.matroid import uniform
+from tautmat.perms import all_perms
 from tautmat.poly import InconsistentSamples, SparsePoly, interpolate_univariate
 from tautmat.rat import Rat
 
@@ -130,6 +133,17 @@ def test_grading_violation_detected(rng):
         integrate_graded(bad2, target_degree=2, formal_vars=("x",), ground=3, rng=rng)
 
 
+def test_perm_keys_match_per_permutation_atoms(u24):
+    k4 = uniform(3, 4)
+    atoms = (("vmax", base_polytope(k4)), ("basis", u24), ("last",), ("basis", k4), ("first",))
+    got = list(_perm_keys(atoms, 4))
+    assert sorted(sigma for sigma, _ in got) == list(all_perms(4))
+    for sigma, key in got:
+        assert key == tuple(atom_value(a, sigma) for a in atoms)
+    # no basis atom: the plain permutation enumerator
+    assert [key for _, key in _perm_keys((("first",),), 3)] == [(s[0],) for s in all_perms(3)]
+
+
 def test_partition_independence(rng, fano):
     integrand = GradedIntegrand(
         7,
@@ -142,9 +156,12 @@ def test_partition_independence(rng, fano):
     )
     tstar = (3, 17, 5, 9, 2, 11, 7)
     d = _pairwise_diff_product(tstar)
-    single = _class_sums(integrand, tstar, d, 1)
-    for jobs in (2, 8):
-        assert _class_sums(integrand, tstar, d, jobs) == single
+    # oracle: greedy bases recomputed per permutation, no incremental enumerator
+    naive = {}
+    for sigma in all_perms(7):
+        key = tuple(atom_value(a, sigma) for a in integrand.atoms)
+        naive[key] = naive.get(key, 0) + d // localization_denominator(sigma, tstar)
+    assert _class_sums(integrand, tstar, d) == naive
 
 
 def test_factor_values_at_literal_points():
