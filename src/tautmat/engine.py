@@ -15,14 +15,15 @@ Three pushforward paths:
   samples give its value at q = 1, and three extra samples verify the
   degree bound (their differences above it must vanish).
 
-* a zeta route for inhomogeneous Chow values: sample along t = q*w at
-  integer q, interpolate exactly, verify extra samples, and evaluate at
-  q = 0.
+* a zeta route, the Chow-side Euler characteristic of a K-class: its
+  zeta image is pushed forward along t = q*w; the integer samples at
+  q = 1, 2, ... (one exact division each) are read off at q = 0 by the
+  same forward differences, with three verification samples.
 
-The graded and character paths share one permutation scan, `_perm_keys`:
-the incremental permutation/greedy-basis enumerator of `perms` yields each
-permutation with the joint key of the atoms its integrand depends on, and
-the paths accumulate per key.  All computation is single-process.
+All three paths share one permutation scan, `_perm_keys`: the incremental
+permutation/greedy-basis enumerator of `perms` yields each permutation with
+the joint key of the atoms its integrand depends on, and the paths
+accumulate per key.  All computation is single-process.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .genperm import check_guardrail
 from .kclass import KClassLoc, atom_value, _dedup_atoms
 from .matroid import bits
 from .perms import all_perms, iter_perm_bases
-from .poly import InconsistentSamples, SparsePoly, interpolate_univariate
+# interpolate_univariate is unused here; bench/tests asserts engine's binding of it
+from .poly import InconsistentSamples, SparsePoly, interpolate_univariate  # noqa: F401
 from .rat import Rat, as_int, is_integral
 
 
@@ -51,10 +53,6 @@ class NonIntegral(AssertionError):
 
 class InterpolationInconsistent(AssertionError):
     """Verification samples do not match the interpolant after escalation."""
-
-
-class PoleAtSample(ArithmeticError):
-    """A sample point hit a pole; the caller resamples."""
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +281,7 @@ def _pairwise_diff_product(tstar):
 
 def _graded_sum_fast(integrand, tstar, cap):
     dprime = _pairwise_diff_product(tstar)
-    acc = _class_sums(integrand, tstar, dprime)
+    acc = _class_sums(integrand.atoms, integrand.ground, tstar, dprime)
     vars = integrand.vars
     vidx = {v: i for i, v in enumerate(vars)}
     nvars = len(vars)
@@ -351,10 +349,10 @@ def _perm_keys(atoms, ground):
         yield sigma, tuple(key_buf)
 
 
-def _class_sums(integrand, tstar, dprime):
+def _class_sums(atoms, ground, tstar, dprime):
     """acc[joint atom key] = sum over matching permutations of dprime/denominator."""
     acc = {}
-    for sigma, key in _perm_keys(integrand.atoms, integrand.ground):
+    for sigma, key in _perm_keys(atoms, ground):
         d = 1
         prev = tstar[sigma[0]]
         for e in sigma[1:]:
@@ -446,13 +444,7 @@ def euler_char_many(kclasses, *, rng):
         for key in {tuple(j[i] for i in sl) for j in joints}:
             for _, m in cls.monomials(key):
                 dmax = max(dmax, abs(sum(x * ww for x, ww in zip(m, w))))
-    try:
-        return _chi_interpolate(kclasses, slots, groups, w, dmax)
-    except InconsistentSamples:
-        try:
-            return _chi_interpolate(kclasses, slots, groups, w, 2 * dmax + 1)
-        except InconsistentSamples as exc:
-            raise InterpolationInconsistent(str(exc)) from exc
+    return _escalating(lambda d: _chi_interpolate(kclasses, slots, groups, w, d), dmax)
 
 
 def _compress_orbits(atoms, ground, w):
@@ -554,65 +546,66 @@ def _extrapolate_back(values, degree_bound):
     return out
 
 
-# ---------------------------------------------------------------------------
-# inhomogeneous interpolation path
-# ---------------------------------------------------------------------------
-
-
-def integrate_inhomogeneous(
-    ev_raw, pole_multiplicity, degree_bound, *, ground, rng, weight=None
-):
-    """Exact value at t = 0 of sum_sigma ev_raw(sigma, t)/denominator(sigma, t).
-
-    The sum times prod_i (1 + t_i)^pole_multiplicity restricted to the line
-    t = q*w is a polynomial in q of degree at most degree_bound; it is
-    sampled at degree_bound+1 integer points plus three verification
-    points, interpolated exactly, and read off at q = 0.
-    """
-    n1 = ground
-    if weight is None:
-        w = list(range(1, n1 + 1))
-        rng.shuffle(w)
-        w = tuple(w)
-    else:
-        w = tuple(weight)
-    m = pole_multiplicity
-
-    def sample(q):
-        tpoint = tuple(Rat(q * wi) for wi in w)
-        scale = Rat(1)
-        for wi in w:
-            scale = scale * (1 + Rat(q) * wi) ** m
-        total = Rat(0)
-        for sigma in all_perms(n1):
-            d = localization_denominator(sigma, tpoint)
-            if d == 0:
-                raise PoleAtSample(f"q={q}")
-            total = total + ev_raw(sigma, tpoint) / d
-        return total * scale
-
-    def run(bound):
-        samples = []
-        q = 0
-        cap = 10 * (bound + 10)
-        while len(samples) < bound + 1 + 3:
-            q += 1
-            if q > cap:
-                raise PoleAtSample(f"no pole-free samples below q={cap}")
-            try:
-                samples.append((Rat(q), sample(q)))
-            except PoleAtSample:
-                continue
-        poly = interpolate_univariate(samples, bound)
-        return poly.evaluate({"q": Rat(0)})
-
+def _escalating(read_off, bound):
+    """read_off(bound), retried once at 2*bound + 1 if the samples exceed the bound."""
     try:
-        return run(degree_bound)
+        return read_off(bound)
     except InconsistentSamples:
         try:
-            return run(2 * degree_bound + 1)
+            return read_off(2 * bound + 1)
         except InconsistentSamples as exc:
             raise InterpolationInconsistent(str(exc)) from exc
+
+
+# ---------------------------------------------------------------------------
+# zeta route
+# ---------------------------------------------------------------------------
+
+
+def integrate_inhomogeneous(kcls: KClassLoc, *, rng):
+    """chi of a K-class as the Chow-side pushforward of its zeta image at t = 0.
+
+    zeta substitutes T_i -> 1 + t_i; the image times the total Chern class
+    prod_{i != sigma(n)} (1 + t_i) of the corank-one tautological dual and
+    the scale prod_i (1 + t_i)^pole is an integer polynomial at every fixed
+    point.  Along t = q*w (w a shuffle of 1..n+1, so no 1 + t_i vanishes)
+    the denominator is q^n times the adjacent w-differences, and the scaled
+    pushforward is an integer polynomial in q of degree at most
+    pole*(n+1) plus the largest monomial degree.  One class-sum scan over (class key, last element) gives its integer samples
+    at q = 1, 2, ... by exact division; forward differences read off q = 0.
+    """
+    ground = kcls.ground
+    w = tuple(x + 1 for x in sample_weight(ground, rng))
+    dprime = _pairwise_diff_product(w)
+    acc = _class_sums(kcls.atoms + (("last",),), ground, w, dprime)
+    # terms[e] = coefficient of prod_i (1 + t_i)^(e_i + pole) in the numerator:
+    # the zeta monomial and one Chern factor for every i but sigma(n)
+    terms = {}
+    pole = posdeg = 0
+    for key, a in acc.items():
+        last = key[-1]
+        for c, mono in kcls.monomials(key[:-1]):
+            pole = max(pole, sum(-x for x in mono if x < 0))
+            posdeg = max(posdeg, sum(mono))
+            e = tuple(x + (i != last) for i, x in enumerate(mono))
+            terms[e] = terms.get(e, 0) + a * c
+
+    def sample(q):
+        bases = [1 + q * wi for wi in w]
+        num = 0
+        for e, c in terms.items():
+            for b, x in zip(bases, e):
+                c *= b ** (x + pole)
+            num += c
+        val, rem = divmod(num, q ** (ground - 1) * dprime)
+        if rem:
+            raise NonIntegral(f"zeta pushforward of {kcls.name} at q={q} is not an integer")
+        return val
+
+    def read_off(bound):
+        return _extrapolate_back([sample(q) for q in range(1, bound + 5)], bound)
+
+    return _escalating(read_off, pole * ground + posdeg)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .engine import (
     GradedIntegrand,
-    _perm_keys,
     alpha_series,
     beta_series,
     chern_fixed,
@@ -37,11 +36,10 @@ from .kclass import (
     q_class,
     restrict_to_chain,
     s_class,
-    zeta_monomial_value,
 )
 from .matroid import FlagMatroid, Matroid, bits, is_quotient, popcount
 from .poly import SparsePoly, interpolate_univariate, psi_transform
-from .rat import RAT_ZERO, Rat, as_int, is_integral
+from .rat import RAT_ZERO, Rat, as_int
 from .tutte import beta_pair, t_transform, tutte_delcontr
 from .weights import MinkowskiWeight, all_chains
 
@@ -111,7 +109,6 @@ def mixed_degree_generating(subs, quots, *, rng) -> SparsePoly:
     """
     mats = list(subs) + list(quots)
     if not mats:
-        n1 = None
         raise ValueError("need at least one matroid to fix the ground set")
     n1 = mats[0].n_elements
     if any(m.n_elements != n1 for m in mats):
@@ -277,30 +274,7 @@ def chi_via_zeta(kcls: KClassLoc, *, rng):
     the corank-one tautological dual is pushed forward with the Chow-side
     localization formula; the value at t = 0 is the Euler characteristic.
     """
-    n1 = kcls.ground
-    key_of = dict(_perm_keys(kcls.atoms, n1))
-    keys = set(key_of.values())
-    pole = 0
-    posdeg = 0
-    for key in keys:
-        for _, mono in kcls.monomials(key):
-            pole = max(pole, sum(-x for x in mono if x < 0))
-            posdeg = max(posdeg, sum(mono))
-    bound = pole * n1 + max(0, posdeg)
-
-    def ev_raw(sigma, tpoint):
-        val = RAT_ZERO
-        for coeff, mono in kcls.monomials(key_of[sigma]):
-            val = val + coeff * zeta_monomial_value(mono, tpoint)
-        weight = Rat(1)
-        for i in sigma[:-1]:
-            weight = weight * (1 + tpoint[i])
-        return val * weight
-
-    chi = integrate_inhomogeneous(ev_raw, pole, bound, ground=n1, rng=rng)
-    if not is_integral(chi):
-        raise ChiRouteMismatch(f"zeta-route chi is not an integer: {chi}")
-    return as_int(chi)
+    return integrate_inhomogeneous(kcls, rng=rng)
 
 
 def chi_both_routes(kcls: KClassLoc, *, rng):

@@ -54,7 +54,6 @@ class SparsePoly:
         tt = {}
         if terms:
             for exp, c in terms.items():
-                c = c if isinstance(c, int) else c
                 if c:
                     e = tuple(exp)
                     if len(e) != len(self.vars):

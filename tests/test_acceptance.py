@@ -235,8 +235,8 @@ def test_criterion_11_valuativity():
 
 def test_criterion_12_engine_properties(capsys):
     # two-generic-point agreement and sub-degree vanishing are hard assertions
-    # inside every graded integration above; here the partition independence
-    # is checked bit-for-bit on full reports
+    # inside every graded integration above; here full reports with --jobs 1
+    # and --jobs 8 are checked to differ only in the echoed jobs value
     code1 = cli_main(["tautdeg", "fano", "--jobs", "1"])
     out1 = capsys.readouterr().out
     code8 = cli_main(["tautdeg", "fano", "--jobs", "8"])
@@ -251,4 +251,4 @@ def test_criterion_12_engine_properties(capsys):
     assert norm(out1, 1) == norm(out8, 8)
     rep = json.loads(out1)
     assert all(c["status"] == "pass" for c in rep["checks"])
-    report(12, True, "1-vs-8-worker reports bit-identical; per-run guards all green")
+    report(12, True, "--jobs 1 and 8 reports differ only in the echoed jobs; per-run guards all green")

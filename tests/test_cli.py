@@ -174,6 +174,16 @@ def test_cli_cross_check_exception_is_a_failed_check(capsys, monkeypatch):
     assert {"name": "NonIntegral", "status": "fail", "detail": "chi of test is 1/2"} in rep["checks"]
 
 
+def test_cli_fstutte_zeta_check_on_fano(capsys):
+    # every Fink-Speyer class of the Fano plane by both Euler-characteristic routes
+    code, out = run_cli(capsys, "fstutte", "fano", "--zeta-check")
+    _, plain = run_cli(capsys, "fstutte", "fano")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["checks"] and all(c["status"] == "pass" for c in rep["checks"])
+    assert rep["results"] == json.loads(plain)["results"]
+
+
 def test_cli_check_subset(capsys):
     code, out = run_cli(
         capsys, "check", "--max-elements", "3", "--only", "tutte", "theorem-a"

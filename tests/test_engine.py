@@ -7,6 +7,7 @@ from tautmat.engine import (
     GenericPointMismatch,
     GradedIntegrand,
     InterpolationInconsistent,
+    NonIntegral,
     SubDegreeNonzero,
     alpha_series,
     beta_series,
@@ -35,8 +36,10 @@ from tautmat.kclass import (
     q_class,
     s_class,
     structure_sheaf,
+    zeta_monomial_value,
 )
 from tautmat.genperm import base_polytope, simplex
+from tautmat.invariants import chi_via_zeta, fs_classes
 from tautmat.matroid import uniform
 from tautmat.perms import all_perms
 from tautmat.poly import InconsistentSamples, SparsePoly, interpolate_univariate
@@ -161,7 +164,7 @@ def test_partition_independence(rng, fano):
     for sigma in all_perms(7):
         key = tuple(atom_value(a, sigma) for a in integrand.atoms)
         naive[key] = naive.get(key, 0) + d // localization_denominator(sigma, tstar)
-    assert _class_sums(integrand, tstar, d) == naive
+    assert _class_sums(integrand.atoms, 7, tstar, d) == naive
 
 
 def test_factor_values_at_literal_points():
@@ -182,7 +185,6 @@ def test_zeta_route_weight_independent(rng):
     import random
 
     from tautmat.corpus import builtin_matroid
-    from tautmat.invariants import chi_via_zeta
     from tautmat.genperm import base_polytope as bp
 
     mats = [uniform(1, 3), uniform(2, 3), builtin_matroid("split_m12")]
@@ -281,37 +283,75 @@ def test_extrapolate_back_rejects_higher_degree(bound_coeffs_lead, q0):
         _extrapolate_back(values, degree_bound)
 
 
-def test_integrate_inhomogeneous_constant_is_zero(rng):
-    # the class 1 has degree 0 < n, so its pushforward vanishes
-    for n1 in (2, 3):
-        val = integrate_inhomogeneous(
-            lambda sigma, t: Rat(1), 0, 0, ground=n1, rng=rng
-        )
-        assert val == 0
+def _zeta_reference(kcls):
+    # the zeta pushforward summed per permutation in exact rationals along
+    # t = q*(1, ..., n+1), scaled to a polynomial and interpolated at q = 0
+    n1 = kcls.ground
+    perms = list(all_perms(n1))
+    monos = [m for sigma in perms for _, m in kcls.monomials(kcls.key_at(sigma))]
+    pole = max(sum(-x for x in m if x < 0) for m in monos)
+    bound = pole * n1 + max(0, max(sum(m) for m in monos))
+    samples = []
+    for q in range(1, bound + 5):
+        t = tuple(Rat(q * (i + 1)) for i in range(n1))
+        total = Rat(0)
+        for sigma in perms:
+            val = Rat(0)
+            for c, m in kcls.monomials(kcls.key_at(sigma)):
+                val += c * zeta_monomial_value(m, t)
+            for i in sigma[:-1]:
+                val *= 1 + t[i]
+            total += val / localization_denominator(sigma, t)
+        for ti in t:
+            total *= (1 + ti) ** pole
+        samples.append((q, total))
+    return interpolate_univariate(samples, bound).evaluate({"q": Rat(0)})
 
 
-def test_integrate_inhomogeneous_escalation_fails_cleanly(rng):
-    # true degree 5 with a claimed bound of 1: escalation once, then error
-    def ev(sigma, t):
-        return t[0] ** 5 * localization_denominator(sigma, t)
+def test_integrate_inhomogeneous_matches_per_permutation_reference(rng, u24):
+    # ground 1 is the single fixed point with empty products
+    classes = [structure_sheaf(n1) for n1 in (1, 2, 3)] + list(fs_classes(u24).values())
+    for cls in classes:
+        assert integrate_inhomogeneous(cls, rng=rng) == _zeta_reference(cls)
 
+
+def test_integrate_inhomogeneous_escalation_fails_cleanly(rng, monkeypatch):
+    # verification fails at the degree bound and again after escalation
+    bounds = []
+
+    def inconsistent(values, degree_bound):
+        bounds.append(degree_bound)
+        raise InconsistentSamples("forced")
+
+    monkeypatch.setattr(tautmat.engine, "_extrapolate_back", inconsistent)
     with pytest.raises(InterpolationInconsistent):
-        integrate_inhomogeneous(ev, 0, 1, ground=2, rng=rng)
+        integrate_inhomogeneous(line_bundle(simplex(2)), rng=rng)
+    # T_{sigma(1)}^{-1} on P^1: pole 1 on two coordinates, bound 2, then 2*2 + 1
+    assert bounds == [2, 5]
 
 
-def test_fixed_point_compatibility(rng, u24):
-    assert fixed_point_compatibility_check(s_class(u24)) is None
-    assert fixed_point_compatibility_check(line_bundle(base_polytope(u24))) is None
-    # corrupt one fixed point: replace the basis by a non-adjacent set
-    good = s_class(u24)
+def _corrupted_s_class(m):
+    # [S_M] with one fixed point replaced by a non-adjacent set
+    good = s_class(m)
 
     def bad_monos(key):
         if key[0] == 0b0011:
             return [(1, (0, 0, -1, -1))]
         return good.monomials(key)
 
-    corrupted = KClassLoc(4, good.atoms, bad_monos, name="corrupted")
-    assert fixed_point_compatibility_check(corrupted) is not None
+    return KClassLoc(4, good.atoms, bad_monos, name="corrupted")
+
+
+def test_fixed_point_compatibility(rng, u24):
+    assert fixed_point_compatibility_check(s_class(u24)) is None
+    assert fixed_point_compatibility_check(line_bundle(base_polytope(u24))) is None
+    assert fixed_point_compatibility_check(_corrupted_s_class(u24)) is not None
+
+
+def test_zeta_route_rejects_non_gkm_class(rng, u24):
+    # a class failing the fixed-point congruences has no integral pushforward
+    with pytest.raises(NonIntegral):
+        chi_via_zeta(_corrupted_s_class(u24), rng=rng)
 
 
 def test_debug_contributions_sum(rng):
