@@ -269,7 +269,7 @@ def integrate_graded(
         )
     if not all(is_integral(c) for c in top_a.values()):
         raise NonIntegral(f"non-integer degree in {top_a}")
-    return SparsePoly(formal_vars, {e: Rat(as_int(c)) for e, c in top_a.items()})
+    return SparsePoly(formal_vars, {e: as_int(c) for e, c in top_a.items()})
 
 
 def _pairwise_diff_product(tstar):

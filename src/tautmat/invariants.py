@@ -39,7 +39,7 @@ from .kclass import (
 )
 from .matroid import FlagMatroid, Matroid, bits, is_quotient, popcount
 from .poly import SparsePoly, interpolate_univariate, psi_transform
-from .rat import RAT_ZERO, Rat, as_int
+from .rat import Rat
 from .tutte import beta_pair, t_transform, tutte_delcontr
 from .weights import MinkowskiWeight, all_chains
 
@@ -149,9 +149,9 @@ def beta_via_localization(m: Matroid, *, rng):
     """(beta(M), beta(M dual)) read from the degree polynomial."""
     p = taut_degree_polynomial(m, rng=rng)
     r, crk = m.rank_value, m.corank
-    b1 = p.coeff((0, 0, r - 1, crk)) if r >= 1 else RAT_ZERO
-    b2 = p.coeff((0, 0, r, crk - 1)) if crk >= 1 else RAT_ZERO
-    return as_int(b1), as_int(b2)
+    b1 = p.coeff((0, 0, r - 1, crk)) if r >= 1 else 0
+    b2 = p.coeff((0, 0, r, crk - 1)) if crk >= 1 else 0
+    return b1, b2
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ def bergman_weight(m: Matroid, *, rng) -> MinkowskiWeight:
             for factor in restrict_to_chain(m, chain):
                 w = _factor_degree_poly(factor, rng)
                 g = factor.n_elements
-                val *= as_int(w.coeff((0, g - 1)))
+                val *= w.coeff((0, g - 1))
                 if not val:
                     break
             if val:
@@ -243,7 +243,7 @@ def csm_weight(m: Matroid, k: int, *, rng) -> MinkowskiWeight:
             prod = w if prod is None else prod * w
         val = prod.coeff((r - 1 - k, n1 - r))
         if val:
-            geom[chain] = sign * as_int(val)
+            geom[chain] = sign * val
     geometric = MinkowskiWeight(n1, k, geom)
     if combinatorial != geometric:
         raise RouteMismatch(f"CSM weight routes disagree for {m!r}, k={k}")
@@ -318,8 +318,8 @@ def fs_tutte(m: Matroid, *, rng, jobs=1, zeta_check=False) -> SparsePoly:
             zz = chi_via_zeta(classes[p], rng=rng)
             if zz != chi:
                 raise ChiRouteMismatch(f"fs class {p}: chi {chi} vs zeta {zz}")
-    u1 = SparsePoly(("u", "v"), {(1, 0): Rat(1), (0, 0): Rat(-1)})
-    v1 = SparsePoly(("u", "v"), {(0, 1): Rat(1), (0, 0): Rat(-1)})
+    u1 = SparsePoly(("u", "v"), {(1, 0): 1, (0, 0): -1})
+    v1 = SparsePoly(("u", "v"), {(0, 1): 1, (0, 0): -1})
     out = SparsePoly.zero(("u", "v"))
     for (i, j), chi in zip(pairs, chis):
         if chi:
@@ -378,12 +378,12 @@ def cf_check(m: Matroid, t_range=None, u_range=None, *, rng, jobs=1) -> CfReport
         grid[t, u] = chi
     qpoly = _interpolate_grid(grid, ts[: n + 1], us[: n + 1], n)
     for (t, u), v in grid.items():
-        if qpoly.evaluate({"t": Rat(t), "u": Rat(u)}) != v:
+        if qpoly.evaluate({"t": t, "u": u}) != v:
             raise IdentityFailure(f"Q_M interpolation missed the sample at {(t, u)}")
     psi = psi_transform(qpoly)
     shifted = (
         t_transform(m)
-        .substitute("x", SparsePoly(("x",), {(1,): Rat(1), (0,): Rat(1)}))
+        .substitute("x", SparsePoly(("x",), {(1,): 1, (0,): 1}))
         .substitute("z", 1)
         .substitute("w", 0)
         .with_vars(("x", "y"))
@@ -397,13 +397,13 @@ def _interpolate_grid(grid, ts, us, deg):
     """Bivariate interpolation on a product grid, degree <= deg per variable."""
     rows = {}
     for u in us:
-        samples = [(Rat(t), Rat(grid[t, u])) for t in ts]
+        samples = [(t, grid[t, u]) for t in ts]
         rows[u] = interpolate_univariate(samples, deg, var="t")
     out = SparsePoly.zero(("t", "u"))
     for k in range(deg + 1):
-        samples = [(Rat(u), rows[u].coeff((k,))) for u in us]
+        samples = [(u, rows[u].coeff((k,))) for u in us]
         cu = interpolate_univariate(samples, deg, var="u")
-        tk = SparsePoly(("t",), {(k,): Rat(1)})
+        tk = SparsePoly(("t",), {(k,): 1})
         out = out + tk * cu
     return out
 
@@ -462,8 +462,8 @@ def g_polynomial(m: Matroid, *, rng) -> SparsePoly:
         [kc_product(exterior_power(s, i), exterior_power(qd, j)) for i, j in pairs],
         rng=rng,
     )
-    x1 = SparsePoly(("x", "y"), {(1, 0): Rat(1), (0, 0): Rat(-1)})
-    y1 = SparsePoly(("x", "y"), {(0, 1): Rat(1), (0, 0): Rat(-1)})
+    x1 = SparsePoly(("x", "y"), {(1, 0): 1, (0, 0): -1})
+    y1 = SparsePoly(("x", "y"), {(0, 1): 1, (0, 0): -1})
     pxy = SparsePoly.zero(("x", "y"))
     for (i, j), chi in zip(pairs, chis):
         if chi:
@@ -504,7 +504,7 @@ def flag_tutte_kt(flag: FlagMatroid, *, rng) -> SparsePoly:
     collapsed = collapsed.with_vars(("z", "w"))
     x = SparsePoly.variable("x", ("x", "y"))
     y = SparsePoly.variable("y", ("x", "y"))
-    one_minus_y = SparsePoly(("x", "y"), {(0, 0): Rat(1), (0, 1): Rat(-1)})
+    one_minus_y = SparsePoly(("x", "y"), {(0, 0): 1, (0, 1): -1})
     out = SparsePoly.zero(("x", "y"))
     for (i, j), d in collapsed.terms.items():
         out = out + d * x ** (r_top - i) * y ** (n1 - r_bot - j) * one_minus_y**j
@@ -514,7 +514,7 @@ def flag_tutte_kt(flag: FlagMatroid, *, rng) -> SparsePoly:
 def flag_kchi(flag: FlagMatroid, *, rng) -> SparsePoly:
     """K-theoretic characteristic polynomial; asserts alternating signs."""
     kt = flag_tutte_kt(flag, rng=rng)
-    one_minus_q = SparsePoly(("q",), {(0,): Rat(1), (1,): Rat(-1)})
+    one_minus_q = SparsePoly(("q",), {(0,): 1, (1,): -1})
     out = kt.substitute("x", one_minus_q).substitute("y", 0).with_vars(("q",))
     out = out * ((-1) ** sum(flag.ranks))
     signs = {(-1) ** e[0] * (1 if c > 0 else -1) for e, c in out.terms.items()}
@@ -535,8 +535,8 @@ def lvt(m1: Matroid, m2: Matroid, *, rng) -> SparsePoly:
     n1 = m1.n_elements
     r1, r2 = m1.rank_value, m2.rank_value
     vars3 = ("x", "y", "z")
-    x1 = SparsePoly(vars3, {(1, 0, 0): Rat(1), (0, 0, 0): Rat(-1)})
-    y1 = SparsePoly(vars3, {(0, 1, 0): Rat(1), (0, 0, 0): Rat(-1)})
+    x1 = SparsePoly(vars3, {(1, 0, 0): 1, (0, 0, 0): -1})
+    y1 = SparsePoly(vars3, {(0, 1, 0): 1, (0, 0, 0): -1})
     z = SparsePoly.variable("z", vars3)
     direct = SparsePoly.zero(vars3)
     for a in range(1 << n1):
@@ -559,7 +559,7 @@ def lvt(m1: Matroid, m2: Matroid, *, rng) -> SparsePoly:
     collapsed = top.substitute("x", 1).with_vars(("u", "v", "s"))
     xx = SparsePoly.variable("x", vars3)
     yy = SparsePoly.variable("y", vars3)
-    z1 = SparsePoly(vars3, {(0, 0, 1): Rat(1), (0, 0, 0): Rat(1)})
+    z1 = SparsePoly(vars3, {(0, 0, 1): 1, (0, 0, 0): 1})
     local = SparsePoly.zero(vars3)
     for (i, j, kk), d in collapsed.terms.items():
         local = local + (

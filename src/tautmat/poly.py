@@ -1,8 +1,11 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials with exact coefficients.
 
-A polynomial is a map {exponent vector -> nonzero Rat} together with an
-ordered tuple of variable names.  The canonical term order used for
-serialization and rendering is graded lexicographic (total degree first).
+A polynomial is a map {exponent vector -> nonzero coefficient} together
+with an ordered tuple of variable names.  Coefficients are stored as given:
+ints stay ints under + - * and substitution, and a Rat appears only where a
+division made one (interpolation, psi_inverse, "p/q" input).  The canonical
+term order used for serialization and rendering is graded lexicographic
+(total degree first).
 Also houses exact univariate Lagrange interpolation, the binomial-basis
 transform sending binom(t,i)binom(u,j) -> x^i y^j, and the log-concave
 unbroken-array test for coefficient arrays of homogeneous polynomials.
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .rat import RAT_ONE, RAT_ZERO, Rat, parse_rat, rat_str
+from .rat import Rat, parse_rat, rat_str
 
 
 class VariableMismatch(ValueError):
@@ -61,8 +64,7 @@ class SparsePoly:
                             f"exponent vector {e} does not match vars {self.vars}"
                         )
                     tt[e] = tt.get(e, 0) + c
-            tt = {e: Rat(c) for e, c in tt.items() if c}
-        self.terms = tt
+        self.terms = {e: c for e, c in tt.items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -75,19 +77,16 @@ class SparsePoly:
         vars = tuple(vars)
         if not c:
             return cls(vars, {})
-        return cls(vars, {(0,) * len(vars): Rat(c)})
+        return cls(vars, {(0,) * len(vars): c})
 
     @classmethod
     def variable(cls, name, vars=None):
         vars = (name,) if vars is None else tuple(vars)
         exp = [0] * len(vars)
         exp[vars.index(name)] = 1
-        return cls(vars, {tuple(exp): RAT_ONE})
+        return cls(vars, {tuple(exp): 1})
 
     # -- bookkeeping -------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -129,7 +128,7 @@ class SparsePoly:
         a, b = self._aligned(other)
         out = dict(a.terms)
         for e, c in b.terms.items():
-            s = out.get(e, RAT_ZERO) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -142,23 +141,22 @@ class SparsePoly:
         return SparsePoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, SparsePoly) else SparsePoly.constant(-Rat(other), self.vars))
+        return self + (-other if isinstance(other, SparsePoly) else SparsePoly.constant(-other, self.vars))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
-            c = Rat(other)
-            if not c:
+            if not other:
                 return SparsePoly(self.vars, {})
-            return SparsePoly(self.vars, {e: cc * c for e, cc in self.terms.items()})
+            return SparsePoly(self.vars, {e: c * other for e, c in self.terms.items()})
         a, b = self._aligned(other)
         out = {}
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, RAT_ZERO) + ca * cb
+                s = out.get(e, 0) + ca * cb
                 if s:
                     out[e] = s
                 else:
@@ -201,12 +199,12 @@ class SparsePoly:
             raise VariableMismatch(f"unknown variable {name!r} (vars: {self.vars})")
 
     def evaluate(self, assignment):
-        """Full evaluation; assignment maps every variable to a Rat."""
-        vals = [Rat(assignment[v]) if v in assignment else None for v in self.vars]
+        """Full evaluation; assignment maps every variable to an exact number."""
+        vals = [assignment[v] if v in assignment else None for v in self.vars]
         if any(v is None for v in vals):
             missing = [v for v, x in zip(self.vars, vals) if x is None]
             raise VariableMismatch(f"missing values for {missing}")
-        acc = RAT_ZERO
+        acc = 0
         for e, c in self.terms.items():
             t = c
             for x, k in zip(vals, e):
@@ -249,7 +247,7 @@ class SparsePoly:
 
     def coeff(self, exp):
         """Coefficient of one monomial, given as an exponent tuple."""
-        return self.terms.get(tuple(exp), RAT_ZERO)
+        return self.terms.get(tuple(exp), 0)
 
     # -- canonical form ----------------------------------------------------
 
@@ -326,16 +324,16 @@ def interpolate_univariate(samples, degree_bound, var="q"):
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must be distinct")
     # coeffs[k] accumulates the coefficient of var**k
-    coeffs = [RAT_ZERO] * (degree_bound + 1)
+    coeffs = [0] * (degree_bound + 1)
     for j, (xj, yj) in enumerate(base):
         # numerator polynomial prod_{k != j} (q - x_k), by incremental mult
-        num = [RAT_ONE]
-        den = RAT_ONE
+        num = [1]
+        den = 1
         for k, (xk, _) in enumerate(base):
             if k == j:
                 continue
             den = den * (xj - xk)
-            num = [RAT_ZERO] + num
+            num = [0] + num
             for i in range(len(num) - 1):
                 num[i] = num[i] - xk * num[i + 1]
         scale = yj / den
@@ -401,7 +399,7 @@ def psi_transform(poly, var_map=(("t", "x"), ("u", "y"))):
             for a, i in zip(pows, combo):
                 s = _stirling2(a, i)
                 if not s:
-                    f = RAT_ZERO
+                    f = 0
                     break
                 fact = 1
                 for m in range(2, i + 1):
@@ -409,7 +407,7 @@ def psi_transform(poly, var_map=(("t", "x"), ("u", "y"))):
                 f = f * (s * fact)
             if f:
                 e = tuple(combo)
-                out[e] = out.get(e, RAT_ZERO) + f
+                out[e] = out.get(e, 0) + f
     return SparsePoly(dst, {e: c for e, c in out.items() if c})
 
 
@@ -472,7 +470,7 @@ def logconcave_unbroken_check(poly, degree):
                     e = list(key)
                     e.insert(i, k)
                     e.insert(j, dd - k)
-                    seq.append(poly.terms.get(tuple(e), RAT_ZERO))
+                    seq.append(poly.terms.get(tuple(e), 0))
                 viol = _check_sequence(seq)
                 if viol is not None:
                     return {

@@ -1,7 +1,13 @@
-"""Exact rational scalars.
+"""Exact rational scalars, for the few places a division can leave a fraction.
 
-Everything in this library is exact: integers, or rationals with arbitrary
-precision.  gmpy2's mpq is used when available (it is much faster than
+Everything in this library is exact.  Most quantities are Python ints:
+polynomial coefficients, degrees, weights and Euler characteristics stay
+int under + - * and integer powers.  `Rat` is used only where a division
+happens (interpolation, the binomial-basis inverse, "p/q" input, the final
+division of a graded sum, reference paths).  Ints and Rats mix freely as
+coefficients because an integral Rat compares and hashes equal to the int of
+the same value, as Python's numeric tower requires of Fraction (untested for
+gmpy2's mpq).  gmpy2's mpq is used when available (it is much faster than
 fractions.Fraction); the stdlib Fraction is a drop-in fallback.  No float
 ever enters or leaves this module.
 """
@@ -16,10 +22,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 def Rat(num=0, den=1):
     return _mpq(num, den)
-
-
-RAT_ZERO = Rat(0)
-RAT_ONE = Rat(1)
 
 
 def is_integral(x) -> bool:
@@ -48,9 +50,9 @@ def rat_str(x) -> str:
 
 
 def parse_rat(s: str):
-    """Inverse of rat_str."""
+    """Inverse of rat_str: an int for 'p', a Rat for 'p/q'."""
     s = s.strip()
     if "/" in s:
         num, den = s.split("/", 1)
         return Rat(int(num), int(den))
-    return Rat(int(s))
+    return int(s)

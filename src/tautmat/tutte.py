@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .matroid import Matroid, popcount
 from .poly import SparsePoly
-from .rat import Rat
 
 
 class InexactDivision(ArithmeticError):
@@ -29,7 +28,7 @@ def tutte_delcontr(m: Matroid) -> SparsePoly:
         return got
     n = m.n_elements
     if n == 1:
-        out = SparsePoly(("x", "y"), {(1, 0): Rat(1)} if m.rank_value else {(0, 1): Rat(1)})
+        out = SparsePoly(("x", "y"), {(1, 0): 1} if m.rank_value else {(0, 1): 1})
     else:
         e = n - 1
         bit = 1 << e
@@ -45,8 +44,8 @@ def tutte_delcontr(m: Matroid) -> SparsePoly:
 
 def tutte_coranknullity(m: Matroid) -> SparsePoly:
     """T_M(x, y) = sum_S (x-1)^(r - rk S) (y-1)^(|S| - rk S)."""
-    x1 = SparsePoly(("x", "y"), {(1, 0): Rat(1), (0, 0): Rat(-1)})
-    y1 = SparsePoly(("x", "y"), {(0, 1): Rat(1), (0, 0): Rat(-1)})
+    x1 = SparsePoly(("x", "y"), {(1, 0): 1, (0, 0): -1})
+    y1 = SparsePoly(("x", "y"), {(0, 1): 1, (0, 0): -1})
     r = m.rank_value
     powx = [SparsePoly.constant(1, ("x", "y"))]
     powy = [SparsePoly.constant(1, ("x", "y"))]
@@ -93,8 +92,8 @@ def n_ab(a, b):
 
 def tutte_convolution(m: Matroid) -> SparsePoly:
     """T_M(x, y) recovered from (N_{(1, y-1)} * N_{(x-1, 1)})(M)."""
-    b = SparsePoly(("x", "y"), {(0, 1): Rat(1), (0, 0): Rat(-1)})
-    c = SparsePoly(("x", "y"), {(1, 0): Rat(1), (0, 0): Rat(-1)})
+    b = SparsePoly(("x", "y"), {(0, 1): 1, (0, 0): -1})
+    c = SparsePoly(("x", "y"), {(1, 0): 1, (0, 0): -1})
     value = convolve(n_ab(SparsePoly.constant(1, ("x", "y")), b), n_ab(c, SparsePoly.constant(1, ("x", "y"))), m)
     return value
 
@@ -117,9 +116,9 @@ def t_transform(m: Matroid) -> SparsePoly:
         raise InexactDivision("Tutte polynomial has a constant term")
     r = m.rank_value
     crk = m.n_elements - r
-    xy = SparsePoly(_T4_VARS, {(1, 0, 0, 0): Rat(1), (0, 1, 0, 0): Rat(1)})
-    yz = SparsePoly(_T4_VARS, {(0, 1, 0, 0): Rat(1), (0, 0, 1, 0): Rat(1)})
-    xw = SparsePoly(_T4_VARS, {(1, 0, 0, 0): Rat(1), (0, 0, 0, 1): Rat(1)})
+    xy = SparsePoly(_T4_VARS, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})
+    yz = SparsePoly(_T4_VARS, {(0, 1, 0, 0): 1, (0, 0, 1, 0): 1})
+    xw = SparsePoly(_T4_VARS, {(1, 0, 0, 0): 1, (0, 0, 0, 1): 1})
     pow_xy = _powers(xy, m.n_elements)
     pow_yz = _powers(yz, r)
     pow_xw = _powers(xw, crk)
@@ -139,14 +138,12 @@ def _powers(p, top):
 def beta_pair(m: Matroid):
     """(beta(M), beta(M dual)): the x and y coefficients of T_M."""
     t = tutte_delcontr(m)
-    from .rat import as_int
-
-    return as_int(t.coeff((1, 0))), as_int(t.coeff((0, 1)))
+    return t.coeff((1, 0)), t.coeff((0, 1))
 
 
 def char_polynomial(m: Matroid) -> SparsePoly:
     """Characteristic polynomial chi_M(q) = (-1)^r T_M(1-q, 0)."""
     t = tutte_delcontr(m)
-    q1 = SparsePoly(("q",), {(0,): Rat(1), (1,): Rat(-1)})
+    q1 = SparsePoly(("q",), {(0,): 1, (1,): -1})
     out = t.substitute("x", q1).substitute("y", 0)
     return out * ((-1) ** m.rank_value)

@@ -2,15 +2,14 @@
 
 A d-dimensional weight assigns an integer to every chain of d nonempty
 proper subsets of E (the d-dimensional cones); only nonzero entries are
-stored.  Balancing is checked with exact rational Gaussian elimination:
-for every (d-1)-chain, the weighted sum of inserted ray generators must
+stored.  Balancing is checked with fraction-free Gauss-Jordan elimination
+over the integers: for every (d-1)-chain, the weighted sum of inserted ray generators must
 lie in the span of the chain's own rays (mod the all-ones vector).
 """
 
 from __future__ import annotations
 
 from .matroid import bits
-from .rat import RAT_ZERO, Rat
 
 
 class MinkowskiWeight:
@@ -135,9 +134,14 @@ def _indicator(mask, n):
 
 
 def _in_span(rows, v):
-    """Exact membership of v in the rational row span."""
-    mat = [[Rat(x) for x in r] for r in rows]
-    vec = [Rat(x) for x in v]
+    """Exact membership of the integer vector v in the rational row span.
+
+    Fraction-free Gauss-Jordan: a row update p*a - f*b scales the row by the
+    nonzero pivot p instead of dividing by it, which keeps the row span and,
+    for v, whether it reduces to zero.
+    """
+    mat = [list(r) for r in rows]
+    vec = list(v)
     ncols = len(vec)
     pivots = []
     r = 0
@@ -150,12 +154,11 @@ def _in_span(rows, v):
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
+        p = mat[r][c]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [p * a - f * b for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -163,6 +166,6 @@ def _in_span(rows, v):
     # reduce v against the echelon rows
     for row, c in zip(mat, pivots):
         if vec[c]:
-            f = vec[c]
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return all(x == RAT_ZERO for x in vec)
+            p, f = row[c], vec[c]
+            vec = [p * a - f * b for a, b in zip(vec, row)]
+    return not any(vec)

@@ -126,6 +126,17 @@ def test_fs_tutte_small(rng):
     assert out == P(("u", "v"), {(2, 0): 1, (1, 0): 2, (0, 1): 2, (0, 2): 1})
 
 
+def test_integer_invariants_have_int_coefficients(rng, small_corpus):
+    # ints stay ints end to end: no Rat layer under these integer invariants
+    for name, m in small_corpus:
+        polys = [tutte_delcontr(m), t_transform(m), taut_degree_polynomial(m, rng=rng)]
+        polys.append(fs_tutte(m, rng=rng))
+        if not m.loops() and not m.coloops():
+            polys.append(g_polynomial(m, rng=rng))
+        for p in polys:
+            assert all(type(c) is int for c in p.terms.values()), (name, p.terms)
+
+
 def test_fs_tutte_fano(rng, fano):
     # internal consistency assert does the comparison; reaching here is the test
     fs_tutte(fano, rng=rng)

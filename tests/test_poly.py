@@ -76,6 +76,34 @@ def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
 
 
+@st.composite
+def int_polys(draw, vars=("x", "y"), max_deg=3):
+    exps = st.tuples(*[st.integers(0, max_deg) for _ in vars])
+    return SparsePoly(vars, draw(st.dictionaries(exps, st.integers(-9, 9), max_size=6)))
+
+
+def with_rat_coeffs(p):
+    return SparsePoly(p.vars, {e: Rat(c) for e, c in p.terms.items()})
+
+
+def assert_same_poly(a, b):
+    assert a == b and hash(a) == hash(b)
+    assert a.to_json() == b.to_json() and a.render() == b.render()
+
+
+@given(int_polys(), int_polys(), int_polys(("x",)))
+@settings(max_examples=60, deadline=None)
+def test_int_and_rat_coefficients_are_interchangeable(a, b, c):
+    ra, rb, rc = with_rat_coeffs(a), with_rat_coeffs(b), with_rat_coeffs(c)
+    assert_same_poly(a, ra)
+    assert_same_poly(a * b, ra * rb)
+    assert_same_poly(a + b, ra + rb)
+    assert_same_poly(a.substitute("y", c), ra.substitute("y", rc))
+    assert_same_poly(a * rb + c, ra * b + rc)
+    int_result = (a * b + a - c).substitute("x", c) * 3
+    assert all(type(k) is int for k in int_result.terms.values())
+
+
 # -- interpolation -----------------------------------------------------------
 
 

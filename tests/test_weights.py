@@ -1,8 +1,18 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautmat.matroid import mask_of, matroid_from_bases, uniform
 from tautmat.invariants import bergman_weight, csm_weight
-from tautmat.weights import MinkowskiWeight, all_chains, chain_insertions, mw_balance_check
+from tautmat.weights import (
+    MinkowskiWeight,
+    _in_span,
+    all_chains,
+    chain_insertions,
+    mw_balance_check,
+)
 
 
 def test_all_chains_counts():
@@ -72,3 +82,47 @@ def test_weight_json():
     w = MinkowskiWeight(3, 1, {(1,): 1, (2,): 0})
     js = w.to_json()
     assert js["weights"] == [{"chain": [[0]], "w": 1}]
+
+
+def _in_span_fraction_reference(rows, v):
+    """Gauss-Jordan over Fraction with unit pivots."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    vec = [Fraction(x) for x in v]
+    r = 0
+    for c in range(len(vec)):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                mat[i] = [a - mat[i][c] * b for a, b in zip(mat[i], mat[r])]
+        if vec[c]:
+            vec = [a - vec[c] * b for a, b in zip(vec, mat[r])]
+        r += 1
+    return not any(vec)
+
+
+@st.composite
+def span_cases(draw):
+    ncols = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    vector = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(vector, min_size=1, max_size=5))
+
+    def combination():
+        ks = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+        return [sum(k * x for k, x in zip(ks, col)) for col in zip(*rows)]
+
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), combination())
+    v = combination() if draw(st.booleans()) else draw(vector)
+    return rows, v
+
+
+@given(span_cases())
+@settings(max_examples=300, deadline=None)
+def test_fraction_free_in_span_matches_fraction_reference(case):
+    rows, v = case
+    assert _in_span(rows, v) == _in_span_fraction_reference(rows, v)
