@@ -7,7 +7,8 @@ Three pushforward paths:
   generic point, run at two independent points as a guard.  The sum is
   fraction-free: every per-permutation denominator divides the product D
   of all pairwise coordinate differences, so integer numerators scaled by
-  D are accumulated and a single exact division happens at the end.
+  D are accumulated and one exact integer division (divmod) per
+  coefficient ends the sum.
 
 * a character path for Euler characteristics: restrict to a one-parameter
   subgroup T_i = q^{w_i} and sample the shifted character, an integer
@@ -36,7 +37,6 @@ from .matroid import bits
 from .perms import all_perms, iter_perm_bases
 # interpolate_univariate is unused here; bench/tests asserts engine's binding of it
 from .poly import InconsistentSamples, SparsePoly, interpolate_univariate  # noqa: F401
-from .rat import Rat, as_int, is_integral
 
 
 class GenericPointMismatch(AssertionError):
@@ -58,14 +58,6 @@ class InterpolationInconsistent(AssertionError):
 # ---------------------------------------------------------------------------
 # points and weights
 # ---------------------------------------------------------------------------
-
-
-def localization_denominator(sigma, tstar):
-    """prod_{i} (t_{sigma(i)} - t_{sigma(i+1)}); the empty product is 1."""
-    d = 1
-    for a, b in zip(sigma, sigma[1:]):
-        d *= tstar[a] - tstar[b]
-    return d
 
 
 def sample_eval_point(n, rng):
@@ -219,57 +211,38 @@ def _expand_atom(atom):
 # ---------------------------------------------------------------------------
 
 
-def integrate_graded(
-    ev,
-    target_degree=None,
-    formal_vars=None,
-    *,
-    ground=None,
-    rng,
-    points=None,
-):
+def integrate_graded(integrand: GradedIntegrand, *, rng):
     """Non-equivariant degrees of a graded class, as an integer polynomial.
 
-    ev is a GradedIntegrand (fast path) or a callable (sigma, tstar) ->
-    SparsePoly (reference path, used by tests).  Runs at two independent
-    generic points, asserts they agree, asserts formal coefficients of
-    total degree below the target vanish and that the target coefficients
-    are integers; returns the degree-target part.
+    The fixed-point sum runs at two independent generic points; each gives
+    integer numerators over the point's common denominator D'.  In order:
+    numerators of total degree below n = ground - 1 must vanish
+    (SubDegreeNonzero), the two points must give the same rationals
+    (GenericPointMismatch), and each degree-n numerator must divide by D'
+    exactly (NonIntegral).  Returns the degree-n part.
     """
-    if isinstance(ev, GradedIntegrand):
-        ground = ev.ground
-        formal_vars = ev.vars
-    if ground is None or formal_vars is None:
-        raise ValueError("callable evaluators need ground and formal_vars")
-    n = ground - 1
-    target = n if target_degree is None else target_degree
+    ground = integrand.ground
+    target = ground - 1
     check_guardrail(ground)
-    if points is None:
-        points = (sample_eval_point(ground, rng), sample_eval_point(ground, rng))
-    results = []
-    for tstar in points:
-        if isinstance(ev, GradedIntegrand):
-            terms = _graded_sum_fast(ev, tstar, target)
-        else:
-            terms = _graded_sum_callable(ev, ground, formal_vars, tstar, target)
-        results.append(terms)
-    a, b = results
-    low_a = {e: c for e, c in a.items() if sum(e) < target}
-    low_b = {e: c for e, c in b.items() if sum(e) < target}
-    if low_a or low_b:
-        bad = next(iter(low_a or low_b))
-        raise SubDegreeNonzero(
-            f"coefficient of {bad} (degree {sum(bad)} < {target}) is nonzero"
-        )
-    top_a = {e: c for e, c in a.items() if sum(e) == target}
-    top_b = {e: c for e, c in b.items() if sum(e) == target}
-    if top_a != top_b:
+    points = (sample_eval_point(ground, rng), sample_eval_point(ground, rng))
+    (num_a, d_a), (num_b, d_b) = (_graded_sum_fast(integrand, t, target) for t in points)
+    for e in itertools.chain(num_a, num_b):
+        if sum(e) < target:
+            raise SubDegreeNonzero(
+                f"coefficient of {e} (degree {sum(e)} < {target}) is nonzero"
+            )
+    if num_a.keys() != num_b.keys() or any(
+        c * d_b != num_b[e] * d_a for e, c in num_a.items()
+    ):
         raise GenericPointMismatch(
             f"degree-{target} coefficients differ between generic points"
         )
-    if not all(is_integral(c) for c in top_a.values()):
-        raise NonIntegral(f"non-integer degree in {top_a}")
-    return SparsePoly(formal_vars, {e: as_int(c) for e, c in top_a.items()})
+    out = {}
+    for e, c in num_a.items():
+        out[e], rem = divmod(c, d_a)
+        if rem:
+            raise NonIntegral(f"degree of {e} is {c}/{d_a}, not an integer")
+    return SparsePoly(integrand.vars, out)
 
 
 def _pairwise_diff_product(tstar):
@@ -280,6 +253,11 @@ def _pairwise_diff_product(tstar):
 
 
 def _graded_sum_fast(integrand, tstar, cap):
+    """Integer numerators of the graded sum at tstar, and their denominator D'.
+
+    The sum up to total degree cap is {e: num[e] / D'}; zero numerators are
+    dropped.
+    """
     dprime = _pairwise_diff_product(tstar)
     acc = _class_sums(integrand.atoms, integrand.ground, tstar, dprime)
     vars = integrand.vars
@@ -325,7 +303,7 @@ def _graded_sum_fast(integrand, tstar, cap):
     for poly in state.values():
         for e, c in poly.items():
             out[e] = out.get(e, 0) + c
-    return {e: Rat(c, dprime) for e, c in out.items() if c}
+    return {e: c for e, c in out.items() if c}, dprime
 
 
 def _perm_keys(atoms, ground):
@@ -361,57 +339,6 @@ def _class_sums(atoms, ground, tstar, dprime):
             prev = cur
         acc[key] = acc.get(key, 0) + dprime // d
     return acc
-
-
-def _graded_sum_callable(ev, ground, formal_vars, tstar, cap):
-    total = {}
-    tpoint = tuple(Rat(t) for t in tstar)
-    for sigma in all_perms(ground):
-        val = ev(sigma, tpoint)
-        if isinstance(val, SparsePoly):
-            val = val.with_vars(formal_vars).terms
-        d = Rat(localization_denominator(sigma, tstar))
-        for e, c in val.items():
-            if sum(e) > cap:
-                continue
-            s = total.get(e, Rat(0)) + c / d
-            if s:
-                total[e] = s
-            else:
-                del total[e]
-    return total
-
-
-def debug_contributions(integrand: GradedIntegrand, tstar):
-    """Per-permutation contributions of a graded sum, for small ground sets."""
-    from .rat import rat_str
-
-    if integrand.ground > 4:
-        raise ValueError("debug dump is for small ground sets only")
-    out = {}
-    for sigma in all_perms(integrand.ground):
-        d = Rat(localization_denominator(sigma, tstar))
-        poly = {(0,) * len(integrand.vars): Rat(1)}
-        for factor in integrand.factors:
-            if factor.atom[0] == "pair":
-                key = tuple(atom_value(a, sigma) for a in factor.atom[1:])
-            else:
-                key = atom_value(factor.atom, sigma)
-            fp = factor.poly(key, tstar)
-            vpos = integrand.vars.index(factor.var)
-            nxt = {}
-            for e, c in poly.items():
-                for k, fc in fp.items():
-                    e2 = list(e)
-                    e2[vpos] += k
-                    e2 = tuple(e2)
-                    nxt[e2] = nxt.get(e2, Rat(0)) + c * fc
-            poly = nxt
-        word = "".join(str(i) for i in sigma)
-        out[word] = {
-            ",".join(map(str, e)): rat_str(c / d) for e, c in sorted(poly.items()) if c
-        }
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -613,20 +540,16 @@ def integrate_inhomogeneous(kcls: KClassLoc, *, rng):
 # ---------------------------------------------------------------------------
 
 
-def fixed_point_compatibility_check(kclass: KClassLoc, *, rng=None, max_exhaustive=5):
+def fixed_point_compatibility_check(kclass: KClassLoc):
     """Check the adjacent-transposition congruences of a localized class.
 
     For sigma' = sigma o (i, i+1) the localizations must agree after the
-    substitution T_{sigma(i)} = T_{sigma(i+1)}.  All pairs are checked on
-    small ground sets, a random sample otherwise.  Returns None on success,
-    else a witness tuple (sigma, position).
+    substitution T_{sigma(i)} = T_{sigma(i+1)}.  Every permutation and every
+    position is checked.  Returns None on success, else a witness tuple
+    (sigma, position).
     """
     n1 = kclass.ground
-    if n1 <= max_exhaustive or rng is None:
-        sigmas = list(all_perms(n1))
-    else:
-        sigmas = [tuple(rng.sample(range(n1), n1)) for _ in range(120)]
-    for sigma in sigmas:
+    for sigma in all_perms(n1):
         for i in range(n1 - 1):
             tau = list(sigma)
             tau[i], tau[i + 1] = tau[i + 1], tau[i]

@@ -298,32 +298,6 @@ def cremona(cls: KClassLoc) -> KClassLoc:
 # ---------------------------------------------------------------------------
 
 
-def zeta_monomial_value(mono, tpoint):
-    """Value of the zeta image prod_i (1 + t_i)^{m_i} at an exact point."""
-    from .rat import Rat
-
-    val = Rat(1)
-    for i, e in enumerate(mono):
-        if e:
-            val = val * (1 + Rat(tpoint[i])) ** e
-    return val
-
-
-def debug_dump(cls: KClassLoc):
-    """Localizations keyed by permutation word, for small ground sets."""
-    from .perms import all_perms
-
-    if cls.ground > 4:
-        raise ValueError("debug dump is for small ground sets only")
-    out = {}
-    for sigma in all_perms(cls.ground):
-        word = "".join(str(i) for i in sigma)
-        out[word] = sorted(
-            ([list(m), c] for m, c in cls.at(sigma).items()),
-        )
-    return out
-
-
 def restrict_to_chain(m: Matroid, chain):
     """Factor matroids of M along a chain of nonempty proper subsets.
 
@@ -341,38 +315,3 @@ def restrict_to_chain(m: Matroid, chain):
             raise ValueError("chain subsets must be nested")
         factors.append(m.minor(hi, lo))
     return factors
-
-
-def induced_subpermutation(sigma, subset_mask):
-    """Order of the subset elements within sigma, relabeled by ascending label."""
-    members = [e for e in sigma if subset_mask & (1 << e)]
-    labels = sorted(members)
-    return tuple(labels.index(e) for e in members)
-
-
-def direct_sum_check(m1: Matroid, m2: Matroid):
-    """Verify [S_{M1 + M2}] = pullback of [S_{M1}] plus pullback of [S_{M2}].
-
-    Checks every permutation of the combined ground set; the pullback along
-    the coordinate projection evaluates a factor class at the induced
-    subpermutation.  Returns None on success, else the witnessing sigma.
-    """
-    from .perms import all_perms
-
-    m = m1.direct_sum(m2)
-    s = s_class(m)
-    n1, n2 = m1.n_elements, m2.n_elements
-    mask1 = (1 << n1) - 1
-    mask2 = ((1 << n2) - 1) << n1
-    s1, s2 = s_class(m1), s_class(m2)
-    for sigma in all_perms(n1 + n2):
-        expect = {}
-        sub1 = induced_subpermutation(sigma, mask1)
-        sub2 = induced_subpermutation(sigma, mask2)
-        for mm, c in s1.at(sub1).items():
-            expect[mm + (0,) * n2] = c
-        for mm, c in s2.at(sub2).items():
-            expect[(0,) * n1 + mm] = c
-        if s.at(sigma) != expect:
-            return sigma
-    return None

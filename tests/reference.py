@@ -1,0 +1,87 @@
+"""Reference oracles for the tests: plain per-permutation sums in exact rationals.
+
+Each function here recomputes, the slow and obvious way, something the
+library computes by a faster route, so the tests can compare the two.
+"""
+
+from fractions import Fraction
+
+from tautmat.engine import sample_eval_point
+from tautmat.kclass import s_class
+from tautmat.perms import all_perms
+from tautmat.poly import SparsePoly
+
+
+def localization_denominator(sigma, tstar):
+    """prod_{i} (t_{sigma(i)} - t_{sigma(i+1)}); the empty product is 1."""
+    d = 1
+    for a, b in zip(sigma, sigma[1:]):
+        d *= tstar[a] - tstar[b]
+    return d
+
+
+def graded_reference(ev, ground, formal_vars, *, rng):
+    """Top-degree part of sum_sigma ev(sigma, t) / denominator, summed in Fractions.
+
+    ev(sigma, tstar) -> SparsePoly in formal_vars.  Runs at two generic
+    points drawn like the production path's, asserts that everything below
+    degree n = ground - 1 vanishes, that the points agree and that the
+    degree-n coefficients are integers.
+    """
+    n = ground - 1
+    points = (sample_eval_point(ground, rng), sample_eval_point(ground, rng))
+    results = []
+    for tstar in points:
+        total = {}
+        for sigma in all_perms(ground):
+            d = Fraction(localization_denominator(sigma, tstar))
+            for e, c in ev(sigma, tstar).with_vars(formal_vars).terms.items():
+                if sum(e) <= n:
+                    total[e] = total.get(e, 0) + c / d
+        results.append({e: c for e, c in total.items() if c})
+    a, b = results
+    assert all(sum(e) == n for e in a) and a == b
+    assert all(c.denominator == 1 for c in a.values())
+    return SparsePoly(formal_vars, {e: int(c) for e, c in a.items()})
+
+
+def zeta_monomial_value(mono, tpoint):
+    """Value of the zeta image prod_i (1 + t_i)^{m_i} at an exact point."""
+    val = Fraction(1)
+    for i, e in enumerate(mono):
+        if e:
+            val = val * (1 + Fraction(tpoint[i])) ** e
+    return val
+
+
+def induced_subpermutation(sigma, subset_mask):
+    """Order of the subset elements within sigma, relabeled by ascending label."""
+    members = [e for e in sigma if subset_mask & (1 << e)]
+    labels = sorted(members)
+    return tuple(labels.index(e) for e in members)
+
+
+def direct_sum_check(m1, m2):
+    """Verify [S_{M1 + M2}] = pullback of [S_{M1}] plus pullback of [S_{M2}].
+
+    Checks every permutation of the combined ground set; the pullback along
+    the coordinate projection evaluates a factor class at the induced
+    subpermutation.  Returns None on success, else the witnessing sigma.
+    """
+    m = m1.direct_sum(m2)
+    s = s_class(m)
+    n1, n2 = m1.n_elements, m2.n_elements
+    mask1 = (1 << n1) - 1
+    mask2 = ((1 << n2) - 1) << n1
+    s1, s2 = s_class(m1), s_class(m2)
+    for sigma in all_perms(n1 + n2):
+        expect = {}
+        sub1 = induced_subpermutation(sigma, mask1)
+        sub2 = induced_subpermutation(sigma, mask2)
+        for mm, c in s1.at(sub1).items():
+            expect[mm + (0,) * n2] = c
+        for mm, c in s2.at(sub2).items():
+            expect[(0,) * n1 + mm] = c
+        if s.at(sigma) != expect:
+            return sigma
+    return None

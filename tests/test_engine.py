@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import tautmat.engine
 from tautmat.engine import (
     GenericPointMismatch,
+    GradedFactor,
     GradedIntegrand,
     InterpolationInconsistent,
     NonIntegral,
@@ -12,12 +13,10 @@ from tautmat.engine import (
     alpha_series,
     beta_series,
     chern_series,
-    debug_contributions,
     euler_char_ab,
     euler_char_many,
     integrate_graded,
     integrate_inhomogeneous,
-    localization_denominator,
     fixed_point_compatibility_check,
     _class_sums,
     _extrapolate_back,
@@ -36,7 +35,6 @@ from tautmat.kclass import (
     q_class,
     s_class,
     structure_sheaf,
-    zeta_monomial_value,
 )
 from tautmat.genperm import base_polytope, simplex
 from tautmat.invariants import chi_via_zeta, fs_classes
@@ -44,6 +42,8 @@ from tautmat.matroid import uniform
 from tautmat.perms import all_perms
 from tautmat.poly import InconsistentSamples, SparsePoly, interpolate_univariate
 from tautmat.rat import Rat
+
+from reference import graded_reference, localization_denominator, zeta_monomial_value
 
 
 def test_localization_denominator():
@@ -54,9 +54,7 @@ def test_localization_denominator():
 
 def test_point_variety(rng):
     # one-element ground set: a single fixed point, empty denominator
-    p = integrate_graded(
-        GradedIntegrand(1, [alpha_series("x", 0)]), target_degree=0, rng=rng
-    )
+    p = integrate_graded(GradedIntegrand(1, [alpha_series("x", 0)]), rng=rng)
     assert p.coeff((0,)) == 1
     assert euler_char_ab(structure_sheaf(1), rng=rng) == 1
 
@@ -114,26 +112,49 @@ def test_callable_reference_path_agrees(rng, u24):
         )
         return out * sz * al * be
 
-    ref = integrate_graded(
-        ev, target_degree=3, formal_vars=("x", "y", "z", "w"), ground=4, rng=rng
-    )
+    ref = graded_reference(ev, 4, ("x", "y", "z", "w"), rng=rng)
     assert ref == fast.with_vars(("x", "y", "z", "w"))
 
 
 def test_grading_violation_detected(rng):
     # a degree-n value of t attached to formal degree 0 survives below the target
-    def bad(sigma, t):
-        return SparsePoly(("x",), {(0,): t[sigma[0]] ** 2})
-
+    bad = GradedFactor("x", ("first",), lambda k, t: {0: t[k] ** 2})
     with pytest.raises(SubDegreeNonzero):
-        integrate_graded(bad, target_degree=2, formal_vars=("x",), ground=3, rng=rng)
+        integrate_graded(GradedIntegrand(3, [bad]), rng=rng)
 
     # a degree-3 value at formal top degree leaves point-dependent residue
-    def bad2(sigma, t):
-        return SparsePoly(("x",), {(2,): t[sigma[0]] ** 3})
+    bad2 = GradedFactor("x", ("first",), lambda k, t: {2: t[k] ** 3})
+    with pytest.raises(GenericPointMismatch):
+        integrate_graded(GradedIntegrand(3, [bad2]), rng=rng)
 
-    with pytest.raises((GenericPointMismatch, SubDegreeNonzero)):
-        integrate_graded(bad2, target_degree=2, formal_vars=("x",), ground=3, rng=rng)
+
+def _at_points(monkeypatch, *points):
+    it = iter(points)
+    monkeypatch.setattr(tautmat.engine, "sample_eval_point", lambda n, rng: next(it))
+
+
+def test_graded_failures_in_order(rng, monkeypatch):
+    # t0^2 at sigma(0) = 0 only breaks the fixed-point congruences: the sum is
+    # t0^2/((t0 - t1)(t0 - t2)), 1/3 at (1, 2, 4) and 1/6 at (1, 3, 4)
+    def first_only(k, t):
+        return {2: t[k] ** 2} if k == 0 else {}
+
+    def with_low_term(k, t):
+        return {0: t[k] ** 2, **first_only(k, t)}
+
+    top = GradedIntegrand(3, [GradedFactor("x", ("first",), first_only)])
+    low = GradedIntegrand(3, [GradedFactor("x", ("first",), with_low_term)])
+    _at_points(monkeypatch, (1, 2, 4), (1, 2, 4))
+    with pytest.raises(NonIntegral):
+        integrate_graded(top, rng=rng)
+    # a mismatch is named before the non-integral coefficients it also has
+    _at_points(monkeypatch, (1, 2, 4), (1, 3, 4))
+    with pytest.raises(GenericPointMismatch):
+        integrate_graded(top, rng=rng)
+    # a sub-degree term is named before both
+    _at_points(monkeypatch, (1, 2, 4), (1, 3, 4))
+    with pytest.raises(SubDegreeNonzero):
+        integrate_graded(low, rng=rng)
 
 
 def test_perm_keys_match_per_permutation_atoms(u24):
@@ -352,16 +373,3 @@ def test_zeta_route_rejects_non_gkm_class(rng, u24):
     # a class failing the fixed-point congruences has no integral pushforward
     with pytest.raises(NonIntegral):
         chi_via_zeta(_corrupted_s_class(u24), rng=rng)
-
-
-def test_debug_contributions_sum(rng):
-    integrand = GradedIntegrand(3, [alpha_series("x", 2)])
-    tstar = (4, 1, 6)
-    dump = debug_contributions(integrand, tstar)
-    assert len(dump) == 6
-    total = Rat(0)
-    from tautmat.rat import parse_rat
-
-    for contrib in dump.values():
-        total += parse_rat(contrib.get("2", "0"))
-    assert total == 1

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tautmat.poly import (
@@ -14,7 +14,7 @@ from tautmat.poly import (
     psi_inverse,
     psi_transform,
 )
-from tautmat.rat import Rat, rat_str
+from tautmat.rat import Rat, parse_rat, rat_str
 
 
 def P(vars, terms):
@@ -56,6 +56,23 @@ def test_render_and_json_roundtrip():
     assert p.render() == "x^2 + y^2 + 2*x - 3/2*y"
     assert SparsePoly.from_json(p.to_json()) == p
     assert rat_str(Rat(-3, 2)) == "-3/2"
+
+
+@given(
+    st.integers(-10**30, 10**30)
+    | st.builds(Rat, st.integers(-10**30, -1), st.integers(1, 10**12))
+    | st.fractions()
+)
+@example(7)
+@example(Rat(-8, 4))
+@settings(max_examples=200, deadline=None)
+def test_parse_rat_inverts_rat_str(x):
+    text = rat_str(x)
+    back = parse_rat(text)
+    assert back == x
+    # an integral value prints as "p" and comes back as an int, else as a Rat
+    assert ("/" in text) == (x.denominator != 1)
+    assert type(back) is (int if x.denominator == 1 else Rat)
 
 
 @st.composite
