@@ -14,7 +14,10 @@ Three pushforward paths:
   subgroup T_i = q^{w_i} and sample the shifted character, an integer
   polynomial in q, at q = 2, 3, ...; integer forward differences of the
   samples give its value at q = 1, and three extra samples verify the
-  degree bound (their differences above it must vanish).
+  degree bound (their differences above it must vanish).  The exponent
+  tables (permutation counts per denominator shape, monomial exponents
+  m.w per class key) are built once per call, so a sample only evaluates
+  powers of q.
 
 * a zeta route, the Chow-side Euler characteristic of a K-class: its
   zeta image is pushed forward along t = q*w; the integer samples at
@@ -355,7 +358,9 @@ def euler_char_many(kclasses, *, rng):
     """chi of several K-classes sharing one ground set.
 
     One compressed permutation scan over the union of the classes' atoms
-    serves every class and every sample point.
+    serves every class and every sample point.  Everything that does not
+    depend on q is tabulated once per call (`_chi_tables`), so each sample
+    of the character only evaluates powers of q.
     """
     ground = kclasses[0].ground
     if any(c.ground != ground for c in kclasses):
@@ -365,13 +370,9 @@ def euler_char_many(kclasses, *, rng):
     atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms))
     slots = [tuple(atoms.index(a) for a in c.atoms) for c in kclasses]
     groups = _compress_orbits(atoms, ground, w)
-    joints = {joint for joint, _ in groups}
-    dmax = 0
-    for cls, sl in zip(kclasses, slots):
-        for key in {tuple(j[i] for i in sl) for j in joints}:
-            for _, m in cls.monomials(key):
-                dmax = max(dmax, abs(sum(x * ww for x, ww in zip(m, w))))
-    return _escalating(lambda d: _chi_interpolate(kclasses, slots, groups, w, d), dmax)
+    njoints, rows, terms = _chi_tables(kclasses, slots, groups, w)
+    dmax = max((abs(e) for ct in terms for _, ts in ct for _, e in ts), default=0)
+    return _escalating(lambda d: _chi_interpolate(njoints, rows, terms, w, d), dmax)
 
 
 def _compress_orbits(atoms, ground, w):
@@ -407,10 +408,34 @@ def _denom_shape(sigma, w):
     return (sign, neg_pow, tuple(mags))
 
 
-def _chi_interpolate(kclasses, slots, groups, w, dmax):
+def _chi_tables(kclasses, slots, groups, w):
+    """The q-independent tables of the character sum: (njoints, rows, terms).
+
+    Joint keys are numbered 0..njoints-1.  rows[shape] lists (joint, count)
+    for one denominator shape.  terms[c] lists, per distinct key of class c,
+    (the joints with that key, ((coefficient, m.w), ...)): the unshifted
+    exponent m.w of T^m along w, so any shift can be applied per sample.
+    """
+    index = {}
+    rows = {}
+    for (joint, shape), count in groups.items():
+        rows.setdefault(shape, []).append((index.setdefault(joint, len(index)), count))
+    terms = []
+    for cls, sl in zip(kclasses, slots):
+        by_key = {}
+        for joint, j in index.items():
+            by_key.setdefault(tuple(joint[i] for i in sl), []).append(j)
+        terms.append([
+            (js, tuple((c, sum(x * y for x, y in zip(m, w))) for c, m in cls.monomials(key)))
+            for key, js in by_key.items()
+        ])
+    return len(index), rows, terms
+
+
+def _chi_interpolate(njoints, rows, terms, w, dmax):
     n_samples = 2 * dmax + 1 + 3
     pair_mags = [abs(a - b) for a, b in itertools.combinations(w, 2)]
-    samples = [[] for _ in kclasses]
+    samples = [[] for _ in terms]
     maxpow = 2 * dmax + sum(pair_mags) + 1
     for q in range(2, 2 + n_samples):
         qpow = [1] * (maxpow + 1)
@@ -419,37 +444,27 @@ def _chi_interpolate(kclasses, slots, groups, w, dmax):
         dq = 1
         for mg in pair_mags:
             dq *= qpow[mg] - 1
-        acc = {}
-        shape_cache = {}
-        for (joint, shape), count in groups.items():
-            contrib = shape_cache.get(shape)
-            if contrib is None:
-                sign, neg_pow, mags = shape
-                dd = 1
-                for mg in mags:
-                    dd *= qpow[mg] - 1
-                contrib = sign * qpow[neg_pow] * (dq // dd)
-                shape_cache[shape] = contrib
-            acc[joint] = acc.get(joint, 0) + contrib * count
-        for ci, (cls, sl) in enumerate(zip(kclasses, slots)):
-            val_cache = {}
+        acc = [0] * njoints
+        for (sign, neg_pow, mags), row in rows.items():
+            dd = 1
+            for mg in mags:
+                dd *= qpow[mg] - 1
+            contrib = sign * qpow[neg_pow] * (dq // dd)
+            for j, count in row:
+                acc[j] += contrib * count
+        for class_terms, class_samples in zip(terms, samples):
             total = 0
-            for joint, a in acc.items():
-                key = tuple(joint[i] for i in sl)
-                v = val_cache.get(key)
-                if v is None:
-                    v = 0
-                    for coeff, m in cls.monomials(key):
-                        e = dmax + sum(x * ww for x, ww in zip(m, w))
-                        v += coeff * qpow[e]
-                    val_cache[key] = v
-                total += a * v
+            for js, ts in class_terms:
+                v = 0
+                for coeff, e in ts:
+                    v += coeff * qpow[dmax + e]
+                total += v * sum([acc[j] for j in js])
             num, rem = divmod(total, dq)
             if rem:
                 raise NonIntegral(
                     f"scaled character at q={q} is not divisible by the common denominator"
                 )
-            samples[ci].append(num)
+            class_samples.append(num)
     return [_extrapolate_back(ss, 2 * dmax) for ss in samples]
 
 
@@ -498,8 +513,9 @@ def integrate_inhomogeneous(kcls: KClassLoc, *, rng):
     point.  Along t = q*w (w a shuffle of 1..n+1, so no 1 + t_i vanishes)
     the denominator is q^n times the adjacent w-differences, and the scaled
     pushforward is an integer polynomial in q of degree at most
-    pole*(n+1) plus the largest monomial degree.  One class-sum scan over (class key, last element) gives its integer samples
-    at q = 1, 2, ... by exact division; forward differences read off q = 0.
+    pole*(n+1) plus the largest monomial degree.  One class-sum scan over
+    (class key, last element) gives its integer samples at q = 1, 2, ... by
+    exact division; forward differences read off q = 0.
     """
     ground = kcls.ground
     w = tuple(x + 1 for x in sample_weight(ground, rng))

@@ -9,7 +9,7 @@ from fractions import Fraction
 from tautmat.engine import sample_eval_point
 from tautmat.kclass import s_class
 from tautmat.perms import all_perms
-from tautmat.poly import SparsePoly
+from tautmat.poly import SparsePoly, interpolate_univariate
 
 
 def localization_denominator(sigma, tstar):
@@ -43,6 +43,35 @@ def graded_reference(ev, ground, formal_vars, *, rng):
     assert all(sum(e) == n for e in a) and a == b
     assert all(c.denominator == 1 for c in a.values())
     return SparsePoly(formal_vars, {e: int(c) for e, c in a.items()})
+
+
+def chi_reference(kcls):
+    """chi of a K-class from its character, summed per permutation in Fractions.
+
+    Along T_i = q^{w_i} with w = (0, 1, ..., n) the fixed point sigma
+    contributes its localization over prod_k (1 - T_{sigma(k+1)}/T_{sigma(k)}).
+    Scaled by q^D, D the largest |m.w| of a monomial, the character is a
+    polynomial of degree at most 2D; it is sampled at q = 2, 3, ...,
+    interpolated with five verification samples and read at q = 1.
+    """
+    w = tuple(range(kcls.ground))
+    perms = list(all_perms(kcls.ground))
+    local = [
+        [(c, sum(x * y for x, y in zip(m, w))) for c, m in kcls.monomials(kcls.key_at(sigma))]
+        for sigma in perms
+    ]
+    shift = max(abs(e) for terms in local for _, e in terms)
+    samples = []
+    for q in range(2, 2 * shift + 8):
+        q = Fraction(q)
+        total = Fraction(0)
+        for sigma, terms in zip(perms, local):
+            den = Fraction(1)
+            for a, b in zip(sigma, sigma[1:]):
+                den *= 1 - q ** (w[b] - w[a])
+            total += sum(c * q ** (shift + e) for c, e in terms) / den
+        samples.append((q, total))
+    return interpolate_univariate(samples, 2 * shift).evaluate({"q": Fraction(1)})
 
 
 def zeta_monomial_value(mono, tpoint):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -182,6 +183,16 @@ def test_cli_fstutte_zeta_check_on_fano(capsys):
     rep = json.loads(out)
     assert rep["checks"] and all(c["status"] == "pass" for c in rep["checks"])
     assert rep["results"] == json.loads(plain)["results"]
+
+
+def test_check_max_elements_5_stdout_is_pinned(capsys):
+    # every result, check and their order, byte for byte; a change that
+    # moves this hash changes what tautmat prints and must say why
+    code, out = run_cli(capsys, "check", "--max-elements", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "db15ed9a84213d451713704a0c4b227ade961545e151db18df3b798a44ab08ff"
+    )
 
 
 def test_cli_check_subset(capsys):

@@ -43,7 +43,12 @@ from tautmat.perms import all_perms
 from tautmat.poly import InconsistentSamples, SparsePoly, interpolate_univariate
 from tautmat.rat import Rat
 
-from reference import graded_reference, localization_denominator, zeta_monomial_value
+from reference import (
+    chi_reference,
+    graded_reference,
+    localization_denominator,
+    zeta_monomial_value,
+)
 
 
 def test_localization_denominator():
@@ -248,6 +253,36 @@ def test_euler_batch_matches_single(rng, u24):
     batch = euler_char_many(classes, rng=rng)
     singles = [euler_char_ab(c, rng=rng) for c in classes]
     assert batch == singles
+
+
+def test_euler_char_many_matches_per_permutation_reference(rng, u24):
+    classes = [structure_sheaf(n1) for n1 in (1, 2, 3, 4)]
+    classes += [line_bundle(simplex(2)), line_bundle(base_polytope(u24))]
+    classes += list(fs_classes(u24).values())
+    classes.append(cremona(kc_product(det_s_dual(u24), exterior_power(s_class(u24), 1))))
+    # one batch per ground set, so the classes share joint keys and shape rows
+    for ground in sorted({c.ground for c in classes}):
+        batch = [c for c in classes if c.ground == ground]
+        assert euler_char_many(batch, rng=rng) == [chi_reference(c) for c in batch]
+
+
+def test_euler_escalation_recovers(rng, u24, monkeypatch):
+    # the first verification fails; the escalated bound reads the same chi
+    cls = line_bundle(base_polytope(u24))
+    unforced = euler_char_ab(cls, rng=rng)
+    real = tautmat.engine._extrapolate_back
+    bounds = []
+
+    def first_fails(values, degree_bound):
+        bounds.append(degree_bound)
+        if len(bounds) == 1:
+            raise InconsistentSamples("forced")
+        return real(values, degree_bound)
+
+    monkeypatch.setattr(tautmat.engine, "_extrapolate_back", first_fails)
+    assert euler_char_ab(cls, rng=rng) == unforced
+    d = bounds[0] // 2
+    assert d > 0 and bounds == [2 * d, 4 * d + 2]
 
 
 def test_euler_escalation_fails_cleanly(rng, monkeypatch):
