@@ -13,11 +13,10 @@ from .corpus import corpus
 from .engine import euler_char_many
 from .genperm import base_polytope, simplex
 from .invariants import (
-    bergman_weight,
+    beta_via_localization,
     cf_check,
     chi_via_zeta,
     coalgebra_recursion_check,
-    csm_weight,
     ehrhart,
     flag_kchi,
     flag_tutte_kt,
@@ -25,6 +24,7 @@ from .invariants import (
     fs_tutte,
     g_polynomial,
     lvt,
+    minkowski_weights,
     taut_degree_polynomial,
     theorem_a_check,
     valuativity_demo,
@@ -43,74 +43,68 @@ def _entry(name, fn):
         return {"name": name, "status": "fail", "detail": f"{type(exc).__name__}: {exc}"}
 
 
+def _sections(items, rng):
+    """Each ledger section's (entry name, check) pairs, in ledger order."""
+
+    def each(label, fn, keep=lambda name, m: True):
+        return [(f"{label}:{name}", lambda m=m: fn(m)) for name, m in items if keep(name, m)]
+
+    def quiet(fn):  # a check whose returned value stays out of the ledger
+        return lambda m: bool(fn(m, rng=rng)) and ""
+
+    cf_names = ("uniform_1_4", "uniform_2_4", "uniform_3_4", "k4")
+    return {
+        "tutte": each("tutte-triple", _triple_tutte),
+        "theorem-a": each("theorem-a", quiet(theorem_a_check)),
+        "duality": each("duality", lambda m: _duality(m, rng)),
+        "beta": each("beta", lambda m: _beta(m, rng)),
+        "minkowski": each("minkowski", lambda m: _weights(m, rng)),
+        "logconc": each("logconc", _logconc),
+        "fs-tutte": each("fs-tutte", quiet(fs_tutte), lambda name, m: m.n_elements <= 7),
+        "cf": each("cf", quiet(cf_check), lambda name, m: name in cf_names),
+        "gpoly": each(
+            "gpoly",
+            lambda m: g_polynomial(m, rng=rng).render(),
+            lambda name, m: m.n_elements <= 6 and not m.loops() and not m.coloops(),
+        ),
+        "flag": each(
+            "flag",
+            lambda m: _flag(m, rng),
+            lambda name, m: m.n_elements <= 5 and not m.loops() and m.rank_value >= 1,
+        ),
+        "coalgebra": each(
+            "coalgebra",
+            lambda m: _none_ok(coalgebra_recursion_check(m, 0)),
+            lambda name, m: 2 <= m.n_elements <= 5,
+        ),
+        "valuativity": [
+            ("valuativity:hypersimplex-split", lambda: str(valuativity_demo(rng=rng)))
+        ],
+        "chi-routes": each(
+            "chi-routes", lambda m: _chi_routes(m, rng), lambda name, m: m.n_elements <= 4
+        ),
+        "ehrhart": [
+            (
+                "ehrhart:hypersimplex-2-4",
+                lambda: str(ehrhart(base_polytope(uniform(2, 4)), 1, rng=rng)),
+            ),
+            ("ehrhart:segment-c3", lambda: str(ehrhart(simplex(2), 3, rng=rng))),
+        ],
+    }
+
+
 def run_check_ledger(seed=0, max_elements=8, only=None):
-    rng = random.Random(seed)
-    items = corpus(max_elements)
+    """Run the ledger sections whose names start with a prefix in only (all if None)."""
+    sections = _sections(corpus(max_elements), random.Random(seed))
+    if only is not None:
+        unknown = [o for o in only if not any(s.startswith(o) for s in sections)]
+        if unknown or not only:
+            what = f"prefixes {unknown} match no section" if unknown else "no prefix given"
+            raise ValueError(f"--only: {what}; sections: {', '.join(sections)}")
     ledger = []
-
-    def want(name):
-        return only is None or any(name.startswith(o) for o in only)
-
-    if want("tutte"):
-        for name, m in items:
-            ledger.append(_entry(f"tutte-triple:{name}", lambda m=m: _triple_tutte(m)))
-    if want("theorem-a"):
-        for name, m in items:
-            ledger.append(
-                _entry(f"theorem-a:{name}", lambda m=m: bool(theorem_a_check(m, rng=rng)) and "")
-            )
-    if want("duality"):
-        for name, m in items:
-            ledger.append(_entry(f"duality:{name}", lambda m=m: _duality(m, rng)))
-    if want("beta"):
-        for name, m in items:
-            ledger.append(_entry(f"beta:{name}", lambda m=m: _beta(m, rng)))
-    if want("minkowski"):
-        for name, m in items:
-            ledger.append(_entry(f"minkowski:{name}", lambda m=m: _weights(m, rng)))
-    if want("logconc"):
-        for name, m in items:
-            ledger.append(_entry(f"logconc:{name}", lambda m=m: _logconc(m)))
-    if want("fs-tutte"):
-        for name, m in items:
-            if m.n_elements <= 7:
-                ledger.append(
-                    _entry(f"fs-tutte:{name}", lambda m=m: bool(fs_tutte(m, rng=rng)) and "")
-                )
-    if want("cf"):
-        for name, m in items:
-            if name in ("uniform_1_4", "uniform_2_4", "uniform_3_4", "k4"):
-                ledger.append(
-                    _entry(f"cf:{name}", lambda m=m: bool(cf_check(m, rng=rng)) and "")
-                )
-    if want("gpoly"):
-        for name, m in items:
-            if m.n_elements <= 6 and not m.loops() and not m.coloops():
-                ledger.append(
-                    _entry(f"gpoly:{name}", lambda m=m: g_polynomial(m, rng=rng).render())
-                )
-    if want("flag"):
-        for name, m in items:
-            if m.n_elements <= 5 and not m.loops() and m.rank_value >= 1:
-                ledger.append(_entry(f"flag:{name}", lambda m=m: _flag(m, rng)))
-    if want("coalgebra"):
-        for name, m in items:
-            if 2 <= m.n_elements <= 5:
-                ledger.append(
-                    _entry(
-                        f"coalgebra:{name}",
-                        lambda m=m: _none_ok(coalgebra_recursion_check(m, 0)),
-                    )
-                )
-    if want("valuativity"):
-        ledger.append(_entry("valuativity:hypersimplex-split", lambda: str(valuativity_demo(rng=rng))))
-    if want("chi-routes"):
-        for name, m in items:
-            if m.n_elements <= 4:
-                ledger.append(_entry(f"chi-routes:{name}", lambda m=m: _chi_routes(m, rng)))
-    if want("ehrhart"):
-        ledger.append(_entry("ehrhart:hypersimplex-2-4", lambda: str(ehrhart(base_polytope(uniform(2, 4)), 1, rng=rng))))
-        ledger.append(_entry("ehrhart:segment-c3", lambda: str(ehrhart(simplex(2), 3, rng=rng))))
+    for section, entries in sections.items():
+        if only is None or any(section.startswith(o) for o in only):
+            ledger.extend(_entry(name, fn) for name, fn in entries)
     return ledger
 
 
@@ -142,25 +136,20 @@ def _duality(m, rng):
 
 def _beta(m, rng):
     b1, b2 = beta_pair(m)
-    p = taut_degree_polynomial(m, rng=rng)
-    r, crk = m.rank_value, m.corank
-    g1 = p.coeff((0, 0, r - 1, crk)) if r else 0
-    g2 = p.coeff((0, 0, r, crk - 1)) if crk else 0
-    if (b1, b2) != (g1, g2):
-        raise AssertionError(f"beta mismatch: tutte {(b1, b2)} vs degrees {(g1, g2)}")
+    loc = beta_via_localization(m, rng=rng)
+    if (b1, b2) != loc:
+        raise AssertionError(f"beta mismatch: tutte {(b1, b2)} vs degrees {loc}")
     return f"beta={b1}, beta_dual={b2}"
 
 
 def _weights(m, rng):
-    bw = bergman_weight(m, rng=rng)
+    bw, csms = minkowski_weights(m, rng=rng)
     if mw_balance_check(bw) is not None:
         raise AssertionError("bergman weight unbalanced")
-    for k in range(m.rank_value):
-        cw = csm_weight(m, k, rng=rng)
+    for k, cw in enumerate(csms):
         if mw_balance_check(cw) is not None:
             raise AssertionError(f"csm_{k} unbalanced")
-    # the loop's last weight is csm_(r-1)
-    if m.rank_value >= 1 and cw != bw:
+    if csms and csms[-1] != bw:
         raise AssertionError("csm_(r-1) differs from bergman")
     return ""
 

@@ -18,6 +18,7 @@ from . import __version__
 from .corpus import corpus_names
 from .invariants import (
     bergman_weight,
+    beta_via_localization,
     cf_check,
     csm_weight,
     ehrhart,
@@ -26,6 +27,7 @@ from .invariants import (
     fs_tutte,
     g_polynomial,
     lvt,
+    minkowski_weights,
     taut_degree_polynomial,
 )
 from .matroid import bits
@@ -177,11 +179,8 @@ def _dispatch(args, rng, checks, results, inputs):
             b1, b2 = beta_pair(m)
             results["beta"] = b1
             results["beta_dual"] = b2
-            p = taut_degree_polynomial(m, rng=rng)
-            r, crk = m.rank_value, m.corank
-            loc1 = int(p.coeff((0, 0, r - 1, crk))) if r else 0
-            loc2 = int(p.coeff((0, 0, r, crk - 1))) if crk else 0
-            check("tutte-equals-localization", (b1, b2) == (loc1, loc2), f"{(loc1, loc2)}")
+            loc = beta_via_localization(m, rng=rng)
+            check("tutte-equals-localization", (b1, b2) == loc, f"{loc}")
         elif verb == "bergman":
             w = bergman_weight(m, rng=rng)
             results["bergman"] = w.to_json()
@@ -192,10 +191,12 @@ def _dispatch(args, rng, checks, results, inputs):
         elif verb == "csm":
             from .weights import mw_balance_check
 
-            ks = [args.k] if args.k is not None else list(range(m.rank_value))
+            if args.k is None:
+                weights = enumerate(minkowski_weights(m, rng=rng)[1])
+            else:
+                weights = [(args.k, csm_weight(m, args.k, rng=rng))]
             results["csm"] = {}
-            for k in ks:
-                w = csm_weight(m, k, rng=rng)
+            for k, w in weights:
                 results["csm"][str(k)] = w.to_json()
                 check(f"csm-{k}-balanced", mw_balance_check(w) is None)
         elif verb == "gpoly":

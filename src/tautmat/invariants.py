@@ -11,7 +11,9 @@ and the Las Vergnas / flag Tutte polynomials against their defining sums.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .engine import (
     GradedIntegrand,
@@ -34,14 +36,13 @@ from .kclass import (
     kc_product,
     line_bundle,
     q_class,
-    restrict_to_chain,
     s_class,
 )
 from .matroid import FlagMatroid, Matroid, bits, is_quotient, popcount
 from .poly import SparsePoly, interpolate_univariate, psi_transform
 from .rat import Rat
 from .tutte import beta_pair, t_transform, tutte_delcontr
-from .weights import MinkowskiWeight, all_chains
+from .weights import MinkowskiWeight
 
 
 class RouteMismatch(AssertionError):
@@ -175,91 +176,97 @@ def _factor_degree_poly(m: Matroid, rng) -> SparsePoly:
     return got
 
 
-def bergman_weight(m: Matroid, *, rng) -> MinkowskiWeight:
-    """Bergman class as a Minkowski weight of dimension rank-1.
+def _geometric_walk(m: Matroid, top, rng):
+    """Unsigned geometric weights of the chains of 0..top nonempty proper subsets.
 
-    Combinatorial route: weight 1 exactly on maximal chains of nonempty
-    proper flats of a loopless matroid.  Geometric route: the degree of
-    the top Chern class of Q_M against each torus-orbit closure, computed
-    by localization on the factor varieties.  Both must agree.
+    One depth-first walk over chains S_1 < ... < S_d carries the product of
+    the factor degree polynomials of the gaps M|S_{i+1}/S_i closed so far,
+    truncated to the exponents a weight at depth d or deeper can still read
+    (z <= r-1-d, w <= n1-r); an empty prefix is a zero of this route and
+    prunes its subtree.  Closing with the gap E-S_d gives the depth-d weight,
+    the z^(r-1-d) w^(n1-r) coefficient of the whole product.  Returns the
+    per-call minor table minor(lower, upper) and one {chain: value} per depth.
     """
-    r = m.rank_value
-    n1 = m.n_elements
-    comb = {}
-    if r >= 1 and not m.loops():
-        for chain in m.flat_chains(r - 1):
-            comb[chain] = 1
-    combinatorial = MinkowskiWeight(n1, r - 1, comb)
-    geom = {}
-    if r >= 1:
-        for chain in all_chains(n1, r - 1):
-            val = 1
-            for factor in restrict_to_chain(m, chain):
-                w = _factor_degree_poly(factor, rng)
-                g = factor.n_elements
-                val *= w.coeff((0, g - 1))
-                if not val:
-                    break
-            if val:
-                geom[chain] = val
-    geometric = MinkowskiWeight(n1, r - 1, geom)
-    if combinatorial != geometric:
+    r, full = m.rank_value, m.full_mask
+    wmax = m.n_elements - r
+    minor = lru_cache(maxsize=None)(lambda lower, upper: m.minor(upper, lower))
+    out = [{} for _ in range(top + 1)]
+    chain = []
+
+    def walk(last, prefix):
+        d = len(chain)
+        zmax = r - 1 - d
+        val = 0
+        for (a, b), c in _factor_degree_poly(minor(last, full), rng).terms.items():
+            val += c * prefix.get((zmax - a, wmax - b), 0)
+        if val:
+            out[d][tuple(chain)] = val
+        comp = full & ~last
+        u = (comp - 1) & comp if d < top else 0
+        while u:  # proper supersets last | u, as in the chain enumeration
+            s = last | u
+            u = (u - 1) & comp
+            nxt = {}
+            for (i, j), e in _factor_degree_poly(minor(last, s), rng).terms.items():
+                for (a, b), c in prefix.items():
+                    if a + i < zmax and b + j <= wmax:
+                        nxt[a + i, b + j] = nxt.get((a + i, b + j), 0) + c * e
+            nxt = {e: c for e, c in nxt.items() if c}
+            if nxt:
+                chain.append(s)
+                walk(s, nxt)
+                chain.pop()
+
+    if top >= 0:
+        walk(0, {(0, 0): 1})
+    return minor, out
+
+
+def _csm(m: Matroid, k, geom_k, minor) -> MinkowskiWeight:
+    """csm_k: (-1)^(r-1-k) prod beta(M|S_{i+1}/S_i) over the chains of flats
+    of a loopless M, checked against the walk's depth-k weights."""
+    sign = (-1) ** (m.rank_value - 1 - k)
+    full = m.full_mask
+    comb = {} if m.loops() else {
+        ch: sign * math.prod(beta_pair(minor(lo, hi))[0] for lo, hi in zip((0, *ch), (*ch, full)))
+        for ch in m.flat_chains(k)
+    }
+    csm = MinkowskiWeight(m.n_elements, k, comb)
+    if csm != MinkowskiWeight(m.n_elements, k, {ch: sign * v for ch, v in geom_k.items()}):
+        raise RouteMismatch(f"CSM weight routes disagree for {m!r}, k={k}")
+    return csm
+
+
+def minkowski_weights(m: Matroid, *, rng):
+    """(Bergman weight, [csm_0, ..., csm_{r-1}]) of M, each derived twice.
+
+    Combinatorial routes: the Bergman weight is 1 on the maximal chains of
+    nonempty proper flats of a loopless M, and csm_k is as in `_csm`.
+    Geometric route: localization on the factor varieties of every chain,
+    read off one walk shared by all dimensions; the Bergman class is the top
+    Chern class of Q_M, the walk's depth-(r-1) weight.  RouteMismatch on any
+    disagreement.
+    """
+    r, n1 = m.rank_value, m.n_elements
+    minor, geom = _geometric_walk(m, r - 1, rng)
+    comb = dict.fromkeys(m.flat_chains(r - 1), 1) if r >= 1 and not m.loops() else {}
+    bergman = MinkowskiWeight(n1, r - 1, comb)
+    if bergman != MinkowskiWeight(n1, r - 1, geom[-1] if r else {}):
         raise RouteMismatch(f"Bergman weight routes disagree for {m!r}")
-    return combinatorial
+    return bergman, [_csm(m, k, geom[k], minor) for k in range(r)]
+
+
+def bergman_weight(m: Matroid, *, rng) -> MinkowskiWeight:
+    """Bergman class as a Minkowski weight of dimension rank-1, both routes."""
+    return minkowski_weights(m, rng=rng)[0]
 
 
 def csm_weight(m: Matroid, k: int, *, rng) -> MinkowskiWeight:
-    """k-dimensional CSM class of M as a Minkowski weight.
-
-    Combinatorial route: (-1)^(r-1-k) prod beta(M|S_{i+1}/S_i) over chains
-    of flats (zero when any level, including the empty set, is not a
-    flat).  Geometric route: coefficient extraction from the product of
-    factor degree polynomials.
-    """
-    r = m.rank_value
-    if not 0 <= k <= r - 1:
+    """k-dimensional CSM class as a Minkowski weight; the walk stops at depth k."""
+    if not 0 <= k <= m.rank_value - 1:
         raise ValueError(f"need 0 <= k <= rank-1, got k={k}")
-    n1 = m.n_elements
-    sign = (-1) ** (r - 1 - k)
-    loopless = not m.loops()
-    flats = set(m.flats())
-    comb = {}
-    for chain in all_chains(n1, k):
-        if not loopless or any(s not in flats for s in chain):
-            continue
-        val = 1
-        for factor in restrict_to_chain(m, chain):
-            val *= beta_pair(factor)[0]
-            if not val:
-                break
-        if val:
-            comb[chain] = sign * val
-    combinatorial = MinkowskiWeight(n1, k, comb)
-    geom = {}
-    for chain in all_chains(n1, k):
-        prod = None
-        for factor in restrict_to_chain(m, chain):
-            w = _factor_degree_poly(factor, rng)
-            prod = w if prod is None else prod * w
-        val = prod.coeff((r - 1 - k, n1 - r))
-        if val:
-            geom[chain] = sign * val
-    geometric = MinkowskiWeight(n1, k, geom)
-    if combinatorial != geometric:
-        raise RouteMismatch(f"CSM weight routes disagree for {m!r}, k={k}")
-    return combinatorial
-
-
-def chern_q_restricted_degrees(m: Matroid, chain, rng) -> SparsePoly:
-    """sum_j (deg c_j(Q_M) against the orbit closure of a chain) u^j."""
-    prod = None
-    for factor in restrict_to_chain(m, chain):
-        w = _factor_degree_poly(factor, rng)
-        g = factor.n_elements
-        top = w.coeff((0, g - 1))
-        part = SparsePoly(("u",), {(g - 1,): top})
-        prod = part if prod is None else prod * part
-    return prod
+    minor, geom = _geometric_walk(m, k, rng)
+    return _csm(m, k, geom[k], minor)
 
 
 # ---------------------------------------------------------------------------

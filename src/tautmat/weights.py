@@ -2,9 +2,10 @@
 
 A d-dimensional weight assigns an integer to every chain of d nonempty
 proper subsets of E (the d-dimensional cones); only nonzero entries are
-stored.  Balancing is checked with fraction-free Gauss-Jordan elimination
-over the integers: for every (d-1)-chain, the weighted sum of inserted ray generators must
-lie in the span of the chain's own rays (mod the all-ones vector).
+stored.  Balancing: for every (d-1)-chain, the weighted sum of inserted ray
+generators must lie in the span of the chain's own rays and the all-ones
+vector.  That span is exactly the vectors constant on each gap
+S_{i+1}-S_i of the chain, so the check is a gap-constant test.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ class MinkowskiWeight:
         self.ground = ground
         self.dim = dim
         self.weights = {tuple(ch): int(w) for ch, w in weights.items() if w}
-
-    def value(self, chain):
-        return self.weights.get(tuple(chain), 0)
 
     def __eq__(self, other):
         return (
@@ -58,32 +56,6 @@ class MinkowskiWeight:
         }
 
 
-def all_chains(n_elements, k):
-    """Strictly nested chains of k nonempty proper subsets of {0..n}."""
-    full = (1 << n_elements) - 1
-    out = []
-
-    def extend(chain, last):
-        if len(chain) == k:
-            out.append(tuple(chain))
-            return
-        # supersets of last: last | u for nonempty u inside the complement,
-        # staying proper
-        comp = full & ~last
-        u = comp
-        while u:
-            s = last | u
-            if s != full:
-                chain.append(s)
-                extend(chain, s)
-                chain.pop()
-            u = (u - 1) & comp
-    if k == 0:
-        return [()]
-    extend([], 0)
-    return sorted(out)
-
-
 def chain_insertions(chain, n_elements):
     """All (position, subset) pairs refining a chain by one level."""
     full = (1 << n_elements) - 1
@@ -102,8 +74,8 @@ def chain_insertions(chain, n_elements):
 def mw_balance_check(weight: MinkowskiWeight):
     """None if balanced, else a witness ((d-1)-chain, offending vector).
 
-    Only (d-1)-chains refinable into the support need an elimination; all
-    others receive a zero vector and pass trivially.
+    Only (d-1)-chains refinable into the support need a test; all others
+    receive a zero vector and pass trivially.
     """
     d, n = weight.dim, weight.ground
     if d <= 0:
@@ -114,58 +86,17 @@ def mw_balance_check(weight: MinkowskiWeight):
             candidates.add(ch[:i] + ch[i + 1 :])
     for sub in sorted(candidates):
         v = [0] * n
-        nonzero = False
         for pos, s in chain_insertions(sub, n):
             w = weight.weights.get(sub[:pos] + (s,) + sub[pos:], 0)
             if w:
-                nonzero = True
                 for i in bits(s):
                     v[i] += w
-        if not nonzero:
-            continue
-        rows = [[1] * n] + [_indicator(s, n) for s in sub]
-        if not _in_span(rows, v):
+        if not _constant_on_gaps(sub, v):
             return (sub, tuple(v))
     return None
 
 
-def _indicator(mask, n):
-    return [1 if mask & (1 << i) else 0 for i in range(n)]
-
-
-def _in_span(rows, v):
-    """Exact membership of the integer vector v in the rational row span.
-
-    Fraction-free Gauss-Jordan: a row update p*a - f*b scales the row by the
-    nonzero pivot p instead of dividing by it, which keeps the row span and,
-    for v, whether it reduces to zero.
-    """
-    mat = [list(r) for r in rows]
-    vec = list(v)
-    ncols = len(vec)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        p = mat[r][c]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [p * a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    # reduce v against the echelon rows
-    for row, c in zip(mat, pivots):
-        if vec[c]:
-            p, f = row[c], vec[c]
-            vec = [p * a - f * b for a, b in zip(vec, row)]
-    return not any(vec)
+def _constant_on_gaps(chain, v):
+    """Whether v is constant on every gap S_{i+1}-S_i of 0 < chain < E."""
+    levels = (0, *chain, (1 << len(v)) - 1)
+    return all(len({v[i] for i in bits(hi & ~lo)}) < 2 for lo, hi in zip(levels, levels[1:]))

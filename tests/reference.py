@@ -7,7 +7,8 @@ library computes by a faster route, so the tests can compare the two.
 from fractions import Fraction
 
 from tautmat.engine import sample_eval_point
-from tautmat.kclass import s_class
+from tautmat.invariants import _factor_degree_poly
+from tautmat.kclass import restrict_to_chain, s_class
 from tautmat.perms import all_perms
 from tautmat.poly import SparsePoly, interpolate_univariate
 
@@ -114,3 +115,48 @@ def direct_sum_check(m1, m2):
         if s.at(sigma) != expect:
             return sigma
     return None
+
+
+def all_chains(n_elements, k):
+    """Strictly nested chains of k nonempty proper subsets of {0..n}, sorted."""
+    full = (1 << n_elements) - 1
+    out = []
+
+    def extend(chain, last):
+        if len(chain) == k:
+            out.append(tuple(chain))
+            return
+        # supersets of last: last | u for nonempty u inside the complement,
+        # staying proper
+        comp = full & ~last
+        u = comp
+        while u:
+            s = last | u
+            if s != full:
+                chain.append(s)
+                extend(chain, s)
+                chain.pop()
+            u = (u - 1) & comp
+
+    extend([], 0)
+    return sorted(out)
+
+
+def geometric_weight_reference(m, k, rng):
+    """Unsigned geometric csm_k weights, one chain at a time.
+
+    For every chain of k nonempty proper subsets, the product of the factor
+    degree polynomials of M|S_{i+1}/S_i in full, read at z^(r-1-k) w^(n1-r).
+    Returns {chain: value} with the nonzero values only.
+    """
+    r, n1 = m.rank_value, m.n_elements
+    out = {}
+    for chain in all_chains(n1, k):
+        prod = None
+        for factor in restrict_to_chain(m, chain):
+            w = _factor_degree_poly(factor, rng)
+            prod = w if prod is None else prod * w
+        val = prod.coeff((r - 1 - k, n1 - r))
+        if val:
+            out[chain] = val
+    return out

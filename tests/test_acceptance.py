@@ -15,17 +15,16 @@ from tautmat.cli import main as cli_main
 from tautmat.corpus import builtin_matroid, corpus
 from tautmat.genperm import simplex
 from tautmat.invariants import (
-    bergman_weight,
     beta_via_localization,
     cf_check,
     chi_both_routes,
-    csm_weight,
     flag_kchi,
     flag_tutte_kt,
     fs_classes,
     fs_tutte,
     g_polynomial,
     lvt,
+    minkowski_weights,
     mixed_degree_generating,
     taut_degree_polynomial,
     valuativity_demo,
@@ -112,14 +111,13 @@ def test_criterion_4_minkowski_weights():
     rng = fresh_rng(4)
     checked = 0
     for name, m in FULL_CORPUS:
-        bw = bergman_weight(m, rng=rng)  # route agreement asserted inside
+        bw, csms = minkowski_weights(m, rng=rng)  # route agreement asserted inside
         assert mw_balance_check(bw) is None, name
-        for k in range(m.rank_value):
-            cw = csm_weight(m, k, rng=rng)
+        for k, cw in enumerate(csms):
             assert mw_balance_check(cw) is None, (name, k)
             checked += 1
         if m.rank_value >= 1:
-            assert csm_weight(m, m.rank_value - 1, rng=rng) == bw, name
+            assert csms[-1] == bw, name
     report(4, True, f"bergman + {checked} csm weights: routes agree and balance")
 
 

@@ -204,6 +204,15 @@ def test_cli_check_subset(capsys):
     assert rep["checks"] and all(c["status"] == "pass" for c in rep["checks"])
 
 
+def test_cli_check_rejects_prefixes_that_select_nothing(capsys):
+    # a typo must not run an empty ledger and pass
+    for only in (["nosuch"], [], ["tutte", "nosuch"]):
+        assert main(["check", "--max-elements", "3", "--only", *only]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "minkowski" in captured.err
+
+
 def test_cli_flag_and_lvt(capsys):
     code, out = run_cli(capsys, "flag-tutte", "uniform:1:3", "uniform:2:3")
     assert code == 0

@@ -2,19 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautmat.corpus import builtin_matroid
+from tautmat.corpus import builtin_matroid, corpus
 from tautmat.genperm import base_polytope, simplex
 from tautmat.invariants import (
     LoopOrColoopPresent,
     NotAQuotient,
+    RouteMismatch,
     alpha_beta_degrees,
-    bergman_weight,
     beta_via_localization,
     cf_check,
-    chern_q_restricted_degrees,
     chi_both_routes,
     coalgebra_recursion_check,
-    csm_weight,
     ehrhart,
     flag_kchi,
     flag_tutte_kt,
@@ -22,17 +20,20 @@ from tautmat.invariants import (
     fs_tutte,
     g_polynomial,
     lvt,
+    minkowski_weights,
     mixed_degree_generating,
     taut_degree_polynomial,
     theorem_a_check,
     valuativity_demo,
 )
+import tautmat.invariants as invariants
+from reference import all_chains, geometric_weight_reference
 from tautmat.kclass import restrict_to_chain, structure_sheaf
 from tautmat.matroid import FlagMatroid, matroid_from_bases, uniform
 from tautmat.poly import SparsePoly, logconcave_unbroken_check
 from tautmat.rat import Rat
 from tautmat.tutte import beta_pair, t_transform, tutte_delcontr
-from tautmat.weights import all_chains, mw_balance_check
+from tautmat.weights import mw_balance_check
 
 
 def P(vars, terms):
@@ -92,24 +93,58 @@ def test_mixed_degree_pairs_logconcave(rng):
 
 def test_bergman_csm_balance_small(rng, small_corpus):
     for _, m in small_corpus:
-        bw = bergman_weight(m, rng=rng)
+        bw, csms = minkowski_weights(m, rng=rng)
         assert mw_balance_check(bw) is None
-        for k in range(m.rank_value):
-            cw = csm_weight(m, k, rng=rng)
+        for cw in csms:
             assert mw_balance_check(cw) is None
         if m.rank_value >= 1:
-            assert csm_weight(m, m.rank_value - 1, rng=rng) == bw
+            assert csms[-1] == bw
+
+
+def test_walk_matches_per_chain_reference(rng):
+    # the pruned walk gives the per-chain products' weights for every k
+    for _, m0 in corpus(6):
+        for m in (m0, m0.dual()):
+            r = m.rank_value
+            bw, csms = minkowski_weights(m, rng=rng)
+            for k, cw in enumerate(csms):
+                ref = geometric_weight_reference(m, k, rng)
+                sign = (-1) ** (r - 1 - k)
+                assert cw.weights == {ch: sign * v for ch, v in ref.items()}, (m, k)
+            if r >= 1:
+                assert bw.weights == geometric_weight_reference(m, r - 1, rng)
+
+
+def test_corrupted_factor_degree_fails_the_walk(rng, monkeypatch):
+    # the geometric route stays independent: one wrong factor polynomial
+    # must show as a route mismatch, never be pruned away by a flat test.
+    # In U_{2,3} the factor U_{2,2} = M|{0,1} sits only on chains of non-flats.
+    m = uniform(2, 3)
+    bad_key = m.minor(0b011, 0).key()
+    honest = invariants._factor_degree_poly
+
+    def corrupted(f, rng):
+        p = honest(f, rng)
+        return p + SparsePoly(p.vars, {(0, f.n_elements - 1): 1}) if f.key() == bad_key else p
+
+    monkeypatch.setattr(invariants, "_FACTOR_DEGREE_MEMO", {})
+    monkeypatch.setattr(invariants, "_factor_degree_poly", corrupted)
+    with pytest.raises(RouteMismatch):
+        minkowski_weights(m, rng=rng)
 
 
 def test_restricted_degrees_zero_one(rng, u24):
     # deg c_j(Q)[Z] is 0 or 1, and 1 only in the loop/rank-one pattern
     for k in (1, 2):
         for chain in all_chains(4, k):
-            p = chern_q_restricted_degrees(u24, chain, rng)
+            factors = restrict_to_chain(u24, chain)
+            p = SparsePoly(("u",), {(0,): 1})
+            for f in factors:
+                top = invariants._factor_degree_poly(f, rng).coeff((0, f.n_elements - 1))
+                p = p * SparsePoly(("u",), {(f.n_elements - 1,): top})
             for (j,), c in p.terms.items():
                 assert c in (0, 1)
                 if c == 1:
-                    factors = restrict_to_chain(u24, chain)
                     loops = sum(
                         1 for f in factors if f.n_elements == 1 and f.rank_value == 0
                     )

@@ -26,7 +26,12 @@ from tautmat.matroid import bits, higgs_lift, mask_of, matroid_from_bases, unifo
 from tautmat.perms import all_perms
 from tautmat.rat import Rat
 
-from reference import direct_sum_check, induced_subpermutation, zeta_monomial_value
+from reference import (
+    all_chains,
+    direct_sum_check,
+    induced_subpermutation,
+    zeta_monomial_value,
+)
 
 
 def mono(*pairs):
@@ -217,8 +222,6 @@ def test_restrict_to_chain_minors(u24):
 def test_restriction_splits_greedy_basis(rng, small_corpus):
     # at a composite fixed point (chain gaps listed consecutively) the greedy
     # basis of M is the disjoint union of the factor greedy bases
-    from tautmat.weights import all_chains
-
     picks = [mm for _, mm in small_corpus if mm.n_elements >= 3]
     for _ in range(10):
         m = rng.choice(picks)

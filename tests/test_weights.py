@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautmat.matroid import mask_of, matroid_from_bases, uniform
+from reference import all_chains
+from tautmat.matroid import bits, mask_of, matroid_from_bases, uniform
 from tautmat.invariants import bergman_weight, csm_weight
 from tautmat.weights import (
     MinkowskiWeight,
-    _in_span,
-    all_chains,
+    _constant_on_gaps,
     chain_insertions,
     mw_balance_check,
 )
@@ -105,24 +105,36 @@ def _in_span_fraction_reference(rows, v):
 
 
 @st.composite
-def span_cases(draw):
-    ncols = draw(st.integers(1, 6))
+def chain_vector_cases(draw):
+    n = draw(st.integers(1, 6))
+    full = (1 << n) - 1
+    chain, last = [], 0
+    # a random nested chain of nonempty proper subsets
+    while draw(st.booleans()):
+        rest = [i for i in range(n) if not last >> i & 1]
+        nxt = last | mask_of(draw(st.sets(st.sampled_from(rest), min_size=1)))
+        if nxt == full:
+            break
+        chain.append(nxt)
+        last = nxt
     entry = st.integers(-4, 4)
-    vector = st.lists(entry, min_size=ncols, max_size=ncols)
-    rows = draw(st.lists(vector, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        # constant on every gap by construction
+        v = [0] * n
+        levels = [0, *chain, full]
+        for lo, hi in zip(levels, levels[1:]):
+            c = draw(entry)
+            for i in bits(hi & ~lo):
+                v[i] = c
+    else:
+        v = draw(st.lists(entry, min_size=n, max_size=n))
+    return n, tuple(chain), v
 
-    def combination():
-        ks = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
-        return [sum(k * x for k, x in zip(ks, col)) for col in zip(*rows)]
 
-    for _ in range(draw(st.integers(0, 2))):
-        rows.insert(draw(st.integers(0, len(rows))), combination())
-    v = combination() if draw(st.booleans()) else draw(vector)
-    return rows, v
-
-
-@given(span_cases())
+@given(chain_vector_cases())
 @settings(max_examples=300, deadline=None)
-def test_fraction_free_in_span_matches_fraction_reference(case):
-    rows, v = case
-    assert _in_span(rows, v) == _in_span_fraction_reference(rows, v)
+def test_gap_test_matches_fraction_reference(case):
+    # span(ones, indicators of a nested chain) = the vectors constant on its gaps
+    n, chain, v = case
+    rows = [[1] * n] + [[s >> i & 1 for i in range(n)] for s in chain]
+    assert _constant_on_gaps(chain, v) == _in_span_fraction_reference(rows, v)
