@@ -11,7 +11,6 @@ and the Las Vergnas / flag Tutte polynomials against their defining sums.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -222,16 +221,40 @@ def _geometric_walk(m: Matroid, top, rng):
     return minor, out
 
 
-def _csm(m: Matroid, k, geom_k, minor) -> MinkowskiWeight:
-    """csm_k: (-1)^(r-1-k) prod beta(M|S_{i+1}/S_i) over the chains of flats
-    of a loopless M, checked against the walk's depth-k weights."""
+def _flat_walk(m: Matroid, top, minor):
+    """Combinatorial weights of the chains of 0..top nonempty proper flats.
+
+    One depth-first walk over chains F_1 < ... < F_d of flats of a loopless
+    M, each flat's strictly larger proper flats tabulated once, carries the
+    product of beta(M|F_{i+1}/F_i) over the gaps closed so far.  Closing with
+    the gap E-F_d gives the depth-d value; every chain is recorded, zeros
+    included, so depth r-1 lists every maximal chain.  Returns one
+    {chain: value} per depth, all empty for a loopy M.
+    """
+    out = [{} for _ in range(top + 1)]
+    if m.loops() or top < 0:
+        return out
+    full, flats = m.full_mask, m.proper_nonempty_flats()
+    above = {f: [g for g in flats if g != f and g & f == f] for f in (0, *flats)}
+    chain = []
+
+    def walk(last, prod):
+        out[len(chain)][tuple(chain)] = prod * beta_pair(minor(last, full))[0]
+        if len(chain) < top:
+            for s in above[last]:
+                chain.append(s)
+                walk(s, prod * beta_pair(minor(last, s))[0])
+                chain.pop()
+
+    walk(0, 1)
+    return out
+
+
+def _csm(m: Matroid, k, comb_k, geom_k) -> MinkowskiWeight:
+    """csm_k: the two routes' depth-k weights signed by (-1)^(r-1-k);
+    RouteMismatch unless they agree."""
     sign = (-1) ** (m.rank_value - 1 - k)
-    full = m.full_mask
-    comb = {} if m.loops() else {
-        ch: sign * math.prod(beta_pair(minor(lo, hi))[0] for lo, hi in zip((0, *ch), (*ch, full)))
-        for ch in m.flat_chains(k)
-    }
-    csm = MinkowskiWeight(m.n_elements, k, comb)
+    csm = MinkowskiWeight(m.n_elements, k, {ch: sign * v for ch, v in comb_k.items()})
     if csm != MinkowskiWeight(m.n_elements, k, {ch: sign * v for ch, v in geom_k.items()}):
         raise RouteMismatch(f"CSM weight routes disagree for {m!r}, k={k}")
     return csm
@@ -240,20 +263,20 @@ def _csm(m: Matroid, k, geom_k, minor) -> MinkowskiWeight:
 def minkowski_weights(m: Matroid, *, rng):
     """(Bergman weight, [csm_0, ..., csm_{r-1}]) of M, each derived twice.
 
-    Combinatorial routes: the Bergman weight is 1 on the maximal chains of
-    nonempty proper flats of a loopless M, and csm_k is as in `_csm`.
-    Geometric route: localization on the factor varieties of every chain,
-    read off one walk shared by all dimensions; the Bergman class is the top
-    Chern class of Q_M, the walk's depth-(r-1) weight.  RouteMismatch on any
-    disagreement.
+    Combinatorial route, one `_flat_walk`: the Bergman weight is 1 on the
+    maximal chains of nonempty proper flats of a loopless M, and csm_k is
+    (-1)^(r-1-k) prod beta(M|F_{i+1}/F_i) over its chains of k flats.
+    Geometric route, one `_geometric_walk`: localization on the factor
+    varieties of every chain; the Bergman class is the top Chern class of
+    Q_M, the depth-(r-1) weight.  RouteMismatch on any disagreement.
     """
     r, n1 = m.rank_value, m.n_elements
     minor, geom = _geometric_walk(m, r - 1, rng)
-    comb = dict.fromkeys(m.flat_chains(r - 1), 1) if r >= 1 and not m.loops() else {}
-    bergman = MinkowskiWeight(n1, r - 1, comb)
+    comb = _flat_walk(m, r - 1, minor)
+    bergman = MinkowskiWeight(n1, r - 1, dict.fromkeys(comb[-1], 1) if r else {})
     if bergman != MinkowskiWeight(n1, r - 1, geom[-1] if r else {}):
         raise RouteMismatch(f"Bergman weight routes disagree for {m!r}")
-    return bergman, [_csm(m, k, geom[k], minor) for k in range(r)]
+    return bergman, [_csm(m, k, comb[k], geom[k]) for k in range(r)]
 
 
 def bergman_weight(m: Matroid, *, rng) -> MinkowskiWeight:
@@ -262,11 +285,11 @@ def bergman_weight(m: Matroid, *, rng) -> MinkowskiWeight:
 
 
 def csm_weight(m: Matroid, k: int, *, rng) -> MinkowskiWeight:
-    """k-dimensional CSM class as a Minkowski weight; the walk stops at depth k."""
+    """k-dimensional CSM class as a Minkowski weight; both walks stop at depth k."""
     if not 0 <= k <= m.rank_value - 1:
         raise ValueError(f"need 0 <= k <= rank-1, got k={k}")
     minor, geom = _geometric_walk(m, k, rng)
-    return _csm(m, k, geom[k], minor)
+    return _csm(m, k, _flat_walk(m, k, minor)[k], geom[k])
 
 
 # ---------------------------------------------------------------------------

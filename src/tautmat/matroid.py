@@ -234,25 +234,6 @@ class Matroid:
     def proper_nonempty_flats(self):
         return tuple(f for f in self.flats() if f and f != self.full_mask)
 
-    def flat_chains(self, k: int):
-        """Strictly nested chains of k nonempty proper flats."""
-        flats = sorted(self.proper_nonempty_flats(), key=popcount)
-        out = []
-
-        def extend(chain, start):
-            if len(chain) == k:
-                out.append(tuple(chain))
-                return
-            for idx in range(start, len(flats)):
-                f = flats[idx]
-                if not chain or (chain[-1] & f) == chain[-1] and chain[-1] != f:
-                    chain.append(f)
-                    extend(chain, idx + 1)
-                    chain.pop()
-
-        extend([], 0)
-        return out
-
     # -- greedy bases -----------------------------------------------------------
 
     def lex_first_basis(self, sigma) -> int:

@@ -5,7 +5,8 @@ proper subsets of E (the d-dimensional cones); only nonzero entries are
 stored.  Balancing: for every (d-1)-chain, the weighted sum of inserted ray
 generators must lie in the span of the chain's own rays and the all-ones
 vector.  That span is exactly the vectors constant on each gap
-S_{i+1}-S_i of the chain, so the check is a gap-constant test.
+S_{i+1}-S_i of the chain, so the check is a gap-constant test on sums
+gathered in one pass over the support.
 """
 
 from __future__ import annotations
@@ -56,41 +57,24 @@ class MinkowskiWeight:
         }
 
 
-def chain_insertions(chain, n_elements):
-    """All (position, subset) pairs refining a chain by one level."""
-    full = (1 << n_elements) - 1
-    levels = [0, *chain, full]
-    out = []
-    for g in range(len(levels) - 1):
-        lo, hi = levels[g], levels[g + 1]
-        diff = hi & ~lo
-        u = (diff - 1) & diff
-        while u:
-            out.append((g, lo | u))
-            u = (u - 1) & diff
-    return out
-
-
 def mw_balance_check(weight: MinkowskiWeight):
     """None if balanced, else a witness ((d-1)-chain, offending vector).
 
-    Only (d-1)-chains refinable into the support need a test; all others
-    receive a zero vector and pass trivially.
+    One pass over the support: each (chain, w) adds w times the indicator of
+    S_i to the vector of the chain with S_i dropped.  A (d-1)-chain that no
+    support chain refines receives a zero vector and passes, so only the
+    accumulated vectors are tested, in sorted order.
     """
     d, n = weight.dim, weight.ground
     if d <= 0:
         return None
-    candidates = set()
-    for ch in weight.weights:
+    vectors = {}
+    for ch, w in weight.weights.items():
         for i in range(d):
-            candidates.add(ch[:i] + ch[i + 1 :])
-    for sub in sorted(candidates):
-        v = [0] * n
-        for pos, s in chain_insertions(sub, n):
-            w = weight.weights.get(sub[:pos] + (s,) + sub[pos:], 0)
-            if w:
-                for i in bits(s):
-                    v[i] += w
+            v = vectors.setdefault(ch[:i] + ch[i + 1 :], [0] * n)
+            for e in bits(ch[i]):
+                v[e] += w
+    for sub, v in sorted(vectors.items()):
         if not _constant_on_gaps(sub, v):
             return (sub, tuple(v))
     return None

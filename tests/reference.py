@@ -4,13 +4,17 @@ Each function here recomputes, the slow and obvious way, something the
 library computes by a faster route, so the tests can compare the two.
 """
 
+import math
 from fractions import Fraction
 
 from tautmat.engine import sample_eval_point
 from tautmat.invariants import _factor_degree_poly
 from tautmat.kclass import restrict_to_chain, s_class
+from tautmat.matroid import bits, popcount
 from tautmat.perms import all_perms
 from tautmat.poly import SparsePoly, interpolate_univariate
+from tautmat.tutte import beta_pair
+from tautmat.weights import _constant_on_gaps
 
 
 def localization_denominator(sigma, tstar):
@@ -160,3 +164,76 @@ def geometric_weight_reference(m, k, rng):
         if val:
             out[chain] = val
     return out
+
+
+def flat_chains(m, k):
+    """Strictly nested chains of k nonempty proper flats of m."""
+    flats = sorted(m.proper_nonempty_flats(), key=popcount)
+    out = []
+
+    def extend(chain, start):
+        if len(chain) == k:
+            out.append(tuple(chain))
+            return
+        for idx in range(start, len(flats)):
+            f = flats[idx]
+            if not chain or (chain[-1] & f) == chain[-1] and chain[-1] != f:
+                chain.append(f)
+                extend(chain, idx + 1)
+                chain.pop()
+
+    extend([], 0)
+    return out
+
+
+def comb_weight_reference(m, k):
+    """Unsigned combinatorial csm_k weights, one chain at a time.
+
+    For every chain of k nonempty proper flats of a loopless m, the product
+    of beta(M|F_{i+1}/F_i) over its gaps, zeros included; {} if m has a loop.
+    """
+    if m.loops():
+        return {}
+    full = m.full_mask
+    return {
+        ch: math.prod(beta_pair(m.minor(hi, lo))[0] for lo, hi in zip((0, *ch), (*ch, full)))
+        for ch in flat_chains(m, k)
+    }
+
+
+def chain_insertions(chain, n_elements):
+    """All (position, subset) pairs refining a chain by one level."""
+    full = (1 << n_elements) - 1
+    levels = [0, *chain, full]
+    out = []
+    for g in range(len(levels) - 1):
+        lo, hi = levels[g], levels[g + 1]
+        diff = hi & ~lo
+        u = (diff - 1) & diff
+        while u:
+            out.append((g, lo | u))
+            u = (u - 1) & diff
+    return out
+
+
+def balance_reference(weight):
+    """mw_balance_check candidate by candidate: every (d-1)-chain refinable
+    into the support, its vector rebuilt from all of its one-level
+    refinements.  None if balanced, else ((d-1)-chain, offending vector)."""
+    d, n = weight.dim, weight.ground
+    if d <= 0:
+        return None
+    candidates = set()
+    for ch in weight.weights:
+        for i in range(d):
+            candidates.add(ch[:i] + ch[i + 1 :])
+    for sub in sorted(candidates):
+        v = [0] * n
+        for pos, s in chain_insertions(sub, n):
+            w = weight.weights.get(sub[:pos] + (s,) + sub[pos:], 0)
+            if w:
+                for i in bits(s):
+                    v[i] += w
+        if not _constant_on_gaps(sub, v):
+            return (sub, tuple(v))
+    return None

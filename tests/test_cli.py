@@ -195,6 +195,22 @@ def test_check_max_elements_5_stdout_is_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("csm", "vamos"), "8654fa0fc1be9c4741fb0609da8090c5d61b93146a68beea801520528ce331f0"),
+        (("bergman", "vamos"), "de0d6add00c8953ab62ba45b938ad020f844d9199f4c167216cc938b915e349c"),
+        (("csm", "fano"), "25d870558fa24b0288de670256ebce740e6b4c80092531c1a81478b6017cd012"),
+    ],
+    ids=["csm-vamos", "bergman-vamos", "csm-fano"],
+)
+def test_weight_stdout_is_pinned(capsys, argv, digest):
+    # the ledger prints no weight values, so these pin them byte for byte
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_check_subset(capsys):
     code, out = run_cli(
         capsys, "check", "--max-elements", "3", "--only", "tutte", "theorem-a"

@@ -27,7 +27,7 @@ from tautmat.invariants import (
     valuativity_demo,
 )
 import tautmat.invariants as invariants
-from reference import all_chains, geometric_weight_reference
+from reference import all_chains, comb_weight_reference, geometric_weight_reference
 from tautmat.kclass import restrict_to_chain, structure_sheaf
 from tautmat.matroid import FlagMatroid, matroid_from_bases, uniform
 from tautmat.poly import SparsePoly, logconcave_unbroken_check
@@ -129,6 +129,32 @@ def test_corrupted_factor_degree_fails_the_walk(rng, monkeypatch):
 
     monkeypatch.setattr(invariants, "_FACTOR_DEGREE_MEMO", {})
     monkeypatch.setattr(invariants, "_factor_degree_poly", corrupted)
+    with pytest.raises(RouteMismatch):
+        minkowski_weights(m, rng=rng)
+
+
+def test_flat_walk_matches_per_chain_reference():
+    # every chain of flats at every depth, zeros included: the walk prunes nothing
+    loopy = matroid_from_bases(3, [[0], [1]])
+    for m in [loopy] + [mm for _, m0 in corpus(6) for mm in (m0, m0.dual())]:
+        r = m.rank_value
+        walk = invariants._flat_walk(m, r - 1, lambda lo, hi: m.minor(hi, lo))
+        # the reference gives {} at every depth for the loopy matroid
+        assert walk == [comb_weight_reference(m, k) for k in range(r)], m
+
+
+def test_corrupted_beta_fails_the_flat_walk(rng, monkeypatch):
+    # the combinatorial route stays independent: one wrong beta of a gap
+    # minor must show as a route mismatch
+    m = uniform(2, 4)
+    bad_key = m.minor(0b1111, 0b0001).key()
+    honest = invariants.beta_pair
+
+    def corrupted(f):
+        b1, b2 = honest(f)
+        return (b1 + 1, b2) if f.key() == bad_key else (b1, b2)
+
+    monkeypatch.setattr(invariants, "beta_pair", corrupted)
     with pytest.raises(RouteMismatch):
         minkowski_weights(m, rng=rng)
 

@@ -1,18 +1,16 @@
+import functools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import all_chains
+from reference import all_chains, balance_reference, chain_insertions
+from tautmat.corpus import corpus
 from tautmat.matroid import bits, mask_of, matroid_from_bases, uniform
-from tautmat.invariants import bergman_weight, csm_weight
-from tautmat.weights import (
-    MinkowskiWeight,
-    _constant_on_gaps,
-    chain_insertions,
-    mw_balance_check,
-)
+from tautmat.invariants import bergman_weight, csm_weight, minkowski_weights
+from tautmat.weights import MinkowskiWeight, _constant_on_gaps, mw_balance_check
 
 
 def test_all_chains_counts():
@@ -138,3 +136,37 @@ def test_gap_test_matches_fraction_reference(case):
     n, chain, v = case
     rows = [[1] * n] + [[s >> i & 1 for i in range(n)] for s in chain]
     assert _constant_on_gaps(chain, v) == _in_span_fraction_reference(rows, v)
+
+
+@functools.cache
+def _corpus_weights():
+    """Every Bergman and csm_k weight of the corpus matroids on at most 6 elements."""
+    rng = random.Random(0xA5A5)
+    out = []
+    for _, m in corpus(6):
+        bw, csms = minkowski_weights(m, rng=rng)
+        out += [bw, *csms]
+    return out
+
+
+@st.composite
+def perturbed_weights(draw):
+    weights = _corpus_weights()
+    w = weights[draw(st.integers(0, len(weights) - 1))]
+    support, n, d = dict(w.weights), w.ground, w.dim
+    change = draw(st.sampled_from(["as is", "entry", "chain"]))
+    if change == "entry" and support:
+        support[draw(st.sampled_from(sorted(support)))] = draw(st.integers(-3, 3))
+    elif change == "chain" and 0 < d < n:
+        # the prefix sets of a random order, cut at d distinct places
+        order = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=d, max_size=d, unique=True)))
+        support[tuple(mask_of(order[:c]) for c in cuts)] = draw(st.integers(1, 3))
+    return MinkowskiWeight(n, d, support)
+
+
+@given(perturbed_weights())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_balance_matches_reference(weight):
+    # the same verdict and the same witness as the candidate-by-candidate check
+    assert mw_balance_check(weight) == balance_reference(weight)
