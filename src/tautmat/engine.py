@@ -11,13 +11,16 @@ Three pushforward paths:
   coefficient ends the sum.
 
 * a character path for Euler characteristics: restrict to a one-parameter
-  subgroup T_i = q^{w_i} and sample the shifted character, an integer
-  polynomial in q, at q = 2, 3, ...; integer forward differences of the
-  samples give its value at q = 1, and three extra samples verify the
-  degree bound (their differences above it must vanish).  The exponent
-  tables (permutation counts per denominator shape, monomial exponents
-  m.w per class key) are built once per call, so a sample only evaluates
-  powers of q.
+  subgroup T_i = q^{w_i} and sample each class's character, shifted by
+  q^{-lo_c}, at q = 2, 3, ...; it is an integer polynomial of degree at
+  most B = max_c (hi_c - lo_c), where [lo_c, hi_c] is the hull of the
+  class's exponents m.w: each fixed-point term expands with support >= lo_c
+  at q -> 0 and <= hi_c at q -> oo, and their sum is a Laurent polynomial.
+  Integer forward differences of the samples give its value at q = 1, and
+  three extra samples verify the degree bound (their differences above it
+  must vanish).  The exponent tables (permutation counts per denominator
+  shape, monomial exponents m.w per class key) are built once per call, so
+  a sample only evaluates powers of q.
 
 * a zeta route, the Chow-side Euler characteristic of a K-class: its
   zeta image is pushed forward along t = q*w; the integer samples at
@@ -361,6 +364,11 @@ def euler_char_many(kclasses, *, rng):
     serves every class and every sample point.  Everything that does not
     depend on q is tabulated once per call (`_chi_tables`), so each sample
     of the character only evaluates powers of q.
+
+    Class c is shifted by q^{-lo_c} and all share the degree bound
+    B = max_c (hi_c - lo_c), [lo_c, hi_c] the hull of c's exponents m.w:
+    every term 1/(1 - q^delta) expands with support >= lo_c at q -> 0 and
+    <= hi_c at q -> oo, and the sum is a Laurent polynomial.
     """
     ground = kclasses[0].ground
     if any(c.ground != ground for c in kclasses):
@@ -371,8 +379,13 @@ def euler_char_many(kclasses, *, rng):
     slots = [tuple(atoms.index(a) for a in c.atoms) for c in kclasses]
     groups = _compress_orbits(atoms, ground, w)
     njoints, rows, terms = _chi_tables(kclasses, slots, groups, w)
-    dmax = max((abs(e) for ct in terms for _, ts in ct for _, e in ts), default=0)
-    return _escalating(lambda d: _chi_interpolate(njoints, rows, terms, w, d), dmax)
+    lows, bound = [], 0
+    for class_terms in terms:
+        es = [e for _, ts in class_terms for _, e in ts]
+        lo = min(es, default=0)
+        lows.append(lo)
+        bound = max(bound, max(es, default=0) - lo)
+    return _escalating(lambda d: _chi_interpolate(njoints, rows, terms, lows, w, d), bound)
 
 
 def _compress_orbits(atoms, ground, w):
@@ -432,11 +445,16 @@ def _chi_tables(kclasses, slots, groups, w):
     return len(index), rows, terms
 
 
-def _chi_interpolate(njoints, rows, terms, w, dmax):
-    n_samples = 2 * dmax + 1 + 3
+def _chi_interpolate(njoints, rows, terms, lows, w, bound):
+    """chi of every class from its character times q^{-lows[c]} at q = 2, 3, ...
+
+    Takes bound + 4 samples, three of them verifying that each shifted
+    character has degree <= bound, and reads every class off at q = 1.
+    """
+    n_samples = bound + 1 + 3
     pair_mags = [abs(a - b) for a, b in itertools.combinations(w, 2)]
     samples = [[] for _ in terms]
-    maxpow = 2 * dmax + sum(pair_mags) + 1
+    maxpow = bound + sum(pair_mags) + 1
     for q in range(2, 2 + n_samples):
         qpow = [1] * (maxpow + 1)
         for i in range(1, maxpow + 1):
@@ -452,12 +470,12 @@ def _chi_interpolate(njoints, rows, terms, w, dmax):
             contrib = sign * qpow[neg_pow] * (dq // dd)
             for j, count in row:
                 acc[j] += contrib * count
-        for class_terms, class_samples in zip(terms, samples):
+        for class_terms, lo, class_samples in zip(terms, lows, samples):
             total = 0
             for js, ts in class_terms:
                 v = 0
                 for coeff, e in ts:
-                    v += coeff * qpow[dmax + e]
+                    v += coeff * qpow[e - lo]
                 total += v * sum([acc[j] for j in js])
             num, rem = divmod(total, dq)
             if rem:
@@ -465,7 +483,7 @@ def _chi_interpolate(njoints, rows, terms, w, dmax):
                     f"scaled character at q={q} is not divisible by the common denominator"
                 )
             class_samples.append(num)
-    return [_extrapolate_back(ss, 2 * dmax) for ss in samples]
+    return [_extrapolate_back(ss, bound) for ss in samples]
 
 
 def _extrapolate_back(values, degree_bound):

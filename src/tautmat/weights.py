@@ -81,6 +81,19 @@ def mw_balance_check(weight: MinkowskiWeight):
 
 
 def _constant_on_gaps(chain, v):
-    """Whether v is constant on every gap S_{i+1}-S_i of 0 < chain < E."""
+    """Whether v is constant on every gap S_{i+1}-S_i of 0 < chain < E.
+
+    Each gap's entries are compared with the entry of its lowest element,
+    walking the gap's set bits lowest first.
+    """
     levels = (0, *chain, (1 << len(v)) - 1)
-    return all(len({v[i] for i in bits(hi & ~lo)}) < 2 for lo, hi in zip(levels, levels[1:]))
+    for lo, hi in zip(levels, levels[1:]):
+        gap = hi & ~lo
+        first = v[(gap & -gap).bit_length() - 1]
+        gap &= gap - 1
+        while gap:
+            low = gap & -gap
+            if v[low.bit_length() - 1] != first:
+                return False
+            gap ^= low
+    return True

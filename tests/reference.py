@@ -14,7 +14,6 @@ from tautmat.matroid import bits, popcount
 from tautmat.perms import all_perms
 from tautmat.poly import SparsePoly, interpolate_univariate
 from tautmat.tutte import beta_pair
-from tautmat.weights import _constant_on_gaps
 
 
 def localization_denominator(sigma, tstar):
@@ -216,6 +215,12 @@ def chain_insertions(chain, n_elements):
     return out
 
 
+def constant_on_gaps_reference(chain, v):
+    """Whether v takes at most one value on every gap S_{i+1}-S_i of the chain."""
+    levels = (0, *chain, (1 << len(v)) - 1)
+    return all(len({v[i] for i in bits(hi & ~lo)}) < 2 for lo, hi in zip(levels, levels[1:]))
+
+
 def balance_reference(weight):
     """mw_balance_check candidate by candidate: every (d-1)-chain refinable
     into the support, its vector rebuilt from all of its one-level
@@ -234,6 +239,6 @@ def balance_reference(weight):
             if w:
                 for i in bits(s):
                     v[i] += w
-        if not _constant_on_gaps(sub, v):
+        if not constant_on_gaps_reference(sub, v):
             return (sub, tuple(v))
     return None

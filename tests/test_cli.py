@@ -201,11 +201,15 @@ def test_check_max_elements_5_stdout_is_pinned(capsys):
         (("csm", "vamos"), "8654fa0fc1be9c4741fb0609da8090c5d61b93146a68beea801520528ce331f0"),
         (("bergman", "vamos"), "de0d6add00c8953ab62ba45b938ad020f844d9199f4c167216cc938b915e349c"),
         (("csm", "fano"), "25d870558fa24b0288de670256ebce740e6b4c80092531c1a81478b6017cd012"),
+        (("fstutte", "fano"), "37b2c0e6cda04c789308364685b08da6ba6c54e9ee79087e611c723240b8a660"),
+        (("fstutte", "nonfano"), "0d865777b5b50bc584fc029108bf325c7ef42c63766f8102d8d4b07fb15b35a5"),
+        (("cf", "uniform_2_5"), "c7eb763c30608b98134495b4c4aaf515babb059a38ab42e5c72b62f029909aec"),
     ],
-    ids=["csm-vamos", "bergman-vamos", "csm-fano"],
+    ids=["csm-vamos", "bergman-vamos", "csm-fano", "fstutte-fano", "fstutte-nonfano", "cf-u25"],
 )
 def test_weight_stdout_is_pinned(capsys, argv, digest):
-    # the ledger prints no weight values, so these pin them byte for byte
+    # the ledger prints only pass/fail, not the weights or the polynomials
+    # of the character verbs, so these pin them byte for byte
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

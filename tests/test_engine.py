@@ -3,6 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tautmat.engine
+import tautmat.invariants
+from tautmat.corpus import builtin_matroid
 from tautmat.engine import (
     GenericPointMismatch,
     GradedFactor,
@@ -37,7 +39,7 @@ from tautmat.kclass import (
     structure_sheaf,
 )
 from tautmat.genperm import base_polytope, simplex
-from tautmat.invariants import chi_via_zeta, fs_classes
+from tautmat.invariants import cf_check, chi_via_zeta, fs_classes, fs_tutte
 from tautmat.matroid import uniform
 from tautmat.perms import all_perms
 from tautmat.poly import InconsistentSamples, SparsePoly, interpolate_univariate
@@ -266,6 +268,29 @@ def test_euler_char_many_matches_per_permutation_reference(rng, u24):
         assert euler_char_many(batch, rng=rng) == [chi_reference(c) for c in batch]
 
 
+def _record_weights(monkeypatch):
+    """The weights w that engine.sample_weight draws from now on, in order."""
+    drawn = []
+    real = tautmat.engine.sample_weight
+
+    def record(n, rng):
+        drawn.append(real(n, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(tautmat.engine, "sample_weight", record)
+    return drawn
+
+
+def _exponent_hull(cls, w):
+    """(lo, hi): the smallest and largest m.w over every monomial of every fixed point."""
+    es = [
+        sum(x * y for x, y in zip(m, w))
+        for sigma in all_perms(cls.ground)
+        for _, m in cls.monomials(cls.key_at(sigma))
+    ]
+    return min(es), max(es)
+
+
 def test_euler_escalation_recovers(rng, u24, monkeypatch):
     # the first verification fails; the escalated bound reads the same chi
     cls = line_bundle(base_polytope(u24))
@@ -279,10 +304,13 @@ def test_euler_escalation_recovers(rng, u24, monkeypatch):
             raise InconsistentSamples("forced")
         return real(values, degree_bound)
 
+    weights = _record_weights(monkeypatch)
     monkeypatch.setattr(tautmat.engine, "_extrapolate_back", first_fails)
     assert euler_char_ab(cls, rng=rng) == unforced
-    d = bounds[0] // 2
-    assert d > 0 and bounds == [2 * d, 4 * d + 2]
+    # the span hi - lo of the class's exponents along w, then 2*span + 1
+    lo, hi = _exponent_hull(cls, weights[0])
+    span = hi - lo
+    assert span > 0 and bounds == [span, 2 * span + 1]
 
 
 def test_euler_escalation_fails_cleanly(rng, monkeypatch):
@@ -293,11 +321,57 @@ def test_euler_escalation_fails_cleanly(rng, monkeypatch):
         bounds.append(degree_bound)
         raise InconsistentSamples("forced")
 
+    cls = line_bundle(simplex(2))
+    weights = _record_weights(monkeypatch)
     monkeypatch.setattr(tautmat.engine, "_extrapolate_back", inconsistent)
     with pytest.raises(InterpolationInconsistent):
-        euler_char_ab(line_bundle(simplex(2)), rng=rng)
-    # degree bound 2*dmax, then 2*(2*dmax + 1) after escalation
-    assert len(bounds) == 2 and bounds[1] == 2 * bounds[0] + 2
+        euler_char_ab(cls, rng=rng)
+    lo, hi = _exponent_hull(cls, weights[0])
+    assert bounds == [hi - lo, 2 * (hi - lo) + 1]
+
+
+@pytest.mark.parametrize(
+    "name, run",
+    [("fano", fs_tutte), ("nonfano", fs_tutte), ("uniform_2_5", cf_check)],
+)
+def test_hull_bound_needs_no_escalation(rng, monkeypatch, name, run):
+    # B = max_c (hi_c - lo_c) is a true degree bound: every class is read
+    # off from B + 4 samples at bound B on the first try, none retried
+    batches = []
+    real_many = tautmat.invariants.euler_char_many
+
+    def record_batch(classes, *, rng):
+        batches.append(classes)
+        return real_many(classes, rng=rng)
+
+    reads = []
+    real = tautmat.engine._extrapolate_back
+
+    def record_read(values, degree_bound):
+        reads.append((len(values), degree_bound))
+        return real(values, degree_bound)
+
+    weights = _record_weights(monkeypatch)
+    monkeypatch.setattr(tautmat.invariants, "euler_char_many", record_batch)
+    monkeypatch.setattr(tautmat.engine, "_extrapolate_back", record_read)
+    run(builtin_matroid(name), rng=rng)
+    [classes], [w] = batches, weights
+    bound = max(hi - lo for lo, hi in (_exponent_hull(c, w) for c in classes))
+    assert reads == [(bound + 4, bound)] * len(classes)
+
+
+def test_one_sided_exponent_hull_matches_reference(rng, u24, monkeypatch):
+    # twisting by T_i^-2 for every i moves every exponent m.w below 0 and
+    # the dual above 0, so the shift q^-lo_c lowers some classes' exponents
+    # and raises others' within one batch
+    points = [line_bundle(simplex(4, 1 << i)) for i in range(4)]
+    below = [kc_product(c, *points, *points) for c in fs_classes(u24).values()]
+    above = [dual_class(c) for c in below]
+    weights = _record_weights(monkeypatch)
+    chis = euler_char_many(below + above, rng=rng)
+    assert all(_exponent_hull(c, weights[0])[1] < 0 for c in below)
+    assert all(_exponent_hull(c, weights[0])[0] > 0 for c in above)
+    assert chis == [chi_reference(c) for c in below + above]
 
 
 def _poly_values(coeffs, q0, count):
