@@ -208,10 +208,7 @@ def _dispatch(args, rng, checks, results, inputs):
             results["fs_tutte"] = _poly_json(t)
             check("equals-deletion-contraction", True)
         elif verb == "cf":
-            n = m.n_elements - 1
-            tr = range((args.t_range if args.t_range is not None else n) + 1)
-            ur = range((args.u_range if args.u_range is not None else n) + 1)
-            rep = cf_check(m, tr, ur, rng=rng)
+            rep = cf_check(m, args.t_range, args.u_range, rng=rng)
             results["q_polynomial"] = _poly_json(rep.q_poly)
             results["psi_image"] = _poly_json(rep.psi_image)
             results["grid"] = {f"{t},{u}": v for (t, u), v in sorted(rep.grid.items())}

@@ -94,13 +94,12 @@ class GradedFactor:
            value of the coefficient of var**k is t-homogeneous of degree k.
     """
 
-    __slots__ = ("var", "atom", "poly", "name")
+    __slots__ = ("var", "atom", "poly")
 
-    def __init__(self, var, atom, poly, name=""):
+    def __init__(self, var, atom, poly):
         self.var = var
         self.atom = atom
         self.poly = poly
-        self.name = name
 
 
 def _elem_sym(values):
@@ -117,8 +116,6 @@ def _roots_at(rootspec, key_value, tstar):
     kind = rootspec[0]
     if kind == "sdual":
         return [tstar[i] for i in bits(key_value)]
-    if kind == "s":
-        return [-tstar[i] for i in bits(key_value)]
     if kind == "q":
         full = rootspec[1].full_mask
         return [-tstar[i] for i in bits(full ^ key_value)]
@@ -131,7 +128,7 @@ def _roots_at(rootspec, key_value, tstar):
     raise ValueError(f"unknown root spec {rootspec}")
 
 
-def chern_series(rootspec, var, name=""):
+def chern_series(rootspec, var):
     """Full Chern polynomial factor: coefficient of var^j is Elem_j of roots."""
     atom = (
         ("pair", ("basis", rootspec[1]), ("basis", rootspec[2]))
@@ -143,62 +140,51 @@ def chern_series(rootspec, var, name=""):
         es = _elem_sym(_roots_at(rootspec, key_value, tstar))
         return {j: v for j, v in enumerate(es) if v}
 
-    return GradedFactor(var, atom, poly, name or f"c({rootspec[0]},{var})")
+    return GradedFactor(var, atom, poly)
 
 
-def chern_fixed(rootspec, k, var, name=""):
+def chern_fixed(rootspec, k, var):
     """Single graded Chern coefficient c_k as a factor (exponent k in var)."""
-    atom = (
-        ("pair", ("basis", rootspec[1]), ("basis", rootspec[2]))
-        if rootspec[0] == "sdiff"
-        else ("basis", rootspec[1])
-    )
+    series = chern_series(rootspec, var)
 
     def poly(key_value, tstar):
-        es = _elem_sym(_roots_at(rootspec, key_value, tstar))
-        v = es[k] if k < len(es) else 0
+        v = series.poly(key_value, tstar).get(k, 0)
         return {k: v} if v else {}
 
-    return GradedFactor(var, atom, poly, name or f"c_{k}({rootspec[0]},{var})")
+    return GradedFactor(var, series.atom, poly)
 
 
-def alpha_series(var, cap, name="alpha"):
+def _power_series(var, cap, atom, base_of):
+    """1 + b x + ... + b^cap x^cap for the per-permutation base b = base_of(key, tstar)."""
+
+    def poly(key_value, tstar):
+        base = base_of(key_value, tstar)
+        out, p = {}, 1
+        for i in range(cap + 1):
+            if p:
+                out[i] = p
+            p *= base
+        return out
+
+    return GradedFactor(var, atom, poly)
+
+
+def alpha_series(var, cap):
     """1 + alpha x + ... + alpha^cap x^cap with the lift alpha_sigma = -t_{sigma(n)}."""
-
-    def poly(key_value, tstar):
-        base = -tstar[key_value]
-        out, p = {}, 1
-        for i in range(cap + 1):
-            if p:
-                out[i] = p
-            p *= base
-        return out
-
-    return GradedFactor(var, ("last",), poly, name)
+    return _power_series(var, cap, ("last",), lambda last, tstar: -tstar[last])
 
 
-def beta_series(var, cap, name="beta"):
+def beta_series(var, cap):
     """1 + beta y + ... + beta^cap y^cap with the lift beta_sigma = t_{sigma(0)}."""
-
-    def poly(key_value, tstar):
-        base = tstar[key_value]
-        out, p = {}, 1
-        for i in range(cap + 1):
-            if p:
-                out[i] = p
-            p *= base
-        return out
-
-    return GradedFactor(var, ("first",), poly, name)
+    return _power_series(var, cap, ("first",), lambda first, tstar: tstar[first])
 
 
 class GradedIntegrand:
     """A product of GradedFactors over one ground set."""
 
-    def __init__(self, ground, factors, name=""):
+    def __init__(self, ground, factors):
         self.ground = ground
         self.factors = list(factors)
-        self.name = name
         atoms = []
         for f in self.factors:
             for a in _expand_atom(f.atom):
@@ -486,24 +472,34 @@ def _chi_interpolate(njoints, rows, terms, lows, w, bound):
     return [_extrapolate_back(ss, bound) for ss in samples]
 
 
-def _extrapolate_back(values, degree_bound):
-    """P(q0 - 1) for an integer polynomial P of degree <= degree_bound.
+def forward_differences(values, degree_bound):
+    """Delta^0 P(q0), ..., Delta^degree_bound P(q0) of an integer polynomial P.
 
-    values are P(q0), P(q0 + 1), ... at consecutive integers.  By forward
-    differences, P(q0 - 1) = sum_k (-1)^k Delta^k P(q0).  Every sample past
-    the first degree_bound + 1 verifies the bound: each must make one more
-    difference of order degree_bound + 1 vanish, else InconsistentSamples.
+    values are P(q0), P(q0 + 1), ... at consecutive integers, and
+    P(q0 + k) = sum_i binom(k, i) Delta^i P(q0) (Newton's forward formula).
+    Every sample past the first degree_bound + 1 verifies the bound: each
+    must make one more difference of order degree_bound + 1 vanish, else
+    InconsistentSamples.
     """
     diffs = list(values)
-    out = 0
-    for k in range(degree_bound + 1):
-        out += -diffs[0] if k & 1 else diffs[0]
+    out = []
+    for _ in range(degree_bound + 1):
+        out.append(diffs[0])
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     if any(diffs):
         raise InconsistentSamples(
             f"order-{degree_bound + 1} differences of the samples do not vanish"
         )
     return out
+
+
+def _extrapolate_back(values, degree_bound):
+    """P(q0 - 1) = sum_k (-1)^k Delta^k P(q0), from samples P(q0), P(q0 + 1), ...
+
+    P has degree <= degree_bound; see forward_differences.
+    """
+    diffs = forward_differences(values, degree_bound)
+    return sum(-d if k & 1 else d for k, d in enumerate(diffs))
 
 
 def _escalating(read_off, bound):

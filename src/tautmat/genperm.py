@@ -123,18 +123,20 @@ class GenPermutohedron:
             los.append(self.rk[full] - self.rk[full ^ (1 << i)])
         return los, his
 
-    def lattice_points(self, limit=None):
-        """Exact enumeration of integer points.
+    def count_lattice_points(self, limit=None):
+        """Exact number of integer points, counted without listing them.
 
-        Scans the bounding box intersected with the hyperplane
-        sum x_i = rk(E), checking every facet inequality <x, e_S> <= rk(S)
-        incrementally along a depth-first search over coordinates.
+        One depth-first walk over the coordinates scans the bounding box
+        intersected with the hyperplane sum x_i = rk(E), checks every facet
+        inequality <x, e_S> <= rk(S) incrementally (S ranging over the
+        subsets whose largest element is the coordinate just fixed), and
+        counts the leaves.
         """
         check_guardrail(self.n_elements, limit)
         n = self.n_elements
         los, his = self.coordinate_bounds()
         if any(lo > hi for lo, hi in zip(los, his)):
-            return []
+            return 0
         total = self.rk[self.full_mask]
         suf_lo = [0] * (n + 1)
         suf_hi = [0] * (n + 1)
@@ -142,20 +144,17 @@ class GenPermutohedron:
             suf_lo[i] = suf_lo[i + 1] + los[i]
             suf_hi[i] = suf_hi[i + 1] + his[i]
         subsum = [0] * (1 << n)
-        point = [0] * n
-        out = []
+        rk = self.rk
 
         def descend(i, remaining):
             if i == n:
-                out.append(tuple(point))
-                return
+                return 1
             lo = max(los[i], remaining - suf_hi[i + 1])
             hi = min(his[i], remaining - suf_lo[i + 1])
             bit = 1 << i
-            rk = self.rk
             masks = range(bit)
+            count = 0
             for v in range(lo, hi + 1):
-                point[i] = v
                 ok = True
                 for m in masks:
                     s = subsum[m] + v
@@ -164,13 +163,10 @@ class GenPermutohedron:
                         break
                     subsum[m | bit] = s
                 if ok:
-                    descend(i + 1, remaining - v)
+                    count += descend(i + 1, remaining - v)
+            return count
 
-        descend(0, total)
-        return out
-
-    def count_lattice_points(self, limit=None):
-        return len(self.lattice_points(limit))
+        return descend(0, total)
 
 
 def _check_submodular(n_elements, rk):

@@ -22,6 +22,7 @@ from .engine import (
     chern_series,
     euler_char_ab,
     euler_char_many,
+    forward_differences,
     integrate_graded,
     integrate_inhomogeneous,
 )
@@ -38,8 +39,7 @@ from .kclass import (
     s_class,
 )
 from .matroid import FlagMatroid, Matroid, bits, is_quotient, popcount
-from .poly import SparsePoly, interpolate_univariate, psi_transform
-from .rat import Rat
+from .poly import InconsistentSamples, SparsePoly, psi_inverse
 from .tutte import beta_pair, t_transform, tutte_delcontr
 from .weights import MinkowskiWeight
 
@@ -95,7 +95,6 @@ def taut_degree_polynomial(m: Matroid, *, rng) -> SparsePoly:
             beta_series("y", n1 - 1),
             alpha_series("x", n1 - 1),
         ],
-        name="taut_degree",
     )
     p = integrate_graded(integrand, rng=rng)
     return p.with_vars(T4_VARS)
@@ -123,7 +122,7 @@ def mixed_degree_generating(subs, quots, *, rng) -> SparsePoly:
         vars_out.append(f"w{i}")
     factors.append(beta_series("y", n1 - 1))
     factors.append(alpha_series("x", n1 - 1))
-    integrand = GradedIntegrand(n1, factors, name="mixed_degree")
+    integrand = GradedIntegrand(n1, factors)
     return integrate_graded(integrand, rng=rng).with_vars(tuple(vars_out))
 
 
@@ -321,16 +320,27 @@ def chi_both_routes(kcls: KClassLoc, *, rng):
 # ---------------------------------------------------------------------------
 
 
+def _wedge_powers(m: Matroid):
+    """[wedge^i S] for 0<=i<=r and [wedge^j Q^v] for 0<=j<=crk, built once
+    so every product that shares a power shares its per-key monomial cache."""
+    s = s_class(m)
+    qd = dual_class(q_class(m))
+    return (
+        [exterior_power(s, i) for i in range(m.rank_value + 1)],
+        [exterior_power(qd, j) for j in range(m.corank + 1)],
+    )
+
+
 def fs_classes(m: Matroid):
     """[det S^v][wedge^i S][wedge^j Q^v] for 0<=i<=r, 0<=j<=crk."""
     det = det_s_dual(m)
-    s = s_class(m)
-    qd = dual_class(q_class(m))
-    out = {}
-    for i in range(m.rank_value + 1):
-        for j in range(m.corank + 1):
-            out[i, j] = kc_product(det, exterior_power(s, i), exterior_power(qd, j))
-    return out
+    ws, wq = _wedge_powers(m)
+    return {
+        (i, j): kc_product(det, wsi, wqj)
+        for i, wsi in enumerate(ws)
+        for j, wqj in enumerate(wq)
+    }
+
 
 def fs_tutte(m: Matroid, *, rng, jobs=1, zeta_check=False) -> SparsePoly:
     """Tutte polynomial assembled from Euler characteristics.
@@ -372,23 +382,26 @@ class CfReport:
     grid: dict
     q_poly: SparsePoly
     psi_image: SparsePoly
-    identity_ok: bool = True
 
 
-def cf_check(m: Matroid, t_range=None, u_range=None, *, rng, jobs=1) -> CfReport:
+def cf_check(m: Matroid, t_max=None, u_max=None, *, rng, jobs=1) -> CfReport:
     """Cameron-Fink polynomial Q_M computed two ways, then Psi vs the transform.
 
-    Q_M(t, u) is sampled on a grid both as chi(O(t alpha + u beta) det S^v)
-    and as the number of lattice points of P(M) + t*nabla + u*Delta; the
-    samples must agree.  The grid is interpolated to a polynomial of degree
-    at most n in each variable, Psi is applied, and the result must equal
-    the Tutte transform specialized at (x+1, y, 1, 0).
+    Q_M(t, u) is sampled on the grid 0..t_max x 0..u_max (default n each)
+    both as chi(O(t alpha + u beta) det S^v) and as the number of lattice
+    points of P(M) + t*nabla + u*Delta; the samples must agree.  Psi maps
+    binom(t,i) binom(u,j) to x^i y^j, so Psi(Q_M) is read off in integers:
+    its x^i y^j coefficient is the forward difference Delta_t^i Delta_u^j
+    Q_M(0, 0), i, j <= n.  Differences of higher order must vanish, else
+    the grid is not of degree <= n per variable (IdentityFailure).  Psi(Q_M)
+    must equal the Tutte transform specialized at (x+1, y, 1, 0); the
+    report's Q_M is psi_inverse of it, the one rational step.
     """
     del jobs  # ignored; kept only because bench/worker.py passes jobs=1
     n1 = m.n_elements
     n = n1 - 1
-    ts = list(t_range) if t_range is not None else list(range(n + 1))
-    us = list(u_range) if u_range is not None else list(range(n + 1))
+    ts = range((n if t_max is None else t_max) + 1)
+    us = range((n if u_max is None else u_max) + 1)
     if len(ts) < n + 1 or len(us) < n + 1:
         raise ValueError(f"grid must contain at least {n + 1} points per axis")
     pm = base_polytope(m)
@@ -406,11 +419,16 @@ def cf_check(m: Matroid, t_range=None, u_range=None, *, rng, jobs=1) -> CfReport
                 f"Q_{{{m!r}}}({t},{u}): chi {chi} != lattice count {count}"
             )
         grid[t, u] = chi
-    qpoly = _interpolate_grid(grid, ts[: n + 1], us[: n + 1], n)
-    for (t, u), v in grid.items():
-        if qpoly.evaluate({"t": t, "u": u}) != v:
-            raise IdentityFailure(f"Q_M interpolation missed the sample at {(t, u)}")
-    psi = psi_transform(qpoly)
+    try:
+        # Delta_t^i Q(0, u) for every u, then Delta_u^j of each of those
+        by_t = [forward_differences([grid[t, u] for t in ts], n) for u in us]
+        psi = SparsePoly(("x", "y"), {
+            (i, j): d
+            for i in range(n + 1)
+            for j, d in enumerate(forward_differences([col[i] for col in by_t], n))
+        })
+    except InconsistentSamples as exc:
+        raise IdentityFailure(f"Q_M grid of {m!r} is not of degree <= {n}: {exc}") from exc
     shifted = (
         t_transform(m)
         .substitute("x", SparsePoly(("x",), {(1,): 1, (0,): 1}))
@@ -420,22 +438,7 @@ def cf_check(m: Matroid, t_range=None, u_range=None, *, rng, jobs=1) -> CfReport
     )
     if psi != shifted:
         raise IdentityFailure(f"Psi(Q_M) differs from the Tutte transform for {m!r}")
-    return CfReport(m, grid, qpoly, psi)
-
-
-def _interpolate_grid(grid, ts, us, deg):
-    """Bivariate interpolation on a product grid, degree <= deg per variable."""
-    rows = {}
-    for u in us:
-        samples = [(t, grid[t, u]) for t in ts]
-        rows[u] = interpolate_univariate(samples, deg, var="t")
-    out = SparsePoly.zero(("t", "u"))
-    for k in range(deg + 1):
-        samples = [(u, rows[u].coeff((k,))) for u in us]
-        cu = interpolate_univariate(samples, deg, var="u")
-        tk = SparsePoly(("t",), {(k,): 1})
-        out = out + tk * cu
-    return out
+    return CfReport(m, grid, psi_inverse(psi), psi)
 
 
 def ehrhart(p: GenPermutohedron, c: int, *, rng) -> int:
@@ -475,7 +478,6 @@ def g_polynomial(m: Matroid, *, rng) -> SparsePoly:
             chern_fixed(("q", m), crk, "w"),
             alpha_series("x", n1 - 1),
         ],
-        name="g_chow",
     )
     top = integrate_graded(integrand, rng=rng)
     collapsed = top.substitute("x", 1).substitute("u", 1).substitute("w", 1)
@@ -485,13 +487,9 @@ def g_polynomial(m: Matroid, *, rng) -> SparsePoly:
         if c:
             g_chow = g_chow + SparsePoly(("s",), {(i,): comp_sign * (-1) ** i * c})
 
-    s = s_class(m)
-    qd = dual_class(q_class(m))
+    ws, wq = _wedge_powers(m)
     pairs = [(i, j) for i in range(r + 1) for j in range(crk + 1)]
-    chis = euler_char_many(
-        [kc_product(exterior_power(s, i), exterior_power(qd, j)) for i, j in pairs],
-        rng=rng,
-    )
+    chis = euler_char_many([kc_product(ws[i], wq[j]) for i, j in pairs], rng=rng)
     x1 = SparsePoly(("x", "y"), {(1, 0): 1, (0, 0): -1})
     y1 = SparsePoly(("x", "y"), {(0, 1): 1, (0, 0): -1})
     pxy = SparsePoly.zero(("x", "y"))
@@ -527,7 +525,7 @@ def flag_tutte_kt(flag: FlagMatroid, *, rng) -> SparsePoly:
     factors.append(chern_series(("sdual", mats[-1]), "z"))
     factors.append(chern_series(("q", mats[0]), "w"))
     factors.append(alpha_series("x", n1 - 1))
-    top = integrate_graded(GradedIntegrand(n1, factors, name="flag_kt"), rng=rng)
+    top = integrate_graded(GradedIntegrand(n1, factors), rng=rng)
     collapsed = top.substitute("x", 1)
     if k > 1:
         collapsed = collapsed.substitute("v", 1)
@@ -583,7 +581,6 @@ def lvt(m1: Matroid, m2: Matroid, *, rng) -> SparsePoly:
             chern_series(("sdiff", m1, m2), "s"),
             alpha_series("x", n1 - 1),
         ],
-        name="lvt",
     )
     top = integrate_graded(integrand, rng=rng)
     collapsed = top.substitute("x", 1).with_vars(("u", "v", "s"))
@@ -662,13 +659,14 @@ def hypersimplex_split():
     return u24, m1, m2, m12
 
 
-def _membership(polytope: GenPermutohedron, point):
+def _membership(polytope: GenPermutohedron, point, scale):
+    """Whether point / scale lies in the polytope, tested in integers."""
     full = polytope.full_mask
-    if sum(point) != polytope.rk[full]:
+    if sum(point) != scale * polytope.rk[full]:
         return False
     for s in range(1, full + 1):
         tot = sum(point[i] for i in bits(s))
-        if tot > polytope.rk[s]:
+        if tot > scale * polytope.rk[s]:
             return False
     return True
 
@@ -676,24 +674,21 @@ def _membership(polytope: GenPermutohedron, point):
 def valuativity_demo(*, rng, denominator=4):
     """Brute-force the split's indicator identity, then three invariants.
 
-    The indicator identity is checked on the rational grid with the given
-    denominator inside the cube; then inclusion-exclusion is asserted for
-    the degree polynomial, the Bergman weight, and the beta pair.
+    The indicator identity is checked at every point of the cube whose
+    coordinates are multiples of 1/d, d = denominator, scaled by d to the
+    integer points of {0..d}^4 with coordinate sum 2d; then
+    inclusion-exclusion is asserted for the degree polynomial, the Bergman
+    weight, and the beta pair.
     """
     u24, m1, m2, m12 = hypersimplex_split()
     polys = [base_polytope(mm) for mm in (u24, m1, m2, m12)]
-    steps = [Rat(i, denominator) for i in range(denominator + 1)]
-    for pt in itertools.product(steps, repeat=4):
-        if sum(pt) != 2:
+    d = denominator
+    for pt in itertools.product(range(d + 1), repeat=4):
+        if sum(pt) != 2 * d:
             continue
-        lhs = 1 if _membership(polys[0], pt) else 0
-        rhs = (
-            (1 if _membership(polys[1], pt) else 0)
-            + (1 if _membership(polys[2], pt) else 0)
-            - (1 if _membership(polys[3], pt) else 0)
-        )
-        if lhs != rhs:
-            raise IndicatorIdentityFails(f"indicator identity fails at {pt}")
+        inside = [_membership(p, pt, d) for p in polys]
+        if inside[0] != inside[1] + inside[2] - inside[3]:
+            raise IndicatorIdentityFails(f"indicator identity fails at {pt}/{d}")
     t0 = taut_degree_polynomial(u24, rng=rng)
     t1 = taut_degree_polynomial(m1, rng=rng)
     t2 = taut_degree_polynomial(m2, rng=rng)

@@ -3,9 +3,11 @@
 A polynomial is a map {exponent vector -> nonzero coefficient} together
 with an ordered tuple of variable names.  Coefficients are stored as given:
 ints stay ints under + - * and substitution, and a Rat appears only where a
-division made one (interpolation, psi_inverse, "p/q" input).  The canonical
-term order used for serialization and rendering is graded lexicographic
-(total degree first).
+division made one: psi_inverse (the rational Cameron-Fink polynomial Q_M),
+"p/q" input, and the public interpolate_univariate, which no computation
+path calls (the library reads polynomials off integer forward differences,
+`engine.forward_differences`).  The canonical term order used for
+serialization and rendering is graded lexicographic (total degree first).
 Also houses exact univariate Lagrange interpolation, the binomial-basis
 transform sending binom(t,i)binom(u,j) -> x^i y^j, and the log-concave
 unbroken-array test for coefficient arrays of homogeneous polynomials.
@@ -186,10 +188,6 @@ class SparsePoly:
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
 
-    def truncate_total_degree(self, d):
-        """Drop all terms of total degree strictly greater than d."""
-        return SparsePoly(self.vars, {e: c for e, c in self.terms.items() if sum(e) <= d})
-
     # -- evaluation / extraction -------------------------------------------
 
     def _var_index(self, name):
@@ -234,16 +232,6 @@ class SparsePoly:
             mono = SparsePoly(rest, {rest_exp: c}).with_vars(vv)
             out = out + mono * powers[k]
         return out
-
-    def coefficient_of(self, name, k):
-        """Coefficient of name**k, a polynomial in the remaining variables."""
-        i = self._var_index(name)
-        rest = tuple(v for v in self.vars if v != name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                out[tuple(x for j, x in enumerate(e) if j != i)] = c
-        return SparsePoly(rest, out)
 
     def coeff(self, exp):
         """Coefficient of one monomial, given as an exponent tuple."""

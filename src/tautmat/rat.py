@@ -4,11 +4,11 @@ Everything in this library is exact.  Most quantities are Python ints:
 polynomial coefficients, degrees, weights and Euler characteristics stay
 int under + - * and integer powers, and the graded sum ends in one exact
 integer division.  `Rat` is the stdlib `fractions.Fraction` and is used only
-where a division happens: interpolation of the Cameron-Fink grid, the
-binomial-basis inverse, the valuativity demo and "p/q" input.  Ints and Rats
-mix freely as coefficients because an integral Fraction compares and hashes
-equal to the int of the same value.  No float ever enters or leaves this
-module.
+where a division happens: the binomial-basis inverse `psi_inverse`, which
+gives the rational Cameron-Fink polynomial Q_M, "p/q" input, and the public
+`interpolate_univariate`.  Ints and Rats mix freely as coefficients because
+an integral Fraction compares and hashes equal to the int of the same value.
+No float ever enters or leaves this module.
 """
 
 from __future__ import annotations

@@ -74,11 +74,6 @@ def convolve(f, g, m: Matroid):
     return total
 
 
-def nu(m: Matroid):
-    """Identity of the convolution: 1 on the empty matroid, else 0."""
-    return SparsePoly.constant(1 if m.n_elements == 0 else 0, ())
-
-
 def n_ab(a, b):
     """The multiplicative function M -> a^rk(M) b^crk(M); values SparsePoly."""
 

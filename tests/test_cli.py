@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -175,6 +176,49 @@ def test_cli_cross_check_exception_is_a_failed_check(capsys, monkeypatch):
     assert {"name": "NonIntegral", "status": "fail", "detail": "chi of test is 1/2"} in rep["checks"]
 
 
+@pytest.mark.parametrize("axis", ["t", "u"])
+def test_cf_grid_above_degree_n_is_a_failed_identity(capsys, monkeypatch, axis):
+    # both oracles agree on Q_M(t, u) + axis^(n+1), so every count matches
+    # its character, but on a grid with n + 2 samples along axis they are
+    # not of degree <= n: a failed identity, exit 1, not a crash
+    import tautmat.invariants as inv
+    from tautmat.invariants import IdentityFailure, cf_check
+
+    m = uniform(2, 4)
+    n = m.n_elements - 1
+    real_twist, real_chis = inv.alpha_beta_twist, inv.euler_char_many
+    real_count = inv.GenPermutohedron.count_lattice_points
+    bumps = []
+
+    def bump(t, u):
+        return (t if axis == "t" else u) ** (n + 1)
+
+    def twist(n1, t, u):
+        bumps.append(bump(t, u))
+        return real_twist(n1, t, u)
+
+    def chis(classes, *, rng):
+        bumped = [v + b for v, b in zip(real_chis(classes, rng=rng), bumps)]
+        bumps.clear()
+        return bumped
+
+    def count(poly, limit=None):
+        # P(M) + t*nabla + u*Delta: rk({0}) = rk_M({0}) + u, rk(E) = r - t + u
+        u = poly.rk[1] - m.rank(1)
+        t = m.rank_value + u - poly.rk[poly.full_mask]
+        return real_count(poly, limit) + bump(t, u)
+
+    monkeypatch.setattr(inv, "alpha_beta_twist", twist)
+    monkeypatch.setattr(inv, "euler_char_many", chis)
+    monkeypatch.setattr(inv.GenPermutohedron, "count_lattice_points", count)
+    with pytest.raises(IdentityFailure, match=f"not of degree <= {n}"):
+        cf_check(m, **{f"{axis}_max": n + 1}, rng=random.Random(0))
+    code, out = run_cli(capsys, "cf", "uniform:2:4", f"--{axis}-range", str(n + 1))
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert failed == ["IdentityFailure"]
+
+
 def test_cli_fstutte_zeta_check_on_fano(capsys):
     # every Fink-Speyer class of the Fano plane by both Euler-characteristic routes
     code, out = run_cli(capsys, "fstutte", "fano", "--zeta-check")
@@ -204,8 +248,18 @@ def test_check_max_elements_5_stdout_is_pinned(capsys):
         (("fstutte", "fano"), "37b2c0e6cda04c789308364685b08da6ba6c54e9ee79087e611c723240b8a660"),
         (("fstutte", "nonfano"), "0d865777b5b50bc584fc029108bf325c7ef42c63766f8102d8d4b07fb15b35a5"),
         (("cf", "uniform_2_5"), "c7eb763c30608b98134495b4c4aaf515babb059a38ab42e5c72b62f029909aec"),
+        # a non-square grid: its extra samples in t verify the degree bound
+        (
+            ("cf", "uniform_2_4", "--t-range", "5", "--u-range", "4"),
+            "7412919fe93e303c44ea88df8c1727c26de25619088f290d4ec1bec98a500d72",
+        ),
+        (("ehrhart", "hypersimplex:2:4", "--c", "3"), "812f15eeabb0ac730f284d4f6500c0138f3ce819602325e9084996c3ab75e37a"),
+        (("gpoly", "fano"), "a4aa57a18f4f318c1ab66251ef34644d939f0e695f4b7e437d320ba5d6bb080e"),
     ],
-    ids=["csm-vamos", "bergman-vamos", "csm-fano", "fstutte-fano", "fstutte-nonfano", "cf-u25"],
+    ids=[
+        "csm-vamos", "bergman-vamos", "csm-fano", "fstutte-fano", "fstutte-nonfano", "cf-u25",
+        "cf-u24-t5-u4", "ehrhart-h24-c3", "gpoly-fano",
+    ],
 )
 def test_weight_stdout_is_pinned(capsys, argv, digest):
     # the ledger prints only pass/fail, not the weights or the polynomials

@@ -20,7 +20,6 @@ RAT_DIVISION_SITES = {
 RAT_NAME_SITES = {
     "poly.interpolate_univariate",
     "poly.psi_inverse",
-    "invariants.valuativity_demo",
     "rat.parse_rat",
 }
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from tautmat.engine import (
     integrate_graded,
     integrate_inhomogeneous,
     fixed_point_compatibility_check,
+    forward_differences,
     _class_sums,
     _extrapolate_back,
     _pairwise_diff_product,
@@ -393,6 +396,27 @@ def test_extrapolate_back_matches_lagrange(bound_coeffs, q0):
     samples = [(q0 + j, v) for j, v in enumerate(values)]
     expected = interpolate_univariate(samples, degree_bound).evaluate({"q": Rat(q0 - 1)})
     assert _extrapolate_back(values, degree_bound) == expected
+
+
+@given(
+    st.integers(0, 12).flatmap(
+        lambda d: st.tuples(
+            st.just(d), st.lists(st.integers(-10**6, 10**6), max_size=d + 1)
+        )
+    ),
+    st.integers(-6, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_forward_differences_are_newton_coefficients(bound_coeffs, q0):
+    # P(q0 + k) = sum_i binom(k, i) Delta^i P(q0) at every sample, verifying
+    # ones included: the coefficients in the binomial basis that cf_check
+    # reads Psi(Q_M) from
+    degree_bound, coeffs = bound_coeffs
+    values = _poly_values(coeffs, q0, degree_bound + 4)
+    diffs = forward_differences(values, degree_bound)
+    assert len(diffs) == degree_bound + 1
+    for k, v in enumerate(values):
+        assert sum(math.comb(k, i) * d for i, d in enumerate(diffs)) == v
 
 
 @given(

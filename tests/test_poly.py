@@ -32,17 +32,12 @@ def test_evaluate_rational_point():
     assert p.evaluate({"x": Rat(3, 2)}) == Rat(13, 4)
 
 
-def test_truncate_total_degree():
-    p = P(("x",), {(0,): 1, (1,): 1, (2,): 1})
-    assert p.truncate_total_degree(1) == P(("x",), {(0,): 1, (1,): 1})
-
-
 def test_variable_mismatch():
     p = P(("x",), {(1,): 1})
     with pytest.raises(VariableMismatch):
         p.evaluate({"y": Rat(1)})
     with pytest.raises(VariableMismatch):
-        p.coefficient_of("q", 1)
+        p.substitute("q", 1)
 
 
 def test_substitute_polynomial():

@@ -10,7 +10,6 @@ from tautmat.tutte import (
     char_polynomial,
     convolve,
     n_ab,
-    nu,
     t_transform,
     tutte_convolution,
     tutte_coranknullity,
@@ -47,6 +46,11 @@ def test_triple_agreement_and_t22(small_corpus, fano, vamos):
 def test_direct_sum_multiplies():
     m1, m2 = uniform(1, 2), uniform(2, 3)
     assert tutte_delcontr(m1.direct_sum(m2)) == tutte_delcontr(m1) * tutte_delcontr(m2)
+
+
+def nu(m):
+    """Identity of the minor convolution: 1 on the empty matroid, else 0."""
+    return SparsePoly.constant(1 if m.n_elements == 0 else 0, ())
 
 
 def test_convolution_identity_and_inverse_laws():
