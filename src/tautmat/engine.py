@@ -19,8 +19,10 @@ Three pushforward paths:
   Integer forward differences of the samples give its value at q = 1, and
   three extra samples verify the degree bound (their differences above it
   must vanish).  The exponent tables (permutation counts per denominator
-  shape, monomial exponents m.w per class key) are built once per call, so
-  a sample only evaluates powers of q.
+  shape, grouped by the shape's sorted magnitudes; shifted monomial
+  exponents per class key) are built once per call, so a sample only
+  evaluates powers of q, makes one big-integer division per magnitude
+  tuple and sums each partition of joint keys once for all classes.
 
 * a zeta route, the Chow-side Euler characteristic of a K-class: its
   zeta image is pushed forward along t = q*w; the integer samples at
@@ -364,14 +366,8 @@ def euler_char_many(kclasses, *, rng):
     atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms))
     slots = [tuple(atoms.index(a) for a in c.atoms) for c in kclasses]
     groups = _compress_orbits(atoms, ground, w)
-    njoints, rows, terms = _chi_tables(kclasses, slots, groups, w)
-    lows, bound = [], 0
-    for class_terms in terms:
-        es = [e for _, ts in class_terms for _, e in ts]
-        lo = min(es, default=0)
-        lows.append(lo)
-        bound = max(bound, max(es, default=0) - lo)
-    return _escalating(lambda d: _chi_interpolate(njoints, rows, terms, lows, w, d), bound)
+    tables, bound = _chi_tables(kclasses, slots, groups, w)
+    return _escalating(lambda d: _chi_interpolate(*tables, w, d), bound)
 
 
 def _compress_orbits(atoms, ground, w):
@@ -408,34 +404,55 @@ def _denom_shape(sigma, w):
 
 
 def _chi_tables(kclasses, slots, groups, w):
-    """The q-independent tables of the character sum: (njoints, rows, terms).
+    """The q-independent tables of the character sum, and the degree bound B.
 
-    Joint keys are numbered 0..njoints-1.  rows[shape] lists (joint, count)
-    for one denominator shape.  terms[c] lists, per distinct key of class c,
-    (the joints with that key, ((coefficient, m.w), ...)): the unshifted
-    exponent m.w of T^m along w, so any shift can be applied per sample.
+    Returns ((njoints, rows, parts, terms), B).  Joint keys are numbered
+    0..njoints-1.  rows[mags][q-power shift][joint] is the signed permutation
+    count of the denominator shapes with sorted magnitudes mags.  parts
+    lists the distinct tuples of joints that share one class key.  terms[c]
+    lists, per distinct key of class c, (its index in parts, ((coefficient,
+    m.w - lo_c), ...)) with monomials of equal exponent merged; lo_c and
+    hi_c are the least and largest m.w of class c, and B = max_c (hi_c - lo_c).
     """
     index = {}
     rows = {}
-    for (joint, shape), count in groups.items():
-        rows.setdefault(shape, []).append((index.setdefault(joint, len(index)), count))
+    for (joint, (sign, neg_pow, mags)), count in groups.items():
+        row = rows.setdefault(mags, {}).setdefault(neg_pow, {})
+        j = index.setdefault(joint, len(index))
+        row[j] = row.get(j, 0) + sign * count
+    parts = {}
     terms = []
+    bound = 0
     for cls, sl in zip(kclasses, slots):
         by_key = {}
         for joint, j in index.items():
             by_key.setdefault(tuple(joint[i] for i in sl), []).append(j)
-        terms.append([
-            (js, tuple((c, sum(x * y for x, y in zip(m, w))) for c, m in cls.monomials(key)))
+        class_terms = [
+            (parts.setdefault(tuple(js), len(parts)),
+             [(c, sum(x * y for x, y in zip(m, w))) for c, m in cls.monomials(key)])
             for key, js in by_key.items()
-        ])
-    return len(index), rows, terms
+        ]
+        es = [e for _, ts in class_terms for _, e in ts]
+        lo = min(es, default=0)
+        bound = max(bound, max(es, default=0) - lo)
+        for i, (p, ts) in enumerate(class_terms):
+            merged = {}
+            for c, e in ts:
+                merged[e - lo] = merged.get(e - lo, 0) + c
+            class_terms[i] = (p, tuple((c, e) for e, c in merged.items() if c))
+        terms.append(class_terms)
+    return (len(index), rows, list(parts), terms), bound
 
 
-def _chi_interpolate(njoints, rows, terms, lows, w, bound):
-    """chi of every class from its character times q^{-lows[c]} at q = 2, 3, ...
+def _chi_interpolate(njoints, rows, parts, terms, w, bound):
+    """chi of every class from its character times q^{-lo_c} at q = 2, 3, ...
 
     Takes bound + 4 samples, three of them verifying that each shifted
     character has degree <= bound, and reads every class off at q = 1.
+    Per sample, the quotient of the full denominator by a shape's is one
+    big-integer division per magnitude tuple, shared by every q-power
+    shift under it, and each joint partition is summed once for all
+    classes.
     """
     n_samples = bound + 1 + 3
     pair_mags = [abs(a - b) for a, b in itertools.combinations(w, 2)]
@@ -449,20 +466,23 @@ def _chi_interpolate(njoints, rows, terms, lows, w, bound):
         for mg in pair_mags:
             dq *= qpow[mg] - 1
         acc = [0] * njoints
-        for (sign, neg_pow, mags), row in rows.items():
+        for mags, shapes in rows.items():
             dd = 1
             for mg in mags:
                 dd *= qpow[mg] - 1
-            contrib = sign * qpow[neg_pow] * (dq // dd)
-            for j, count in row:
-                acc[j] += contrib * count
-        for class_terms, lo, class_samples in zip(terms, lows, samples):
+            quot = dq // dd
+            for neg_pow, row in shapes.items():
+                contrib = quot * qpow[neg_pow]
+                for j, count in row.items():
+                    acc[j] += contrib * count
+        psum = [sum([acc[j] for j in js]) for js in parts]
+        for class_terms, class_samples in zip(terms, samples):
             total = 0
-            for js, ts in class_terms:
+            for p, ts in class_terms:
                 v = 0
                 for coeff, e in ts:
-                    v += coeff * qpow[e - lo]
-                total += v * sum([acc[j] for j in js])
+                    v += coeff * qpow[e]
+                total += v * psum[p]
             num, rem = divmod(total, dq)
             if rem:
                 raise NonIntegral(

@@ -9,6 +9,7 @@ live here; support functions add under Minkowski sum.
 from __future__ import annotations
 
 import os
+from operator import sub
 
 from .matroid import Matroid
 
@@ -126,17 +127,23 @@ class GenPermutohedron:
     def count_lattice_points(self, limit=None):
         """Exact number of integer points, counted without listing them.
 
-        One depth-first walk over the coordinates scans the bounding box
-        intersected with the hyperplane sum x_i = rk(E), checks every facet
-        inequality <x, e_S> <= rk(S) incrementally (S ranging over the
-        subsets whose largest element is the coordinate just fixed), and
-        counts the leaves.
+        One depth-first walk fixes the coordinates 0..n-3 within the
+        bounding box intersected with the hyperplane sum x_i = rk(E),
+        checking every facet inequality <x, e_S> <= rk(S) incrementally (S
+        ranging over the subsets whose largest element is the coordinate
+        just fixed).  The last two coordinates a = n-2, b = n-1 are closed
+        as an interval: with x_a = v and x_b = remaining - v, the facets
+        whose largest element is a bound v above, those containing b but not
+        a bound it below, and those containing both do not depend on v.
         """
         check_guardrail(self.n_elements, limit)
         n = self.n_elements
         los, his = self.coordinate_bounds()
         if any(lo > hi for lo, hi in zip(los, his)):
             return 0
+        if n < 2:
+            # the hyperplane fixes the only coordinate, if any
+            return 1
         total = self.rk[self.full_mask]
         suf_lo = [0] * (n + 1)
         suf_hi = [0] * (n + 1)
@@ -145,10 +152,25 @@ class GenPermutohedron:
             suf_hi[i] = suf_hi[i + 1] + his[i]
         subsum = [0] * (1 << n)
         rk = self.rk
+        last = n - 2
+        bit_a = 1 << last
+        bit_b = bit_a << 1
+        # rk(m | a), rk(m | b), rk(m | a | b) for every m below a
+        rk_a = rk[bit_a : 2 * bit_a]
+        rk_b = rk[bit_b : bit_b + bit_a]
+        rk_ab = rk[bit_b + bit_a :]
+
+        def slack(table):
+            """min over m below a of rk(m | ...) - subsum[m]."""
+            return min(map(sub, table, subsum))
 
         def descend(i, remaining):
-            if i == n:
-                return 1
+            if i == last:
+                if remaining > slack(rk_ab):
+                    return 0
+                vlo = remaining - slack(rk_b)
+                vhi = slack(rk_a)
+                return max(0, vhi - vlo + 1)
             lo = max(los[i], remaining - suf_hi[i + 1])
             hi = min(his[i], remaining - suf_lo[i + 1])
             bit = 1 << i

@@ -185,16 +185,6 @@ class Matroid:
         labels = tuple(self.labels[i] for i in keep_bits)
         return Matroid(len(keep_bits), new_bases, labels=labels, validate=False)
 
-    def direct_sum(self, other: "Matroid"):
-        shift = self.n_elements
-        bases = [
-            b1 | (b2 << shift)
-            for b1 in self.bases
-            for b2 in other.bases
-        ]
-        n = self.n_elements + other.n_elements
-        return Matroid(n, bases, validate=False)
-
     def connected_components(self):
         """Finest partition of E into separators, sorted by minimum element.
 

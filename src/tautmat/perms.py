@@ -2,12 +2,11 @@
 
 The localization sums iterate over all (n+1)! permutations of the ground
 set.  For each permutation we need the greedy (lex-first) basis of one or
-more matroids.  Recomputing greedily per permutation is the reference
-implementation; the fast path enumerates permutations by inserting the
-largest element into permutations of the smaller ground set, where the
-greedy basis takes only two values along the insertion orbit, switching at
-a single position determined by the deletion/contraction bases.  Both are
-differential-tested against each other.
+more matroids.  Instead of recomputing it greedily per permutation (the
+tests' reference), permutations are enumerated by inserting the largest
+element into permutations of the smaller ground set, where the greedy basis
+takes only two values along the insertion orbit, switching at a single
+position determined by the deletion/contraction bases.
 """
 
 from __future__ import annotations
@@ -17,14 +16,6 @@ import itertools
 
 def all_perms(n_elements):
     return itertools.permutations(range(n_elements))
-
-def reversed_perm(sigma):
-    return tuple(reversed(tuple(sigma)))
-
-
-def naive_perm_bases(matroids, sigma):
-    """Reference: greedy basis of each matroid, recomputed from scratch."""
-    return tuple(m.lex_first_basis(sigma) for m in matroids)
 
 
 def iter_perm_bases(matroids):

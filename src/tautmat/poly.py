@@ -90,9 +90,6 @@ class SparsePoly:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def is_homogeneous(self, d=None):
         degs = {sum(e) for e in self.terms}
         if not degs:

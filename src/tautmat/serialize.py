@@ -61,10 +61,6 @@ def matroid_from_json(obj, validate=True) -> Matroid:
     raise ParseError(f"unknown matroid type {kind!r}")
 
 
-def flag_from_jsons(objs, validate=True) -> FlagMatroid:
-    return FlagMatroid([matroid_from_json(o, validate=validate) for o in objs])
-
-
 # -- generalized permutohedra --------------------------------------------------
 
 

@@ -10,10 +10,22 @@ from fractions import Fraction
 from tautmat.engine import sample_eval_point
 from tautmat.invariants import _factor_degree_poly
 from tautmat.kclass import restrict_to_chain, s_class
-from tautmat.matroid import bits, popcount
+from tautmat.matroid import Matroid, bits, popcount
 from tautmat.perms import all_perms
 from tautmat.poly import SparsePoly, interpolate_univariate
 from tautmat.tutte import beta_pair
+
+
+def naive_perm_bases(matroids, sigma):
+    """Greedy basis of each matroid at sigma, recomputed from scratch."""
+    return tuple(m.lex_first_basis(sigma) for m in matroids)
+
+
+def direct_sum(m1, m2):
+    """M1 + M2 on the ground set of M1 followed by that of M2."""
+    shift = m1.n_elements
+    bases = [b1 | (b2 << shift) for b1 in m1.bases for b2 in m2.bases]
+    return Matroid(m1.n_elements + m2.n_elements, bases, validate=False)
 
 
 def localization_denominator(sigma, tstar):
@@ -101,7 +113,7 @@ def direct_sum_check(m1, m2):
     the coordinate projection evaluates a factor class at the induced
     subpermutation.  Returns None on success, else the witnessing sigma.
     """
-    m = m1.direct_sum(m2)
+    m = direct_sum(m1, m2)
     s = s_class(m)
     n1, n2 = m1.n_elements, m2.n_elements
     mask1 = (1 << n1) - 1

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tautmat.genperm import (
     GenPermutohedron,
@@ -99,6 +101,41 @@ def test_lattice_points_match_brute_force():
         for _ in range(rng.randrange(0, 3)):
             q = q + rng.choice([simplex(n), simplex(n).negate(), base_polytope(uniform(1, n))])
         assert q.count_lattice_points() == len(brute_force_points(q))
+
+
+@st.composite
+def cf_grid_polytopes(draw):
+    """Minkowski sums of dilated P(U_{r,n}), Delta_S and -Delta on n = 1..5."""
+    n = draw(st.integers(1, 5))
+    summands = st.one_of(
+        st.integers(0, n).map(lambda r: base_polytope(uniform(r, n))),
+        st.integers(1, (1 << n) - 1).map(lambda s: simplex(n, s)),
+        st.just(simplex(n).negate()),
+    )
+    p = simplex(n).dilate(0)
+    for q, c in draw(st.lists(st.tuples(summands, st.integers(0, 2)), min_size=1, max_size=3)):
+        p = p + q.dilate(c)
+    return p
+
+
+@st.composite
+def raw_tables(draw):
+    """Arbitrary small tables, submodular or not: the count must still be exact."""
+    n = draw(st.integers(1, 4))
+    rk = draw(st.lists(st.integers(-1, 3), min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+    return GenPermutohedron(n, [0] + rk, validate=False)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(cf_grid_polytopes(), raw_tables()))
+@example(GenPermutohedron(0, [0]))
+@example(simplex(1).dilate(2))
+@example(simplex(2).negate().dilate(3))
+# not submodular: x_0 <= 0 but x_0 >= rk(E) - rk({1}) = 1, an empty box
+@example(GenPermutohedron(2, [0, 0, 0, 1], validate=False))
+@example(GenPermutohedron(3, [0, 1, 0, 0, 1, 1, 0, 2], validate=False))
+def test_lattice_count_matches_brute_force(p):
+    assert p.count_lattice_points() == len(brute_force_points(p))
 
 
 def test_guardrail():

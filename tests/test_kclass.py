@@ -28,6 +28,7 @@ from tautmat.rat import Rat
 
 from reference import (
     all_chains,
+    direct_sum,
     direct_sum_check,
     induced_subpermutation,
     zeta_monomial_value,
@@ -257,7 +258,7 @@ def test_direct_sum_check():
 def test_corrupted_direct_sum_detected():
     # a wrong factor pairing is caught by the per-permutation comparison
     assert direct_sum_check(uniform(1, 2), uniform(0, 1)) is None
-    m = uniform(1, 2).direct_sum(uniform(1, 1))
+    m = direct_sum(uniform(1, 2), uniform(1, 1))
     s = s_class(m)
     bad = {(-1, 0, 0): 1, (0, -1, 0): 1}
     assert s.at((0, 1, 2)) != bad
