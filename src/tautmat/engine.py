@@ -8,7 +8,8 @@ Three pushforward paths:
   fraction-free: every per-permutation denominator divides the product D
   of all pairwise coordinate differences, so integer numerators scaled by
   D are accumulated and one exact integer division (divmod) per
-  coefficient ends the sum.
+  coefficient ends the sum.  Both points share one walk over prefix sets
+  (`_prefix_sums`), and the factors are folded in per atom value.
 
 * a character path for Euler characteristics: restrict to a one-parameter
   subgroup T_i = q^{w_i} and sample each class's character, shifted by
@@ -24,15 +25,17 @@ Three pushforward paths:
   evaluates powers of q, makes one big-integer division per magnitude
   tuple and sums each partition of joint keys once for all classes.
 
-* a zeta route, the Chow-side Euler characteristic of a K-class: its
-  zeta image is pushed forward along t = q*w; the integer samples at
+* a zeta route, the Chow-side Euler characteristic of K-classes: their
+  zeta images are pushed forward along t = q*w; the integer samples at
   q = 1, 2, ... (one exact division each) are read off at q = 0 by the
-  same forward differences, with three verification samples.
+  same forward differences, with three verification samples per class.
 
-All three paths share one permutation scan, `_perm_keys`: the incremental
-permutation/greedy-basis enumerator of `perms` yields each permutation with
-the joint key of the atoms its integrand depends on, and the paths
-accumulate per key.  All computation is single-process.
+The graded path and the zeta route walk prefix sets: `_prefix_sums` sums
+over chains S_1 < ... < S_n, growing each atom's value one element at a
+time, so no permutation is enumerated.  Only the character path's
+`_compress_orbits` still enumerates permutations, through `_perm_keys` and
+the incremental permutation/greedy-basis enumerator of `perms`.  All
+computation is single-process.
 """
 
 from __future__ import annotations
@@ -208,8 +211,9 @@ def _expand_atom(atom):
 def integrate_graded(integrand: GradedIntegrand, *, rng):
     """Non-equivariant degrees of a graded class, as an integer polynomial.
 
-    The fixed-point sum runs at two independent generic points; each gives
-    integer numerators over the point's common denominator D'.  In order:
+    The fixed-point sum runs at two independent generic points, both in one
+    prefix-set walk; each gives integer numerators over the point's common
+    denominator D'.  In order:
     numerators of total degree below n = ground - 1 must vanish
     (SubDegreeNonzero), the two points must give the same rationals
     (GenericPointMismatch), and each degree-n numerator must divide by D'
@@ -219,7 +223,11 @@ def integrate_graded(integrand: GradedIntegrand, *, rng):
     target = ground - 1
     check_guardrail(ground)
     points = (sample_eval_point(ground, rng), sample_eval_point(ground, rng))
-    (num_a, d_a), (num_b, d_b) = (_graded_sum_fast(integrand, t, target) for t in points)
+    acc = _prefix_sums(integrand.atoms, ground, points)
+    (num_a, d_a), (num_b, d_b) = (
+        (_fold_factors(integrand, acc, i, t, target), _pairwise_diff_product(t))
+        for i, t in enumerate(points)
+    )
     for e in itertools.chain(num_a, num_b):
         if sum(e) < target:
             raise SubDegreeNonzero(
@@ -246,93 +254,126 @@ def _pairwise_diff_product(tstar):
     return d
 
 
-def _graded_sum_fast(integrand, tstar, cap):
-    """Integer numerators of the graded sum at tstar, and their denominator D'.
+def _prefix_sums(atoms, ground, points):
+    """acc[joint atom key] = [sum of D'(t)/d_sigma(t) over matching sigma, per point t].
 
-    The sum up to total degree cap is {e: num[e] / D'}; zero numerators are
-    dropped.
+    d_sigma(t) is the product of adjacent differences t_sigma(i) -
+    t_sigma(i+1) and D'(t) = _pairwise_diff_product(t).  A permutation is a
+    chain of prefix sets, so the sum is a walk over prefix sets S, one size
+    at a time.  A state is (S, last element, atom values on the prefix) and
+    holds sum D'/d_prefix per point; appending e divides every term
+    exactly, since a permutation's adjacent pairs are distinct and D' holds
+    every pair.  Appending e to S adds rk(S + e) - rk(S) to coordinate e of
+    a vmax vertex, and of a greedy basis (rk the matroid rank); vmin is vmax
+    of rk'(S) = rk(E) - rk(E - S).  first is set at the start, and kept
+    only if an atom reads it.  All of a state but last is one packed int:
+    S in the low bits, then a field per atom, each step OR-ing in one
+    tabulated delta[S][e].
     """
-    dprime = _pairwise_diff_product(tstar)
-    acc = _class_sums(integrand.atoms, integrand.ground, tstar, dprime)
-    vars = integrand.vars
-    vidx = {v: i for i, v in enumerate(vars)}
-    nvars = len(vars)
-    zero = (0,) * nvars
-    state = {key: {zero: v} for key, v in acc.items() if v}
-    layout = list(integrand.atoms)
-    remaining = list(integrand.factors)
-    for fi, factor in enumerate(remaining):
-        needed = set()
-        for g in remaining[fi + 1 :]:
-            needed.update(_expand_atom(g.atom))
-        keep = [i for i, a in enumerate(layout) if a in needed]
-        if factor.atom[0] == "pair":
-            fslot = tuple(layout.index(a) for a in factor.atom[1:])
-            fkey_of = lambda key, fs=fslot: tuple(key[i] for i in fs)
+    full = (1 << ground) - 1
+    delta = [[1 << e for e in range(ground)] for _ in range(full + 1)]
+    decode = []
+    off = ground
+    for a in atoms:
+        kind = a[0]
+        if kind == "last":
+            decode.append(lambda p, last: last)
+            continue
+        lo, width = 0, 1
+        if kind == "first":
+            for e in range(ground):
+                delta[0][e] |= e << off
         else:
-            fslot = layout.index(factor.atom)
-            fkey_of = lambda key, fs=fslot: key[fs]
-        vpos = vidx[factor.var]
+            rk = [a[1].rank(s) for s in range(full + 1)] if kind == "basis" else a[1].rk
+            if kind == "vmin":
+                rk = [rk[full] - rk[full ^ s] for s in range(full + 1)]
+            incs = {
+                (s, e): rk[s | 1 << e] - rk[s] for s in range(full + 1) for e in bits(full ^ s)
+            }
+            if kind != "basis":
+                lo = min(incs.values())
+                width = (max(incs.values()) - lo).bit_length() or 1
+            for (s, e), v in incs.items():
+                delta[s][e] |= (v - lo) << (off + width * e)
+        decode.append(
+            (lambda p, last, o=off: (p >> o) & full) if kind in ("basis", "first")
+            else lambda p, last, o=off, w=width, lo=lo: tuple(
+                ((p >> (o + w * e)) & ((1 << w) - 1)) + lo for e in range(ground)
+            )
+        )
+        off += width * ground
+    frees = [list(bits(full ^ s)) for s in range(full + 1)]
+    diffs = [[tuple(t[a] - t[b] for t in points) for b in range(ground)] for a in range(ground)]
+    dprimes = [_pairwise_diff_product(t) for t in points]
+    lb = ground.bit_length()
+    lmask = (1 << lb) - 1
+    level = {delta[0][e] << lb | e: dprimes for e in range(ground)}
+    for _ in range(ground - 1):
+        nxt = {}
+        for key, vals in level.items():
+            packed, dl = key >> lb, diffs[key & lmask]
+            row = delta[packed & full]
+            for e in frees[packed & full]:
+                k2 = (packed | row[e]) << lb | e
+                cur = nxt.get(k2)
+                if cur is None:
+                    nxt[k2] = [v // d for v, d in zip(vals, dl[e])]
+                else:
+                    for i, d in enumerate(dl[e]):
+                        cur[i] += vals[i] // d
+        level = nxt
+    acc = {}
+    for key, vals in level.items():
+        jk = tuple(f(key >> lb, key & lmask) for f in decode)
+        cur = acc.get(jk)
+        acc[jk] = vals if cur is None else [a + b for a, b in zip(cur, vals)]
+    return acc
+
+
+def _fold_factors(integrand, acc, slot, tstar, cap):
+    """Integer numerators {exponent: num} of the graded sum at tstar, up to total degree cap.
+
+    acc[joint key][slot] is the class sum at tstar.  Factors are multiplied
+    in one at a time, each key projected afterwards onto the atoms later
+    factors read.  A factor's poly is tabulated once per distinct atom
+    value, and an exponent vector is one packed int: a field of
+    cap.bit_length() bits per variable and the total degree in the top
+    field, so a term is kept iff the packed sum is below (cap + 1) << top.
+    """
+    vidx = {v: i for i, v in enumerate(integrand.vars)}
+    width = max(cap.bit_length(), 1)
+    top = width * len(vidx)
+    limit = (cap + 1) << top
+    state = {key: {0: vals[slot]} for key, vals in acc.items() if vals[slot]}
+    layout = list(integrand.atoms)
+    factors = integrand.factors
+    for fi, factor in enumerate(factors):
+        needed = {a for g in factors[fi + 1 :] for a in _expand_atom(g.atom)}
+        keep = [i for i, a in enumerate(layout) if a in needed]
+        fslots = [layout.index(a) for a in _expand_atom(factor.atom)]
+        pair = factor.atom[0] == "pair"
+        unit = (1 << width * vidx[factor.var]) + (1 << top)
+        table = {}
         new_state = {}
         for key, poly in state.items():
-            fp = factor.poly(fkey_of(key), tstar)
-            pkey = tuple(key[i] for i in keep)
-            tgt = new_state.setdefault(pkey, {})
+            fk = tuple(key[i] for i in fslots) if pair else key[fslots[0]]
+            fp = table.get(fk)
+            if fp is None:
+                fp = table[fk] = [(k * unit, c) for k, c in factor.poly(fk, tstar).items() if c]
+            tgt = new_state.setdefault(tuple(key[i] for i in keep), {})
             for e, c in poly.items():
-                deg = sum(e)
-                for k, fc in fp.items():
-                    if deg + k > cap:
-                        continue
-                    e2 = list(e)
-                    e2[vpos] += k
-                    e2 = tuple(e2)
-                    s = tgt.get(e2, 0) + c * fc
-                    if s:
-                        tgt[e2] = s
-                    elif e2 in tgt:
-                        del tgt[e2]
+                for de, fc in fp:
+                    e2 = e + de
+                    if e2 < limit:
+                        tgt[e2] = tgt.get(e2, 0) + c * fc
         state = new_state
         layout = [layout[i] for i in keep]
-    out = {}
-    for poly in state.values():
-        for e, c in poly.items():
-            out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}, dprime
-
-
-def _perm_keys(atoms, ground):
-    """Yields (sigma, joint atom key) for every permutation of range(ground).
-
-    key[i] is the value of atoms[i] at sigma: greedy bases come from the
-    incremental enumerator, every other atom is read off sigma.
-    """
-    bslots = [i for i, a in enumerate(atoms) if a[0] == "basis"]
-    other = [(i, a) for i, a in enumerate(atoms) if a[0] != "basis"]
-    if bslots:
-        iterator = iter_perm_bases([atoms[i][1] for i in bslots])
-    else:
-        iterator = ((s, ()) for s in all_perms(ground))
-    key_buf = [None] * len(atoms)
-    for sigma, bvec in iterator:
-        for s, bmask in zip(bslots, bvec):
-            key_buf[s] = bmask
-        for i, a in other:
-            key_buf[i] = atom_value(a, sigma)
-        yield sigma, tuple(key_buf)
-
-
-def _class_sums(atoms, ground, tstar, dprime):
-    """acc[joint atom key] = sum over matching permutations of dprime/denominator."""
-    acc = {}
-    for sigma, key in _perm_keys(atoms, ground):
-        d = 1
-        prev = tstar[sigma[0]]
-        for e in sigma[1:]:
-            cur = tstar[e]
-            d *= prev - cur
-            prev = cur
-        acc[key] = acc.get(key, 0) + dprime // d
-    return acc
+    # every atom is folded away: one key () is left, unless every sum was 0
+    mask = (1 << width) - 1
+    return {
+        tuple((e >> width * i) & mask for i in range(len(vidx))): c
+        for e, c in state.get((), {}).items() if c
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +409,27 @@ def euler_char_many(kclasses, *, rng):
     groups = _compress_orbits(atoms, ground, w)
     tables, bound = _chi_tables(kclasses, slots, groups, w)
     return _escalating(lambda d: _chi_interpolate(*tables, w, d), bound)
+
+
+def _perm_keys(atoms, ground):
+    """Yields (sigma, joint atom key) for every permutation of range(ground).
+
+    key[i] is the value of atoms[i] at sigma: greedy bases come from the
+    incremental enumerator, every other atom is read off sigma.
+    """
+    bslots = [i for i, a in enumerate(atoms) if a[0] == "basis"]
+    other = [(i, a) for i, a in enumerate(atoms) if a[0] != "basis"]
+    if bslots:
+        iterator = iter_perm_bases([atoms[i][1] for i in bslots])
+    else:
+        iterator = ((s, ()) for s in all_perms(ground))
+    key_buf = [None] * len(atoms)
+    for sigma, bvec in iterator:
+        for s, bmask in zip(bslots, bvec):
+            key_buf[s] = bmask
+        for i, a in other:
+            key_buf[i] = atom_value(a, sigma)
+        yield sigma, tuple(key_buf)
 
 
 def _compress_orbits(atoms, ground, w):
@@ -538,8 +600,8 @@ def _escalating(read_off, bound):
 # ---------------------------------------------------------------------------
 
 
-def integrate_inhomogeneous(kcls: KClassLoc, *, rng):
-    """chi of a K-class as the Chow-side pushforward of its zeta image at t = 0.
+def integrate_inhomogeneous(kclasses, *, rng):
+    """chi of K-classes on one ground set: Chow-side pushforwards of zeta images at t = 0.
 
     zeta substitutes T_i -> 1 + t_i; the image times the total Chern class
     prod_{i != sigma(n)} (1 + t_i) of the corank-one tautological dual and
@@ -547,42 +609,54 @@ def integrate_inhomogeneous(kcls: KClassLoc, *, rng):
     point.  Along t = q*w (w a shuffle of 1..n+1, so no 1 + t_i vanishes)
     the denominator is q^n times the adjacent w-differences, and the scaled
     pushforward is an integer polynomial in q of degree at most
-    pole*(n+1) plus the largest monomial degree.  One class-sum scan over
-    (class key, last element) gives its integer samples at q = 1, 2, ... by
-    exact division; forward differences read off q = 0.
+    pole*(n+1) plus the largest monomial degree.  One prefix-set walk over
+    the union of the classes' atoms and the last element, at one drawn w,
+    serves every class; each gets its integer samples at q = 1, 2, ... by
+    exact division, and forward differences read off q = 0.
     """
-    ground = kcls.ground
+    ground = kclasses[0].ground
+    if any(c.ground != ground for c in kclasses):
+        raise ValueError("classes on different ground sets")
     w = tuple(x + 1 for x in sample_weight(ground, rng))
     dprime = _pairwise_diff_product(w)
-    acc = _class_sums(kcls.atoms + (("last",),), ground, w, dprime)
-    # terms[e] = coefficient of prod_i (1 + t_i)^(e_i + pole) in the numerator:
-    # the zeta monomial and one Chern factor for every i but sigma(n)
-    terms = {}
-    pole = posdeg = 0
-    for key, a in acc.items():
-        last = key[-1]
-        for c, mono in kcls.monomials(key[:-1]):
-            pole = max(pole, sum(-x for x in mono if x < 0))
-            posdeg = max(posdeg, sum(mono))
-            e = tuple(x + (i != last) for i, x in enumerate(mono))
-            terms[e] = terms.get(e, 0) + a * c
+    atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms) + (("last",),))
+    acc = _prefix_sums(atoms, ground, (w,))
+    out = []
+    for kcls in kclasses:
+        sl = tuple(atoms.index(a) for a in kcls.atoms + (("last",),))
+        # terms[e] = coefficient of prod_i (1 + t_i)^(e_i + pole) in the numerator:
+        # the zeta monomial and one Chern factor for every i but sigma(n)
+        terms = {}
+        pole = posdeg = 0
+        sums = {}
+        for joint, (a,) in acc.items():
+            key = tuple(joint[i] for i in sl)
+            sums[key] = sums.get(key, 0) + a
+        for key, a in sums.items():
+            last = key[-1]
+            for c, mono in kcls.monomials(key[:-1]):
+                pole = max(pole, sum(-x for x in mono if x < 0))
+                posdeg = max(posdeg, sum(mono))
+                e = tuple(x + (i != last) for i, x in enumerate(mono))
+                terms[e] = terms.get(e, 0) + a * c
 
-    def sample(q):
-        bases = [1 + q * wi for wi in w]
-        num = 0
-        for e, c in terms.items():
-            for b, x in zip(bases, e):
-                c *= b ** (x + pole)
-            num += c
-        val, rem = divmod(num, q ** (ground - 1) * dprime)
-        if rem:
-            raise NonIntegral(f"zeta pushforward of {kcls.name} at q={q} is not an integer")
-        return val
+        def sample(q):
+            bases = [1 + q * wi for wi in w]
+            num = 0
+            for e, c in terms.items():
+                for b, x in zip(bases, e):
+                    c *= b ** (x + pole)
+                num += c
+            val, rem = divmod(num, q ** (ground - 1) * dprime)
+            if rem:
+                raise NonIntegral(f"zeta pushforward of {kcls.name} at q={q} is not an integer")
+            return val
 
-    def read_off(bound):
-        return _extrapolate_back([sample(q) for q in range(1, bound + 5)], bound)
+        def read_off(bound):
+            return _extrapolate_back([sample(q) for q in range(1, bound + 5)], bound)
 
-    return _escalating(read_off, pole * ground + posdeg)
+        out.append(_escalating(read_off, pole * ground + posdeg))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -303,7 +303,7 @@ def chi_via_zeta(kcls: KClassLoc, *, rng):
     the corank-one tautological dual is pushed forward with the Chow-side
     localization formula; the value at t = 0 is the Euler characteristic.
     """
-    return integrate_inhomogeneous(kcls, rng=rng)
+    return integrate_inhomogeneous([kcls], rng=rng)[0]
 
 
 def chi_both_routes(kcls: KClassLoc, *, rng):
@@ -354,8 +354,8 @@ def fs_tutte(m: Matroid, *, rng, jobs=1, zeta_check=False) -> SparsePoly:
     pairs = sorted(classes)
     chis = euler_char_many([classes[p] for p in pairs], rng=rng)
     if zeta_check:
-        for p, chi in zip(pairs, chis):
-            zz = chi_via_zeta(classes[p], rng=rng)
+        zetas = integrate_inhomogeneous([classes[p] for p in pairs], rng=rng)
+        for p, chi, zz in zip(pairs, chis, zetas):
             if zz != chi:
                 raise ChiRouteMismatch(f"fs class {p}: chi {chi} vs zeta {zz}")
     u1 = SparsePoly(("u", "v"), {(1, 0): 1, (0, 0): -1})

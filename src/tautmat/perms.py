@@ -1,12 +1,14 @@
 """Permutation enumeration with incremental greedy-basis maintenance.
 
-The localization sums iterate over all (n+1)! permutations of the ground
-set.  For each permutation we need the greedy (lex-first) basis of one or
-more matroids.  Instead of recomputing it greedily per permutation (the
-tests' reference), permutations are enumerated by inserting the largest
-element into permutations of the smaller ground set, where the greedy basis
-takes only two values along the insertion orbit, switching at a single
-position determined by the deletion/contraction bases.
+The character path's localization sum (`engine._compress_orbits`) iterates
+over all (n+1)! permutations of the ground set; the graded path and the
+zeta route walk prefix sets instead (`engine._prefix_sums`).  For each
+permutation we need the greedy (lex-first) basis of one or more matroids.
+Instead of recomputing it greedily per permutation (the tests' reference),
+permutations are enumerated by inserting the largest element into
+permutations of the smaller ground set, where the greedy basis takes only
+two values along the insertion orbit, switching at a single position
+determined by the deletion/contraction bases.
 """
 
 from __future__ import annotations

@@ -209,26 +209,29 @@ class SparsePoly:
         return acc
 
     def substitute(self, name, value):
-        """Substitute a polynomial or scalar for one variable."""
+        """Substitute a polynomial or scalar for one variable.
+
+        One pass: each power of the value is computed once, and every term
+        times its power is accumulated into one dict.
+        """
         i = self._var_index(name)
         if not isinstance(value, SparsePoly):
             value = SparsePoly.constant(value, ())
-        rest = tuple(v for v in self.vars if v != name)
-        vv = merge_vars(rest, value.vars)
-        out = SparsePoly.zero(vv)
-        powers = {0: SparsePoly.constant(1, vv)}
+        vv = merge_vars(tuple(v for v in self.vars if v != name), value.vars)
         val = value.with_vars(vv) if value.vars != vv else value
+        pos = [vv.index(v) for v in self.vars if v != name]
+        powers = [SparsePoly.constant(1, vv)]
+        out = {}
         for e, c in sorted(self.terms.items()):
-            k = e[i]
-            if k not in powers:
-                p = powers[max(powers)]
-                for _ in range(max(powers), k):
-                    p = p * val
-                    powers[max(powers) + 1] = p
-            rest_exp = tuple(x for j, x in enumerate(e) if j != i)
-            mono = SparsePoly(rest, {rest_exp: c}).with_vars(vv)
-            out = out + mono * powers[k]
-        return out
+            while len(powers) <= e[i]:
+                powers.append(powers[-1] * val)
+            base = [0] * len(vv)
+            for p, x in zip(pos, e[:i] + e[i + 1 :]):
+                base[p] = x
+            for pe, pc in powers[e[i]].terms.items():
+                e2 = tuple(a + b for a, b in zip(base, pe))
+                out[e2] = out.get(e2, 0) + c * pc
+        return SparsePoly(vv, out)
 
     def coeff(self, exp):
         """Coefficient of one monomial, given as an exponent tuple."""

@@ -7,7 +7,7 @@ library computes by a faster route, so the tests can compare the two.
 import math
 from fractions import Fraction
 
-from tautmat.engine import sample_eval_point
+from tautmat.engine import _perm_keys, sample_eval_point
 from tautmat.invariants import _factor_degree_poly
 from tautmat.kclass import restrict_to_chain, s_class
 from tautmat.matroid import Matroid, bits, popcount
@@ -34,6 +34,18 @@ def localization_denominator(sigma, tstar):
     for a, b in zip(sigma, sigma[1:]):
         d *= tstar[a] - tstar[b]
     return d
+
+
+def scan_class_sums(atoms, ground, tstar, dprime):
+    """acc[joint atom key] = sum over matching permutations of dprime/denominator.
+
+    The oracle for `engine._prefix_sums`: one pass over all permutations
+    with their atom keys, each term divided out on its own.
+    """
+    acc = {}
+    for sigma, key in _perm_keys(atoms, ground):
+        acc[key] = acc.get(key, 0) + dprime // localization_denominator(sigma, tstar)
+    return acc
 
 
 def graded_reference(ev, ground, formal_vars, *, rng):

@@ -256,10 +256,14 @@ def test_check_max_elements_5_stdout_is_pinned(capsys):
         ),
         (("ehrhart", "hypersimplex:2:4", "--c", "3"), "812f15eeabb0ac730f284d4f6500c0138f3ce819602325e9084996c3ab75e37a"),
         (("gpoly", "fano"), "a4aa57a18f4f318c1ab66251ef34644d939f0e695f4b7e437d320ba5d6bb080e"),
+        (("tautdeg", "vamos"), "c5f9037b548f65a7b3b6e1cea44ed45e53acb80d8f9ae37a74022bb2f4c88cef"),
+        (("gpoly", "vamos"), "34c8a221f7cbce9f2407aa663527f36384110b1dc8d37054396cfd8647ecbd22"),
+        (("fstutte", "fano", "--zeta-check"), "5aa43c40fd2a8d7d42ff78e3a8d8449de6b241f0aeb5d018a2543cc8b2e4f9b7"),
     ],
     ids=[
         "csm-vamos", "bergman-vamos", "csm-fano", "fstutte-fano", "fstutte-nonfano", "cf-u25",
-        "cf-u24-t5-u4", "ehrhart-h24-c3", "gpoly-fano",
+        "cf-u24-t5-u4", "ehrhart-h24-c3", "gpoly-fano", "tautdeg-vamos", "gpoly-vamos",
+        "fstutte-fano-zeta",
     ],
 )
 def test_weight_stdout_is_pinned(capsys, argv, digest):

@@ -24,10 +24,10 @@ from tautmat.engine import (
     integrate_inhomogeneous,
     fixed_point_compatibility_check,
     forward_differences,
-    _class_sums,
     _extrapolate_back,
     _pairwise_diff_product,
     _perm_keys,
+    _prefix_sums,
 )
 from tautmat.kclass import (
     KClassLoc,
@@ -197,7 +197,7 @@ def test_partition_independence(rng, fano):
     for sigma in all_perms(7):
         key = tuple(atom_value(a, sigma) for a in integrand.atoms)
         naive[key] = naive.get(key, 0) + d // localization_denominator(sigma, tstar)
-    assert _class_sums(integrand.atoms, 7, tstar, d) == naive
+    assert _prefix_sums(integrand.atoms, 7, [tstar]) == {k: [v] for k, v in naive.items()}
 
 
 def test_factor_values_at_literal_points():
@@ -494,7 +494,40 @@ def test_integrate_inhomogeneous_matches_per_permutation_reference(rng, u24):
     # ground 1 is the single fixed point with empty products
     classes = [structure_sheaf(n1) for n1 in (1, 2, 3)] + list(fs_classes(u24).values())
     for cls in classes:
-        assert integrate_inhomogeneous(cls, rng=rng) == _zeta_reference(cls)
+        assert integrate_inhomogeneous([cls], rng=rng) == [_zeta_reference(cls)]
+
+
+def test_integrate_inhomogeneous_batch_matches_per_class_reference(rng, u24):
+    # one walk over the union of the atoms (basis, vmin, first, last) serves
+    # every class, each read off with its own degree bound
+    classes = [
+        structure_sheaf(4),
+        line_bundle(base_polytope(u24)),
+        alpha_beta_twist(4, 1, 2),
+        *fs_classes(u24).values(),
+    ]
+    assert integrate_inhomogeneous(classes, rng=rng) == [_zeta_reference(c) for c in classes]
+    with pytest.raises(ValueError):
+        integrate_inhomogeneous([structure_sheaf(3), structure_sheaf(4)], rng=rng)
+
+
+def test_zeta_check_makes_one_walk(rng, monkeypatch):
+    # fs_tutte's zeta cross-check batches every class into one walk, and the
+    # character path is then the only permutation scan
+    counts = {"walk": 0, "scan": 0}
+    walk, scan = tautmat.engine._prefix_sums, tautmat.engine._perm_keys
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(tautmat.engine, "_prefix_sums", counting("walk", walk))
+    monkeypatch.setattr(tautmat.engine, "_perm_keys", counting("scan", scan))
+    fs_tutte(uniform(2, 4), rng=rng, zeta_check=True)
+    assert counts == {"walk": 1, "scan": 1}
 
 
 def test_integrate_inhomogeneous_escalation_fails_cleanly(rng, monkeypatch):
@@ -507,9 +540,24 @@ def test_integrate_inhomogeneous_escalation_fails_cleanly(rng, monkeypatch):
 
     monkeypatch.setattr(tautmat.engine, "_extrapolate_back", inconsistent)
     with pytest.raises(InterpolationInconsistent):
-        integrate_inhomogeneous(line_bundle(simplex(2)), rng=rng)
+        integrate_inhomogeneous([line_bundle(simplex(2))], rng=rng)
     # T_{sigma(1)}^{-1} on P^1: pole 1 on two coordinates, bound 2, then 2*2 + 1
     assert bounds == [2, 5]
+
+
+def test_integrate_inhomogeneous_bounds_each_class(rng, monkeypatch):
+    # a batch reads each class off at its own degree bound
+    bounds = []
+    real = tautmat.engine._extrapolate_back
+
+    def recording(values, degree_bound):
+        bounds.append(degree_bound)
+        return real(values, degree_bound)
+
+    monkeypatch.setattr(tautmat.engine, "_extrapolate_back", recording)
+    got = integrate_inhomogeneous([line_bundle(simplex(2)), structure_sheaf(2)], rng=rng)
+    assert got == [_zeta_reference(line_bundle(simplex(2))), 1]
+    assert bounds == [2, 0]
 
 
 def _corrupted_s_class(m):
@@ -543,3 +591,6 @@ def test_zeta_route_rejects_non_gkm_class(rng, u24):
     # a class failing the fixed-point congruences has no integral pushforward
     with pytest.raises(NonIntegral):
         chi_via_zeta(_corrupted_s_class(u24), rng=rng)
+    # in a batch, the bad class still fails its own integrality check
+    with pytest.raises(NonIntegral):
+        integrate_inhomogeneous([s_class(u24), _corrupted_s_class(u24)], rng=rng)

@@ -116,6 +116,18 @@ def test_int_and_rat_coefficients_are_interchangeable(a, b, c):
     assert all(type(k) is int for k in int_result.terms.values())
 
 
+@given(int_polys(("x", "y", "z")), int_polys(("x", "w")), st.integers(-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_substitute_matches_term_by_term_sum(p, c, k):
+    # the one-pass substitution against the sum of monomial * value^e_x,
+    # for a value that holds the substituted variable itself and for a scalar
+    for value in (c, k):
+        expect = SparsePoly.zero(("y", "z"))
+        for e, coeff in p.terms.items():
+            expect = expect + SparsePoly(("y", "z"), {e[1:]: coeff}) * value ** e[0]
+        assert p.substitute("x", value) == expect
+
+
 # -- interpolation -----------------------------------------------------------
 
 

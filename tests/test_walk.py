@@ -1,0 +1,132 @@
+"""The prefix-set walk of the graded path and the zeta route against the
+permutation scan, on random sparse paving and graphic matroids and their
+duals."""
+
+import itertools
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tautmat.engine import (
+    GradedIntegrand,
+    _pairwise_diff_product,
+    _power_series,
+    _prefix_sums,
+    alpha_series,
+    beta_series,
+    chern_series,
+    integrate_graded,
+    sample_eval_point,
+)
+from tautmat.genperm import base_polytope, simplex
+from tautmat.kclass import atom_value
+from tautmat.matroid import Matroid, graphic, mask_of
+from tautmat.poly import SparsePoly
+
+from reference import graded_reference, scan_class_sums
+
+
+@st.composite
+def sparse_paving(draw):
+    """U_{r,n} minus r-subsets that pairwise share at most r - 2 elements."""
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(0, n))
+    combos = list(itertools.combinations(range(n), r))
+    removed = []
+    if len(combos) > 1:
+        for c in draw(st.lists(st.sampled_from(combos), max_size=5)):
+            if all(len(set(c) & set(f)) <= r - 2 for f in removed):
+                removed.append(c)
+    return Matroid(n, [mask_of(c) for c in combos if c not in removed])
+
+
+@st.composite
+def graphic_matroids(draw):
+    nv = draw(st.integers(1, 4))
+    vertex = st.integers(0, nv - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=6))
+    return graphic(edges, nv)
+
+
+@st.composite
+def small_matroids(draw):
+    m = draw(st.one_of(sparse_paving(), graphic_matroids()))
+    return m.dual() if draw(st.booleans()) else m
+
+
+def _atom_pool(m):
+    p = base_polytope(m)
+    return [
+        ("basis", m), ("basis", m.dual()), ("first",), ("last",),
+        ("vmin", p), ("vmax", p), ("vmax", p + simplex(m.n_elements)),
+    ]
+
+
+@given(small_matroids(), st.data(), st.integers(0, 2**16), st.integers(1, 2))
+@settings(max_examples=80, deadline=None)
+def test_walk_matches_scan(m, data, seed, npoints):
+    pool = _atom_pool(m)
+    picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=4,
+                               unique=True))
+    atoms = tuple(pool[i] for i in picks)
+    n = m.n_elements
+    rng = random.Random(seed)
+    points = [sample_eval_point(n, rng) for _ in range(npoints)]
+    scans = [scan_class_sums(atoms, n, t, _pairwise_diff_product(t)) for t in points]
+    assert _prefix_sums(atoms, n, points) == {k: [s[k] for s in scans] for k in scans[0]}
+
+
+def _integrand_at(integrand, sigma, tstar):
+    """The integrand's value at one fixed point, atoms read off sigma."""
+    vars = integrand.vars
+    out = SparsePoly.constant(1, vars)
+    for f in integrand.factors:
+        if f.atom[0] == "pair":
+            key = tuple(atom_value(a, sigma) for a in f.atom[1:])
+        else:
+            key = atom_value(f.atom, sigma)
+        terms = {
+            tuple(k if v == f.var else 0 for v in vars): c for k, c in f.poly(key, tstar).items()
+        }
+        out = out * SparsePoly(vars, terms)
+    return out
+
+
+def _vertex_series(var, cap, atom):
+    """1 + (m.t) v + ... + (m.t)^cap v^cap for the vertex m an atom reads."""
+    return _power_series(var, cap, atom, lambda m, t: sum(x * y for x, y in zip(m, t)))
+
+
+@given(small_matroids(), st.data(), st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_integrate_graded_matches_reference(m, data, seed):
+    n = m.n_elements
+    p = base_polytope(m)
+    pool = [
+        chern_series(("sdual", m), "z"),
+        chern_series(("q", m), "w"),
+        beta_series("y", n - 1),
+        alpha_series("x", n - 1),
+        _vertex_series("u", n - 1, ("vmax", p)),
+        _vertex_series("v", n - 1, ("vmin", p + simplex(n))),
+    ]
+    picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=3,
+                               unique=True))
+    integrand = GradedIntegrand(n, [pool[i] for i in sorted(picks)])
+    got = integrate_graded(integrand, rng=random.Random(seed))
+    ref = graded_reference(
+        lambda sigma, t: _integrand_at(integrand, sigma, t), n, integrand.vars,
+        rng=random.Random(seed),
+    )
+    assert got == ref
+
+
+def test_walk_reads_first_only_when_asked():
+    # a state carries first only if an atom reads it: with ("last",) alone,
+    # keys are last elements, summed over every first
+    t = (3, 8, 1, 6)
+    d = _pairwise_diff_product(t)
+    scan = scan_class_sums((("last",),), 4, t, d)
+    assert _prefix_sums((("last",),), 4, [t]) == {k: [v] for k, v in scan.items()}
+    assert _prefix_sums((), 4, [t]) == {(): [sum(scan.values())]}
