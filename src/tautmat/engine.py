@@ -19,33 +19,31 @@ Three pushforward paths:
   at q -> 0 and <= hi_c at q -> oo, and their sum is a Laurent polynomial.
   Integer forward differences of the samples give its value at q = 1, and
   three extra samples verify the degree bound (their differences above it
-  must vanish).  The exponent tables (permutation counts per denominator
-  shape, grouped by the shape's sorted magnitudes; shifted monomial
-  exponents per class key) are built once per call, so a sample only
-  evaluates powers of q, makes one big-integer division per magnitude
-  tuple and sums each partition of joint keys once for all classes.
+  must vanish).  One walk carries an integer slot per sample q, scaled by
+  dq = prod_{a<b} (q^|w_a - w_b| - 1); the shifted monomial exponents per
+  class key are tabulated once per call, so a sample only sums each
+  partition of joint keys once for all classes and evaluates powers of q.
 
 * a zeta route, the Chow-side Euler characteristic of K-classes: their
   zeta images are pushed forward along t = q*w; the integer samples at
   q = 1, 2, ... (one exact division each) are read off at q = 0 by the
   same forward differences, with three verification samples per class.
 
-The graded path and the zeta route walk prefix sets: `_prefix_sums` sums
-over chains S_1 < ... < S_n, growing each atom's value one element at a
-time, so no permutation is enumerated.  Only the character path's
-`_compress_orbits` still enumerates permutations, through `_perm_keys` and
-the incremental permutation/greedy-basis enumerator of `perms`.  All
-computation is single-process.
+All three walk prefix sets: `_prefix_sums` sums over chains S_1 < ... <
+S_n, growing each atom's value one element at a time and stepping each
+slot's integer value v -> v // d * m per appended pair, so no permutation
+is enumerated.  All computation is single-process.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .genperm import check_guardrail
-from .kclass import KClassLoc, atom_value, _dedup_atoms
+from .kclass import KClassLoc, _dedup_atoms
 from .matroid import bits
-from .perms import all_perms, iter_perm_bases
+from .perms import all_perms
 # interpolate_univariate is unused here; bench/tests asserts engine's binding of it
 from .poly import InconsistentSamples, SparsePoly, interpolate_univariate  # noqa: F401
 
@@ -223,7 +221,7 @@ def integrate_graded(integrand: GradedIntegrand, *, rng):
     target = ground - 1
     check_guardrail(ground)
     points = (sample_eval_point(ground, rng), sample_eval_point(ground, rng))
-    acc = _prefix_sums(integrand.atoms, ground, points)
+    acc = _prefix_sums(integrand.atoms, ground, *_point_steps(points))
     (num_a, d_a), (num_b, d_b) = (
         (_fold_factors(integrand, acc, i, t, target), _pairwise_diff_product(t))
         for i, t in enumerate(points)
@@ -254,21 +252,36 @@ def _pairwise_diff_product(tstar):
     return d
 
 
-def _prefix_sums(atoms, ground, points):
-    """acc[joint atom key] = [sum of D'(t)/d_sigma(t) over matching sigma, per point t].
+def _point_steps(points):
+    """Walk slots that sum D'(t)/d_sigma(t) per generic point t (see _prefix_sums).
 
     d_sigma(t) is the product of adjacent differences t_sigma(i) -
-    t_sigma(i+1) and D'(t) = _pairwise_diff_product(t).  A permutation is a
+    t_sigma(i+1) and D'(t) = _pairwise_diff_product(t): appending b after a
+    divides by t_a - t_b.
+    """
+    ground = len(points[0])
+    starts = [_pairwise_diff_product(t) for t in points]
+    steps = [[tuple((t[a] - t[b], 1) for t in points) for b in range(ground)]
+             for a in range(ground)]
+    return starts, steps
+
+
+def _prefix_sums(atoms, ground, starts, steps):
+    """acc[joint atom key] = [sum over matching sigma of the chain value, per slot].
+
+    A slot's chain value starts at starts[i], and appending b after a takes
+    it from v to v // d * m, (d, m) = steps[a][b][i].  Every division must be
+    exact: the callers start at a product holding each pair's divisor once,
+    and a permutation's adjacent pairs are distinct.  A permutation is a
     chain of prefix sets, so the sum is a walk over prefix sets S, one size
     at a time.  A state is (S, last element, atom values on the prefix) and
-    holds sum D'/d_prefix per point; appending e divides every term
-    exactly, since a permutation's adjacent pairs are distinct and D' holds
-    every pair.  Appending e to S adds rk(S + e) - rk(S) to coordinate e of
-    a vmax vertex, and of a greedy basis (rk the matroid rank); vmin is vmax
-    of rk'(S) = rk(E) - rk(E - S).  first is set at the start, and kept
-    only if an atom reads it.  All of a state but last is one packed int:
-    S in the low bits, then a field per atom, each step OR-ing in one
-    tabulated delta[S][e].
+    holds the sum of its prefixes' chain values per slot.  Appending e to S
+    adds rk(S + e) - rk(S) to coordinate e of a vmax vertex, and of a greedy
+    basis (rk the matroid rank); vmin is vmax of rk'(S) = rk(E) - rk(E - S).
+    first is set at the start, and kept only if an atom reads it.  All of a
+    state but last is one packed int: S in the low bits, then a field per
+    atom, each step OR-ing in one tabulated delta[S][e].  With no slots the
+    walk only lists the reachable joint keys.
     """
     full = (1 << ground) - 1
     delta = [[1 << e for e in range(ground)] for _ in range(full + 1)]
@@ -303,24 +316,22 @@ def _prefix_sums(atoms, ground, points):
         )
         off += width * ground
     frees = [list(bits(full ^ s)) for s in range(full + 1)]
-    diffs = [[tuple(t[a] - t[b] for t in points) for b in range(ground)] for a in range(ground)]
-    dprimes = [_pairwise_diff_product(t) for t in points]
     lb = ground.bit_length()
     lmask = (1 << lb) - 1
-    level = {delta[0][e] << lb | e: dprimes for e in range(ground)}
+    level = {delta[0][e] << lb | e: starts for e in range(ground)}
     for _ in range(ground - 1):
         nxt = {}
         for key, vals in level.items():
-            packed, dl = key >> lb, diffs[key & lmask]
+            packed, sl = key >> lb, steps[key & lmask]
             row = delta[packed & full]
             for e in frees[packed & full]:
                 k2 = (packed | row[e]) << lb | e
                 cur = nxt.get(k2)
                 if cur is None:
-                    nxt[k2] = [v // d for v, d in zip(vals, dl[e])]
+                    nxt[k2] = [v // d * m for v, (d, m) in zip(vals, sl[e])]
                 else:
-                    for i, d in enumerate(dl[e]):
-                        cur[i] += vals[i] // d
+                    for i, (d, m) in enumerate(sl[e]):
+                        cur[i] += vals[i] // d * m
         level = nxt
     acc = {}
     for key, vals in level.items():
@@ -389,10 +400,12 @@ def euler_char_ab(kclass: KClassLoc, *, rng):
 def euler_char_many(kclasses, *, rng):
     """chi of several K-classes sharing one ground set.
 
-    One compressed permutation scan over the union of the classes' atoms
-    serves every class and every sample point.  Everything that does not
-    depend on q is tabulated once per call (`_chi_tables`), so each sample
-    of the character only evaluates powers of q.
+    One prefix-set walk over the union of the classes' atoms serves every
+    class, with one integer slot per sample q (`_chi_walk`).  A value-free
+    run of the same walk lists the reachable joint keys first, and
+    everything that does not depend on q is tabulated from them once per
+    call (`_chi_tables`), so each sample only adds up partitions of joint
+    keys and evaluates powers of q.
 
     Class c is shifted by q^{-lo_c} and all share the degree bound
     B = max_c (hi_c - lo_c), [lo_c, hi_c] the hull of c's exponents m.w:
@@ -406,89 +419,43 @@ def euler_char_many(kclasses, *, rng):
     w = sample_weight(ground, rng)
     atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms))
     slots = [tuple(atoms.index(a) for a in c.atoms) for c in kclasses]
-    groups = _compress_orbits(atoms, ground, w)
-    tables, bound = _chi_tables(kclasses, slots, groups, w)
-    return _escalating(lambda d: _chi_interpolate(*tables, w, d), bound)
+    joints = _prefix_sums(atoms, ground, (), [[()] * ground] * ground)
+    parts, terms, bound = _chi_tables(kclasses, slots, joints, w)
+    return _escalating(lambda d: _chi_interpolate(atoms, ground, w, parts, terms, d), bound)
 
 
-def _perm_keys(atoms, ground):
-    """Yields (sigma, joint atom key) for every permutation of range(ground).
+def _chi_walk(atoms, ground, w, qs):
+    """(acc, dqs): the character sums of _prefix_sums at T_i = q^{w_i}, one slot per q.
 
-    key[i] is the value of atoms[i] at sigma: greedy bases come from the
-    incremental enumerator, every other atom is read off sigma.
+    A slot starts at dq = prod_{a<b} (q^|w_a - w_b| - 1).  Appending b
+    after a, with delta = w_b - w_a, divides by q^|delta| - 1 and multiplies
+    by -1 if delta > 0, else by q^|delta|: the chain value is dq times
+    prod 1/(1 - q^delta) over the adjacent pairs.
     """
-    bslots = [i for i, a in enumerate(atoms) if a[0] == "basis"]
-    other = [(i, a) for i, a in enumerate(atoms) if a[0] != "basis"]
-    if bslots:
-        iterator = iter_perm_bases([atoms[i][1] for i in bslots])
-    else:
-        iterator = ((s, ()) for s in all_perms(ground))
-    key_buf = [None] * len(atoms)
-    for sigma, bvec in iterator:
-        for s, bmask in zip(bslots, bvec):
-            key_buf[s] = bmask
-        for i, a in other:
-            key_buf[i] = atom_value(a, sigma)
-        yield sigma, tuple(key_buf)
+    dqs = [math.prod(q ** abs(a - b) - 1 for a, b in itertools.combinations(w, 2)) for q in qs]
+    steps = [
+        [tuple((q ** abs(wb - wa) - 1, -1 if wb > wa else q ** (wa - wb)) for q in qs) for wb in w]
+        for wa in w
+    ]
+    return _prefix_sums(atoms, ground, dqs, steps), dqs
 
 
-def _compress_orbits(atoms, ground, w):
-    """Permutation counts per (joint atom key, denominator shape).
+def _chi_tables(kclasses, slots, joints, w):
+    """The q-independent tables of the character sum: (parts, terms, B).
 
-    The denominator along T_i = q^{w_i} depends only on the multiset of
-    adjacent w-differences, so permutations sharing both contribute alike.
+    parts lists the distinct tuples of joint keys that share one class
+    key.  terms[c] lists, per distinct key of class c, (its index in parts,
+    ((coefficient, m.w - lo_c), ...)) with monomials of equal exponent
+    merged; lo_c and hi_c are the least and largest m.w of class c, and
+    B = max_c (hi_c - lo_c).
     """
-    groups = {}
-    for sigma, key in _perm_keys(atoms, ground):
-        gk = (key, _denom_shape(sigma, w))
-        groups[gk] = groups.get(gk, 0) + 1
-    return groups
-
-
-def _denom_shape(sigma, w):
-    """(sign, q-power shift, sorted |differences|) of the localization denominator."""
-    neg_pow = 0
-    sign = 1
-    mags = []
-    prev = w[sigma[0]]
-    for e in sigma[1:]:
-        cur = w[e]
-        delta = cur - prev
-        if delta > 0:
-            sign = -sign
-            mags.append(delta)
-        else:
-            neg_pow += -delta
-            mags.append(-delta)
-        prev = cur
-    mags.sort()
-    return (sign, neg_pow, tuple(mags))
-
-
-def _chi_tables(kclasses, slots, groups, w):
-    """The q-independent tables of the character sum, and the degree bound B.
-
-    Returns ((njoints, rows, parts, terms), B).  Joint keys are numbered
-    0..njoints-1.  rows[mags][q-power shift][joint] is the signed permutation
-    count of the denominator shapes with sorted magnitudes mags.  parts
-    lists the distinct tuples of joints that share one class key.  terms[c]
-    lists, per distinct key of class c, (its index in parts, ((coefficient,
-    m.w - lo_c), ...)) with monomials of equal exponent merged; lo_c and
-    hi_c are the least and largest m.w of class c, and B = max_c (hi_c - lo_c).
-    """
-    index = {}
-    rows = {}
-    for (joint, (sign, neg_pow, mags)), count in groups.items():
-        row = rows.setdefault(mags, {}).setdefault(neg_pow, {})
-        j = index.setdefault(joint, len(index))
-        row[j] = row.get(j, 0) + sign * count
     parts = {}
     terms = []
     bound = 0
     for cls, sl in zip(kclasses, slots):
         by_key = {}
-        for joint, j in index.items():
-            by_key.setdefault(tuple(joint[i] for i in sl), []).append(j)
+        for joint in joints:
+            by_key.setdefault(tuple(joint[i] for i in sl), []).append(joint)
         class_terms = [
             (parts.setdefault(tuple(js), len(parts)),
              [(c, sum(x * y for x, y in zip(m, w))) for c, m in cls.monomials(key)])
@@ -503,48 +470,29 @@ def _chi_tables(kclasses, slots, groups, w):
                 merged[e - lo] = merged.get(e - lo, 0) + c
             class_terms[i] = (p, tuple((c, e) for e, c in merged.items() if c))
         terms.append(class_terms)
-    return (len(index), rows, list(parts), terms), bound
+    return list(parts), terms, bound
 
 
-def _chi_interpolate(njoints, rows, parts, terms, w, bound):
+def _chi_interpolate(atoms, ground, w, parts, terms, bound):
     """chi of every class from its character times q^{-lo_c} at q = 2, 3, ...
 
-    Takes bound + 4 samples, three of them verifying that each shifted
-    character has degree <= bound, and reads every class off at q = 1.
-    Per sample, the quotient of the full denominator by a shape's is one
-    big-integer division per magnitude tuple, shared by every q-power
-    shift under it, and each joint partition is summed once for all
-    classes.
+    Takes bound + 4 samples in one walk, three of them verifying that each
+    shifted character has degree <= bound, and reads every class off at
+    q = 1.  Each joint partition is summed once for all classes.
     """
-    n_samples = bound + 1 + 3
-    pair_mags = [abs(a - b) for a, b in itertools.combinations(w, 2)]
+    qs = range(2, bound + 6)
+    acc, dqs = _chi_walk(atoms, ground, w, qs)
+    psums = [[sum(col) for col in zip(*(acc[j] for j in js))] for js in parts]
+    qpows = [[q ** e for e in range(bound + 1)] for q in qs]
     samples = [[] for _ in terms]
-    maxpow = bound + sum(pair_mags) + 1
-    for q in range(2, 2 + n_samples):
-        qpow = [1] * (maxpow + 1)
-        for i in range(1, maxpow + 1):
-            qpow[i] = qpow[i - 1] * q
-        dq = 1
-        for mg in pair_mags:
-            dq *= qpow[mg] - 1
-        acc = [0] * njoints
-        for mags, shapes in rows.items():
-            dd = 1
-            for mg in mags:
-                dd *= qpow[mg] - 1
-            quot = dq // dd
-            for neg_pow, row in shapes.items():
-                contrib = quot * qpow[neg_pow]
-                for j, count in row.items():
-                    acc[j] += contrib * count
-        psum = [sum([acc[j] for j in js]) for js in parts]
-        for class_terms, class_samples in zip(terms, samples):
+    for class_terms, class_samples in zip(terms, samples):
+        for i, (q, dq, qpow) in enumerate(zip(qs, dqs, qpows)):
             total = 0
             for p, ts in class_terms:
                 v = 0
                 for coeff, e in ts:
                     v += coeff * qpow[e]
-                total += v * psum[p]
+                total += v * psums[p][i]
             num, rem = divmod(total, dq)
             if rem:
                 raise NonIntegral(
@@ -620,25 +568,29 @@ def integrate_inhomogeneous(kclasses, *, rng):
     w = tuple(x + 1 for x in sample_weight(ground, rng))
     dprime = _pairwise_diff_product(w)
     atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms) + (("last",),))
-    acc = _prefix_sums(atoms, ground, (w,))
+    acc = _prefix_sums(atoms, ground, *_point_steps((w,)))
+    ilast = atoms.index(("last",))
     out = []
     for kcls in kclasses:
-        sl = tuple(atoms.index(a) for a in kcls.atoms + (("last",),))
+        sl = tuple(atoms.index(a) for a in kcls.atoms)
         # terms[e] = coefficient of prod_i (1 + t_i)^(e_i + pole) in the numerator:
         # the zeta monomial and one Chern factor for every i but sigma(n)
         terms = {}
         pole = posdeg = 0
         sums = {}
         for joint, (a,) in acc.items():
-            key = tuple(joint[i] for i in sl)
-            sums[key] = sums.get(key, 0) + a
-        for key, a in sums.items():
-            last = key[-1]
-            for c, mono in kcls.monomials(key[:-1]):
+            by_last = sums.setdefault(tuple(joint[i] for i in sl), {})
+            by_last[joint[ilast]] = by_last.get(joint[ilast], 0) + a
+        for key, by_last in sums.items():
+            for c, mono in kcls.monomials(key):
                 pole = max(pole, sum(-x for x in mono if x < 0))
                 posdeg = max(posdeg, sum(mono))
-                e = tuple(x + (i != last) for i, x in enumerate(mono))
-                terms[e] = terms.get(e, 0) + a * c
+                up = [x + 1 for x in mono]
+                for last, a in by_last.items():
+                    up[last] -= 1
+                    e = tuple(up)
+                    up[last] += 1
+                    terms[e] = terms.get(e, 0) + a * c
 
         def sample(q):
             bases = [1 + q * wi for wi in w]

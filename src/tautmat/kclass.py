@@ -11,6 +11,7 @@ permutation during factorial-size sums while allowing per-key caching.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .genperm import GenPermutohedron
 from .matroid import Matroid, bits
@@ -174,7 +175,7 @@ def kc_product(*classes) -> KClassLoc:
         for c, sl in zip(classes, slots):
             factor = c.monomials(tuple(key[i] for i in sl))
             acc = [
-                (ca * cb, tuple(x + y for x, y in zip(ma, mb)))
+                (ca * cb, tuple(map(operator.add, ma, mb)))
                 for ca, ma in acc
                 for cb, mb in factor
             ]

@@ -1,9 +1,9 @@
 """Permutation enumeration with incremental greedy-basis maintenance.
 
-The character path's localization sum (`engine._compress_orbits`) iterates
-over all (n+1)! permutations of the ground set; the graded path and the
-zeta route walk prefix sets instead (`engine._prefix_sums`).  For each
-permutation we need the greedy (lex-first) basis of one or more matroids.
+No pushforward enumerates permutations any more: every path walks prefix
+sets (`engine._prefix_sums`).  This enumerator backs the tests' per-permutation
+oracles and the benchmark's traced passes.  For each permutation it yields
+the greedy (lex-first) basis of one or more matroids.
 Instead of recomputing it greedily per permutation (the tests' reference),
 permutations are enumerated by inserting the largest element into
 permutations of the smaller ground set, where the greedy basis takes only

@@ -9,6 +9,8 @@ matroid.  All three must agree; tests enforce it corpus-wide.
 
 from __future__ import annotations
 
+import functools
+
 from .matroid import Matroid, popcount
 from .poly import SparsePoly
 
@@ -111,16 +113,20 @@ def t_transform(m: Matroid) -> SparsePoly:
         raise InexactDivision("Tutte polynomial has a constant term")
     r = m.rank_value
     crk = m.n_elements - r
-    xy = SparsePoly(_T4_VARS, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})
-    yz = SparsePoly(_T4_VARS, {(0, 1, 0, 0): 1, (0, 0, 1, 0): 1})
-    xw = SparsePoly(_T4_VARS, {(1, 0, 0, 0): 1, (0, 0, 0, 1): 1})
-    pow_xy = _powers(xy, m.n_elements)
-    pow_yz = _powers(yz, r)
-    pow_xw = _powers(xw, crk)
+    pow_xy, pow_yz, pow_xw = _transform_powers(m.n_elements, r)
     out = SparsePoly.zero(_T4_VARS)
     for (a, b), coeff in t.terms.items():
         out = out + coeff * (pow_xy[a + b - 1] * pow_yz[r - a] * pow_xw[crk - b])
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _transform_powers(n, r):
+    """(x+y)^k for k <= n, (y+z)^k for k <= r and (x+w)^k for k <= n - r; shared, never mutated."""
+    xy = SparsePoly(_T4_VARS, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})
+    yz = SparsePoly(_T4_VARS, {(0, 1, 0, 0): 1, (0, 0, 1, 0): 1})
+    xw = SparsePoly(_T4_VARS, {(1, 0, 0, 0): 1, (0, 0, 0, 1): 1})
+    return _powers(xy, n), _powers(yz, r), _powers(xw, n - r)
 
 
 def _powers(p, top):

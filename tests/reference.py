@@ -7,11 +7,11 @@ library computes by a faster route, so the tests can compare the two.
 import math
 from fractions import Fraction
 
-from tautmat.engine import _perm_keys, sample_eval_point
+from tautmat.engine import sample_eval_point
 from tautmat.invariants import _factor_degree_poly
-from tautmat.kclass import restrict_to_chain, s_class
+from tautmat.kclass import atom_value, restrict_to_chain, s_class
 from tautmat.matroid import Matroid, bits, popcount
-from tautmat.perms import all_perms
+from tautmat.perms import all_perms, iter_perm_bases
 from tautmat.poly import SparsePoly, interpolate_univariate
 from tautmat.tutte import beta_pair
 
@@ -36,15 +36,59 @@ def localization_denominator(sigma, tstar):
     return d
 
 
+def perm_keys(atoms, ground):
+    """Yields (sigma, joint atom key) for every permutation of range(ground).
+
+    key[i] is the value of atoms[i] at sigma: greedy bases come from the
+    incremental enumerator, every other atom is read off sigma.
+    """
+    bslots = [i for i, a in enumerate(atoms) if a[0] == "basis"]
+    other = [(i, a) for i, a in enumerate(atoms) if a[0] != "basis"]
+    if bslots:
+        iterator = iter_perm_bases([atoms[i][1] for i in bslots])
+    else:
+        iterator = ((s, ()) for s in all_perms(ground))
+    key_buf = [None] * len(atoms)
+    for sigma, bvec in iterator:
+        for s, bmask in zip(bslots, bvec):
+            key_buf[s] = bmask
+        for i, a in other:
+            key_buf[i] = atom_value(a, sigma)
+        yield sigma, tuple(key_buf)
+
+
 def scan_class_sums(atoms, ground, tstar, dprime):
     """acc[joint atom key] = sum over matching permutations of dprime/denominator.
 
-    The oracle for `engine._prefix_sums`: one pass over all permutations
-    with their atom keys, each term divided out on its own.
+    The oracle for `engine._prefix_sums` at a generic point: one pass over
+    all permutations with their atom keys, each term divided out on its own.
     """
     acc = {}
-    for sigma, key in _perm_keys(atoms, ground):
+    for sigma, key in perm_keys(atoms, ground):
         acc[key] = acc.get(key, 0) + dprime // localization_denominator(sigma, tstar)
+    return acc
+
+
+def scan_character_sums(atoms, ground, w, q):
+    """acc[joint atom key] = sum over matching sigma of sign * q^neg * dq / prod (q^|delta| - 1).
+
+    The oracle for `engine._chi_walk` at one sample q, from the
+    denominator's shape per permutation: delta = w_b - w_a runs over the
+    adjacent pairs (a, b) of sigma, each delta > 0 flips the sign, each
+    delta < 0 adds |delta| to neg, and dq = prod_{a<b} (q^|w_a - w_b| - 1).
+    """
+    dq = math.prod(q ** abs(a - b) - 1 for i, a in enumerate(w) for b in w[i + 1 :])
+    acc = {}
+    for sigma, key in perm_keys(atoms, ground):
+        sign, neg, den = 1, 0, 1
+        for a, b in zip(sigma, sigma[1:]):
+            delta = w[b] - w[a]
+            if delta > 0:
+                sign = -sign
+            else:
+                neg -= delta
+            den *= q ** abs(delta) - 1
+        acc[key] = acc.get(key, 0) + sign * q**neg * (dq // den)
     return acc
 
 
@@ -74,31 +118,35 @@ def graded_reference(ev, ground, formal_vars, *, rng):
 
 
 def chi_reference(kcls):
-    """chi of a K-class from its character, summed per permutation in Fractions.
+    """chi of a K-class from its character, summed in Fractions.
 
     Along T_i = q^{w_i} with w = (0, 1, ..., n) the fixed point sigma
-    contributes its localization over prod_k (1 - T_{sigma(k+1)}/T_{sigma(k)}).
+    contributes its localization over prod_k (1 - T_{sigma(k+1)}/T_{sigma(k)}),
+    a denominator that depends only on the adjacent differences of w along
+    sigma, so the numerators are gathered per sorted difference tuple.
     Scaled by q^D, D the largest |m.w| of a monomial, the character is a
     polynomial of degree at most 2D; it is sampled at q = 2, 3, ...,
     interpolated with five verification samples and read at q = 1.
     """
     w = tuple(range(kcls.ground))
-    perms = list(all_perms(kcls.ground))
-    local = [
-        [(c, sum(x * y for x, y in zip(m, w))) for c, m in kcls.monomials(kcls.key_at(sigma))]
-        for sigma in perms
-    ]
-    shift = max(abs(e) for terms in local for _, e in terms)
+    by_diffs = {}
+    for sigma in all_perms(kcls.ground):
+        diffs = tuple(sorted(w[b] - w[a] for a, b in zip(sigma, sigma[1:])))
+        terms = by_diffs.setdefault(diffs, {})
+        for c, m in kcls.monomials(kcls.key_at(sigma)):
+            e = sum(x * y for x, y in zip(m, w))
+            terms[e] = terms.get(e, 0) + c
+    shift = max(abs(e) for terms in by_diffs.values() for e in terms)
     samples = []
     for q in range(2, 2 * shift + 8):
-        q = Fraction(q)
+        factor = {d: 1 - Fraction(q) ** d for d in range(-kcls.ground, kcls.ground)}
         total = Fraction(0)
-        for sigma, terms in zip(perms, local):
+        for diffs, terms in by_diffs.items():
             den = Fraction(1)
-            for a, b in zip(sigma, sigma[1:]):
-                den *= 1 - q ** (w[b] - w[a])
-            total += sum(c * q ** (shift + e) for c, e in terms) / den
-        samples.append((q, total))
+            for d in diffs:
+                den *= factor[d]
+            total += sum(c * q ** (shift + e) for e, c in terms.items()) / den
+        samples.append((Fraction(q), total))
     return interpolate_univariate(samples, 2 * shift).evaluate({"q": Fraction(1)})
 
 

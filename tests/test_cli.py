@@ -259,11 +259,12 @@ def test_check_max_elements_5_stdout_is_pinned(capsys):
         (("tautdeg", "vamos"), "c5f9037b548f65a7b3b6e1cea44ed45e53acb80d8f9ae37a74022bb2f4c88cef"),
         (("gpoly", "vamos"), "34c8a221f7cbce9f2407aa663527f36384110b1dc8d37054396cfd8647ecbd22"),
         (("fstutte", "fano", "--zeta-check"), "5aa43c40fd2a8d7d42ff78e3a8d8449de6b241f0aeb5d018a2543cc8b2e4f9b7"),
+        (("fstutte", "vamos"), "bfb2645034e66f2b67422dfee6e3f585132d4da8ac54f2e92e3da9baee4adfd0"),
     ],
     ids=[
         "csm-vamos", "bergman-vamos", "csm-fano", "fstutte-fano", "fstutte-nonfano", "cf-u25",
         "cf-u24-t5-u4", "ehrhart-h24-c3", "gpoly-fano", "tautdeg-vamos", "gpoly-vamos",
-        "fstutte-fano-zeta",
+        "fstutte-fano-zeta", "fstutte-vamos",
     ],
 )
 def test_weight_stdout_is_pinned(capsys, argv, digest):

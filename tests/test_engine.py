@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import tautmat.engine
 import tautmat.invariants
+import tautmat.perms
 from tautmat.corpus import builtin_matroid
 from tautmat.engine import (
     GenericPointMismatch,
@@ -26,11 +27,12 @@ from tautmat.engine import (
     forward_differences,
     _extrapolate_back,
     _pairwise_diff_product,
-    _perm_keys,
+    _point_steps,
     _prefix_sums,
 )
 from tautmat.kclass import (
     KClassLoc,
+    _dedup_atoms,
     alpha_beta_twist,
     atom_value,
     cremona,
@@ -54,6 +56,7 @@ from reference import (
     chi_reference,
     graded_reference,
     localization_denominator,
+    perm_keys,
     zeta_monomial_value,
 )
 
@@ -169,17 +172,6 @@ def test_graded_failures_in_order(rng, monkeypatch):
         integrate_graded(low, rng=rng)
 
 
-def test_perm_keys_match_per_permutation_atoms(u24):
-    k4 = uniform(3, 4)
-    atoms = (("vmax", base_polytope(k4)), ("basis", u24), ("last",), ("basis", k4), ("first",))
-    got = list(_perm_keys(atoms, 4))
-    assert sorted(sigma for sigma, _ in got) == list(all_perms(4))
-    for sigma, key in got:
-        assert key == tuple(atom_value(a, sigma) for a in atoms)
-    # no basis atom: the plain permutation enumerator
-    assert [key for _, key in _perm_keys((("first",),), 3)] == [(s[0],) for s in all_perms(3)]
-
-
 def test_partition_independence(rng, fano):
     integrand = GradedIntegrand(
         7,
@@ -197,7 +189,7 @@ def test_partition_independence(rng, fano):
     for sigma in all_perms(7):
         key = tuple(atom_value(a, sigma) for a in integrand.atoms)
         naive[key] = naive.get(key, 0) + d // localization_denominator(sigma, tstar)
-    assert _prefix_sums(integrand.atoms, 7, [tstar]) == {k: [v] for k, v in naive.items()}
+    assert _prefix_sums(integrand.atoms, 7, *_point_steps([tstar])) == {k: [v] for k, v in naive.items()}
 
 
 def test_factor_values_at_literal_points():
@@ -273,15 +265,17 @@ def test_euler_char_many_matches_per_permutation_reference(rng, u24):
         assert euler_char_many(batch, rng=rng) == [chi_reference(c) for c in batch]
 
 
-def test_euler_char_many_shares_quotients_and_partitions(rng, monkeypatch):
+def test_euler_char_many_shares_partitions(rng, monkeypatch):
     # the fs classes read only the basis atom, the cf twists also first and
-    # last, so each fs key gathers several joints into one shared partition
+    # last, so each fs key gathers several joint keys into one partition
+    # that several classes share; the joint keys are exactly those of the
+    # permutations, read off the value-free walk
     tables = []
     real = tautmat.engine._chi_tables
 
-    def record(*args):
-        out = real(*args)
-        tables.append(out[0])
+    def record(kclasses, slots, joints, w):
+        out = real(kclasses, slots, joints, w)
+        tables.append((list(joints), out))
         return out
 
     monkeypatch.setattr(tautmat.engine, "_chi_tables", record)
@@ -293,8 +287,11 @@ def test_euler_char_many_shares_quotients_and_partitions(rng, monkeypatch):
             kc_product(alpha_beta_twist(n1, t, u), det_s_dual(m)) for t in range(3) for u in range(3)
         ]
         assert euler_char_many(batch, rng=rng) == [chi_reference(c) for c in batch]
-        _, rows, parts, terms = tables[-1]
-        assert any(len(shapes) > 1 for shapes in rows.values())
+        joints, (parts, terms, _) = tables[-1]
+        atoms = _dedup_atoms(tuple(a for c in batch for a in c.atoms))
+        assert sorted(joints) == sorted({key for _, key in perm_keys(atoms, n1)})
+        for class_terms in terms:
+            assert sorted(j for p, _ in class_terms for j in parts[p]) == sorted(joints)
         shared = [p for class_terms in terms for p, _ in class_terms if len(parts[p]) > 1]
         assert len(shared) > len(set(shared))
 
@@ -512,22 +509,26 @@ def test_integrate_inhomogeneous_batch_matches_per_class_reference(rng, u24):
 
 
 def test_zeta_check_makes_one_walk(rng, monkeypatch):
-    # fs_tutte's zeta cross-check batches every class into one walk, and the
-    # character path is then the only permutation scan
-    counts = {"walk": 0, "scan": 0}
-    walk, scan = tautmat.engine._prefix_sums, tautmat.engine._perm_keys
+    # fs_tutte's zeta cross-check batches every class into one walk, after
+    # the character path's value-free walk and its walk with one slot per
+    # sample; no permutation is enumerated
+    slots = []
+    walk = tautmat.engine._prefix_sums
 
-    def counting(name, fn):
-        def wrapped(*args):
-            counts[name] += 1
-            return fn(*args)
+    def counting(atoms, ground, starts, steps):
+        slots.append(len(starts))
+        return walk(atoms, ground, starts, steps)
 
-        return wrapped
+    def no_scan(*args):
+        raise AssertionError("a permutation scan ran")
 
-    monkeypatch.setattr(tautmat.engine, "_prefix_sums", counting("walk", walk))
-    monkeypatch.setattr(tautmat.engine, "_perm_keys", counting("scan", scan))
+    monkeypatch.setattr(tautmat.engine, "_prefix_sums", counting)
+    for owner in (tautmat.perms, tautmat.engine):
+        monkeypatch.setattr(owner, "all_perms", no_scan)
+    monkeypatch.setattr(tautmat.perms, "iter_perm_bases", no_scan)
+    assert not hasattr(tautmat.engine, "iter_perm_bases")
     fs_tutte(uniform(2, 4), rng=rng, zeta_check=True)
-    assert counts == {"walk": 1, "scan": 1}
+    assert len(slots) == 3 and slots[0] == 0 and slots[1] > 4 and slots[2] == 1
 
 
 def test_integrate_inhomogeneous_escalation_fails_cleanly(rng, monkeypatch):

@@ -2,8 +2,10 @@ import itertools
 import random
 
 from tautmat.corpus import builtin_matroid
+from tautmat.genperm import base_polytope
+from tautmat.kclass import atom_value
 from tautmat.matroid import matroid_from_bases, uniform
-from reference import naive_perm_bases
+from reference import naive_perm_bases, perm_keys
 from tautmat.perms import all_perms, iter_perm_bases
 
 
@@ -33,3 +35,14 @@ def test_incremental_joint_vector():
     m3 = m1.dual()
     for sigma, bases in iter_perm_bases([m1, m2, m3]):
         assert bases == naive_perm_bases([m1, m2, m3], sigma)
+
+
+def test_perm_keys_match_per_permutation_atoms(u24):
+    k4 = uniform(3, 4)
+    atoms = (("vmax", base_polytope(k4)), ("basis", u24), ("last",), ("basis", k4), ("first",))
+    got = list(perm_keys(atoms, 4))
+    assert sorted(sigma for sigma, _ in got) == list(all_perms(4))
+    for sigma, key in got:
+        assert key == tuple(atom_value(a, sigma) for a in atoms)
+    # no basis atom: the plain permutation enumerator
+    assert [key for _, key in perm_keys((("first",),), 3)] == [(s[0],) for s in all_perms(3)]

@@ -1,6 +1,6 @@
-"""The prefix-set walk of the graded path and the zeta route against the
-permutation scan, on random sparse paving and graphic matroids and their
-duals."""
+"""The prefix-set walk of the graded path, the zeta route and the character
+path against the permutation scan, on random sparse paving and graphic
+matroids and their duals."""
 
 import itertools
 import random
@@ -10,21 +10,27 @@ from hypothesis import strategies as st
 
 from tautmat.engine import (
     GradedIntegrand,
+    _chi_walk,
     _pairwise_diff_product,
+    _point_steps,
     _power_series,
     _prefix_sums,
     alpha_series,
     beta_series,
     chern_series,
+    euler_char_many,
     integrate_graded,
+    integrate_inhomogeneous,
     sample_eval_point,
+    sample_weight,
 )
 from tautmat.genperm import base_polytope, simplex
-from tautmat.kclass import atom_value
+from tautmat.invariants import fs_classes
+from tautmat.kclass import alpha_beta_twist, atom_value, cremona, det_s_dual, kc_product, line_bundle
 from tautmat.matroid import Matroid, graphic, mask_of
 from tautmat.poly import SparsePoly
 
-from reference import graded_reference, scan_class_sums
+from reference import chi_reference, graded_reference, scan_character_sums, scan_class_sums
 
 
 @st.composite
@@ -74,7 +80,25 @@ def test_walk_matches_scan(m, data, seed, npoints):
     rng = random.Random(seed)
     points = [sample_eval_point(n, rng) for _ in range(npoints)]
     scans = [scan_class_sums(atoms, n, t, _pairwise_diff_product(t)) for t in points]
-    assert _prefix_sums(atoms, n, points) == {k: [s[k] for s in scans] for k in scans[0]}
+    assert _prefix_sums(atoms, n, *_point_steps(points)) == {
+        k: [s[k] for s in scans] for k in scans[0]
+    }
+
+
+@given(small_matroids(), st.data(), st.integers(0, 2**16),
+       st.lists(st.integers(2, 7), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_character_walk_matches_scan(m, data, seed, qs):
+    pool = _atom_pool(m)
+    picks = data.draw(st.lists(st.sampled_from(range(len(pool))), max_size=3, unique=True))
+    atoms = tuple(pool[i] for i in picks)
+    n = m.n_elements
+    w = sample_weight(n, random.Random(seed))
+    scans = [scan_character_sums(atoms, n, w, q) for q in qs]
+    acc, dqs = _chi_walk(atoms, n, w, qs)
+    assert acc == {k: [s[k] for s in scans] for k in scans[0]}
+    # the value-free walk reaches the same joint keys
+    assert _prefix_sums(atoms, n, (), [[()] * n] * n).keys() == acc.keys()
 
 
 def _integrand_at(integrand, sigma, tstar):
@@ -128,5 +152,27 @@ def test_walk_reads_first_only_when_asked():
     t = (3, 8, 1, 6)
     d = _pairwise_diff_product(t)
     scan = scan_class_sums((("last",),), 4, t, d)
-    assert _prefix_sums((("last",),), 4, [t]) == {k: [v] for k, v in scan.items()}
-    assert _prefix_sums((), 4, [t]) == {(): [sum(scan.values())]}
+    assert _prefix_sums((("last",),), 4, *_point_steps([t])) == {k: [v] for k, v in scan.items()}
+    assert _prefix_sums((), 4, *_point_steps([t])) == {(): [sum(scan.values())]}
+
+
+def _class_pool(m):
+    """fs classes, alpha-beta twists times det S^v, line bundles and Cremona images."""
+    n = m.n_elements
+    p = base_polytope(m)
+    fs = list(fs_classes(m).values())
+    twists = [kc_product(alpha_beta_twist(n, t, u), det_s_dual(m)) for t in range(2) for u in range(2)]
+    bundles = [line_bundle(p), line_bundle(p + simplex(n))]
+    return fs + twists + bundles + [cremona(c) for c in (fs[-1], twists[-1], bundles[-1])]
+
+
+@given(small_matroids(), st.data(), st.integers(0, 2**16))
+@settings(max_examples=50, deadline=None)
+def test_euler_char_many_matches_reference_and_zeta_route(m, data, seed):
+    pool = _class_pool(m)
+    picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=3,
+                               unique=True))
+    batch = [pool[i] for i in picks]
+    chis = euler_char_many(batch, rng=random.Random(seed))
+    assert chis == [chi_reference(c) for c in batch]
+    assert chis == integrate_inhomogeneous(batch, rng=random.Random(seed))
