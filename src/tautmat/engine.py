@@ -20,9 +20,10 @@ Three pushforward paths:
   Integer forward differences of the samples give its value at q = 1, and
   three extra samples verify the degree bound (their differences above it
   must vanish).  One walk carries an integer slot per sample q, scaled by
-  dq = prod_{a<b} (q^|w_a - w_b| - 1); the shifted monomial exponents per
-  class key are tabulated once per call, so a sample only sums each
-  partition of joint keys once for all classes and evaluates powers of q.
+  dq = prod_{a<b} (q^|w_a - w_b| - 1); each class is tabulated once per
+  call as rows of summed coefficients per partition of joint keys, one row
+  per shifted exponent m.w - lo_c, and a sample evaluates them by Horner's
+  rule in q.
 
 * a zeta route, the Chow-side Euler characteristic of K-classes: their
   zeta images are pushed forward along t = q*w; the integer samples at
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .genperm import check_guardrail
 from .kclass import KClassLoc, _dedup_atoms
@@ -405,12 +407,17 @@ def euler_char_many(kclasses, *, rng):
     run of the same walk lists the reachable joint keys first, and
     everything that does not depend on q is tabulated from them once per
     call (`_chi_tables`), so each sample only adds up partitions of joint
-    keys and evaluates powers of q.
+    keys and evaluates each class's rows by Horner's rule in q.
 
     Class c is shifted by q^{-lo_c} and all share the degree bound
     B = max_c (hi_c - lo_c), [lo_c, hi_c] the hull of c's exponents m.w:
     every term 1/(1 - q^delta) expands with support >= lo_c at q -> 0 and
     <= hi_c at q -> oo, and the sum is a Laurent polynomial.
+
+    The NonIntegral guard on each sample is necessary but not sufficient:
+    it sees only the restriction along the drawn w, so a class failing the
+    fixed-point congruences can pass it.  fixed_point_compatibility_check
+    or the zeta route (integrate_inhomogeneous) is the full check.
     """
     ground = kclasses[0].ground
     if any(c.ground != ground for c in kclasses):
@@ -420,8 +427,8 @@ def euler_char_many(kclasses, *, rng):
     atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms))
     slots = [tuple(atoms.index(a) for a in c.atoms) for c in kclasses]
     joints = _prefix_sums(atoms, ground, (), [[()] * ground] * ground)
-    parts, terms, bound = _chi_tables(kclasses, slots, joints, w)
-    return _escalating(lambda d: _chi_interpolate(atoms, ground, w, parts, terms, d), bound)
+    parts, tables, bound = _chi_tables(kclasses, slots, joints, w)
+    return _escalating(lambda d: _chi_interpolate(atoms, ground, w, parts, tables, d), bound)
 
 
 def _chi_walk(atoms, ground, w, qs):
@@ -441,58 +448,85 @@ def _chi_walk(atoms, ground, w, qs):
 
 
 def _chi_tables(kclasses, slots, joints, w):
-    """The q-independent tables of the character sum: (parts, terms, B).
+    """The q-independent tables of the character sum: (parts, tables, B).
 
     parts lists the distinct tuples of joint keys that share one class
-    key.  terms[c] lists, per distinct key of class c, (its index in parts,
-    ((coefficient, m.w - lo_c), ...)) with monomials of equal exponent
-    merged; lo_c and hi_c are the least and largest m.w of class c, and
-    B = max_c (hi_c - lo_c).
+    key.  tables[c] has one row per shifted exponent e = m.w - lo_c of
+    class c, from hi_c - lo_c down to 0, each row a tuple of (index in
+    parts, summed coefficient of the monomials with that m.w), zero sums
+    left out.  lo_c and hi_c are the least and largest m.w over every
+    monomial of c, cancelled or not, and B = max_c (hi_c - lo_c).
     """
-    parts = {}
-    terms = []
-    bound = 0
-    for cls, sl in zip(kclasses, slots):
-        by_key = {}
+    groups = {sl: {} for sl in slots}
+    for sl, by_key in groups.items():
         for joint in joints:
             by_key.setdefault(tuple(joint[i] for i in sl), []).append(joint)
-        class_terms = [
-            (parts.setdefault(tuple(js), len(parts)),
-             [(c, sum(x * y for x, y in zip(m, w))) for c, m in cls.monomials(key)])
-            for key, js in by_key.items()
+    parts = {}
+    memo = {}
+    tables = []
+    bound = 0
+    for cls, sl in zip(kclasses, slots):
+        projected = [
+            (parts.setdefault(tuple(js), len(parts)), _chi_projection(cls, key, w, memo))
+            for key, js in groups[sl].items()
         ]
-        es = [e for _, ts in class_terms for _, e in ts]
-        lo = min(es, default=0)
-        bound = max(bound, max(es, default=0) - lo)
-        for i, (p, ts) in enumerate(class_terms):
-            merged = {}
-            for c, e in ts:
-                merged[e - lo] = merged.get(e - lo, 0) + c
-            class_terms[i] = (p, tuple((c, e) for e, c in merged.items() if c))
-        terms.append(class_terms)
-    return list(parts), terms, bound
+        lo = min((e for _, d in projected for e in d), default=0)
+        hi = max((e for _, d in projected for e in d), default=0)
+        bound = max(bound, hi - lo)
+        rows = [[] for _ in range(hi - lo + 1)]
+        for p, d in projected:
+            for e, c in d.items():
+                if c:
+                    rows[hi - e].append((p, c))
+        tables.append([tuple(r) for r in rows])
+    return list(parts), tables, bound
 
 
-def _chi_interpolate(atoms, ground, w, parts, terms, bound):
+def _chi_projection(cls, key, w, memo):
+    """{m.w: summed coefficient} over cls's monomials at key, zero sums kept.
+
+    A kc_product convolves its factors' dicts instead of expanding; memo
+    holds each (class, key) for one call of _chi_tables.
+    """
+    out = memo.get((cls, key))
+    if out is None:
+        if cls.factors:
+            out = {0: 1}
+            for f, sl in cls.factors:
+                conv = {}
+                for e2, c2 in _chi_projection(f, tuple(key[i] for i in sl), w, memo).items():
+                    for e, c in out.items():
+                        conv[e + e2] = conv.get(e + e2, 0) + c * c2
+                out = conv
+        else:
+            out = {}
+            for c, m in cls.monomials(key):
+                e = sum(map(operator.mul, m, w))
+                out[e] = out.get(e, 0) + c
+        memo[cls, key] = out
+    return out
+
+
+def _chi_interpolate(atoms, ground, w, parts, tables, bound):
     """chi of every class from its character times q^{-lo_c} at q = 2, 3, ...
 
     Takes bound + 4 samples in one walk, three of them verifying that each
     shifted character has degree <= bound, and reads every class off at
-    q = 1.  Each joint partition is summed once for all classes.
+    q = 1.  Each joint partition is summed once for all classes, and a
+    class's sample is its table evaluated by Horner's rule in q.
     """
     qs = range(2, bound + 6)
     acc, dqs = _chi_walk(atoms, ground, w, qs)
-    psums = [[sum(col) for col in zip(*(acc[j] for j in js))] for js in parts]
-    qpows = [[q ** e for e in range(bound + 1)] for q in qs]
-    samples = [[] for _ in terms]
-    for class_terms, class_samples in zip(terms, samples):
-        for i, (q, dq, qpow) in enumerate(zip(qs, dqs, qpows)):
+    cols = [[sum(col) for col in zip(*(acc[j] for j in js))] for js in parts]
+    psums = [[col[i] for col in cols] for i in range(len(qs))]
+    samples = [[] for _ in tables]
+    for rows, class_samples in zip(tables, samples):
+        for q, dq, ps in zip(qs, dqs, psums):
             total = 0
-            for p, ts in class_terms:
-                v = 0
-                for coeff, e in ts:
-                    v += coeff * qpow[e]
-                total += v * psums[p][i]
+            for row in rows:
+                total *= q
+                for p, c in row:
+                    total += c * ps[p]
             num, rem = divmod(total, dq)
             if rem:
                 raise NonIntegral(

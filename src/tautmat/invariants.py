@@ -408,7 +408,8 @@ def cf_check(m: Matroid, t_max=None, u_max=None, *, rng, jobs=1) -> CfReport:
     nabla = simplex(n1).negate()
     delta = simplex(n1)
     pairs = [(t, u) for t in ts for u in us]
-    classes = [kc_product(alpha_beta_twist(n1, t, u), det_s_dual(m)) for t, u in pairs]
+    det = det_s_dual(m)
+    classes = [kc_product(alpha_beta_twist(n1, t, u), det) for t, u in pairs]
     chis = euler_char_many(classes, rng=rng)
     grid = {}
     for (t, u), chi in zip(pairs, chis):

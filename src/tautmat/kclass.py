@@ -4,8 +4,8 @@ A class is stored intensionally: a tuple of "atoms" saying which data of a
 permutation the fixed-point value depends on (a greedy basis of some
 matroid, the first or last element, or an extremal vertex of a lattice
 generalized permutohedron), plus a function from atom values to a signed
-list of Laurent monomial exponent vectors.  This keeps memory O(1) per
-permutation during factorial-size sums while allowing per-key caching.
+list of Laurent monomial exponent vectors.  Pushforwards read a class only
+at its distinct atom-value keys, which are cached per class.
 """
 
 from __future__ import annotations
@@ -50,14 +50,16 @@ def _dedup_atoms(atoms):
 class KClassLoc:
     """sigma |-> signed list of exponent vectors (a Laurent polynomial)."""
 
-    __slots__ = ("ground", "atoms", "_mono", "_cache", "name")
+    __slots__ = ("ground", "atoms", "_mono", "_cache", "name", "factors")
 
-    def __init__(self, ground, atoms, mono_fn, name=""):
+    def __init__(self, ground, atoms, mono_fn, name="", factors=()):
         self.ground = ground
         self.atoms = _dedup_atoms(atoms)
         self._mono = mono_fn
         self._cache = {}
         self.name = name
+        # kc_product's ((factor, slots), ...), slots picking the factor's key
+        self.factors = factors
 
     def monomials(self, key):
         """Signed monomials ((coeff, exponent vector), ...) for an atom-value key."""
@@ -168,11 +170,11 @@ def kc_negate(cls: KClassLoc) -> KClassLoc:
 def kc_product(*classes) -> KClassLoc:
     ground = classes[0].ground
     atoms = _dedup_atoms(tuple(a for c in classes for a in c.atoms))
-    slots = [tuple(atoms.index(a) for a in c.atoms) for c in classes]
+    factors = tuple((c, tuple(atoms.index(a) for a in c.atoms)) for c in classes)
 
     def mono(key):
         acc = [(1, _zero(ground))]
-        for c, sl in zip(classes, slots):
+        for c, sl in factors:
             factor = c.monomials(tuple(key[i] for i in sl))
             acc = [
                 (ca * cb, tuple(map(operator.add, ma, mb)))
@@ -181,7 +183,7 @@ def kc_product(*classes) -> KClassLoc:
             ]
         return acc
 
-    return KClassLoc(ground, atoms, mono, name="*".join(c.name for c in classes))
+    return KClassLoc(ground, atoms, mono, name="*".join(c.name for c in classes), factors=factors)
 
 
 def exterior_power(cls: KClassLoc, j: int) -> KClassLoc:

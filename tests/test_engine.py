@@ -46,7 +46,7 @@ from tautmat.kclass import (
     structure_sheaf,
 )
 from tautmat.genperm import base_polytope, simplex
-from tautmat.invariants import cf_check, chi_via_zeta, fs_classes, fs_tutte
+from tautmat.invariants import cf_check, chi_both_routes, chi_via_zeta, fs_classes, fs_tutte
 from tautmat.matroid import uniform
 from tautmat.perms import all_perms
 from tautmat.poly import InconsistentSamples, SparsePoly, interpolate_univariate
@@ -287,12 +287,15 @@ def test_euler_char_many_shares_partitions(rng, monkeypatch):
             kc_product(alpha_beta_twist(n1, t, u), det_s_dual(m)) for t in range(3) for u in range(3)
         ]
         assert euler_char_many(batch, rng=rng) == [chi_reference(c) for c in batch]
-        joints, (parts, terms, _) = tables[-1]
+        joints, (parts, rows, _) = tables[-1]
         atoms = _dedup_atoms(tuple(a for c in batch for a in c.atoms))
         assert sorted(joints) == sorted({key for _, key in perm_keys(atoms, n1)})
-        for class_terms in terms:
-            assert sorted(j for p, _ in class_terms for j in parts[p]) == sorted(joints)
-        shared = [p for class_terms in terms for p, _ in class_terms if len(parts[p]) > 1]
+        # no coefficient of these classes cancels, so every part a class
+        # reads shows up in its rows
+        read = [{p for row in class_rows for p, _ in row} for class_rows in rows]
+        for ps in read:
+            assert sorted(j for p in ps for j in parts[p]) == sorted(joints)
+        shared = [p for ps in read for p in ps if len(parts[p]) > 1]
         assert len(shared) > len(set(shared))
 
 
@@ -310,13 +313,16 @@ def _record_weights(monkeypatch):
 
 
 def _exponent_hull(cls, w):
-    """(lo, hi): the smallest and largest m.w over every monomial of every fixed point."""
+    """(lo, hi): the smallest and largest m.w over every monomial of every fixed point.
+
+    (0, 0) for a class without monomials, as in the character path.
+    """
     es = [
         sum(x * y for x, y in zip(m, w))
         for sigma in all_perms(cls.ground)
         for _, m in cls.monomials(cls.key_at(sigma))
     ]
-    return min(es), max(es)
+    return min(es, default=0), max(es, default=0)
 
 
 def test_euler_escalation_recovers(rng, u24, monkeypatch):
@@ -586,6 +592,14 @@ def test_character_path_rejects_non_gkm_class(u24, monkeypatch):
     monkeypatch.setattr(tautmat.engine, "sample_weight", lambda n, rng: w)
     with pytest.raises(NonIntegral):
         euler_char_many([_corrupted_s_class(u24)], rng=random.Random(1))
+
+
+def test_both_routes_reject_non_gkm_class(u24):
+    # the character route alone misses the fault along some w, the zeta
+    # route does not: the two-route check rejects the class for every seed
+    for seed in range(12):
+        with pytest.raises(NonIntegral):
+            chi_both_routes(_corrupted_s_class(u24), rng=random.Random(seed))
 
 
 def test_zeta_route_rejects_non_gkm_class(rng, u24):

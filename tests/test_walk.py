@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tautmat.engine import (
     GradedIntegrand,
+    _chi_tables,
     _chi_walk,
     _pairwise_diff_product,
     _point_steps,
@@ -26,11 +27,25 @@ from tautmat.engine import (
 )
 from tautmat.genperm import base_polytope, simplex
 from tautmat.invariants import fs_classes
-from tautmat.kclass import alpha_beta_twist, atom_value, cremona, det_s_dual, kc_product, line_bundle
+from tautmat.kclass import (
+    _dedup_atoms,
+    alpha_beta_twist,
+    atom_value,
+    cremona,
+    det_s_dual,
+    dual_class,
+    kc_negate,
+    kc_product,
+    kc_sum,
+    line_bundle,
+    q_class,
+    s_class,
+)
 from tautmat.matroid import Matroid, graphic, mask_of
 from tautmat.poly import SparsePoly
 
 from reference import chi_reference, graded_reference, scan_character_sums, scan_class_sums
+from test_engine import _exponent_hull
 
 
 @st.composite
@@ -176,3 +191,63 @@ def test_euler_char_many_matches_reference_and_zeta_route(m, data, seed):
     chis = euler_char_many(batch, rng=random.Random(seed))
     assert chis == [chi_reference(c) for c in batch]
     assert chis == integrate_inhomogeneous(batch, rng=random.Random(seed))
+
+
+def _table_class_pool(m):
+    """_class_pool plus nested products, a dual and a negated product, and a
+    product whose monomials cancel."""
+    n = m.n_elements
+    twist = alpha_beta_twist(n, 1, 1)
+    s = s_class(m)
+    nested = kc_product(kc_product(twist, s), line_bundle(base_polytope(m)))
+    return _class_pool(m) + [
+        nested,
+        dual_class(nested),
+        kc_negate(kc_product(det_s_dual(m), q_class(m))),
+        kc_product(kc_sum(s, kc_negate(s)), twist),
+    ]
+
+
+def _assert_tables_match_monomials(batch, n, w):
+    """Each row holds the monomials of one m.w, summed per class key, and the
+    rows span the hull of every monomial, cancelled or not."""
+    atoms = _dedup_atoms(tuple(a for c in batch for a in c.atoms))
+    slots = [tuple(atoms.index(a) for a in c.atoms) for c in batch]
+    joints = _prefix_sums(atoms, n, (), [[()] * n] * n)
+    parts, tables, bound = _chi_tables(batch, slots, joints, w)
+    hulls = [_exponent_hull(c, w) for c in batch]
+    assert bound == max(hi - lo for lo, hi in hulls)
+    for cls, sl, rows, (lo, hi) in zip(batch, slots, tables, hulls):
+        assert len(rows) == hi - lo + 1
+        got = {(p, hi - lo - r): c for r, row in enumerate(rows) for p, c in row}
+        assert len(got) == sum(map(len, rows))
+        by_key = {}
+        for joint in joints:
+            by_key.setdefault(tuple(joint[i] for i in sl), []).append(joint)
+        want = {}
+        for key, js in by_key.items():
+            p = parts.index(tuple(js))
+            for c, mono in cls.monomials(key):
+                e = sum(x * y for x, y in zip(mono, w)) - lo
+                want[p, e] = want.get((p, e), 0) + c
+        assert got == {k: c for k, c in want.items() if c}
+
+
+@given(small_matroids(), st.data(), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_chi_tables_match_monomials(m, data, seed):
+    pool = _table_class_pool(m)
+    picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=4,
+                               unique=True))
+    n = m.n_elements
+    _assert_tables_match_monomials([pool[i] for i in picks], n, sample_weight(n, random.Random(seed)))
+
+
+def test_chi_tables_of_a_class_without_monomials():
+    # a drawn case: on a rank-0 matroid S_M is 0, so the nested product has
+    # no monomials; its hull is (0, 0), one empty row, and chi is 0
+    m = Matroid(1, [0])
+    cls = kc_product(kc_product(alpha_beta_twist(1, 1, 1), s_class(m)), line_bundle(base_polytope(m)))
+    assert cls.monomials(cls.key_at((0,))) == ()
+    _assert_tables_match_monomials([cls], 1, sample_weight(1, random.Random(0)))
+    assert euler_char_many([cls], rng=random.Random(0)) == [0]
