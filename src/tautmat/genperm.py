@@ -9,7 +9,6 @@ live here; support functions add under Minkowski sum.
 from __future__ import annotations
 
 import os
-from operator import sub
 
 from .matroid import Matroid
 
@@ -25,17 +24,12 @@ class GuardrailExceeded(ValueError):
 DEFAULT_GUARDRAIL = 9
 
 
-def guardrail_limit():
-    env = os.environ.get("TAUTMAT_GUARDRAIL")
-    return int(env) if env else DEFAULT_GUARDRAIL
-
-
-def check_guardrail(n_elements, limit=None):
-    cap = limit if limit is not None else guardrail_limit()
+def check_guardrail(n_elements):
+    cap = int(os.environ.get("TAUTMAT_GUARDRAIL") or DEFAULT_GUARDRAIL)
     if n_elements > cap:
         raise GuardrailExceeded(
             f"ground set size {n_elements} exceeds the guardrail {cap}; "
-            "raise TAUTMAT_GUARDRAIL or pass a larger limit to override"
+            "raise TAUTMAT_GUARDRAIL or --max-ground to override"
         )
 
 
@@ -115,80 +109,38 @@ class GenPermutohedron:
             prev = cur
         return tuple(coords)
 
-    def coordinate_bounds(self):
-        """Per-coordinate [lo, hi] valid for every point of the polytope."""
-        full = self.full_mask
-        los, his = [], []
-        for i in range(self.n_elements):
-            his.append(self.rk[1 << i])
-            los.append(self.rk[full] - self.rk[full ^ (1 << i)])
-        return los, his
-
-    def count_lattice_points(self, limit=None):
+    def count_lattice_points(self):
         """Exact number of integer points, counted without listing them.
 
-        One depth-first walk fixes the coordinates 0..n-3 within the
-        bounding box intersected with the hyperplane sum x_i = rk(E),
-        checking every facet inequality <x, e_S> <= rk(S) incrementally (S
-        ranging over the subsets whose largest element is the coordinate
-        just fixed).  The last two coordinates a = n-2, b = n-1 are closed
-        as an interval: with x_a = v and x_b = remaining - v, the facets
-        whose largest element is a bound v above, those containing b but not
-        a bound it below, and those containing both do not depend on v.
+        The points are the integer x with x(S) <= rk(S) for every S and
+        x(E) = rk(E).  The walk fixes one coordinate per level.  Once
+        x_0..x_{i-1} are fixed, what is left to count depends only on the
+        state (remaining, b): the sum still to place, and the table
+        b(T) = min over fixed m of rk(m | T) - x(m) for T within
+        {i..n-1}, indexed with coordinate i as bit 0.  Fixing x_i = v maps
+        b to b'(t) = min(b[2t], b[2t+1] - v): the subsets without i and
+        with it.  v ranges from remaining - b[-2] (the later coordinates
+        must fit) to b[1] (which keeps b'[0] >= 0, every facet on fixed
+        coordinates alone).  The last coordinate takes what remains, which
+        fits iff remaining <= b[1].  The completions of a state do not depend
+        on the prefix that reached it, so a level is a dict {state: ways}, the
+        number of prefixes reaching each state, and level i + 1 is built
+        from level i alone: only two levels are held at a time.
         """
-        check_guardrail(self.n_elements, limit)
+        check_guardrail(self.n_elements)
         n = self.n_elements
-        los, his = self.coordinate_bounds()
-        if any(lo > hi for lo, hi in zip(los, his)):
-            return 0
-        if n < 2:
-            # the hyperplane fixes the only coordinate, if any
+        if n == 0:
             return 1
-        total = self.rk[self.full_mask]
-        suf_lo = [0] * (n + 1)
-        suf_hi = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suf_lo[i] = suf_lo[i + 1] + los[i]
-            suf_hi[i] = suf_hi[i + 1] + his[i]
-        subsum = [0] * (1 << n)
-        rk = self.rk
-        last = n - 2
-        bit_a = 1 << last
-        bit_b = bit_a << 1
-        # rk(m | a), rk(m | b), rk(m | a | b) for every m below a
-        rk_a = rk[bit_a : 2 * bit_a]
-        rk_b = rk[bit_b : bit_b + bit_a]
-        rk_ab = rk[bit_b + bit_a :]
-
-        def slack(table):
-            """min over m below a of rk(m | ...) - subsum[m]."""
-            return min(map(sub, table, subsum))
-
-        def descend(i, remaining):
-            if i == last:
-                if remaining > slack(rk_ab):
-                    return 0
-                vlo = remaining - slack(rk_b)
-                vhi = slack(rk_a)
-                return max(0, vhi - vlo + 1)
-            lo = max(los[i], remaining - suf_hi[i + 1])
-            hi = min(his[i], remaining - suf_lo[i + 1])
-            bit = 1 << i
-            masks = range(bit)
-            count = 0
-            for v in range(lo, hi + 1):
-                ok = True
-                for m in masks:
-                    s = subsum[m] + v
-                    if s > rk[m | bit]:
-                        ok = False
-                        break
-                    subsum[m | bit] = s
-                if ok:
-                    count += descend(i + 1, remaining - v)
-            return count
-
-        return descend(0, total)
+        level = {(self.rk[-1], tuple(self.rk)): 1}
+        for _ in range(n - 1):
+            nxt = {}
+            for (remaining, b), ways in level.items():
+                pairs = tuple(zip(b[0::2], b[1::2]))
+                for v in range(remaining - b[-2], b[1] + 1):
+                    key = (remaining - v, tuple([e if e < o - v else o - v for e, o in pairs]))
+                    nxt[key] = nxt.get(key, 0) + ways
+            level = nxt
+        return sum(ways for (remaining, b), ways in level.items() if remaining <= b[1])
 
 
 def _check_submodular(n_elements, rk):

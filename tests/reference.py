@@ -6,6 +6,7 @@ library computes by a faster route, so the tests can compare the two.
 
 import math
 from fractions import Fraction
+from operator import sub
 
 from tautmat.engine import sample_eval_point
 from tautmat.invariants import _factor_degree_poly
@@ -314,3 +315,79 @@ def balance_reference(weight):
         if not constant_on_gaps_reference(sub, v):
             return (sub, tuple(v))
     return None
+
+
+def coordinate_bounds(p):
+    """Per-coordinate [lo, hi] valid for every point of the polytope p."""
+    full = p.full_mask
+    los, his = [], []
+    for i in range(p.n_elements):
+        his.append(p.rk[1 << i])
+        los.append(p.rk[full] - p.rk[full ^ (1 << i)])
+    return los, his
+
+
+def lattice_count_reference(p):
+    """Integer points of p by a depth-first walk over its coordinates.
+
+    One depth-first walk fixes the coordinates 0..n-3 within the
+    bounding box intersected with the hyperplane sum x_i = rk(E),
+    checking every facet inequality <x, e_S> <= rk(S) incrementally (S
+    ranging over the subsets whose largest element is the coordinate
+    just fixed).  The last two coordinates a = n-2, b = n-1 are closed
+    as an interval: with x_a = v and x_b = remaining - v, the facets
+    whose largest element is a bound v above, those containing b but not
+    a bound it below, and those containing both do not depend on v.
+    """
+    n = p.n_elements
+    los, his = coordinate_bounds(p)
+    if any(lo > hi for lo, hi in zip(los, his)):
+        return 0
+    if n < 2:
+        # the hyperplane fixes the only coordinate, if any
+        return 1
+    total = p.rk[p.full_mask]
+    suf_lo = [0] * (n + 1)
+    suf_hi = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suf_lo[i] = suf_lo[i + 1] + los[i]
+        suf_hi[i] = suf_hi[i + 1] + his[i]
+    subsum = [0] * (1 << n)
+    rk = p.rk
+    last = n - 2
+    bit_a = 1 << last
+    bit_b = bit_a << 1
+    # rk(m | a), rk(m | b), rk(m | a | b) for every m below a
+    rk_a = rk[bit_a : 2 * bit_a]
+    rk_b = rk[bit_b : bit_b + bit_a]
+    rk_ab = rk[bit_b + bit_a :]
+
+    def slack(table):
+        """min over m below a of rk(m | ...) - subsum[m]."""
+        return min(map(sub, table, subsum))
+
+    def descend(i, remaining):
+        if i == last:
+            if remaining > slack(rk_ab):
+                return 0
+            vlo = remaining - slack(rk_b)
+            vhi = slack(rk_a)
+            return max(0, vhi - vlo + 1)
+        lo = max(los[i], remaining - suf_hi[i + 1])
+        hi = min(his[i], remaining - suf_lo[i + 1])
+        bit = 1 << i
+        masks = range(bit)
+        count = 0
+        for v in range(lo, hi + 1):
+            ok = True
+            for m in masks:
+                s = subsum[m] + v
+                if s > rk[m | bit]:
+                    ok = False
+                    break
+                subsum[m | bit] = s
+            if ok:
+                count += descend(i + 1, remaining - v)
+        return count
+
+    return descend(0, total)

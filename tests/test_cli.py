@@ -203,11 +203,11 @@ def test_cf_grid_above_degree_n_is_a_failed_identity(capsys, monkeypatch, axis):
         bumps.clear()
         return bumped
 
-    def count(poly, limit=None):
+    def count(poly):
         # P(M) + t*nabla + u*Delta: rk({0}) = rk_M({0}) + u, rk(E) = r - t + u
         u = poly.rk[1] - m.rank(1)
         t = m.rank_value + u - poly.rk[poly.full_mask]
-        return real_count(poly, limit) + bump(t, u)
+        return real_count(poly) + bump(t, u)
 
     monkeypatch.setattr(inv, "alpha_beta_twist", twist)
     monkeypatch.setattr(inv, "euler_char_many", chis)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tautmat.corpus import builtin_matroid
 from tautmat.genperm import (
     GenPermutohedron,
     GuardrailExceeded,
@@ -15,10 +16,12 @@ from tautmat.genperm import (
 )
 from tautmat.matroid import bits, mask_of, popcount, uniform
 
+from reference import coordinate_bounds, lattice_count_reference
+
 
 def brute_force_points(p):
     """Oracle: scan the whole bounding box and apply every constraint."""
-    los, his = p.coordinate_bounds()
+    los, his = coordinate_bounds(p)
     out = []
     for pt in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
         if sum(pt) != p.rk[p.full_mask]:
@@ -138,8 +141,22 @@ def test_lattice_count_matches_brute_force(p):
     assert p.count_lattice_points() == len(brute_force_points(p))
 
 
-def test_guardrail():
+@pytest.mark.parametrize("name", ["uniform_2_5", "k4"])
+def test_lattice_count_matches_depth_first_walk(name):
+    # every polytope P(M) + t*nabla + u*Delta of the Cameron-Fink grid, t, u <= n
+    m = builtin_matroid(name)
+    n1 = m.n_elements
+    pm, nabla, delta = base_polytope(m), simplex(n1).negate(), simplex(n1)
+    for t in range(n1):
+        for u in range(n1):
+            p = pm + nabla.dilate(t) + delta.dilate(u)
+            assert p.count_lattice_points() == lattice_count_reference(p)
+
+
+def test_guardrail(monkeypatch):
+    monkeypatch.delenv("TAUTMAT_GUARDRAIL", raising=False)
     big = simplex(10)
     with pytest.raises(GuardrailExceeded):
         big.count_lattice_points()
-    assert big.count_lattice_points(limit=10) == 10
+    monkeypatch.setenv("TAUTMAT_GUARDRAIL", "10")
+    assert big.count_lattice_points() == 10
