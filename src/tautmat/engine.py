@@ -9,7 +9,9 @@ Three pushforward paths:
   of all pairwise coordinate differences, so integer numerators scaled by
   D are accumulated and one exact integer division (divmod) per
   coefficient ends the sum.  Both points share one walk over prefix sets
-  (`_prefix_sums`), and the factors are folded in per atom value.
+  (`_prefix_sums`), and the factors are folded in per atom value.  Each
+  factor is a Chern-class functional of a K-class (`GradedFactor`): a
+  monomial T^m of the class at a fixed point is a Chern root m.t.
 
 * a character path for Euler characteristics: restrict to a one-parameter
   subgroup T_i = q^{w_i} and sample each class's character, shifted by
@@ -43,7 +45,7 @@ import math
 import operator
 
 from .genperm import check_guardrail
-from .kclass import KClassLoc, _dedup_atoms
+from .kclass import KClassLoc, MixedSigns, _dedup_atoms
 from .matroid import bits
 from .perms import all_perms
 # interpolate_univariate is unused here; bench/tests asserts engine's binding of it
@@ -91,20 +93,37 @@ def sample_weight(n, rng):
 
 
 class GradedFactor:
-    """One multiplicative factor of a graded integrand.
+    """One multiplicative factor of a graded integrand: a Chern-class functional of a K-class.
 
-    var:   formal variable tracking this factor's degree
-    atom:  which permutation datum the factor value depends on
-    poly:  (atom value, tstar) -> {exponent: integer value}, where the
-           value of the coefficient of var**k is t-homogeneous of degree k.
+    var:    formal variable tracking this factor's degree
+    cls:    the KClassLoc whose Chern roots the factor reads
+    coeffs: Chern roots -> (exponent, integer value) pairs, where the value
+            of the coefficient of var**k is t-homogeneous of degree k.
+
+    At an atom key of cls, a merged monomial T^m of multiplicity c > 0
+    gives c roots m.t*; a negative multiplicity raises MixedSigns.
     """
 
-    __slots__ = ("var", "atom", "poly")
+    __slots__ = ("var", "cls", "coeffs", "_vectors")
 
-    def __init__(self, var, atom, poly):
+    def __init__(self, var, cls, coeffs):
         self.var = var
-        self.atom = atom
-        self.poly = poly
+        self.cls = cls
+        self.coeffs = coeffs
+        self._vectors = {}  # key -> each m repeated c times, shared by both generic points
+
+    def at(self, key, tstar):
+        """{exponent: nonzero value} at an atom-value key of cls and the point tstar."""
+        vectors = self._vectors.get(key)
+        if vectors is None:
+            vectors = []
+            for m, c in self.cls.merged(key).items():
+                if c < 0:
+                    raise MixedSigns(f"{self.cls.name} has a monomial of multiplicity {c}")
+                vectors += [m] * c
+            self._vectors[key] = vectors
+        roots = [sum(map(operator.mul, m, tstar)) for m in vectors]
+        return {k: v for k, v in self.coeffs(roots) if v}
 
 
 def _elem_sym(values):
@@ -117,90 +136,33 @@ def _elem_sym(values):
     return out
 
 
-def _roots_at(rootspec, key_value, tstar):
-    kind = rootspec[0]
-    if kind == "sdual":
-        return [tstar[i] for i in bits(key_value)]
-    if kind == "q":
-        full = rootspec[1].full_mask
-        return [-tstar[i] for i in bits(full ^ key_value)]
-    if kind == "qdual":
-        full = rootspec[1].full_mask
-        return [tstar[i] for i in bits(full ^ key_value)]
-    if kind == "sdiff":
-        b1, b2 = key_value
-        return [tstar[i] for i in bits(b2 & ~b1)]
-    raise ValueError(f"unknown root spec {rootspec}")
+def chern_series(cls, var):
+    """Full Chern polynomial factor: coefficient of var^j is Elem_j of the roots."""
+    return GradedFactor(var, cls, lambda roots: enumerate(_elem_sym(roots)))
 
 
-def chern_series(rootspec, var):
-    """Full Chern polynomial factor: coefficient of var^j is Elem_j of roots."""
-    atom = (
-        ("pair", ("basis", rootspec[1]), ("basis", rootspec[2]))
-        if rootspec[0] == "sdiff"
-        else ("basis", rootspec[1])
-    )
-
-    def poly(key_value, tstar):
-        es = _elem_sym(_roots_at(rootspec, key_value, tstar))
-        return {j: v for j, v in enumerate(es) if v}
-
-    return GradedFactor(var, atom, poly)
-
-
-def chern_fixed(rootspec, k, var):
+def chern_fixed(cls, k, var):
     """Single graded Chern coefficient c_k as a factor (exponent k in var)."""
-    series = chern_series(rootspec, var)
 
-    def poly(key_value, tstar):
-        v = series.poly(key_value, tstar).get(k, 0)
-        return {k: v} if v else {}
+    def coeffs(roots):
+        es = _elem_sym(roots)
+        return [(k, es[k])] if k < len(es) else ()
 
-    return GradedFactor(var, series.atom, poly)
-
-
-def _power_series(var, cap, atom, base_of):
-    """1 + b x + ... + b^cap x^cap for the per-permutation base b = base_of(key, tstar)."""
-
-    def poly(key_value, tstar):
-        base = base_of(key_value, tstar)
-        out, p = {}, 1
-        for i in range(cap + 1):
-            if p:
-                out[i] = p
-            p *= base
-        return out
-
-    return GradedFactor(var, atom, poly)
+    return GradedFactor(var, cls, coeffs)
 
 
-def alpha_series(var, cap):
-    """1 + alpha x + ... + alpha^cap x^cap with the lift alpha_sigma = -t_{sigma(n)}."""
-    return _power_series(var, cap, ("last",), lambda last, tstar: -tstar[last])
+def power_series(line, var):
+    """1 + b var + ... + b^n var^n for the Chern root b of a line-bundle class, n = ground - 1.
 
+    With kclass.alpha_class or beta_class the factor reads one atom, the
+    last or the first element.
+    """
 
-def beta_series(var, cap):
-    """1 + beta y + ... + beta^cap y^cap with the lift beta_sigma = t_{sigma(0)}."""
-    return _power_series(var, cap, ("first",), lambda first, tstar: tstar[first])
+    def coeffs(roots):
+        (base,) = roots
+        return ((i, base**i) for i in range(line.ground))
 
-
-class GradedIntegrand:
-    """A product of GradedFactors over one ground set."""
-
-    def __init__(self, ground, factors):
-        self.ground = ground
-        self.factors = list(factors)
-        atoms = []
-        for f in self.factors:
-            for a in _expand_atom(f.atom):
-                if a not in atoms:
-                    atoms.append(a)
-        self.atoms = tuple(atoms)
-        self.vars = tuple(dict.fromkeys(f.var for f in self.factors))
-
-
-def _expand_atom(atom):
-    return atom[1:] if atom[0] == "pair" else (atom,)
+    return GradedFactor(var, line, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +170,11 @@ def _expand_atom(atom):
 # ---------------------------------------------------------------------------
 
 
-def integrate_graded(integrand: GradedIntegrand, *, rng):
-    """Non-equivariant degrees of a graded class, as an integer polynomial.
+def integrate_graded(ground, factors, *, rng):
+    """Non-equivariant degrees of a product of GradedFactors, as an integer polynomial.
 
-    The fixed-point sum runs at two independent generic points, both in one
+    The polynomial's variables are the factors' vars in factor order.  The
+    fixed-point sum runs at two independent generic points, both in one
     prefix-set walk; each gives integer numerators over the point's common
     denominator D'.  In order:
     numerators of total degree below n = ground - 1 must vanish
@@ -219,13 +182,14 @@ def integrate_graded(integrand: GradedIntegrand, *, rng):
     (GenericPointMismatch), and each degree-n numerator must divide by D'
     exactly (NonIntegral).  Returns the degree-n part.
     """
-    ground = integrand.ground
     target = ground - 1
     check_guardrail(ground)
+    vars = tuple(dict.fromkeys(f.var for f in factors))
+    atoms = _dedup_atoms(tuple(a for f in factors for a in f.cls.atoms))
     points = (sample_eval_point(ground, rng), sample_eval_point(ground, rng))
-    acc = _prefix_sums(integrand.atoms, ground, *_point_steps(points))
+    acc = _prefix_sums(atoms, ground, *_point_steps(points))
     (num_a, d_a), (num_b, d_b) = (
-        (_fold_factors(integrand, acc, i, t, target), _pairwise_diff_product(t))
+        (_fold_factors(factors, vars, atoms, acc, i, t, target), _pairwise_diff_product(t))
         for i, t in enumerate(points)
     )
     for e in itertools.chain(num_a, num_b):
@@ -244,7 +208,7 @@ def integrate_graded(integrand: GradedIntegrand, *, rng):
         out[e], rem = divmod(c, d_a)
         if rem:
             raise NonIntegral(f"degree of {e} is {c}/{d_a}, not an integer")
-    return SparsePoly(integrand.vars, out)
+    return SparsePoly(vars, out)
 
 
 def _pairwise_diff_product(tstar):
@@ -343,37 +307,35 @@ def _prefix_sums(atoms, ground, starts, steps):
     return acc
 
 
-def _fold_factors(integrand, acc, slot, tstar, cap):
+def _fold_factors(factors, vars, atoms, acc, slot, tstar, cap):
     """Integer numerators {exponent: num} of the graded sum at tstar, up to total degree cap.
 
     acc[joint key][slot] is the class sum at tstar.  Factors are multiplied
     in one at a time, each key projected afterwards onto the atoms later
-    factors read.  A factor's poly is tabulated once per distinct atom
-    value, and an exponent vector is one packed int: a field of
+    factors read.  A factor is tabulated once per distinct value of its
+    class's atoms, and an exponent vector is one packed int: a field of
     cap.bit_length() bits per variable and the total degree in the top
     field, so a term is kept iff the packed sum is below (cap + 1) << top.
     """
-    vidx = {v: i for i, v in enumerate(integrand.vars)}
+    vidx = {v: i for i, v in enumerate(vars)}
     width = max(cap.bit_length(), 1)
     top = width * len(vidx)
     limit = (cap + 1) << top
     state = {key: {0: vals[slot]} for key, vals in acc.items() if vals[slot]}
-    layout = list(integrand.atoms)
-    factors = integrand.factors
+    layout = list(atoms)
     for fi, factor in enumerate(factors):
-        needed = {a for g in factors[fi + 1 :] for a in _expand_atom(g.atom)}
+        needed = {a for g in factors[fi + 1 :] for a in g.cls.atoms}
         keep = [i for i, a in enumerate(layout) if a in needed]
-        fslots = [layout.index(a) for a in _expand_atom(factor.atom)]
-        pair = factor.atom[0] == "pair"
+        project, fkey = _getter(keep), _getter([layout.index(a) for a in factor.cls.atoms])
         unit = (1 << width * vidx[factor.var]) + (1 << top)
         table = {}
         new_state = {}
         for key, poly in state.items():
-            fk = tuple(key[i] for i in fslots) if pair else key[fslots[0]]
+            fk = fkey(key)
             fp = table.get(fk)
             if fp is None:
-                fp = table[fk] = [(k * unit, c) for k, c in factor.poly(fk, tstar).items() if c]
-            tgt = new_state.setdefault(tuple(key[i] for i in keep), {})
+                fp = table[fk] = [(k * unit, c) for k, c in factor.at(fk, tstar).items()]
+            tgt = new_state.setdefault(project(key), {})
             for e, c in poly.items():
                 for de, fc in fp:
                     e2 = e + de
@@ -387,6 +349,16 @@ def _fold_factors(integrand, acc, slot, tstar, cap):
         tuple((e >> width * i) & mask for i in range(len(vidx))): c
         for e, c in state.get((), {}).items() if c
     }
+
+
+def _getter(slots):
+    """key -> tuple(key[i] for i in slots), one C call where itemgetter allows."""
+    if len(slots) > 1:
+        return operator.itemgetter(*slots)
+    if slots:
+        (i,) = slots
+        return lambda key: (key[i],)
+    return lambda key: ()
 
 
 # ---------------------------------------------------------------------------

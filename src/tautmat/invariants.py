@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .engine import (
-    GradedIntegrand,
-    alpha_series,
-    beta_series,
     chern_fixed,
     chern_series,
     euler_char_ab,
@@ -25,15 +22,20 @@ from .engine import (
     forward_differences,
     integrate_graded,
     integrate_inhomogeneous,
+    power_series,
 )
 from .genperm import GenPermutohedron, base_polytope, simplex
 from .kclass import (
     KClassLoc,
     alpha_beta_twist,
+    alpha_class,
+    beta_class,
     det_s_dual,
     dual_class,
     exterior_power,
+    kc_negate,
     kc_product,
+    kc_sum,
     line_bundle,
     q_class,
     s_class,
@@ -87,16 +89,16 @@ T4_VARS = ("x", "y", "z", "w")
 def taut_degree_polynomial(m: Matroid, *, rng) -> SparsePoly:
     """sum of (deg alpha^i beta^j c_k(S^v) c_l(Q)) x^i y^j z^k w^l."""
     n1 = m.n_elements
-    integrand = GradedIntegrand(
+    p = integrate_graded(
         n1,
         [
-            chern_series(("sdual", m), "z"),
-            chern_series(("q", m), "w"),
-            beta_series("y", n1 - 1),
-            alpha_series("x", n1 - 1),
+            chern_series(dual_class(s_class(m)), "z"),
+            chern_series(q_class(m), "w"),
+            power_series(beta_class(n1), "y"),
+            power_series(alpha_class(n1), "x"),
         ],
+        rng=rng,
     )
-    p = integrate_graded(integrand, rng=rng)
     return p.with_vars(T4_VARS)
 
 
@@ -115,23 +117,20 @@ def mixed_degree_generating(subs, quots, *, rng) -> SparsePoly:
     factors = []
     vars_out = ["x", "y"]
     for i, m in enumerate(subs, start=1):
-        factors.append(chern_series(("sdual", m), f"z{i}"))
+        factors.append(chern_series(dual_class(s_class(m)), f"z{i}"))
         vars_out.append(f"z{i}")
     for i, m in enumerate(quots, start=1):
-        factors.append(chern_series(("q", m), f"w{i}"))
+        factors.append(chern_series(q_class(m), f"w{i}"))
         vars_out.append(f"w{i}")
-    factors.append(beta_series("y", n1 - 1))
-    factors.append(alpha_series("x", n1 - 1))
-    integrand = GradedIntegrand(n1, factors)
-    return integrate_graded(integrand, rng=rng).with_vars(tuple(vars_out))
+    factors.append(power_series(beta_class(n1), "y"))
+    factors.append(power_series(alpha_class(n1), "x"))
+    return integrate_graded(n1, factors, rng=rng).with_vars(tuple(vars_out))
 
 
 def alpha_beta_degrees(n1, *, rng) -> SparsePoly:
     """sum (deg alpha^i beta^j) x^i y^j on the ground set of size n1."""
-    integrand = GradedIntegrand(
-        n1, [beta_series("y", n1 - 1), alpha_series("x", n1 - 1)]
-    )
-    return integrate_graded(integrand, rng=rng).with_vars(("x", "y"))
+    factors = [power_series(beta_class(n1), "y"), power_series(alpha_class(n1), "x")]
+    return integrate_graded(n1, factors, rng=rng).with_vars(("x", "y"))
 
 
 def theorem_a_check(m: Matroid, *, rng, jobs=1):
@@ -165,11 +164,8 @@ def _factor_degree_poly(m: Matroid, rng) -> SparsePoly:
     key = m.key()
     got = _FACTOR_DEGREE_MEMO.get(key)
     if got is None:
-        integrand = GradedIntegrand(
-            m.n_elements,
-            [chern_series(("sdual", m), "z"), chern_series(("q", m), "w")],
-        )
-        got = integrate_graded(integrand, rng=rng).with_vars(("z", "w"))
+        factors = [chern_series(dual_class(s_class(m)), "z"), chern_series(q_class(m), "w")]
+        got = integrate_graded(m.n_elements, factors, rng=rng).with_vars(("z", "w"))
         _FACTOR_DEGREE_MEMO[key] = got
     return got
 
@@ -471,16 +467,16 @@ def g_polynomial(m: Matroid, *, rng) -> SparsePoly:
     r, crk, n1 = m.rank_value, m.corank, m.n_elements
     comp_sign = (-1) ** len(m.connected_components())
 
-    integrand = GradedIntegrand(
+    top = integrate_graded(
         n1,
         [
-            chern_series(("qdual", m), "u"),
-            chern_series(("sdual", m), "z"),
-            chern_fixed(("q", m), crk, "w"),
-            alpha_series("x", n1 - 1),
+            chern_series(dual_class(q_class(m)), "u"),
+            chern_series(dual_class(s_class(m)), "z"),
+            chern_fixed(q_class(m), crk, "w"),
+            power_series(alpha_class(n1), "x"),
         ],
+        rng=rng,
     )
-    top = integrate_graded(integrand, rng=rng)
     collapsed = top.substitute("x", 1).substitute("u", 1).substitute("w", 1)
     g_chow = SparsePoly.zero(("s",))
     for i in range(r + 1):
@@ -522,11 +518,11 @@ def flag_tutte_kt(flag: FlagMatroid, *, rng) -> SparsePoly:
     n1 = flag.n_elements
     r_top = mats[-1].rank_value
     r_bot = mats[0].rank_value
-    factors = [chern_series(("sdual", mm), "v") for mm in mats[:-1]]
-    factors.append(chern_series(("sdual", mats[-1]), "z"))
-    factors.append(chern_series(("q", mats[0]), "w"))
-    factors.append(alpha_series("x", n1 - 1))
-    top = integrate_graded(GradedIntegrand(n1, factors), rng=rng)
+    factors = [chern_series(dual_class(s_class(mm)), "v") for mm in mats[:-1]]
+    factors.append(chern_series(dual_class(s_class(mats[-1])), "z"))
+    factors.append(chern_series(q_class(mats[0]), "w"))
+    factors.append(power_series(alpha_class(n1), "x"))
+    top = integrate_graded(n1, factors, rng=rng)
     collapsed = top.substitute("x", 1)
     if k > 1:
         collapsed = collapsed.substitute("v", 1)
@@ -574,16 +570,18 @@ def lvt(m1: Matroid, m2: Matroid, *, rng) -> SparsePoly:
             x1 ** (r1 - ra1) * y1 ** (popcount(a) - ra2) * z ** (r2 - r1 - ra2 + ra1)
         )
 
-    integrand = GradedIntegrand(
+    # (S2/S1)^v: the dual of S_{M2} minus the dual of S_{M1}
+    sdiff = kc_sum(dual_class(s_class(m2)), kc_negate(dual_class(s_class(m1))))
+    top = integrate_graded(
         n1,
         [
-            chern_series(("sdual", m1), "u"),
-            chern_series(("qdual", m2), "v"),
-            chern_series(("sdiff", m1, m2), "s"),
-            alpha_series("x", n1 - 1),
+            chern_series(dual_class(s_class(m1)), "u"),
+            chern_series(dual_class(q_class(m2)), "v"),
+            chern_series(sdiff, "s"),
+            power_series(alpha_class(n1), "x"),
         ],
+        rng=rng,
     )
-    top = integrate_graded(integrand, rng=rng)
     collapsed = top.substitute("x", 1).with_vars(("u", "v", "s"))
     xx = SparsePoly.variable("x", vars3)
     yy = SparsePoly.variable("y", vars3)

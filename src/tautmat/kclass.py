@@ -5,13 +5,17 @@ permutation the fixed-point value depends on (a greedy basis of some
 matroid, the first or last element, or an extremal vertex of a lattice
 generalized permutohedron), plus a function from atom values to a signed
 list of Laurent monomial exponent vectors.  Pushforwards read a class only
-at its distinct atom-value keys, which are cached per class.
+at its distinct atom-value keys, which are cached per class.  The same
+classes serve the Chow side: a Chern-class factor of the graded path reads
+a class's merged monomials, each T^m of multiplicity c > 0 giving c Chern
+roots m.t (engine.GradedFactor).
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from functools import lru_cache
 
 from .genperm import GenPermutohedron
 from .matroid import Matroid, bits
@@ -72,16 +76,20 @@ class KClassLoc:
     def key_at(self, sigma):
         return tuple(atom_value(a, sigma) for a in self.atoms)
 
-    def at(self, sigma):
-        """Merged localization at one fixed point: dict {exponent vector: int}."""
+    def merged(self, key):
+        """Merged monomials at an atom-value key: dict {exponent vector: nonzero int}."""
         out = {}
-        for c, m in self.monomials(self.key_at(sigma)):
+        for c, m in self.monomials(key):
             s = out.get(m, 0) + c
             if s:
                 out[m] = s
             else:
                 del out[m]
         return out
+
+    def at(self, sigma):
+        """Merged localization at one fixed point: dict {exponent vector: int}."""
+        return self.merged(self.key_at(sigma))
 
     def rank(self):
         """Sum of monomial coefficients; sigma-independent for a valid class."""
@@ -92,7 +100,9 @@ class KClassLoc:
         return f"KClassLoc({self.name or 'anonymous'}, ground={self.ground})"
 
 
+@lru_cache(maxsize=None)
 def _unit(i, n, sign=1):
+    """The exponent vector T_i^sign, one shared tuple per (i, n, sign)."""
     e = [0] * n
     e[i] = sign
     return tuple(e)
@@ -141,7 +151,7 @@ def structure_sheaf(n) -> KClassLoc:
 
 def dual_class(cls: KClassLoc) -> KClassLoc:
     def mono(key):
-        return [(c, tuple(-x for x in m)) for c, m in cls.monomials(key)]
+        return [(c, tuple(map(operator.neg, m))) for c, m in cls.monomials(key)]
 
     return KClassLoc(cls.ground, cls.atoms, mono, name=f"dual({cls.name})")
 
@@ -243,6 +253,16 @@ def alpha_beta_twist(n, t_pow, u_pow) -> KClassLoc:
         return [(1, tuple(e))]
 
     return KClassLoc(n, (("first",), ("last",)), mono, name=f"O({t_pow}a+{u_pow}b)")
+
+
+def alpha_class(n) -> KClassLoc:
+    """[O(alpha)] read at the last element alone: T_{sigma(n)}^{-1}."""
+    return KClassLoc(n, (("last",),), lambda key: [(1, _unit(key[0], n, -1))], name="O(a)")
+
+
+def beta_class(n) -> KClassLoc:
+    """[O(beta)] read at the first element alone: T_{sigma(0)}."""
+    return KClassLoc(n, (("first",),), lambda key: [(1, _unit(key[0], n))], name="O(b)")
 
 
 def det_s_dual(m: Matroid) -> KClassLoc:

@@ -260,11 +260,16 @@ def test_check_max_elements_5_stdout_is_pinned(capsys):
         (("gpoly", "vamos"), "34c8a221f7cbce9f2407aa663527f36384110b1dc8d37054396cfd8647ecbd22"),
         (("fstutte", "fano", "--zeta-check"), "5aa43c40fd2a8d7d42ff78e3a8d8449de6b241f0aeb5d018a2543cc8b2e4f9b7"),
         (("fstutte", "vamos"), "bfb2645034e66f2b67422dfee6e3f585132d4da8ac54f2e92e3da9baee4adfd0"),
+        (("lvt", "uniform:2:8", "vamos"), "e50419c7f12035ddec91a348ee0323ab27da4e87fff8479546ae1a9cf287a6e6"),
+        (
+            ("flag-tutte", "uniform:1:8", "uniform:2:8", "vamos"),
+            "c3dc5b77a831f92ab64095e89952dd80628b564a57583281cbb34ccc1bf5e866",
+        ),
     ],
     ids=[
         "csm-vamos", "bergman-vamos", "csm-fano", "fstutte-fano", "fstutte-nonfano", "cf-u25",
         "cf-u24-t5-u4", "ehrhart-h24-c3", "gpoly-fano", "tautdeg-vamos", "gpoly-vamos",
-        "fstutte-fano-zeta", "fstutte-vamos",
+        "fstutte-fano-zeta", "fstutte-vamos", "lvt-u28-vamos", "flag-tutte-u18-u28-vamos",
     ],
 )
 def test_weight_stdout_is_pinned(capsys, argv, digest):

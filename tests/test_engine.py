@@ -12,12 +12,9 @@ from tautmat.corpus import builtin_matroid
 from tautmat.engine import (
     GenericPointMismatch,
     GradedFactor,
-    GradedIntegrand,
     InterpolationInconsistent,
     NonIntegral,
     SubDegreeNonzero,
-    alpha_series,
-    beta_series,
     chern_series,
     euler_char_ab,
     euler_char_many,
@@ -29,17 +26,23 @@ from tautmat.engine import (
     _pairwise_diff_product,
     _point_steps,
     _prefix_sums,
+    power_series,
 )
 from tautmat.kclass import (
     KClassLoc,
+    MixedSigns,
     _dedup_atoms,
     alpha_beta_twist,
+    alpha_class,
     atom_value,
+    beta_class,
     cremona,
     det_s_dual,
     dual_class,
     exterior_power,
+    kc_negate,
     kc_product,
+    kc_sum,
     line_bundle,
     q_class,
     s_class,
@@ -47,7 +50,7 @@ from tautmat.kclass import (
 )
 from tautmat.genperm import base_polytope, simplex
 from tautmat.invariants import cf_check, chi_both_routes, chi_via_zeta, fs_classes, fs_tutte
-from tautmat.matroid import uniform
+from tautmat.matroid import matroid_from_bases, uniform
 from tautmat.perms import all_perms
 from tautmat.poly import InconsistentSamples, SparsePoly, interpolate_univariate
 from tautmat.rat import Rat
@@ -69,7 +72,7 @@ def test_localization_denominator():
 
 def test_point_variety(rng):
     # one-element ground set: a single fixed point, empty denominator
-    p = integrate_graded(GradedIntegrand(1, [alpha_series("x", 0)]), rng=rng)
+    p = integrate_graded(1, [power_series(alpha_class(1), "x")], rng=rng)
     assert p.coeff((0,)) == 1
     assert euler_char_ab(structure_sheaf(1), rng=rng) == 1
 
@@ -77,36 +80,33 @@ def test_point_variety(rng):
 def test_alpha_and_beta_top_powers(rng):
     # pi_E is birational onto P^n, so the top power of either pullback has degree 1
     for n1 in (2, 3, 4):
-        pa = integrate_graded(GradedIntegrand(n1, [alpha_series("x", n1 - 1)]), rng=rng)
+        pa = integrate_graded(n1, [power_series(alpha_class(n1), "x")], rng=rng)
         assert pa.coeff((n1 - 1,)) == 1
-        pb = integrate_graded(GradedIntegrand(n1, [beta_series("y", n1 - 1)]), rng=rng)
+        pb = integrate_graded(n1, [power_series(beta_class(n1), "y")], rng=rng)
         assert pb.coeff((n1 - 1,)) == 1
 
 
 def test_alpha_beta_mixed_degrees_small(rng):
     # hand-derived for n = 1: deg(alpha) = deg(beta) = 1
     p = integrate_graded(
-        GradedIntegrand(2, [beta_series("y", 1), alpha_series("x", 1)]), rng=rng
+        2, [power_series(beta_class(2), "y"), power_series(alpha_class(2), "x")], rng=rng
     )
     assert p.terms == {(0, 1): Rat(1), (1, 0): Rat(1)}
     # n = 2: the Cremona image of a line is a conic, so deg(alpha*beta) = 2
     p = integrate_graded(
-        GradedIntegrand(3, [beta_series("y", 2), alpha_series("x", 2)]), rng=rng
+        3, [power_series(beta_class(3), "y"), power_series(alpha_class(3), "x")], rng=rng
     )
     assert p.coeff((1, 1)) == 2 and p.coeff((2, 0)) == 1 and p.coeff((0, 2)) == 1
 
 
 def test_callable_reference_path_agrees(rng, u24):
-    integrand = GradedIntegrand(
-        4,
-        [
-            chern_series(("sdual", u24), "z"),
-            chern_series(("q", u24), "w"),
-            beta_series("y", 3),
-            alpha_series("x", 3),
-        ],
-    )
-    fast = integrate_graded(integrand, rng=rng)
+    factors = [
+        chern_series(dual_class(s_class(u24)), "z"),
+        chern_series(q_class(u24), "w"),
+        power_series(beta_class(4), "y"),
+        power_series(alpha_class(4), "x"),
+    ]
+    fast = integrate_graded(4, factors, rng=rng)
 
     def ev(sigma, t):
         b = u24.lex_first_basis(sigma)
@@ -133,14 +133,14 @@ def test_callable_reference_path_agrees(rng, u24):
 
 def test_grading_violation_detected(rng):
     # a degree-n value of t attached to formal degree 0 survives below the target
-    bad = GradedFactor("x", ("first",), lambda k, t: {0: t[k] ** 2})
+    bad = GradedFactor("x", beta_class(3), lambda roots: [(0, roots[0] ** 2)])
     with pytest.raises(SubDegreeNonzero):
-        integrate_graded(GradedIntegrand(3, [bad]), rng=rng)
+        integrate_graded(3, [bad], rng=rng)
 
     # a degree-3 value at formal top degree leaves point-dependent residue
-    bad2 = GradedFactor("x", ("first",), lambda k, t: {2: t[k] ** 3})
+    bad2 = GradedFactor("x", beta_class(3), lambda roots: [(2, roots[0] ** 3)])
     with pytest.raises(GenericPointMismatch):
-        integrate_graded(GradedIntegrand(3, [bad2]), rng=rng)
+        integrate_graded(3, [bad2], rng=rng)
 
 
 def _at_points(monkeypatch, *points):
@@ -151,58 +151,72 @@ def _at_points(monkeypatch, *points):
 def test_graded_failures_in_order(rng, monkeypatch):
     # t0^2 at sigma(0) = 0 only breaks the fixed-point congruences: the sum is
     # t0^2/((t0 - t1)(t0 - t2)), 1/3 at (1, 2, 4) and 1/6 at (1, 3, 4)
-    def first_only(k, t):
-        return {2: t[k] ** 2} if k == 0 else {}
+    t0_at_first_0 = KClassLoc(3, (("first",),), lambda key: [(1, (1, 0, 0))] if key[0] == 0 else [])
 
-    def with_low_term(k, t):
-        return {0: t[k] ** 2, **first_only(k, t)}
+    def first_only(roots):
+        return [(2, roots[0] ** 2)] if roots else []
 
-    top = GradedIntegrand(3, [GradedFactor("x", ("first",), first_only)])
-    low = GradedIntegrand(3, [GradedFactor("x", ("first",), with_low_term)])
+    def with_low_term(roots):
+        return [(0, roots[0] ** 2), *first_only(roots)] if roots else []
+
+    top = [GradedFactor("x", t0_at_first_0, first_only)]
+    low = [GradedFactor("x", t0_at_first_0, with_low_term)]
     _at_points(monkeypatch, (1, 2, 4), (1, 2, 4))
     with pytest.raises(NonIntegral):
-        integrate_graded(top, rng=rng)
+        integrate_graded(3, top, rng=rng)
     # a mismatch is named before the non-integral coefficients it also has
     _at_points(monkeypatch, (1, 2, 4), (1, 3, 4))
     with pytest.raises(GenericPointMismatch):
-        integrate_graded(top, rng=rng)
+        integrate_graded(3, top, rng=rng)
     # a sub-degree term is named before both
     _at_points(monkeypatch, (1, 2, 4), (1, 3, 4))
     with pytest.raises(SubDegreeNonzero):
-        integrate_graded(low, rng=rng)
+        integrate_graded(3, low, rng=rng)
 
 
 def test_partition_independence(rng, fano):
-    integrand = GradedIntegrand(
-        7,
-        [
-            chern_series(("sdual", fano), "z"),
-            chern_series(("q", fano), "w"),
-            beta_series("y", 6),
-            alpha_series("x", 6),
-        ],
-    )
+    factors = [
+        chern_series(dual_class(s_class(fano)), "z"),
+        chern_series(q_class(fano), "w"),
+        power_series(beta_class(7), "y"),
+        power_series(alpha_class(7), "x"),
+    ]
+    atoms = _dedup_atoms(tuple(a for f in factors for a in f.cls.atoms))
     tstar = (3, 17, 5, 9, 2, 11, 7)
     d = _pairwise_diff_product(tstar)
     # oracle: greedy bases recomputed per permutation, no incremental enumerator
     naive = {}
     for sigma in all_perms(7):
-        key = tuple(atom_value(a, sigma) for a in integrand.atoms)
+        key = tuple(atom_value(a, sigma) for a in atoms)
         naive[key] = naive.get(key, 0) + d // localization_denominator(sigma, tstar)
-    assert _prefix_sums(integrand.atoms, 7, *_point_steps([tstar])) == {k: [v] for k, v in naive.items()}
+    assert _prefix_sums(atoms, 7, *_point_steps([tstar])) == {k: [v] for k, v in naive.items()}
 
 
 def test_factor_values_at_literal_points():
     # c^T(S^v, z) at sigma = id with greedy basis {0} and t* = (2, 3)
     m = uniform(1, 2)
-    f = chern_series(("sdual", m), "z")
-    assert f.poly(m.lex_first_basis((0, 1)), (2, 3)) == {0: 1, 1: 2}
-    fq = chern_series(("q", m), "w")
-    assert fq.poly(m.lex_first_basis((0, 1)), (2, 3)) == {0: 1, 1: -3}
-    al = alpha_series("x", 1)
-    assert al.poly(1, (2, 3)) == {0: 1, 1: -3}
-    be = beta_series("y", 1)
-    assert be.poly(0, (2, 3)) == {0: 1, 1: 2}
+    f = chern_series(dual_class(s_class(m)), "z")
+    assert f.at((m.lex_first_basis((0, 1)),), (2, 3)) == {0: 1, 1: 2}
+    fq = chern_series(q_class(m), "w")
+    assert fq.at((m.lex_first_basis((0, 1)),), (2, 3)) == {0: 1, 1: -3}
+    al = power_series(alpha_class(2), "x")
+    assert al.at((1,), (2, 3)) == {0: 1, 1: -3}
+    be = power_series(beta_class(2), "y")
+    assert be.at((0,), (2, 3)) == {0: 1, 1: 2}
+
+
+def test_difference_factor_of_a_non_quotient_raises():
+    # (S2/S1)^v has Chern roots only if B1 lies in B2 at every fixed point;
+    # here B1 = {2} and B2 = {0, 1} at sigma = (0, 1, 2), so T_2 has
+    # multiplicity -1 and the factor raises instead of dropping it
+    m1, m2 = matroid_from_bases(3, [[2]]), uniform(2, 3)
+    sdiff = kc_sum(dual_class(s_class(m2)), kc_negate(dual_class(s_class(m1))))
+    assert sdiff.at((0, 1, 2)) == {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1}
+    factor = chern_series(sdiff, "s")
+    with pytest.raises(MixedSigns):
+        factor.at(sdiff.key_at((0, 1, 2)), (1, 2, 4))
+    with pytest.raises(MixedSigns):
+        integrate_graded(3, [factor], rng=random.Random(0))
 
 
 def test_zeta_route_weight_independent(rng):

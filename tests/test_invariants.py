@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tautmat import checks
 from tautmat.corpus import builtin_matroid, corpus
 from tautmat.genperm import base_polytope, simplex
 from tautmat.invariants import (
@@ -29,11 +32,12 @@ from tautmat.invariants import (
 import tautmat.invariants as invariants
 from reference import all_chains, comb_weight_reference, geometric_weight_reference
 from tautmat.kclass import restrict_to_chain, structure_sheaf
-from tautmat.matroid import FlagMatroid, matroid_from_bases, uniform
+from tautmat.matroid import FlagMatroid, higgs_lift, matroid_from_bases, uniform
 from tautmat.poly import SparsePoly, logconcave_unbroken_check
 from tautmat.rat import Rat
 from tautmat.tutte import beta_pair, t_transform, tutte_delcontr
 from tautmat.weights import mw_balance_check
+from test_walk import small_matroids
 
 
 def P(vars, terms):
@@ -387,3 +391,22 @@ def test_theorem_a_on_random_minors(data):
         m = m.dual()
     rng = _random.Random(7)
     assert taut_degree_polynomial(m, rng=rng) == t_transform(m)
+
+
+@given(small_matroids(), st.integers(0, 2**16))
+@settings(max_examples=120, deadline=None)
+def test_graded_identities_on_random_matroids(m, seed):
+    # the ledger's graded identities on random sparse paving and graphic
+    # matroids and their duals, at most 6 elements
+    rng = random.Random(seed)
+    checks._duality(m, rng)
+    checks._beta(m, rng)
+    # both LVT routes where the difference bundle is a line bundle, not zero
+    lift = higgs_lift(m).constituents
+    for m1, m2 in zip(lift, lift[1:]):
+        lvt(m1, m2, rng=rng)
+    if not m.loops() and m.rank_value >= 1:
+        # KT(x, 0) = x^r on (U_{1,n}, M), K-chi signs and LVT(M, M) = T_M
+        checks._flag(m, rng)
+    if not m.loops() and not m.coloops():
+        g_polynomial(m, rng=rng)

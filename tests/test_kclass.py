@@ -8,6 +8,8 @@ from tautmat.genperm import base_polytope, simplex
 from tautmat.kclass import (
     MixedSigns,
     alpha_beta_twist,
+    alpha_class,
+    beta_class,
     cremona,
     det_class,
     det_s_dual,
@@ -70,6 +72,19 @@ def test_line_bundles_alpha_beta():
     for sigma in all_perms(4):
         assert lb.at(sigma) == mono((e(4, **{f"_{sigma[-1]}": -1}), 1))
         assert lbneg.at(sigma) == mono((e(4, **{f"_{sigma[0]}": 1}), 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_alpha_beta_classes_are_the_twists(n):
+    # the graded path's one-atom alpha and beta: T_{sigma(n)}^{-1} read at the
+    # last element alone, T_{sigma(0)} at the first alone
+    alpha, beta = alpha_class(n), beta_class(n)
+    assert alpha.atoms == (("last",),) and beta.atoms == (("first",),)
+    for sigma in all_perms(n):
+        assert alpha.at(sigma) == alpha_beta_twist(n, 1, 0).at(sigma)
+        assert beta.at(sigma) == alpha_beta_twist(n, 0, 1).at(sigma)
+    assert fixed_point_compatibility_check(alpha) is None
+    assert fixed_point_compatibility_check(beta) is None
 
 
 def test_det_s_dual_is_minus_base_polytope_bundle(u24):

@@ -9,19 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tautmat.engine import (
-    GradedIntegrand,
     _chi_tables,
     _chi_walk,
     _pairwise_diff_product,
     _point_steps,
-    _power_series,
     _prefix_sums,
-    alpha_series,
-    beta_series,
     chern_series,
     euler_char_many,
     integrate_graded,
     integrate_inhomogeneous,
+    power_series,
     sample_eval_point,
     sample_weight,
 )
@@ -30,7 +27,9 @@ from tautmat.invariants import fs_classes
 from tautmat.kclass import (
     _dedup_atoms,
     alpha_beta_twist,
+    alpha_class,
     atom_value,
+    beta_class,
     cremona,
     det_s_dual,
     dual_class,
@@ -116,25 +115,16 @@ def test_character_walk_matches_scan(m, data, seed, qs):
     assert _prefix_sums(atoms, n, (), [[()] * n] * n).keys() == acc.keys()
 
 
-def _integrand_at(integrand, sigma, tstar):
-    """The integrand's value at one fixed point, atoms read off sigma."""
-    vars = integrand.vars
+def _factors_at(factors, vars, sigma, tstar):
+    """The product of the factors at one fixed point, atoms read off sigma."""
     out = SparsePoly.constant(1, vars)
-    for f in integrand.factors:
-        if f.atom[0] == "pair":
-            key = tuple(atom_value(a, sigma) for a in f.atom[1:])
-        else:
-            key = atom_value(f.atom, sigma)
+    for f in factors:
+        key = tuple(atom_value(a, sigma) for a in f.cls.atoms)
         terms = {
-            tuple(k if v == f.var else 0 for v in vars): c for k, c in f.poly(key, tstar).items()
+            tuple(k if v == f.var else 0 for v in vars): c for k, c in f.at(key, tstar).items()
         }
         out = out * SparsePoly(vars, terms)
     return out
-
-
-def _vertex_series(var, cap, atom):
-    """1 + (m.t) v + ... + (m.t)^cap v^cap for the vertex m an atom reads."""
-    return _power_series(var, cap, atom, lambda m, t: sum(x * y for x, y in zip(m, t)))
 
 
 @given(small_matroids(), st.data(), st.integers(0, 2**16))
@@ -142,21 +132,22 @@ def _vertex_series(var, cap, atom):
 def test_integrate_graded_matches_reference(m, data, seed):
     n = m.n_elements
     p = base_polytope(m)
+    # the last two are 1 + (m.t) v + ... for the vertex m the atom reads
     pool = [
-        chern_series(("sdual", m), "z"),
-        chern_series(("q", m), "w"),
-        beta_series("y", n - 1),
-        alpha_series("x", n - 1),
-        _vertex_series("u", n - 1, ("vmax", p)),
-        _vertex_series("v", n - 1, ("vmin", p + simplex(n))),
+        chern_series(dual_class(s_class(m)), "z"),
+        chern_series(q_class(m), "w"),
+        power_series(beta_class(n), "y"),
+        power_series(alpha_class(n), "x"),
+        power_series(cremona(line_bundle(p)), "u"),
+        power_series(dual_class(line_bundle(p + simplex(n))), "v"),
     ]
     picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=3,
                                unique=True))
-    integrand = GradedIntegrand(n, [pool[i] for i in sorted(picks)])
-    got = integrate_graded(integrand, rng=random.Random(seed))
+    factors = [pool[i] for i in sorted(picks)]
+    vars = tuple(f.var for f in factors)
+    got = integrate_graded(n, factors, rng=random.Random(seed))
     ref = graded_reference(
-        lambda sigma, t: _integrand_at(integrand, sigma, t), n, integrand.vars,
-        rng=random.Random(seed),
+        lambda sigma, t: _factors_at(factors, vars, sigma, t), n, vars, rng=random.Random(seed),
     )
     assert got == ref
 
