@@ -17,11 +17,11 @@ from .invariants import (
     cf_check,
     coalgebra_recursion_check,
     ehrhart,
-    flag_kchi,
     flag_tutte_kt,
     fs_classes,
     fs_tutte,
     g_polynomial,
+    kchi_from_kt,
     lvt,
     minkowski_weights,
     taut_degree_polynomial,
@@ -167,7 +167,7 @@ def _flag(m, rng):
     expect = SparsePoly(("x",), {(m.rank_value,): 1})
     if at_y0.with_vars(("x",)) != expect:
         raise AssertionError(f"KT(x,0) = {at_y0.render()} != x^{m.rank_value}")
-    flag_kchi(flag, rng=rng)
+    kchi_from_kt(flag, kt)
     if lvt(m, m, rng=rng).substitute("z", 1).with_vars(("x", "y")) != tutte_delcontr(m):
         raise AssertionError("LVT(M,M) != T_M")
     return ""

@@ -22,10 +22,10 @@ from .invariants import (
     cf_check,
     csm_weight,
     ehrhart,
-    flag_kchi,
     flag_tutte_kt,
     fs_tutte,
     g_polynomial,
+    kchi_from_kt,
     lvt,
     minkowski_weights,
     taut_degree_polynomial,
@@ -128,7 +128,7 @@ def _dispatch(args, rng, checks, results, inputs):
         if verb == "flag-tutte":
             flag = parse_flag(args.matroids)
             kt = flag_tutte_kt(flag, rng=rng)
-            kchi = flag_kchi(flag, rng=rng)
+            kchi = kchi_from_kt(flag, kt)
             results["flag_tutte"] = _poly_json(kt)
             results["k_characteristic"] = _poly_json(kchi)
             check("kchi-alternating-signs", True)

@@ -45,7 +45,7 @@ import math
 import operator
 
 from .genperm import check_guardrail
-from .kclass import KClassLoc, MixedSigns, _dedup_atoms
+from .kclass import KClassLoc, MixedSigns, _dedup_atoms, simplex_pair
 from .matroid import bits
 from .perms import all_perms
 # interpolate_univariate is unused here; bench/tests asserts engine's binding of it
@@ -154,8 +154,8 @@ def chern_fixed(cls, k, var):
 def power_series(line, var):
     """1 + b var + ... + b^n var^n for the Chern root b of a line-bundle class, n = ground - 1.
 
-    With kclass.alpha_class or beta_class the factor reads one atom, the
-    last or the first element.
+    With kclass.alpha_class or beta_class the factor reads one atom, -Delta
+    or Delta.
     """
 
     def coeffs(roots):
@@ -240,48 +240,29 @@ def _prefix_sums(atoms, ground, starts, steps):
     exact: the callers start at a product holding each pair's divisor once,
     and a permutation's adjacent pairs are distinct.  A permutation is a
     chain of prefix sets, so the sum is a walk over prefix sets S, one size
-    at a time.  A state is (S, last element, atom values on the prefix) and
-    holds the sum of its prefixes' chain values per slot.  Appending e to S
-    adds rk(S + e) - rk(S) to coordinate e of a vmax vertex, and of a greedy
-    basis (rk the matroid rank); vmin is vmax of rk'(S) = rk(E) - rk(E - S).
-    first is set at the start, and kept only if an atom reads it.  All of a
-    state but last is one packed int: S in the low bits, then a field per
-    atom, each step OR-ing in one tabulated delta[S][e].  With no slots the
-    walk only lists the reachable joint keys.
+    at a time.  A state is (S, last element, the atoms' vertices on the
+    prefix) and holds the sum of its prefixes' chain values per slot:
+    appending e to S sets coordinate e of an atom's vertex to its increment
+    rk(S + e) - rk(S).  All of a state but last is one packed int: S in the
+    low bits, then a field per atom and coordinate, as wide as the atom's
+    increments less their least, each step OR-ing in one tabulated
+    delta[S][e].  With no slots the walk only lists the reachable joint keys.
     """
     full = (1 << ground) - 1
+    frees = [list(bits(full ^ s)) for s in range(full + 1)]
     delta = [[1 << e for e in range(ground)] for _ in range(full + 1)]
-    decode = []
+    fields = []
     off = ground
     for a in atoms:
-        kind = a[0]
-        if kind == "last":
-            decode.append(lambda p, last: last)
-            continue
-        lo, width = 0, 1
-        if kind == "first":
-            for e in range(ground):
-                delta[0][e] |= e << off
-        else:
-            rk = [a[1].rank(s) for s in range(full + 1)] if kind == "basis" else a[1].rk
-            if kind == "vmin":
-                rk = [rk[full] - rk[full ^ s] for s in range(full + 1)]
-            incs = {
-                (s, e): rk[s | 1 << e] - rk[s] for s in range(full + 1) for e in bits(full ^ s)
-            }
-            if kind != "basis":
-                lo = min(incs.values())
-                width = (max(incs.values()) - lo).bit_length() or 1
-            for (s, e), v in incs.items():
-                delta[s][e] |= (v - lo) << (off + width * e)
-        decode.append(
-            (lambda p, last, o=off: (p >> o) & full) if kind in ("basis", "first")
-            else lambda p, last, o=off, w=width, lo=lo: tuple(
-                ((p >> (o + w * e)) & ((1 << w) - 1)) + lo for e in range(ground)
-            )
-        )
+        rk = a.rk
+        incs = [[rk[s | 1 << e] - rk[s] for e in es] for s, es in enumerate(frees)]
+        lo = min(map(min, incs[:-1]))
+        width = (max(map(max, incs[:-1])) - lo).bit_length() or 1
+        for row, es, vs in zip(delta, frees, incs):
+            for e, v in zip(es, vs):
+                row[e] |= (v - lo) << (off + width * e)
+        fields.append((off, width, lo))
         off += width * ground
-    frees = [list(bits(full ^ s)) for s in range(full + 1)]
     lb = ground.bit_length()
     lmask = (1 << lb) - 1
     level = {delta[0][e] << lb | e: starts for e in range(ground)}
@@ -300,8 +281,17 @@ def _prefix_sums(atoms, ground, starts, steps):
                         cur[i] += vals[i] // d * m
         level = nxt
     acc = {}
+    vertices = [{} for _ in fields]  # per atom: packed field -> vertex
     for key, vals in level.items():
-        jk = tuple(f(key >> lb, key & lmask) for f in decode)
+        packed = key >> lb
+        jk = []
+        for (o, w, lo), vs in zip(fields, vertices):
+            f = packed >> o & ((1 << w * ground) - 1)
+            v = vs.get(f)
+            if v is None:
+                v = vs[f] = tuple(((f >> w * e) & ((1 << w) - 1)) + lo for e in range(ground))
+            jk.append(v)
+        jk = tuple(jk)
         cur = acc.get(jk)
         acc[jk] = vals if cur is None else [a + b for a, b in zip(cur, vals)]
     return acc
@@ -324,7 +314,7 @@ def _fold_factors(factors, vars, atoms, acc, slot, tstar, cap):
     state = {key: {0: vals[slot]} for key, vals in acc.items() if vals[slot]}
     layout = list(atoms)
     for fi, factor in enumerate(factors):
-        needed = {a for g in factors[fi + 1 :] for a in g.cls.atoms}
+        needed = [a for g in factors[fi + 1 :] for a in g.cls.atoms]
         keep = [i for i, a in enumerate(layout) if a in needed]
         project, fkey = _getter(keep), _getter([layout.index(a) for a in factor.cls.atoms])
         unit = (1 << width * vidx[factor.var]) + (1 << top)
@@ -564,7 +554,7 @@ def integrate_inhomogeneous(kclasses, *, rng):
     the denominator is q^n times the adjacent w-differences, and the scaled
     pushforward is an integer polynomial in q of degree at most
     pole*(n+1) plus the largest monomial degree.  One prefix-set walk over
-    the union of the classes' atoms and the last element, at one drawn w,
+    the union of the classes' atoms and -Delta (the last element), at one drawn w,
     serves every class; each gets its integer samples at q = 1, 2, ... by
     exact division, and forward differences read off q = 0.
     """
@@ -573,14 +563,16 @@ def integrate_inhomogeneous(kclasses, *, rng):
         raise ValueError("classes on different ground sets")
     w = tuple(x + 1 for x in sample_weight(ground, rng))
     dprime = _pairwise_diff_product(w)
-    atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms) + (("last",),))
+    nabla = simplex_pair(ground)[1]
+    atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms) + (nabla,))
     acc = _prefix_sums(atoms, ground, *_point_steps((w,)))
-    ilast = atoms.index(("last",))
+    ilast = atoms.index(nabla)
     out = []
     for kcls in kclasses:
         sl = tuple(atoms.index(a) for a in kcls.atoms)
         # terms[e] = coefficient of prod_i (1 + t_i)^(e_i + pole) in the numerator:
-        # the zeta monomial and one Chern factor for every i but sigma(n)
+        # the zeta monomial and one Chern factor for every i but sigma(n), so
+        # e = m + 1 + v with v = -e_sigma(n) the vertex of -Delta
         terms = {}
         pole = posdeg = 0
         sums = {}
@@ -592,10 +584,8 @@ def integrate_inhomogeneous(kclasses, *, rng):
                 pole = max(pole, sum(-x for x in mono if x < 0))
                 posdeg = max(posdeg, sum(mono))
                 up = [x + 1 for x in mono]
-                for last, a in by_last.items():
-                    up[last] -= 1
-                    e = tuple(up)
-                    up[last] += 1
+                for v, a in by_last.items():
+                    e = tuple(map(operator.add, up, v))
                     terms[e] = terms.get(e, 0) + a * c
 
         def sample(q):

@@ -88,17 +88,13 @@ class GenPermutohedron:
 
     # -- vertices and lattice points -----------------------------------------
 
-    def vertex_at(self, sigma, sense="max"):
-        """The vertex extremal for the permutation order sigma.
+    def vertex_at(self, sigma):
+        """The vertex maximal for the permutation order sigma.
 
-        sense='max': coordinates are the greedy increments
-        rk({sigma(0..i)}) - rk({sigma(0..i-1)}).  sense='min' is the max
-        vertex of the reversed order.
+        Its coordinates are the greedy increments rk({sigma(0..i)}) -
+        rk({sigma(0..i-1)}); the vertex minimal for sigma is minus the
+        maximal vertex of negate().
         """
-        if sense == "min":
-            sigma = tuple(reversed(tuple(sigma)))
-        elif sense != "max":
-            raise ValueError("sense must be 'max' or 'min'")
         coords = [0] * self.n_elements
         prev = 0
         prefix = 0

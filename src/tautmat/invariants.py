@@ -538,7 +538,11 @@ def flag_tutte_kt(flag: FlagMatroid, *, rng) -> SparsePoly:
 
 def flag_kchi(flag: FlagMatroid, *, rng) -> SparsePoly:
     """K-theoretic characteristic polynomial; asserts alternating signs."""
-    kt = flag_tutte_kt(flag, rng=rng)
+    return kchi_from_kt(flag, flag_tutte_kt(flag, rng=rng))
+
+
+def kchi_from_kt(flag: FlagMatroid, kt: SparsePoly) -> SparsePoly:
+    """(-1)^(sum of ranks) KT(1 - q, 0) from the flag's KT; asserts alternating signs."""
     one_minus_q = SparsePoly(("q",), {(0,): 1, (1,): -1})
     out = kt.substitute("x", one_minus_q).substitute("y", 0).with_vars(("q",))
     out = out * ((-1) ** sum(flag.ranks))

@@ -1,14 +1,16 @@
 """Localized K-classes on the permutohedral variety.
 
-A class is stored intensionally: a tuple of "atoms" saying which data of a
-permutation the fixed-point value depends on (a greedy basis of some
-matroid, the first or last element, or an extremal vertex of a lattice
-generalized permutohedron), plus a function from atom values to a signed
-list of Laurent monomial exponent vectors.  Pushforwards read a class only
-at its distinct atom-value keys, which are cached per class.  The same
-classes serve the Chow side: a Chern-class factor of the graded path reads
-a class's merged monomials, each T^m of multiplicity c > 0 giving c Chern
-roots m.t (engine.GradedFactor).
+A class is stored intensionally: a tuple of atoms, each a lattice
+generalized permutohedron P read at a permutation sigma as its vertex
+maximal for sigma (P.vertex_at), plus a function from atom values to a
+signed list of Laurent monomial exponent vectors.  [S_M] and [Q_M] read the
+0/1 vertex of the base polytope P(M), the greedy basis; O(alpha) and
+O(beta) read the vertices -e_sigma(n) of -Delta and e_sigma(0) of Delta;
+O(D_P) reads the vertex of -P, which is its monomial.  Pushforwards read a
+class only at its distinct atom-value keys, which are cached per class.
+The same classes serve the Chow side: a Chern-class factor of the graded
+path reads a class's merged monomials, each T^m of multiplicity c > 0
+giving c Chern roots m.t (engine.GradedFactor).
 """
 
 from __future__ import annotations
@@ -17,30 +19,12 @@ import itertools
 import operator
 from functools import lru_cache
 
-from .genperm import GenPermutohedron
-from .matroid import Matroid, bits
+from .genperm import GenPermutohedron, base_polytope, simplex
+from .matroid import Matroid
 
 
 class MixedSigns(ValueError):
     """Exterior powers need a class whose localizations all have sign +1."""
-
-
-# Atom kinds: ("basis", Matroid) | ("first",) | ("last",) | ("vmin", P) | ("vmax", P)
-
-
-def atom_value(atom, sigma):
-    kind = atom[0]
-    if kind == "basis":
-        return atom[1].lex_first_basis(sigma)
-    if kind == "first":
-        return sigma[0]
-    if kind == "last":
-        return sigma[-1]
-    if kind == "vmin":
-        return atom[1].vertex_at(sigma, "min")
-    if kind == "vmax":
-        return atom[1].vertex_at(sigma, "max")
-    raise ValueError(f"unknown atom kind {kind}")
 
 
 def _dedup_atoms(atoms):
@@ -49,6 +33,14 @@ def _dedup_atoms(atoms):
         if a not in seen:
             seen.append(a)
     return tuple(seen)
+
+
+@lru_cache(maxsize=None)
+def simplex_pair(n):
+    """(Delta, -Delta) on n elements, one shared pair per size: the atoms
+    whose vertices are e_sigma(0) and -e_sigma(n)."""
+    delta = simplex(n)
+    return delta, delta.negate()
 
 
 class KClassLoc:
@@ -74,7 +66,7 @@ class KClassLoc:
         return out
 
     def key_at(self, sigma):
-        return tuple(atom_value(a, sigma) for a in self.atoms)
+        return tuple(a.vertex_at(sigma) for a in self.atoms)
 
     def merged(self, key):
         """Merged monomials at an atom-value key: dict {exponent vector: nonzero int}."""
@@ -122,20 +114,19 @@ def s_class(m: Matroid) -> KClassLoc:
     n = m.n_elements
 
     def mono(key):
-        return [(1, _unit(i, n, -1)) for i in bits(key[0])]
+        return [(1, _unit(i, n, -1)) for i, x in enumerate(key[0]) if x]
 
-    return KClassLoc(n, (("basis", m),), mono, name=f"S({m!r})")
+    return KClassLoc(n, (base_polytope(m),), mono, name=f"S({m!r})")
 
 
 def q_class(m: Matroid) -> KClassLoc:
     """[Q_M]: sum of T_i^{-1} over the complement of the greedy basis."""
     n = m.n_elements
-    full = m.full_mask
 
     def mono(key):
-        return [(1, _unit(i, n, -1)) for i in bits(full ^ key[0])]
+        return [(1, _unit(i, n, -1)) for i, x in enumerate(key[0]) if not x]
 
-    return KClassLoc(n, (("basis", m),), mono, name=f"Q({m!r})")
+    return KClassLoc(n, (base_polytope(m),), mono, name=f"Q({m!r})")
 
 
 def trivial_inverse_class(n) -> KClassLoc:
@@ -232,88 +223,61 @@ def det_class(cls: KClassLoc) -> KClassLoc:
     return KClassLoc(cls.ground, cls.atoms, mono, name=f"det({cls.name})")
 
 
+def _vertex_class(p: GenPermutohedron, name) -> KClassLoc:
+    """The line bundle whose monomial at sigma is the vertex of p maximal for sigma."""
+    return KClassLoc(p.n_elements, (p,), lambda key: [(1, key[0])], name=name)
+
+
 def line_bundle(p: GenPermutohedron) -> KClassLoc:
-    """[O(D_P)]: the single monomial T^{-m_sigma} at the min vertex."""
-    n = p.n_elements
-
-    def mono(key):
-        return [(1, tuple(-x for x in key[0]))]
-
-    return KClassLoc(n, (("vmin", p),), mono, name="O(D_P)")
+    """[O(D_P)]: the monomial T^{-m} at the vertex m of P minimal for sigma,
+    which is the vertex of -P maximal for sigma."""
+    return _vertex_class(p.negate(), "O(D_P)")
 
 
 def alpha_beta_twist(n, t_pow, u_pow) -> KClassLoc:
-    """[O(t alpha + u beta)] with localization T_{sigma(0)}^{u} T_{sigma(n)}^{-t}."""
+    """[O(t alpha + u beta)] with localization T_{sigma(0)}^{u} T_{sigma(n)}^{-t}.
+
+    Reads the vertices e_sigma(0) of Delta and -e_sigma(n) of -Delta, the
+    same two atoms for every (t, u).
+    """
 
     def mono(key):
         first, last = key
-        e = [0] * n
-        e[first] += u_pow
-        e[last] -= t_pow
-        return [(1, tuple(e))]
+        return [(1, tuple([u_pow * a + t_pow * b for a, b in zip(first, last)]))]
 
-    return KClassLoc(n, (("first",), ("last",)), mono, name=f"O({t_pow}a+{u_pow}b)")
+    return KClassLoc(n, simplex_pair(n), mono, name=f"O({t_pow}a+{u_pow}b)")
 
 
 def alpha_class(n) -> KClassLoc:
-    """[O(alpha)] read at the last element alone: T_{sigma(n)}^{-1}."""
-    return KClassLoc(n, (("last",),), lambda key: [(1, _unit(key[0], n, -1))], name="O(a)")
+    """[O(alpha)] = O(D_Delta), read at -Delta alone: T_{sigma(n)}^{-1}."""
+    return _vertex_class(simplex_pair(n)[1], "O(a)")
 
 
 def beta_class(n) -> KClassLoc:
-    """[O(beta)] read at the first element alone: T_{sigma(0)}."""
-    return KClassLoc(n, (("first",),), lambda key: [(1, _unit(key[0], n))], name="O(b)")
+    """[O(beta)] = O(D_{-Delta}), read at Delta alone: T_{sigma(0)}."""
+    return _vertex_class(simplex_pair(n)[0], "O(b)")
 
 
 def det_s_dual(m: Matroid) -> KClassLoc:
     """[det S_M^v] = [O(D_{-P(M)})]: the monomial prod_{i in B} T_i."""
-    n = m.n_elements
-
-    def mono(key):
-        e = [0] * n
-        for i in bits(key[0]):
-            e[i] = 1
-        return [(1, tuple(e))]
-
-    return KClassLoc(n, (("basis", m),), mono, name=f"detSdual({m!r})")
+    return _vertex_class(base_polytope(m), f"detSdual({m!r})")
 
 
 def cremona(cls: KClassLoc) -> KClassLoc:
     """crem[E]: value at sigma is the value at reversed sigma with T -> T^{-1}.
 
-    Implemented by transporting the atoms: the greedy basis of M at the
-    reversed permutation is the complement of the greedy basis of the dual
-    matroid, the first and last elements swap, and min/max vertices swap.
+    The vertex of P maximal for reversed sigma is minus the vertex of -P
+    maximal for sigma, so each atom P becomes -P and each vertex read is
+    negated back.
     """
-    new_atoms = []
-    translators = []
-    for a in cls.atoms:
-        kind = a[0]
-        if kind == "basis":
-            m = a[1]
-            full = m.full_mask
-            new_atoms.append(("basis", m.dual()))
-            translators.append(lambda v, full=full: full ^ v)
-        elif kind == "first":
-            new_atoms.append(("last",))
-            translators.append(lambda v: v)
-        elif kind == "last":
-            new_atoms.append(("first",))
-            translators.append(lambda v: v)
-        elif kind == "vmin":
-            new_atoms.append(("vmax", a[1]))
-            translators.append(lambda v: v)
-        elif kind == "vmax":
-            new_atoms.append(("vmin", a[1]))
-            translators.append(lambda v: v)
-        else:
-            raise ValueError(f"cannot transport atom {a}")
 
     def mono(key):
-        orig_key = tuple(tr(v) for tr, v in zip(translators, key))
-        return [(c, tuple(-x for x in m)) for c, m in cls.monomials(orig_key)]
+        orig_key = tuple(tuple(map(operator.neg, v)) for v in key)
+        return [(c, tuple(map(operator.neg, m))) for c, m in cls.monomials(orig_key)]
 
-    return KClassLoc(cls.ground, tuple(new_atoms), mono, name=f"crem({cls.name})")
+    return KClassLoc(
+        cls.ground, tuple(a.negate() for a in cls.atoms), mono, name=f"crem({cls.name})"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from operator import sub
 
 from tautmat.engine import sample_eval_point
 from tautmat.invariants import _factor_degree_poly
-from tautmat.kclass import atom_value, restrict_to_chain, s_class
+from tautmat.kclass import restrict_to_chain, s_class
 from tautmat.matroid import Matroid, bits, popcount
-from tautmat.perms import all_perms, iter_perm_bases
+from tautmat.perms import all_perms
 from tautmat.poly import SparsePoly, interpolate_univariate
 from tautmat.tutte import beta_pair
 
@@ -40,22 +40,10 @@ def localization_denominator(sigma, tstar):
 def perm_keys(atoms, ground):
     """Yields (sigma, joint atom key) for every permutation of range(ground).
 
-    key[i] is the value of atoms[i] at sigma: greedy bases come from the
-    incremental enumerator, every other atom is read off sigma.
+    key[i] is the vertex of atoms[i] maximal for sigma.
     """
-    bslots = [i for i, a in enumerate(atoms) if a[0] == "basis"]
-    other = [(i, a) for i, a in enumerate(atoms) if a[0] != "basis"]
-    if bslots:
-        iterator = iter_perm_bases([atoms[i][1] for i in bslots])
-    else:
-        iterator = ((s, ()) for s in all_perms(ground))
-    key_buf = [None] * len(atoms)
-    for sigma, bvec in iterator:
-        for s, bmask in zip(bslots, bvec):
-            key_buf[s] = bmask
-        for i, a in other:
-            key_buf[i] = atom_value(a, sigma)
-        yield sigma, tuple(key_buf)
+    for sigma in all_perms(ground):
+        yield sigma, tuple(a.vertex_at(sigma) for a in atoms)
 
 
 def scan_class_sums(atoms, ground, tstar, dprime):

@@ -34,7 +34,6 @@ from tautmat.kclass import (
     _dedup_atoms,
     alpha_beta_twist,
     alpha_class,
-    atom_value,
     beta_class,
     cremona,
     det_s_dual,
@@ -151,7 +150,7 @@ def _at_points(monkeypatch, *points):
 def test_graded_failures_in_order(rng, monkeypatch):
     # t0^2 at sigma(0) = 0 only breaks the fixed-point congruences: the sum is
     # t0^2/((t0 - t1)(t0 - t2)), 1/3 at (1, 2, 4) and 1/6 at (1, 3, 4)
-    t0_at_first_0 = KClassLoc(3, (("first",),), lambda key: [(1, (1, 0, 0))] if key[0] == 0 else [])
+    t0_at_first_0 = KClassLoc(3, (simplex(3),), lambda key: [(1, (1, 0, 0))] if key[0][0] else [])
 
     def first_only(roots):
         return [(2, roots[0] ** 2)] if roots else []
@@ -184,10 +183,10 @@ def test_partition_independence(rng, fano):
     atoms = _dedup_atoms(tuple(a for f in factors for a in f.cls.atoms))
     tstar = (3, 17, 5, 9, 2, 11, 7)
     d = _pairwise_diff_product(tstar)
-    # oracle: greedy bases recomputed per permutation, no incremental enumerator
+    # oracle: every atom's vertex read off each permutation, no prefix-set walk
     naive = {}
     for sigma in all_perms(7):
-        key = tuple(atom_value(a, sigma) for a in atoms)
+        key = tuple(a.vertex_at(sigma) for a in atoms)
         naive[key] = naive.get(key, 0) + d // localization_denominator(sigma, tstar)
     assert _prefix_sums(atoms, 7, *_point_steps([tstar])) == {k: [v] for k, v in naive.items()}
 
@@ -196,13 +195,14 @@ def test_factor_values_at_literal_points():
     # c^T(S^v, z) at sigma = id with greedy basis {0} and t* = (2, 3)
     m = uniform(1, 2)
     f = chern_series(dual_class(s_class(m)), "z")
-    assert f.at((m.lex_first_basis((0, 1)),), (2, 3)) == {0: 1, 1: 2}
+    assert f.at(((1, 0),), (2, 3)) == {0: 1, 1: 2}
     fq = chern_series(q_class(m), "w")
-    assert fq.at((m.lex_first_basis((0, 1)),), (2, 3)) == {0: 1, 1: -3}
+    assert fq.at(((1, 0),), (2, 3)) == {0: 1, 1: -3}
+    # at sigma = id the vertex of -Delta is -e_1, that of Delta is e_0
     al = power_series(alpha_class(2), "x")
-    assert al.at((1,), (2, 3)) == {0: 1, 1: -3}
+    assert al.at(((0, -1),), (2, 3)) == {0: 1, 1: -3}
     be = power_series(beta_class(2), "y")
-    assert be.at((0,), (2, 3)) == {0: 1, 1: 2}
+    assert be.at(((1, 0),), (2, 3)) == {0: 1, 1: 2}
 
 
 def test_difference_factor_of_a_non_quotient_raises():
@@ -586,7 +586,7 @@ def _corrupted_s_class(m):
     good = s_class(m)
 
     def bad_monos(key):
-        if key[0] == 0b0011:
+        if key[0] == (1, 1, 0, 0):
             return [(1, (0, 0, -1, -1))]
         return good.monomials(key)
 

@@ -63,10 +63,10 @@ def test_submodularity_validation():
 
 def test_vertices():
     p = base_polytope(uniform(2, 4))
-    assert p.vertex_at((0, 1, 2, 3), "max") == (1, 1, 0, 0)
+    assert p.vertex_at((0, 1, 2, 3)) == (1, 1, 0, 0)
     d = simplex(4)
     for sigma in itertools.permutations(range(4)):
-        v = d.vertex_at(sigma, "min")
+        v = tuple(-x for x in d.negate().vertex_at(sigma))
         assert v == tuple(1 if i == sigma[-1] else 0 for i in range(4))
 
 

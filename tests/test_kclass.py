@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tautmat.engine import fixed_point_compatibility_check, sample_eval_point
+from tautmat.engine import euler_char_many, fixed_point_compatibility_check, sample_eval_point
 from tautmat.genperm import base_polytope, simplex
 from tautmat.kclass import (
     MixedSigns,
@@ -22,8 +24,10 @@ from tautmat.kclass import (
     q_class,
     restrict_to_chain,
     s_class,
+    simplex_pair,
     trivial_inverse_class,
 )
+from tautmat.invariants import theorem_a_check
 from tautmat.matroid import bits, higgs_lift, mask_of, matroid_from_bases, uniform
 from tautmat.perms import all_perms
 from tautmat.rat import Rat
@@ -35,6 +39,7 @@ from reference import (
     induced_subpermutation,
     zeta_monomial_value,
 )
+from test_walk import small_matroids
 
 
 def mono(*pairs):
@@ -76,10 +81,10 @@ def test_line_bundles_alpha_beta():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_alpha_beta_classes_are_the_twists(n):
-    # the graded path's one-atom alpha and beta: T_{sigma(n)}^{-1} read at the
-    # last element alone, T_{sigma(0)} at the first alone
+    # the graded path's one-atom alpha and beta: T_{sigma(n)}^{-1} read at
+    # -Delta alone, T_{sigma(0)} at Delta alone
     alpha, beta = alpha_class(n), beta_class(n)
-    assert alpha.atoms == (("last",),) and beta.atoms == (("first",),)
+    assert alpha.atoms == (simplex(n).negate(),) and beta.atoms == (simplex(n),)
     for sigma in all_perms(n):
         assert alpha.at(sigma) == alpha_beta_twist(n, 1, 0).at(sigma)
         assert beta.at(sigma) == alpha_beta_twist(n, 0, 1).at(sigma)
@@ -103,6 +108,33 @@ def test_cremona_duality(u24):
     for sigma in all_perms(4):
         assert lhs.at(sigma) == rhs.at(sigma)
         assert lhs2.at(sigma) == rhs2.at(sigma)
+
+
+@given(small_matroids(), st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_vertex_atoms_on_random_matroids(m, seed):
+    # classes reading the vertices of P(M), -P(M), Delta and -Delta on random
+    # sparse paving and graphic matroids and their duals, at most 6 elements
+    rng = random.Random(seed)
+    n = m.n_elements
+    theorem_a_check(m, rng=rng)
+    pm, (delta, nabla) = base_polytope(m), simplex_pair(n)
+    grid = [(1, 0), (0, 2)]
+    chis = euler_char_many(
+        [kc_product(alpha_beta_twist(n, t, u), det_s_dual(m)) for t, u in grid], rng=rng
+    )
+    polytopes = [pm + nabla.dilate(t) + delta.dilate(u) for t, u in grid]
+    assert chis == [p.count_lattice_points() for p in polytopes]
+    classes = [s_class(m), q_class(m), line_bundle(pm), alpha_beta_twist(n, 1, 2)]
+    classes.append(kc_product(*classes))
+    pairs = [
+        (cremona(s_class(m)), dual_class(q_class(m.dual()))),
+        (cremona(line_bundle(pm)), line_bundle(pm.negate())),
+    ]
+    pairs += [(cremona(cremona(c)), c) for c in classes]
+    for sigma in all_perms(n):
+        for lhs, rhs in pairs:
+            assert lhs.at(sigma) == rhs.at(sigma)
 
 
 def random_classes(rng, m):

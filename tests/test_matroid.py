@@ -253,11 +253,11 @@ def test_vertex_matches_greedy_basis(small_corpus, vamos):
     for _, m in small_corpus:
         p = base_polytope(m)
         for sigma in all_perms(m.n_elements):
-            v = p.vertex_at(sigma, "max")
+            v = p.vertex_at(sigma)
             assert mask_of([i for i, x in enumerate(v) if x]) == m.lex_first_basis(sigma)
     rng = random.Random(10)
     pv = base_polytope(vamos)
     for _ in range(20):
         sigma = tuple(rng.sample(range(8), 8))
-        v = pv.vertex_at(sigma, "max")
+        v = pv.vertex_at(sigma)
         assert mask_of([i for i, x in enumerate(v) if x]) == vamos.lex_first_basis(sigma)

@@ -3,8 +3,8 @@ import random
 
 from tautmat.corpus import builtin_matroid
 from tautmat.genperm import base_polytope
-from tautmat.kclass import atom_value
-from tautmat.matroid import matroid_from_bases, uniform
+from tautmat.kclass import simplex_pair
+from tautmat.matroid import mask_of, matroid_from_bases, uniform
 from reference import naive_perm_bases, perm_keys
 from tautmat.perms import all_perms, iter_perm_bases
 
@@ -38,11 +38,15 @@ def test_incremental_joint_vector():
 
 
 def test_perm_keys_match_per_permutation_atoms(u24):
+    # the vertices of P(M), Delta and -Delta are the greedy basis, the first
+    # element and minus the last
     k4 = uniform(3, 4)
-    atoms = (("vmax", base_polytope(k4)), ("basis", u24), ("last",), ("basis", k4), ("first",))
+    delta, nabla = simplex_pair(4)
+    atoms = (base_polytope(u24), nabla, base_polytope(k4), delta)
     got = list(perm_keys(atoms, 4))
     assert sorted(sigma for sigma, _ in got) == list(all_perms(4))
-    for sigma, key in got:
-        assert key == tuple(atom_value(a, sigma) for a in atoms)
-    # no basis atom: the plain permutation enumerator
-    assert [key for _, key in perm_keys((("first",),), 3)] == [(s[0],) for s in all_perms(3)]
+    for sigma, (b_u24, last, b_k4, first) in got:
+        assert mask_of(i for i, x in enumerate(b_u24) if x) == u24.lex_first_basis(sigma)
+        assert mask_of(i for i, x in enumerate(b_k4) if x) == k4.lex_first_basis(sigma)
+        assert last == tuple(-(i == sigma[-1]) for i in range(4))
+        assert first == tuple(int(i == sigma[0]) for i in range(4))

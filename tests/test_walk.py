@@ -28,7 +28,6 @@ from tautmat.kclass import (
     _dedup_atoms,
     alpha_beta_twist,
     alpha_class,
-    atom_value,
     beta_class,
     cremona,
     det_s_dual,
@@ -39,6 +38,7 @@ from tautmat.kclass import (
     line_bundle,
     q_class,
     s_class,
+    simplex_pair,
 )
 from tautmat.matroid import Matroid, graphic, mask_of
 from tautmat.poly import SparsePoly
@@ -76,11 +76,11 @@ def small_matroids(draw):
 
 
 def _atom_pool(m):
+    # P(M) twice, once for the greedy basis and once as a polytope's max
+    # vertex, so a walk may also see a repeated atom
     p = base_polytope(m)
-    return [
-        ("basis", m), ("basis", m.dual()), ("first",), ("last",),
-        ("vmin", p), ("vmax", p), ("vmax", p + simplex(m.n_elements)),
-    ]
+    delta, nabla = simplex_pair(m.n_elements)
+    return [p, base_polytope(m.dual()), delta, nabla, p.negate(), p, p + delta]
 
 
 @given(small_matroids(), st.data(), st.integers(0, 2**16), st.integers(1, 2))
@@ -119,7 +119,7 @@ def _factors_at(factors, vars, sigma, tstar):
     """The product of the factors at one fixed point, atoms read off sigma."""
     out = SparsePoly.constant(1, vars)
     for f in factors:
-        key = tuple(atom_value(a, sigma) for a in f.cls.atoms)
+        key = f.cls.key_at(sigma)
         terms = {
             tuple(k if v == f.var else 0 for v in vars): c for k, c in f.at(key, tstar).items()
         }
@@ -153,12 +153,13 @@ def test_integrate_graded_matches_reference(m, data, seed):
 
 
 def test_walk_reads_first_only_when_asked():
-    # a state carries first only if an atom reads it: with ("last",) alone,
-    # keys are last elements, summed over every first
+    # a state carries first only if an atom reads it: with -Delta alone,
+    # keys are the vertices -e_last, summed over every first
     t = (3, 8, 1, 6)
     d = _pairwise_diff_product(t)
-    scan = scan_class_sums((("last",),), 4, t, d)
-    assert _prefix_sums((("last",),), 4, *_point_steps([t])) == {k: [v] for k, v in scan.items()}
+    nabla = (simplex_pair(4)[1],)
+    scan = scan_class_sums(nabla, 4, t, d)
+    assert _prefix_sums(nabla, 4, *_point_steps([t])) == {k: [v] for k, v in scan.items()}
     assert _prefix_sums((), 4, *_point_steps([t])) == {(): [sum(scan.values())]}
 
 
