@@ -25,7 +25,13 @@ Three pushforward paths:
   dq = prod_{a<b} (q^|w_a - w_b| - 1); each class is tabulated once per
   call as rows of summed coefficients per partition of joint keys, one row
   per shifted exponent m.w - lo_c, and a sample evaluates them by Horner's
-  rule in q.
+  rule in q.  A grid of classes base * R_a * C_b (the Cameron-Fink twists
+  beta^u alpha^t, the Fink-Speyer wedges wedge^i S wedge^j Q^v) is
+  evaluated at each sample as a bilinear form instead (`euler_char_grid`):
+  the slots times base's value are summed per (row key, column key),
+  reduced over column keys once per column index, and each point is a sum
+  over row keys of R_a's value, an elementary symmetric function or a
+  power of the roots q^{m.w}; no product class is built.
 
 * a zeta route, the Chow-side Euler characteristic of K-classes: their
   zeta images are pushed forward along t = q*w; the integer samples at
@@ -116,14 +122,19 @@ class GradedFactor:
         """{exponent: nonzero value} at an atom-value key of cls and the point tstar."""
         vectors = self._vectors.get(key)
         if vectors is None:
-            vectors = []
-            for m, c in self.cls.merged(key).items():
-                if c < 0:
-                    raise MixedSigns(f"{self.cls.name} has a monomial of multiplicity {c}")
-                vectors += [m] * c
-            self._vectors[key] = vectors
+            vectors = self._vectors[key] = _root_vectors(self.cls, key)
         roots = [sum(map(operator.mul, m, tstar)) for m in vectors]
         return {k: v for k, v in self.coeffs(roots) if v}
+
+
+def _root_vectors(cls, key):
+    """The roots of cls at an atom key: each merged monomial T^m, c times for c > 0."""
+    vectors = []
+    for m, c in cls.merged(key).items():
+        if c < 0:
+            raise MixedSigns(f"{cls.name} has a monomial of multiplicity {c}")
+        vectors += [m] * c
+    return vectors
 
 
 def _elem_sym(values):
@@ -496,6 +507,184 @@ def _chi_interpolate(atoms, ground, w, parts, tables, bound):
                 )
             class_samples.append(num)
     return [_extrapolate_back(ss, bound) for ss in samples]
+
+
+class GridAxis:
+    """One axis of a chi grid: classes E_0, ..., E_top read off the roots of one K-class.
+
+    The roots are cls's, as a GradedFactor reads them; along T_i = q^{w_i}
+    a root T^m is q^{m.w}.  wedge: E_k = wedge^k cls, whose value is the
+    elementary symmetric function e_k of the roots (0 for k above their
+    number), as chern_series reads them.  Otherwise cls is a line bundle
+    with one root L and E_k = L^k, as power_series reads it.
+    """
+
+    __slots__ = ("cls", "size", "wedge")
+
+    def __init__(self, cls, top, wedge):
+        self.cls = cls
+        self.size = top + 1
+        self.wedge = wedge
+
+    def exponents(self, key, w):
+        """The roots' exponents m.w at an atom key of cls, ascending."""
+        es = sorted(sum(map(operator.mul, m, w)) for m in _root_vectors(self.cls, key))
+        if not self.wedge and len(es) != 1:
+            raise ValueError(f"{self.cls.name} is not a line bundle")
+        return es
+
+    def hull(self, es, k):
+        """(least, largest) exponent of E_k's monomials at roots es, None if it has none."""
+        if not self.wedge:
+            return k * es[0], k * es[0]
+        if k > len(es):
+            return None
+        return sum(es[:k]), sum(es[len(es) - k :])
+
+    def values(self, roots):
+        """[E_0, ..., E_top] at integer root values."""
+        if not self.wedge:
+            (x,) = roots
+            return list(itertools.accumulate([x] * (self.size - 1), operator.mul, initial=1))
+        es = _elem_sym(roots)[: self.size]
+        return es + [0] * (self.size - len(es))
+
+
+def wedge_axis(cls, top):
+    """wedge^k cls for k = 0..top."""
+    return GridAxis(cls, top, True)
+
+
+def power_axis(line, top):
+    """L^k for k = 0..top, L a line-bundle class such as kclass.alpha_class or beta_class."""
+    return GridAxis(line, top, False)
+
+
+def euler_char_grid(base, rows, cols, *, rng):
+    """[[chi(base * R_a * C_b) for C_b in cols] for R_a in rows], rows and cols GridAxes.
+
+    The values, samples and checks are those of euler_char_many on the
+    list of every kc_product(base, R_a, C_b): one drawn w, one bound
+    B = max over grid points of hi - lo, B + 4 samples each with its own
+    NonIntegral guard, and one escalation for the whole grid.  No product
+    class is built.  At each sample q the walk's slots times base's value
+    are summed once per (row key, column key) pair, reduced over column
+    keys once per column index b into Y[row key][b], and chi's sample at
+    (a, b) is the sum over row keys of R_a's value times Y, R_a's value an
+    elementary symmetric function or a power of the roots q^{m.w}.
+    """
+    ground = base.ground
+    if any(c.ground != ground for c in (rows.cls, cols.cls)):
+        raise ValueError("classes on different ground sets")
+    check_guardrail(ground)
+    w = sample_weight(ground, rng)
+    atoms = _dedup_atoms(base.atoms + rows.cls.atoms + cols.cls.atoms)
+    joints = _prefix_sums(atoms, ground, (), [[()] * ground] * ground)
+    plan, bound = _grid_plan(base, rows, cols, atoms, joints, w)
+    return _escalating(lambda d: _grid_interpolate(atoms, ground, w, rows, cols, plan, d), bound)
+
+
+def _grid_plan(base, rows, cols, atoms, joints, w):
+    """The q-independent part of a chi grid: ((terms, row_exps, col_exps, shifts), B).
+
+    Each axis numbers its keys.  Exponents are shifted by their least
+    value, lb for base's monomials and lr, lc for the axes' roots, so every
+    sampled value is an integer.  terms lists ((r, c), e, ((joint,
+    coefficient), ...)): the summed coefficient of base's monomials of
+    shifted exponent e at each joint key of row key r and column key c,
+    zero sums left out.  row_exps[r] and col_exps[c] are the shifted root
+    exponents.  The hull [lo, hi] of point (a, b) spans every monomial of
+    kc_product(base, R_a, C_b), cancelled or not, and is (0, 0) if there is
+    none; B = max(hi - lo).  Scaled by q^-(lb + a*lr + b*lc), the sum at
+    (a, b) is its character times q^-lo times q^shifts[a][b].
+    """
+    slots = [_getter([atoms.index(a) for a in cls.atoms]) for cls in (base, rows.cls, cols.cls)]
+    row_keys, col_keys, base_exps = {}, {}, {}
+    by_pair = {}  # (r, c) -> {base exponent m.w: {joint: summed coefficient}}
+    for joint in joints:
+        bkey, rkey, ckey = (s(joint) for s in slots)
+        exps = base_exps.get(bkey)
+        if exps is None:
+            exps = base_exps[bkey] = [
+                (sum(map(operator.mul, m, w)), coeff) for coeff, m in base.monomials(bkey)
+            ]
+        rc = (row_keys.setdefault(rkey, len(row_keys)), col_keys.setdefault(ckey, len(col_keys)))
+        for e, coeff in exps:
+            at_e = by_pair.setdefault(rc, {}).setdefault(e, {})
+            at_e[joint] = at_e.get(joint, 0) + coeff
+    row_exps = [rows.exponents(k, w) for k in row_keys]
+    col_exps = [cols.exponents(k, w) for k in col_keys]
+    lb = min((e for by_e in by_pair.values() for e in by_e), default=0)
+    lr, lc = (min((e for es in exps for e in es), default=0) for exps in (row_exps, col_exps))
+    terms = []
+    for rc, by_e in by_pair.items():
+        for e, coeffs in by_e.items():
+            nonzero = tuple((j, c) for j, c in coeffs.items() if c)
+            if nonzero:
+                terms.append((rc, e - lb, nonzero))
+    row_hulls = [[rows.hull(es, a) for a in range(rows.size)] for es in row_exps]
+    col_hulls = [[cols.hull(es, b) for b in range(cols.size)] for es in col_exps]
+    shifts = [[0] * cols.size for _ in range(rows.size)]
+    bound = 0
+    for a, b in itertools.product(range(rows.size), range(cols.size)):
+        ends = [
+            (min(by_e) + row_hulls[r][a][0] + col_hulls[c][b][0],
+             max(by_e) + row_hulls[r][a][1] + col_hulls[c][b][1])
+            for (r, c), by_e in by_pair.items()
+            if row_hulls[r][a] and col_hulls[c][b]
+        ]
+        if ends:
+            lo = min(lo for lo, _ in ends)
+            shifts[a][b] = lo - (lb + a * lr + b * lc)
+            bound = max(bound, max(hi for _, hi in ends) - lo)
+    row_exps = [[e - lr for e in es] for es in row_exps]
+    col_exps = [[e - lc for e in es] for es in col_exps]
+    return (terms, row_exps, col_exps, shifts), bound
+
+
+def _grid_interpolate(atoms, ground, w, rows, cols, plan, bound):
+    """Every point of the grid from bound + 4 samples at q = 2, 3, ..., read off at q = 1.
+
+    As in _chi_interpolate, three samples verify the degree bound, and a
+    point's sample must divide by dq exactly, else NonIntegral.
+    """
+    terms, row_exps, col_exps, shifts = plan
+    qs = range(2, bound + 6)
+    acc, dqs = _chi_walk(atoms, ground, w, qs)
+    vectors = [
+        (rc, e, [sum(col) for col in zip(*(acc[j] if c == 1 else [c * v for v in acc[j]]
+                                           for j, c in coeffs))])
+        for rc, e, coeffs in terms
+    ]
+    top = max(
+        [e for _, e, _ in terms] + [e for es in row_exps + col_exps for e in es]
+        + [s for ss in shifts for s in ss]
+    )
+    samples = [[[] for _ in range(cols.size)] for _ in range(rows.size)]
+    for i, (q, dq) in enumerate(zip(qs, dqs)):
+        qpow = list(itertools.accumulate([q] * top, operator.mul, initial=1))
+        pair_sums = {}
+        for rc, e, vec in vectors:
+            pair_sums[rc] = pair_sums.get(rc, 0) + vec[i] * qpow[e]
+        cvals = [cols.values([qpow[e] for e in es]) for es in col_exps]
+        ys = [[0] * cols.size for _ in row_exps]
+        for (r, c), p in pair_sums.items():
+            if p:
+                y = ys[r]
+                for b, v in enumerate(cvals[c]):
+                    y[b] += p * v
+        # per row index a, R_a at every row key; per column index b, Y at every row key
+        by_row = list(zip(*(rows.values([qpow[e] for e in es]) for es in row_exps)))
+        by_col = list(zip(*ys))
+        for rv, row_samples, row_shifts in zip(by_row, samples, shifts):
+            for y, ss, s in zip(by_col, row_samples, row_shifts):
+                num, rem = divmod(sum(map(operator.mul, rv, y)), dq * qpow[s])
+                if rem:
+                    raise NonIntegral(
+                        f"scaled character at q={q} is not divisible by the common denominator"
+                    )
+                ss.append(num)
+    return [[_extrapolate_back(ss, bound) for ss in row] for row in samples]
 
 
 def forward_differences(values, degree_bound):

@@ -18,16 +18,17 @@ from .engine import (
     chern_fixed,
     chern_series,
     euler_char_ab,
-    euler_char_many,
+    euler_char_grid,
     forward_differences,
     integrate_graded,
     integrate_inhomogeneous,
+    power_axis,
     power_series,
+    wedge_axis,
 )
 from .genperm import GenPermutohedron, base_polytope, simplex
 from .kclass import (
     KClassLoc,
-    alpha_beta_twist,
     alpha_class,
     beta_class,
     det_s_dual,
@@ -39,6 +40,7 @@ from .kclass import (
     line_bundle,
     q_class,
     s_class,
+    structure_sheaf,
 )
 from .matroid import FlagMatroid, Matroid, bits, is_quotient, popcount
 from .poly import InconsistentSamples, SparsePoly, psi_inverse
@@ -316,21 +318,22 @@ def chi_both_routes(kcls: KClassLoc, *, rng):
 # ---------------------------------------------------------------------------
 
 
-def _wedge_powers(m: Matroid):
-    """[wedge^i S] for 0<=i<=r and [wedge^j Q^v] for 0<=j<=crk, built once
-    so every product that shares a power shares its per-key monomial cache."""
-    s = s_class(m)
-    qd = dual_class(q_class(m))
-    return (
-        [exterior_power(s, i) for i in range(m.rank_value + 1)],
-        [exterior_power(qd, j) for j in range(m.corank + 1)],
-    )
+def _wedge_axes(m: Matroid):
+    """The grid axes wedge^i S, 0<=i<=r, and wedge^j Q^v, 0<=j<=crk."""
+    return wedge_axis(s_class(m), m.rank_value), wedge_axis(dual_class(q_class(m)), m.corank)
 
 
 def fs_classes(m: Matroid):
-    """[det S^v][wedge^i S][wedge^j Q^v] for 0<=i<=r, 0<=j<=crk."""
+    """[det S^v][wedge^i S][wedge^j Q^v] for 0<=i<=r, 0<=j<=crk, the classes of fs_tutte's grid.
+
+    Each power is built once, so every product that shares it shares its
+    per-key monomial cache.
+    """
     det = det_s_dual(m)
-    ws, wq = _wedge_powers(m)
+    s = s_class(m)
+    qd = dual_class(q_class(m))
+    ws = [exterior_power(s, i) for i in range(m.rank_value + 1)]
+    wq = [exterior_power(qd, j) for j in range(m.corank + 1)]
     return {
         (i, j): kc_product(det, wsi, wqj)
         for i, wsi in enumerate(ws)
@@ -342,22 +345,23 @@ def fs_tutte(m: Matroid, *, rng, jobs=1, zeta_check=False) -> SparsePoly:
     """Tutte polynomial assembled from Euler characteristics.
 
     T(u, v) = sum chi([det S^v][wedge^i S][wedge^j Q^v]) (u-1)^i (v-1)^j,
-    computed by the fixed-point character sum (optionally cross-checked
-    against the zeta route) and verified against deletion-contraction.
+    computed as one character grid (optionally cross-checked against the
+    zeta route on fs_classes) and verified against deletion-contraction.
     """
     del jobs  # ignored; kept only because bench/worker.py passes jobs=1
-    classes = fs_classes(m)
-    pairs = sorted(classes)
-    chis = euler_char_many([classes[p] for p in pairs], rng=rng)
+    grid = euler_char_grid(det_s_dual(m), *_wedge_axes(m), rng=rng)
+    chis = {(i, j): chi for i, row in enumerate(grid) for j, chi in enumerate(row)}
     if zeta_check:
+        classes = fs_classes(m)
+        pairs = sorted(classes)
         zetas = integrate_inhomogeneous([classes[p] for p in pairs], rng=rng)
-        for p, chi, zz in zip(pairs, chis, zetas):
-            if zz != chi:
-                raise ChiRouteMismatch(f"fs class {p}: chi {chi} vs zeta {zz}")
+        for p, zz in zip(pairs, zetas):
+            if zz != chis[p]:
+                raise ChiRouteMismatch(f"fs class {p}: chi {chis[p]} vs zeta {zz}")
     u1 = SparsePoly(("u", "v"), {(1, 0): 1, (0, 0): -1})
     v1 = SparsePoly(("u", "v"), {(0, 1): 1, (0, 0): -1})
     out = SparsePoly.zero(("u", "v"))
-    for (i, j), chi in zip(pairs, chis):
+    for (i, j), chi in chis.items():
         if chi:
             out = out + chi * u1**i * v1**j
     expected = tutte_delcontr(m).with_vars(("x", "y"))
@@ -403,12 +407,14 @@ def cf_check(m: Matroid, t_max=None, u_max=None, *, rng, jobs=1) -> CfReport:
     pm = base_polytope(m)
     nabla = simplex(n1).negate()
     delta = simplex(n1)
-    pairs = [(t, u) for t in ts for u in us]
-    det = det_s_dual(m)
-    classes = [kc_product(alpha_beta_twist(n1, t, u), det) for t, u in pairs]
-    chis = euler_char_many(classes, rng=rng)
+    # rows beta^u, columns alpha^t: chis[u][t] = chi(O(t alpha + u beta) det S^v)
+    chis = euler_char_grid(
+        det_s_dual(m), power_axis(beta_class(n1), us[-1]), power_axis(alpha_class(n1), ts[-1]),
+        rng=rng,
+    )
     grid = {}
-    for (t, u), chi in zip(pairs, chis):
+    for t, u in itertools.product(ts, us):
+        chi = chis[u][t]
         poly = pm + nabla.dilate(t) + delta.dilate(u)
         count = poly.count_lattice_points()
         if count != chi:
@@ -484,15 +490,14 @@ def g_polynomial(m: Matroid, *, rng) -> SparsePoly:
         if c:
             g_chow = g_chow + SparsePoly(("s",), {(i,): comp_sign * (-1) ** i * c})
 
-    ws, wq = _wedge_powers(m)
-    pairs = [(i, j) for i in range(r + 1) for j in range(crk + 1)]
-    chis = euler_char_many([kc_product(ws[i], wq[j]) for i, j in pairs], rng=rng)
+    chis = euler_char_grid(structure_sheaf(n1), *_wedge_axes(m), rng=rng)
     x1 = SparsePoly(("x", "y"), {(1, 0): 1, (0, 0): -1})
     y1 = SparsePoly(("x", "y"), {(0, 1): 1, (0, 0): -1})
     pxy = SparsePoly.zero(("x", "y"))
-    for (i, j), chi in zip(pairs, chis):
-        if chi:
-            pxy = pxy + chi * x1**i * y1**j
+    for i, row in enumerate(chis):
+        for j, chi in enumerate(row):
+            if chi:
+                pxy = pxy + chi * x1**i * y1**j
     h = pxy.substitute("y", 0).with_vars(("x",))
     g_char = SparsePoly.zero(("s",))
     for (e,), c in h.terms.items():

@@ -234,27 +234,23 @@ def line_bundle(p: GenPermutohedron) -> KClassLoc:
     return _vertex_class(p.negate(), "O(D_P)")
 
 
-def alpha_beta_twist(n, t_pow, u_pow) -> KClassLoc:
-    """[O(t alpha + u beta)] with localization T_{sigma(0)}^{u} T_{sigma(n)}^{-t}.
-
-    Reads the vertices e_sigma(0) of Delta and -e_sigma(n) of -Delta, the
-    same two atoms for every (t, u).
-    """
-
-    def mono(key):
-        first, last = key
-        return [(1, tuple([u_pow * a + t_pow * b for a, b in zip(first, last)]))]
-
-    return KClassLoc(n, simplex_pair(n), mono, name=f"O({t_pow}a+{u_pow}b)")
-
-
 def alpha_class(n) -> KClassLoc:
-    """[O(alpha)] = O(D_Delta), read at -Delta alone: T_{sigma(n)}^{-1}."""
+    """[O(alpha)] = O(D_Delta), read at -Delta alone: T_{sigma(n)}^{-1}.
+
+    Its one monomial is the root that engine.power_series and
+    engine.power_axis raise to powers: O(t alpha) for the graded path and
+    for the t axis of the Cameron-Fink grid.
+    """
     return _vertex_class(simplex_pair(n)[1], "O(a)")
 
 
 def beta_class(n) -> KClassLoc:
-    """[O(beta)] = O(D_{-Delta}), read at Delta alone: T_{sigma(0)}."""
+    """[O(beta)] = O(D_{-Delta}), read at Delta alone: T_{sigma(0)}.
+
+    Its one monomial is the root that engine.power_series and
+    engine.power_axis raise to powers: O(u beta) for the graded path and
+    for the u axis of the Cameron-Fink grid.
+    """
     return _vertex_class(simplex_pair(n)[0], "O(b)")
 
 

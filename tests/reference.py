@@ -10,7 +10,14 @@ from operator import sub
 
 from tautmat.engine import sample_eval_point
 from tautmat.invariants import _factor_degree_poly
-from tautmat.kclass import restrict_to_chain, s_class
+from tautmat.kclass import (
+    KClassLoc,
+    exterior_power,
+    kc_product,
+    restrict_to_chain,
+    s_class,
+    simplex_pair,
+)
 from tautmat.matroid import Matroid, bits, popcount
 from tautmat.perms import all_perms
 from tautmat.poly import SparsePoly, interpolate_univariate
@@ -137,6 +144,42 @@ def chi_reference(kcls):
             total += sum(c * q ** (shift + e) for e, c in terms.items()) / den
         samples.append((Fraction(q), total))
     return interpolate_univariate(samples, 2 * shift).evaluate({"q": Fraction(1)})
+
+
+def alpha_beta_twist(n, t_pow, u_pow):
+    """[O(t alpha + u beta)] with localization T_{sigma(0)}^{u} T_{sigma(n)}^{-t}.
+
+    Reads the vertices e_sigma(0) of Delta and -e_sigma(n) of -Delta, the
+    same two atoms for every (t, u).
+    """
+
+    def mono(key):
+        first, last = key
+        return [(1, tuple([u_pow * a + t_pow * b for a, b in zip(first, last)]))]
+
+    return KClassLoc(n, simplex_pair(n), mono, name=f"O({t_pow}a+{u_pow}b)")
+
+
+def axis_class(axis, k):
+    """The class E_k of an engine.GridAxis: wedge^k of its class, or its line bundle to the k."""
+    if axis.wedge:
+        return exterior_power(axis.cls, k)
+    line = axis.cls
+
+    def mono(key):
+        ((c, m),) = line.monomials(key)
+        return [(c**k, tuple(k * x for x in m))]
+
+    return KClassLoc(line.ground, line.atoms, mono, name=f"{line.name}^{k}")
+
+
+def grid_classes(base, rows, cols):
+    """kc_product(base, R_a, C_b) for every point of a chi grid, rows first."""
+    return [
+        kc_product(base, axis_class(rows, a), axis_class(cols, b))
+        for a in range(rows.size)
+        for b in range(cols.size)
+    ]
 
 
 def zeta_monomial_value(mono, tpoint):

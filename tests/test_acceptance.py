@@ -30,7 +30,6 @@ from tautmat.invariants import (
     valuativity_demo,
 )
 from tautmat.kclass import (
-    alpha_beta_twist,
     det_s_dual,
     dual_class,
     exterior_power,
@@ -52,6 +51,7 @@ from tautmat.tutte import (
 from tautmat.weights import mw_balance_check
 
 from conftest import fresh_rng
+from reference import alpha_beta_twist
 
 
 def report(criterion, ok, detail=""):

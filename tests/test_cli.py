@@ -187,21 +187,17 @@ def test_cf_grid_above_degree_n_is_a_failed_identity(capsys, monkeypatch, axis):
 
     m = uniform(2, 4)
     n = m.n_elements - 1
-    real_twist, real_chis = inv.alpha_beta_twist, inv.euler_char_many
+    real_grid = inv.euler_char_grid
     real_count = inv.GenPermutohedron.count_lattice_points
-    bumps = []
 
     def bump(t, u):
         return (t if axis == "t" else u) ** (n + 1)
 
-    def twist(n1, t, u):
-        bumps.append(bump(t, u))
-        return real_twist(n1, t, u)
-
-    def chis(classes, *, rng):
-        bumped = [v + b for v, b in zip(real_chis(classes, rng=rng), bumps)]
-        bumps.clear()
-        return bumped
+    def chis(base, rows, cols, *, rng):
+        # rows beta^u, columns alpha^t
+        assert rows.cls.name == "O(b)" and cols.cls.name == "O(a)"
+        grid = real_grid(base, rows, cols, rng=rng)
+        return [[v + bump(t, u) for t, v in enumerate(row)] for u, row in enumerate(grid)]
 
     def count(poly):
         # P(M) + t*nabla + u*Delta: rk({0}) = rk_M({0}) + u, rk(E) = r - t + u
@@ -209,8 +205,7 @@ def test_cf_grid_above_degree_n_is_a_failed_identity(capsys, monkeypatch, axis):
         t = m.rank_value + u - poly.rk[poly.full_mask]
         return real_count(poly) + bump(t, u)
 
-    monkeypatch.setattr(inv, "alpha_beta_twist", twist)
-    monkeypatch.setattr(inv, "euler_char_many", chis)
+    monkeypatch.setattr(inv, "euler_char_grid", chis)
     monkeypatch.setattr(inv.GenPermutohedron, "count_lattice_points", count)
     with pytest.raises(IdentityFailure, match=f"not of degree <= {n}"):
         cf_check(m, **{f"{axis}_max": n + 1}, rng=random.Random(0))

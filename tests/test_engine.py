@@ -32,7 +32,6 @@ from tautmat.kclass import (
     KClassLoc,
     MixedSigns,
     _dedup_atoms,
-    alpha_beta_twist,
     alpha_class,
     beta_class,
     cremona,
@@ -55,8 +54,10 @@ from tautmat.poly import InconsistentSamples, SparsePoly, interpolate_univariate
 from tautmat.rat import Rat
 
 from reference import (
+    alpha_beta_twist,
     chi_reference,
     graded_reference,
+    grid_classes,
     localization_denominator,
     perm_keys,
     zeta_monomial_value,
@@ -383,14 +384,15 @@ def test_euler_escalation_fails_cleanly(rng, monkeypatch):
     [("fano", fs_tutte), ("nonfano", fs_tutte), ("uniform_2_5", cf_check)],
 )
 def test_hull_bound_needs_no_escalation(rng, monkeypatch, name, run):
-    # B = max_c (hi_c - lo_c) is a true degree bound: every class is read
-    # off from B + 4 samples at bound B on the first try, none retried
-    batches = []
-    real_many = tautmat.invariants.euler_char_many
+    # B = max_c (hi_c - lo_c) over the grid's classes is a true degree
+    # bound: every class is read off from B + 4 samples at bound B on the
+    # first try, none retried
+    grids = []
+    real_grid = tautmat.invariants.euler_char_grid
 
-    def record_batch(classes, *, rng):
-        batches.append(classes)
-        return real_many(classes, rng=rng)
+    def record_grid(base, rows, cols, *, rng):
+        grids.append((base, rows, cols))
+        return real_grid(base, rows, cols, rng=rng)
 
     reads = []
     real = tautmat.engine._extrapolate_back
@@ -400,10 +402,11 @@ def test_hull_bound_needs_no_escalation(rng, monkeypatch, name, run):
         return real(values, degree_bound)
 
     weights = _record_weights(monkeypatch)
-    monkeypatch.setattr(tautmat.invariants, "euler_char_many", record_batch)
+    monkeypatch.setattr(tautmat.invariants, "euler_char_grid", record_grid)
     monkeypatch.setattr(tautmat.engine, "_extrapolate_back", record_read)
     run(builtin_matroid(name), rng=rng)
-    [classes], [w] = batches, weights
+    [grid], [w] = grids, weights
+    classes = grid_classes(*grid)
     bound = max(hi - lo for lo, hi in (_exponent_hull(c, w) for c in classes))
     assert reads == [(bound + 4, bound)] * len(classes)
 

@@ -9,7 +9,6 @@ from tautmat.engine import euler_char_many, fixed_point_compatibility_check, sam
 from tautmat.genperm import base_polytope, simplex
 from tautmat.kclass import (
     MixedSigns,
-    alpha_beta_twist,
     alpha_class,
     beta_class,
     cremona,
@@ -34,6 +33,7 @@ from tautmat.rat import Rat
 
 from reference import (
     all_chains,
+    alpha_beta_twist,
     direct_sum,
     direct_sum_check,
     induced_subpermutation,

@@ -1,32 +1,39 @@
 """The prefix-set walk of the graded path, the zeta route and the character
-path against the permutation scan, on random sparse paving and graphic
-matroids and their duals."""
+path against the permutation scan, and the character grid against the list
+of its product classes, on random sparse paving and graphic matroids and
+their duals."""
 
+import contextlib
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tautmat.engine
 from tautmat.engine import (
+    NonIntegral,
     _chi_tables,
     _chi_walk,
     _pairwise_diff_product,
     _point_steps,
     _prefix_sums,
     chern_series,
+    euler_char_grid,
     euler_char_many,
     integrate_graded,
     integrate_inhomogeneous,
+    power_axis,
     power_series,
     sample_eval_point,
     sample_weight,
+    wedge_axis,
 )
 from tautmat.genperm import base_polytope, simplex
 from tautmat.invariants import fs_classes
 from tautmat.kclass import (
     _dedup_atoms,
-    alpha_beta_twist,
     alpha_class,
     beta_class,
     cremona,
@@ -39,12 +46,20 @@ from tautmat.kclass import (
     q_class,
     s_class,
     simplex_pair,
+    structure_sheaf,
 )
-from tautmat.matroid import Matroid, graphic, mask_of
+from tautmat.matroid import Matroid, graphic, mask_of, uniform
 from tautmat.poly import SparsePoly
 
-from reference import chi_reference, graded_reference, scan_character_sums, scan_class_sums
-from test_engine import _exponent_hull
+from reference import (
+    alpha_beta_twist,
+    chi_reference,
+    graded_reference,
+    grid_classes,
+    scan_character_sums,
+    scan_class_sums,
+)
+from test_engine import _corrupted_s_class, _exponent_hull
 
 
 @st.composite
@@ -243,3 +258,95 @@ def test_chi_tables_of_a_class_without_monomials():
     assert cls.monomials(cls.key_at((0,))) == ()
     _assert_tables_match_monomials([cls], 1, sample_weight(1, random.Random(0)))
     assert euler_char_many([cls], rng=random.Random(0)) == [0]
+
+
+@contextlib.contextmanager
+def _recorded_reads():
+    """(sample count, degree bound) of every read-off at q = 1 inside the block."""
+    real = tautmat.engine._extrapolate_back
+    reads = []
+
+    def record(values, degree_bound):
+        reads.append((len(values), degree_bound))
+        return real(values, degree_bound)
+
+    tautmat.engine._extrapolate_back = record
+    try:
+        yield reads
+    finally:
+        tautmat.engine._extrapolate_back = real
+
+
+def _grid_and_list(base, rows, cols, seed):
+    """(flattened grid, its reads, euler_char_many on grid_classes, its reads).
+
+    Also checks that both draw the same numbers from their rng.
+    """
+    rng_grid, rng_list = random.Random(seed), random.Random(seed)
+    with _recorded_reads() as grid_reads:
+        grid = euler_char_grid(base, rows, cols, rng=rng_grid)
+    with _recorded_reads() as list_reads:
+        chis = euler_char_many(grid_classes(base, rows, cols), rng=rng_list)
+    assert rng_grid.getstate() == rng_list.getstate()
+    return [chi for row in grid for chi in row], grid_reads, chis, list_reads
+
+
+@given(small_matroids(), st.data(), st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_euler_char_grid_matches_class_list(m, data, seed):
+    # the grid entry against euler_char_many on the kc_product of base, row
+    # class and column class at every point: the same values, read off at
+    # the same bound B from B + 4 samples; twist axes run up to n + 2,
+    # above the degree n of the Cameron-Fink polynomial
+    n = m.n_elements
+    twist_top = st.integers(0, n + 2)
+    axes = [
+        lambda: wedge_axis(s_class(m), m.rank_value),
+        lambda: wedge_axis(dual_class(q_class(m)), m.corank),
+        lambda: wedge_axis(q_class(m), m.corank),
+        lambda: power_axis(beta_class(n), data.draw(twist_top)),
+        lambda: power_axis(alpha_class(n), data.draw(twist_top)),
+    ]
+    bases = [det_s_dual(m), structure_sheaf(n), line_bundle(base_polytope(m) + simplex(n))]
+    base = bases[data.draw(st.integers(0, len(bases) - 1))]
+    rows, cols = (axes[data.draw(st.integers(0, len(axes) - 1))]() for _ in range(2))
+    grid, grid_reads, chis, list_reads = _grid_and_list(base, rows, cols, seed)
+    assert grid == chis
+    assert grid_reads == list_reads
+
+
+def test_euler_char_grid_of_the_cf_and_fs_grids():
+    # the grids of cf_check (twists, one axis above n) and of fs_tutte and
+    # g_polynomial (wedge powers, base det S^v and O) on U_{2,4}
+    m = uniform(2, 4)
+    s, qd = s_class(m), dual_class(q_class(m))
+    grids = [
+        (det_s_dual(m), power_axis(beta_class(4), 3), power_axis(alpha_class(4), 4)),
+        (det_s_dual(m), wedge_axis(s, 2), wedge_axis(qd, 2)),
+        (structure_sheaf(4), wedge_axis(s, 2), wedge_axis(qd, 2)),
+    ]
+    for base, rows, cols in grids:
+        grid, grid_reads, chis, list_reads = _grid_and_list(base, rows, cols, 0)
+        assert grid == chis == [chi_reference(c) for c in grid_classes(base, rows, cols)]
+        assert grid_reads == list_reads
+
+
+def test_euler_char_grid_rejects_a_non_gkm_base():
+    # a base failing the fixed-point congruences: along the w of some seeds
+    # euler_char_many raises NonIntegral on the class list, and the grid
+    # raises too; along the others both give the same values
+    m = uniform(2, 4)
+    base = _corrupted_s_class(m)
+    rows, cols = wedge_axis(s_class(m), 2), wedge_axis(dual_class(q_class(m)), 2)
+    raised = []
+    for seed in range(6):
+        try:
+            chis = euler_char_many(grid_classes(base, rows, cols), rng=random.Random(seed))
+        except NonIntegral:
+            raised.append(seed)
+            with pytest.raises(NonIntegral):
+                euler_char_grid(base, rows, cols, rng=random.Random(seed))
+        else:
+            grid = euler_char_grid(base, rows, cols, rng=random.Random(seed))
+            assert [chi for row in grid for chi in row] == chis
+    assert 0 in raised
