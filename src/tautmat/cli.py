@@ -9,6 +9,7 @@ The exit code is 0 iff every cross-check requested by the command passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -46,7 +47,13 @@ from .tutte import beta_pair, t_transform, tutte_convolution, tutte_coranknullit
 DEFAULT_SEED = 2718281828
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built on the first call and shared by every later one.
+
+    parse_args fills a fresh namespace from the defaults on each call, so one
+    parser serves any number of main() calls in a process.
+    """
     p = argparse.ArgumentParser(
         prog="tautmat",
         description="Exact tautological-class invariants of matroids on permutohedral varieties.",

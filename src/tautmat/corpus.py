@@ -2,8 +2,9 @@
 
 Contains every uniform matroid on up to 7 elements, the graphic matroid of
 K4, the Fano and non-Fano planes, the Vamos matroid, and the three
-matroids of the hard-coded hypersimplex subdivision.  Loading validates
-the exchange axiom once and caches the instances.
+matroids of the hard-coded hypersimplex subdivision.  An entry is built,
+and its exchange axiom validated, the first time it is asked for; the
+instance is cached.
 """
 
 from __future__ import annotations
@@ -44,10 +45,16 @@ def builtin_matroid(name):
 
 
 def corpus(max_elements=None):
-    """(name, matroid) pairs, optionally capped by ground-set size."""
-    out = []
-    for name in corpus_names():
-        m = builtin_matroid(name)
-        if max_elements is None or m.n_elements <= max_elements:
-            out.append((name, m))
-    return out
+    """(name, matroid) pairs, optionally capped by ground-set size.
+
+    The size is read off each entry's JSON object, so only the entries
+    within the cap are built and validated.
+    """
+    from .serialize import ground_set_size
+
+    raw = _raw()
+    return [
+        (name, builtin_matroid(name))
+        for name in corpus_names()
+        if max_elements is None or ground_set_size(raw[name]) <= max_elements
+    ]

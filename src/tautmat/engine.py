@@ -46,6 +46,7 @@ is enumerated.  All computation is single-process.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -257,33 +258,32 @@ def _prefix_sums(atoms, ground, starts, steps):
     rk(S + e) - rk(S).  All of a state but last is one packed int: S in the
     low bits, then a field per atom and coordinate, as wide as the atom's
     increments less their least, each step OR-ing in one tabulated
-    delta[S][e].  With no slots the walk only lists the reachable joint keys.
+    delta[S][i] for the i-th element outside S.  The free-element lists
+    (`_frees`) and each atom's increment table (`_increments`) are built
+    once per ground size and per atom and cached; a walk only shifts each
+    atom's table to its field offset.  With no slots the walk only lists
+    the reachable joint keys.
     """
     full = (1 << ground) - 1
-    frees = [list(bits(full ^ s)) for s in range(full + 1)]
-    delta = [[1 << e for e in range(ground)] for _ in range(full + 1)]
+    frees = _frees(ground)
+    delta = [[1 << e for e in es] for es in frees]  # delta[S][i]: appending frees[S][i]
     fields = []
     off = ground
     for a in atoms:
-        rk = a.rk
-        incs = [[rk[s | 1 << e] - rk[s] for e in es] for s, es in enumerate(frees)]
-        lo = min(map(min, incs[:-1]))
-        width = (max(map(max, incs[:-1])) - lo).bit_length() or 1
-        for row, es, vs in zip(delta, frees, incs):
-            for e, v in zip(es, vs):
-                row[e] |= (v - lo) << (off + width * e)
+        incs, lo, width = _increments(a)
+        delta = [[d | v << off for d, v in zip(ds, vs)] for ds, vs in zip(delta, incs)]
         fields.append((off, width, lo))
         off += width * ground
     lb = ground.bit_length()
     lmask = (1 << lb) - 1
-    level = {delta[0][e] << lb | e: starts for e in range(ground)}
+    level = {de << lb | e: starts for e, de in zip(frees[0], delta[0])}
     for _ in range(ground - 1):
         nxt = {}
         for key, vals in level.items():
             packed, sl = key >> lb, steps[key & lmask]
-            row = delta[packed & full]
-            for e in frees[packed & full]:
-                k2 = (packed | row[e]) << lb | e
+            s = packed & full
+            for e, de in zip(frees[s], delta[s]):
+                k2 = (packed | de) << lb | e
                 cur = nxt.get(k2)
                 if cur is None:
                     nxt[k2] = [v // d * m for v, (d, m) in zip(vals, sl[e])]
@@ -306,6 +306,34 @@ def _prefix_sums(atoms, ground, starts, steps):
         cur = acc.get(jk)
         acc[jk] = vals if cur is None else [a + b for a, b in zip(cur, vals)]
     return acc
+
+
+@functools.lru_cache(maxsize=16)
+def _frees(ground):
+    """frees[S]: the elements outside S, ascending, for each subset S of range(ground)."""
+    full = (1 << ground) - 1
+    return tuple(tuple(bits(full ^ s)) for s in range(full + 1))
+
+
+@functools.lru_cache(maxsize=256)
+def _increments(atom):
+    """(incs, lo, width): an atom's increments as _prefix_sums packs them.
+
+    incs[S][i] is rk(S + e) - rk(S) - lo shifted to coordinate e's place,
+    e = frees[S][i], in fields of width bits; lo is the least increment.
+    The cache holds 256 atoms, more than the 180 distinct atoms of a full
+    `check`; an entry is 2^n * n ints, about 50 KB at n = 9 with its atom.
+    """
+    n = atom.n_elements
+    frees = _frees(n)
+    rk = atom.rk
+    incs = [[rk[s | 1 << e] - rk[s] for e in es] for s, es in enumerate(frees)]
+    lo = min(map(min, incs[:-1]))
+    width = (max(map(max, incs[:-1])) - lo).bit_length() or 1
+    shifted = tuple(
+        tuple((v - lo) << width * e for e, v in zip(es, vs)) for es, vs in zip(frees, incs)
+    )
+    return shifted, lo, width
 
 
 def _fold_factors(factors, vars, atoms, acc, slot, tstar, cap):

@@ -11,7 +11,6 @@ and the Las Vergnas / flag Tutte polynomials against their defining sums.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .engine import (
@@ -376,12 +375,16 @@ def fs_tutte(m: Matroid, *, rng, jobs=1, zeta_check=False) -> SparsePoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CfReport:
-    matroid: Matroid
-    grid: dict
-    q_poly: SparsePoly
-    psi_image: SparsePoly
+    """cf_check's result: the matroid, its grid {(t, u): count}, Q_M and Psi(Q_M)."""
+
+    __slots__ = ("matroid", "grid", "q_poly", "psi_image")
+
+    def __init__(self, matroid: Matroid, grid: dict, q_poly: SparsePoly, psi_image: SparsePoly):
+        self.matroid = matroid
+        self.grid = grid
+        self.q_poly = q_poly
+        self.psi_image = psi_image
 
 
 def cf_check(m: Matroid, t_max=None, u_max=None, *, rng, jobs=1) -> CfReport:

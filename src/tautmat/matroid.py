@@ -37,7 +37,7 @@ class InvalidFlag(ValueError):
 
 
 def popcount(x: int) -> int:
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 def bits(mask: int):

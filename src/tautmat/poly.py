@@ -16,6 +16,7 @@ unbroken-array test for coefficient arrays of homogeneous polynomials.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 
 from .rat import Rat, parse_rat, rat_str
@@ -50,7 +51,14 @@ def merge_vars(vars_a, vars_b):
 
 
 class SparsePoly:
-    """Exact sparse polynomial in named variables."""
+    """Exact sparse polynomial in named variables.
+
+    The constructor checks and canonicalizes its input: every exponent
+    vector must have len(vars) entries (VariableMismatch), duplicate
+    exponents are merged and zero terms dropped.  The results of + - *,
+    with_vars and substitute are built canonical and wrapped by _trusted,
+    which takes their fresh dict as it is.
+    """
 
     __slots__ = ("vars", "terms")
 
@@ -111,7 +119,7 @@ class SparsePoly:
             for j, pos in enumerate(idx):
                 e[pos] = exp[j]
             out[tuple(e)] = c
-        return SparsePoly(newvars, out)
+        return _trusted(newvars, out)
 
     def _aligned(self, other):
         if not isinstance(other, SparsePoly):
@@ -132,12 +140,12 @@ class SparsePoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return SparsePoly(a.vars, out)
+        return _trusted(a.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, SparsePoly) else SparsePoly.constant(-other, self.vars))
@@ -148,19 +156,19 @@ class SparsePoly:
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
             if not other:
-                return SparsePoly(self.vars, {})
-            return SparsePoly(self.vars, {e: c * other for e, c in self.terms.items()})
+                return _trusted(self.vars, {})
+            return _trusted(self.vars, {e: c * other for e, c in self.terms.items()})
         a, b = self._aligned(other)
         out = {}
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(operator.add, ea, eb))
                 s = out.get(e, 0) + ca * cb
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return SparsePoly(a.vars, out)
+        return _trusted(a.vars, out)
 
     __rmul__ = __mul__
 
@@ -229,9 +237,9 @@ class SparsePoly:
             for p, x in zip(pos, e[:i] + e[i + 1 :]):
                 base[p] = x
             for pe, pc in powers[e[i]].terms.items():
-                e2 = tuple(a + b for a, b in zip(base, pe))
+                e2 = tuple(map(operator.add, base, pe))
                 out[e2] = out.get(e2, 0) + c * pc
-        return SparsePoly(vv, out)
+        return _trusted(vv, {e: c for e, c in out.items() if c})
 
     def coeff(self, exp):
         """Coefficient of one monomial, given as an exponent tuple."""
@@ -288,6 +296,18 @@ class SparsePoly:
         return cls(
             vars, {tuple(t["exp"]): parse_rat(str(t["coeff"])) for t in obj["terms"]}
         )
+
+
+def _trusted(vars, terms):
+    """A SparsePoly on terms that are already canonical, without the constructor's checks.
+
+    terms must be a dict no other object holds, of nonzero coefficients
+    keyed by exponent tuples of length len(vars), and vars a tuple.
+    """
+    p = object.__new__(SparsePoly)
+    p.vars = vars
+    p.terms = terms
+    return p
 
 
 # ---------------------------------------------------------------------------

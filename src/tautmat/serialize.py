@@ -61,6 +61,23 @@ def matroid_from_json(obj, validate=True) -> Matroid:
     raise ParseError(f"unknown matroid type {kind!r}")
 
 
+def ground_set_size(obj) -> int:
+    """matroid_from_json(obj).n_elements, read off the object without building it."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected an object, got {type(obj).__name__}")
+    kind = obj.get("type", "bases")
+    try:
+        if kind == "uniform":
+            return int(obj["n"])
+        if kind == "graphic":
+            return len(obj["edges"])
+        if kind == "bases":
+            return int(obj["ground_set"])
+    except KeyError as exc:
+        raise ParseError(f"missing field {exc} in matroid input") from exc
+    raise ParseError(f"unknown matroid type {kind!r}")
+
+
 # -- generalized permutohedra --------------------------------------------------
 
 

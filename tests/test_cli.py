@@ -117,6 +117,49 @@ def test_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def _alone(*argv):
+    """(exit code, stdout) of one tautmat call in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("TAUTMAT_GUARDRAIL", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tautmat.cli", *argv], env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_one_parser_serves_many_calls(capsys, monkeypatch):
+    # the parser is built once per process; no option of one call may leak
+    # into the next, so each call prints what it prints when run alone
+    monkeypatch.delenv("TAUTMAT_GUARDRAIL", raising=False)
+    calls = [
+        ("cf", "uniform_2_4", "--t-range", "5", "--u-range", "4"),
+        ("cf", "uniform_2_4"),
+        ("tutte", "uniform:2:4", "--format", "text"),
+        ("csm", "uniform:2:4", "--k", "1", "--seed", "7", "--jobs", "3"),
+        ("csm", "uniform:2:4"),
+        ("info", "/nonexistent.json"),
+        ("check", "--only", "ehrhart"),
+    ]
+    together = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _ in together] == [0, 0, 0, 0, 0, 2, 0]
+    assert [_alone(*argv) for argv in calls] == together
+    from tautmat.cli import build_parser
+
+    assert build_parser() is build_parser()
+    assert build_parser.cache_info().maxsize == 1
+
+
+def test_cli_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    from tautmat import __version__
+
+    assert out == f"tautmat {__version__}\n"
+    assert _alone("--version") == (0, out)
+
+
 def test_results_are_seed_independent(capsys):
     # generic points differ with the seed, but exact values cannot
     _, out1 = run_cli(capsys, "tautdeg", "uniform:2:4", "--seed", "1")

@@ -128,6 +128,44 @@ def test_substitute_matches_term_by_term_sum(p, c, k):
         assert p.substitute("x", value) == expect
 
 
+def assert_canonical(r, operands):
+    # what the public constructor would make of r, in a dict of r's own
+    assert type(r.vars) is tuple
+    assert r.terms == SparsePoly(r.vars, r.terms).terms
+    assert all(r.terms.values())
+    assert all(type(e) is tuple and len(e) == len(r.vars) for e in r.terms)
+    assert all(r.terms is not p.terms for p in operands)
+
+
+@given(int_polys(), polys(), int_polys(("x", "w")), st.integers(-3, 3))
+@settings(max_examples=80, deadline=None)
+def test_operation_results_are_canonical(a, b, c, k):
+    operands = (a, b, c)
+    results = [
+        a + b, a + c, a + k, k + a, a + a, a + -a, a - b, a - c, a - a, a - k, k - a, -a,
+        a * b, a * c, a * (b - b), a * k, k * a, a * 0, a ** 2, a ** 0,
+        a.with_vars(("x", "y", "w")), a.with_vars(a.vars),
+        a.substitute("x", c), a.substitute("y", b), a.substitute("x", k), a.substitute("y", a),
+    ]
+    for r in results:
+        assert_canonical(r, operands)
+
+
+class _Pairs(list):
+    """Term pairs as the constructor reads them, duplicate exponents allowed."""
+
+    def items(self):
+        return iter(self)
+
+
+def test_constructor_checks_and_canonicalizes():
+    p = SparsePoly(["x", "y"], _Pairs([([1, 0], 2), ((0, 1), 0), ((1, 0), -2), ((0, 2), 3)]))
+    assert p.vars == ("x", "y") and p.terms == {(0, 2): 3}
+    assert SparsePoly(("x",), {(1,): 0}).terms == {}
+    with pytest.raises(VariableMismatch):
+        SparsePoly(("x", "y"), {(1,): 1})
+
+
 # -- interpolation -----------------------------------------------------------
 
 

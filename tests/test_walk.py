@@ -16,6 +16,8 @@ from tautmat.engine import (
     NonIntegral,
     _chi_tables,
     _chi_walk,
+    _frees,
+    _increments,
     _pairwise_diff_product,
     _point_steps,
     _prefix_sums,
@@ -176,6 +178,24 @@ def test_walk_reads_first_only_when_asked():
     scan = scan_class_sums(nabla, 4, t, d)
     assert _prefix_sums(nabla, 4, *_point_steps([t])) == {k: [v] for k, v in scan.items()}
     assert _prefix_sums((), 4, *_point_steps([t])) == {(): [sum(scan.values())]}
+
+
+@given(small_matroids(), st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_walk_tables_are_built_once_per_atom(m, seed):
+    # an atom equal to a cached one, built separately, reuses its table;
+    # tables built again from a cleared cache give the same walk
+    n = m.n_elements
+    t = sample_eval_point(n, random.Random(seed))
+    walk = _point_steps([t])
+    cached = _prefix_sums((base_polytope(m), simplex_pair(n)[1]), n, *walk)
+    hits = _increments.cache_info().hits
+    again = _prefix_sums((base_polytope(m), simplex_pair(n)[1]), n, *walk)
+    assert _increments.cache_info().hits == hits + 2
+    _increments.cache_clear()
+    _frees.cache_clear()
+    cold = _prefix_sums((base_polytope(m), simplex_pair(n)[1]), n, *walk)
+    assert cached == again == cold
 
 
 def _class_pool(m):
