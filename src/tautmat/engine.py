@@ -14,24 +14,18 @@ Three pushforward paths:
   monomial T^m of the class at a fixed point is a Chern root m.t.
 
 * a character path for Euler characteristics: restrict to a one-parameter
-  subgroup T_i = q^{w_i} and sample each class's character, shifted by
-  q^{-lo_c}, at q = 2, 3, ...; it is an integer polynomial of degree at
-  most B = max_c (hi_c - lo_c), where [lo_c, hi_c] is the hull of the
-  class's exponents m.w: each fixed-point term expands with support >= lo_c
-  at q -> 0 and <= hi_c at q -> oo, and their sum is a Laurent polynomial.
-  Integer forward differences of the samples give its value at q = 1, and
-  three extra samples verify the degree bound (their differences above it
-  must vanish).  One walk carries an integer slot per sample q, scaled by
-  dq = prod_{a<b} (q^|w_a - w_b| - 1); each class is tabulated once per
-  call as rows of summed coefficients per partition of joint keys, one row
-  per shifted exponent m.w - lo_c, and a sample evaluates them by Horner's
-  rule in q.  A grid of classes base * R_a * C_b (the Cameron-Fink twists
-  beta^u alpha^t, the Fink-Speyer wedges wedge^i S wedge^j Q^v) is
-  evaluated at each sample as a bilinear form instead (`euler_char_grid`):
-  the slots times base's value are summed per (row key, column key),
-  reduced over column keys once per column index, and each point is a sum
-  over row keys of R_a's value, an elementary symmetric function or a
-  power of the roots q^{m.w}; no product class is built.
+  subgroup T_i = q^{w_i} and sample the character, shifted by q^{-lo}, at
+  q = 2, 3, ...; it is an integer polynomial of degree at most B = hi - lo,
+  where [lo, hi] is the hull of the class's exponents m.w.  Integer forward
+  differences of the samples give its value at q = 1, and three extra
+  samples verify the degree bound (their differences above it must
+  vanish).  One walk carries an integer slot per sample q, scaled by dq =
+  prod_{a<b} (q^|w_a - w_b| - 1).  Every chi is a point of a grid of
+  classes base * R_a * C_b (`euler_char_grid`): the Cameron-Fink twists
+  beta^u alpha^t, the Fink-Speyer wedges wedge^i S wedge^j Q^v, or a single
+  class with both axes wedge^0 O = 1 (`euler_char_many`).  Each sample is a
+  bilinear form in the axes' values at the roots q^{m.w}, so no product
+  class is built.
 
 * a zeta route, the Chow-side Euler characteristic of K-classes: their
   zeta images are pushed forward along t = q*w; the integer samples at
@@ -52,7 +46,7 @@ import math
 import operator
 
 from .genperm import check_guardrail
-from .kclass import KClassLoc, MixedSigns, _dedup_atoms, simplex_pair
+from .kclass import KClassLoc, MixedSigns, _dedup_atoms, simplex_pair, structure_sheaf
 from .matroid import bits
 from .perms import all_perms
 # interpolate_univariate is unused here; bench/tests asserts engine's binding of it
@@ -401,35 +395,14 @@ def euler_char_ab(kclass: KClassLoc, *, rng):
 
 
 def euler_char_many(kclasses, *, rng):
-    """chi of several K-classes sharing one ground set.
+    """chi of several K-classes sharing one ground set, each a 1x1 grid.
 
-    One prefix-set walk over the union of the classes' atoms serves every
-    class, with one integer slot per sample q (`_chi_walk`).  A value-free
-    run of the same walk lists the reachable joint keys first, and
-    everything that does not depend on q is tabulated from them once per
-    call (`_chi_tables`), so each sample only adds up partitions of joint
-    keys and evaluates each class's rows by Horner's rule in q.
-
-    Class c is shifted by q^{-lo_c} and all share the degree bound
-    B = max_c (hi_c - lo_c), [lo_c, hi_c] the hull of c's exponents m.w:
-    every term 1/(1 - q^delta) expands with support >= lo_c at q -> 0 and
-    <= hi_c at q -> oo, and the sum is a Laurent polynomial.
-
-    The NonIntegral guard on each sample is necessary but not sufficient:
-    it sees only the restriction along the drawn w, so a class failing the
-    fixed-point congruences can pass it.  fixed_point_compatibility_check
-    or the zeta route (integrate_inhomogeneous) is the full check.
+    Class c is the grid base c with the axes wedge^0 O = 1 (one root, of
+    exponent 0, on no atom), so it draws its own w and is read off at its
+    own bound B_c = hi_c - lo_c (see euler_char_grid).
     """
-    ground = kclasses[0].ground
-    if any(c.ground != ground for c in kclasses):
-        raise ValueError("classes on different ground sets")
-    check_guardrail(ground)
-    w = sample_weight(ground, rng)
-    atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms))
-    slots = [tuple(atoms.index(a) for a in c.atoms) for c in kclasses]
-    joints = _prefix_sums(atoms, ground, (), [[()] * ground] * ground)
-    parts, tables, bound = _chi_tables(kclasses, slots, joints, w)
-    return _escalating(lambda d: _chi_interpolate(atoms, ground, w, parts, tables, d), bound)
+    unit = wedge_axis(structure_sheaf(kclasses[0].ground), 0)
+    return [euler_char_grid(c, unit, unit, rng=rng)[0][0] for c in kclasses]
 
 
 def _chi_walk(atoms, ground, w, qs):
@@ -446,95 +419,6 @@ def _chi_walk(atoms, ground, w, qs):
         for wa in w
     ]
     return _prefix_sums(atoms, ground, dqs, steps), dqs
-
-
-def _chi_tables(kclasses, slots, joints, w):
-    """The q-independent tables of the character sum: (parts, tables, B).
-
-    parts lists the distinct tuples of joint keys that share one class
-    key.  tables[c] has one row per shifted exponent e = m.w - lo_c of
-    class c, from hi_c - lo_c down to 0, each row a tuple of (index in
-    parts, summed coefficient of the monomials with that m.w), zero sums
-    left out.  lo_c and hi_c are the least and largest m.w over every
-    monomial of c, cancelled or not, and B = max_c (hi_c - lo_c).
-    """
-    groups = {sl: {} for sl in slots}
-    for sl, by_key in groups.items():
-        for joint in joints:
-            by_key.setdefault(tuple(joint[i] for i in sl), []).append(joint)
-    parts = {}
-    memo = {}
-    tables = []
-    bound = 0
-    for cls, sl in zip(kclasses, slots):
-        projected = [
-            (parts.setdefault(tuple(js), len(parts)), _chi_projection(cls, key, w, memo))
-            for key, js in groups[sl].items()
-        ]
-        lo = min((e for _, d in projected for e in d), default=0)
-        hi = max((e for _, d in projected for e in d), default=0)
-        bound = max(bound, hi - lo)
-        rows = [[] for _ in range(hi - lo + 1)]
-        for p, d in projected:
-            for e, c in d.items():
-                if c:
-                    rows[hi - e].append((p, c))
-        tables.append([tuple(r) for r in rows])
-    return list(parts), tables, bound
-
-
-def _chi_projection(cls, key, w, memo):
-    """{m.w: summed coefficient} over cls's monomials at key, zero sums kept.
-
-    A kc_product convolves its factors' dicts instead of expanding; memo
-    holds each (class, key) for one call of _chi_tables.
-    """
-    out = memo.get((cls, key))
-    if out is None:
-        if cls.factors:
-            out = {0: 1}
-            for f, sl in cls.factors:
-                conv = {}
-                for e2, c2 in _chi_projection(f, tuple(key[i] for i in sl), w, memo).items():
-                    for e, c in out.items():
-                        conv[e + e2] = conv.get(e + e2, 0) + c * c2
-                out = conv
-        else:
-            out = {}
-            for c, m in cls.monomials(key):
-                e = sum(map(operator.mul, m, w))
-                out[e] = out.get(e, 0) + c
-        memo[cls, key] = out
-    return out
-
-
-def _chi_interpolate(atoms, ground, w, parts, tables, bound):
-    """chi of every class from its character times q^{-lo_c} at q = 2, 3, ...
-
-    Takes bound + 4 samples in one walk, three of them verifying that each
-    shifted character has degree <= bound, and reads every class off at
-    q = 1.  Each joint partition is summed once for all classes, and a
-    class's sample is its table evaluated by Horner's rule in q.
-    """
-    qs = range(2, bound + 6)
-    acc, dqs = _chi_walk(atoms, ground, w, qs)
-    cols = [[sum(col) for col in zip(*(acc[j] for j in js))] for js in parts]
-    psums = [[col[i] for col in cols] for i in range(len(qs))]
-    samples = [[] for _ in tables]
-    for rows, class_samples in zip(tables, samples):
-        for q, dq, ps in zip(qs, dqs, psums):
-            total = 0
-            for row in rows:
-                total *= q
-                for p, c in row:
-                    total += c * ps[p]
-            num, rem = divmod(total, dq)
-            if rem:
-                raise NonIntegral(
-                    f"scaled character at q={q} is not divisible by the common denominator"
-                )
-            class_samples.append(num)
-    return [_extrapolate_back(ss, bound) for ss in samples]
 
 
 class GridAxis:
@@ -591,15 +475,24 @@ def power_axis(line, top):
 def euler_char_grid(base, rows, cols, *, rng):
     """[[chi(base * R_a * C_b) for C_b in cols] for R_a in rows], rows and cols GridAxes.
 
-    The values, samples and checks are those of euler_char_many on the
-    list of every kc_product(base, R_a, C_b): one drawn w, one bound
-    B = max over grid points of hi - lo, B + 4 samples each with its own
-    NonIntegral guard, and one escalation for the whole grid.  No product
-    class is built.  At each sample q the walk's slots times base's value
-    are summed once per (row key, column key) pair, reduced over column
-    keys once per column index b into Y[row key][b], and chi's sample at
-    (a, b) is the sum over row keys of R_a's value times Y, R_a's value an
-    elementary symmetric function or a power of the roots q^{m.w}.
+    One drawn w serves the whole grid.  The point (a, b) is shifted by
+    q^{-lo}, [lo, hi] the hull of the exponents m.w of every monomial of
+    kc_product(base, R_a, C_b), cancelled or not, so its character is an
+    integer polynomial in q of degree at most hi - lo: every term 1/(1 -
+    q^delta) expands with support >= lo at q -> 0 and <= hi at q -> oo, and
+    the sum is a Laurent polynomial.  The grid shares B = max(hi - lo) and
+    one escalation; it is sampled at B + 4 values q = 2, 3, ..., three of
+    them verifying the bound, and read off at q = 1.  No product class is
+    built.  At each sample q the walk's slots times base's value are summed
+    once per (row key, column key) pair, reduced over column keys once per
+    column index b into Y[row key][b], and chi's sample at (a, b) is the sum
+    over row keys of R_a's value times Y, R_a's value an elementary
+    symmetric function or a power of the roots q^{m.w}.
+
+    The NonIntegral guard on each sample is necessary but not sufficient:
+    it sees only the restriction along the drawn w, so a class failing the
+    fixed-point congruences can pass it.  fixed_point_compatibility_check
+    or the zeta route (integrate_inhomogeneous) is the full check.
     """
     ground = base.ground
     if any(c.ground != ground for c in (rows.cls, cols.cls)):
@@ -673,8 +566,8 @@ def _grid_plan(base, rows, cols, atoms, joints, w):
 def _grid_interpolate(atoms, ground, w, rows, cols, plan, bound):
     """Every point of the grid from bound + 4 samples at q = 2, 3, ..., read off at q = 1.
 
-    As in _chi_interpolate, three samples verify the degree bound, and a
-    point's sample must divide by dq exactly, else NonIntegral.
+    Three samples verify the degree bound, and a point's sample must divide
+    by dq exactly, else NonIntegral.
     """
     terms, row_exps, col_exps, shifts = plan
     qs = range(2, bound + 6)
@@ -778,6 +671,7 @@ def integrate_inhomogeneous(kclasses, *, rng):
     ground = kclasses[0].ground
     if any(c.ground != ground for c in kclasses):
         raise ValueError("classes on different ground sets")
+    check_guardrail(ground)
     w = tuple(x + 1 for x in sample_weight(ground, rng))
     dprime = _pairwise_diff_product(w)
     nabla = simplex_pair(ground)[1]

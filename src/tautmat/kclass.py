@@ -46,16 +46,14 @@ def simplex_pair(n):
 class KClassLoc:
     """sigma |-> signed list of exponent vectors (a Laurent polynomial)."""
 
-    __slots__ = ("ground", "atoms", "_mono", "_cache", "name", "factors")
+    __slots__ = ("ground", "atoms", "_mono", "_cache", "name")
 
-    def __init__(self, ground, atoms, mono_fn, name="", factors=()):
+    def __init__(self, ground, atoms, mono_fn, name=""):
         self.ground = ground
         self.atoms = _dedup_atoms(atoms)
         self._mono = mono_fn
         self._cache = {}
         self.name = name
-        # kc_product's ((factor, slots), ...), slots picking the factor's key
-        self.factors = factors
 
     def monomials(self, key):
         """Signed monomials ((coeff, exponent vector), ...) for an atom-value key."""
@@ -184,7 +182,7 @@ def kc_product(*classes) -> KClassLoc:
             ]
         return acc
 
-    return KClassLoc(ground, atoms, mono, name="*".join(c.name for c in classes), factors=factors)
+    return KClassLoc(ground, atoms, mono, name="*".join(c.name for c in classes))
 
 
 def exterior_power(cls: KClassLoc, j: int) -> KClassLoc:

@@ -120,9 +120,10 @@ def chi_reference(kcls):
     contributes its localization over prod_k (1 - T_{sigma(k+1)}/T_{sigma(k)}),
     a denominator that depends only on the adjacent differences of w along
     sigma, so the numerators are gathered per sorted difference tuple.
-    Scaled by q^D, D the largest |m.w| of a monomial, the character is a
-    polynomial of degree at most 2D; it is sampled at q = 2, 3, ...,
-    interpolated with five verification samples and read at q = 1.
+    Scaled by q^D, D the largest |m.w| of a monomial (0 if there is none),
+    the character is a polynomial of degree at most 2D; it is sampled at
+    q = 2, 3, ..., interpolated with five verification samples and read at
+    q = 1.
     """
     w = tuple(range(kcls.ground))
     by_diffs = {}
@@ -132,7 +133,7 @@ def chi_reference(kcls):
         for c, m in kcls.monomials(kcls.key_at(sigma)):
             e = sum(x * y for x, y in zip(m, w))
             terms[e] = terms.get(e, 0) + c
-    shift = max(abs(e) for terms in by_diffs.values() for e in terms)
+    shift = max((abs(e) for terms in by_diffs.values() for e in terms), default=0)
     samples = []
     for q in range(2, 2 * shift + 8):
         factor = {d: 1 - Fraction(q) ** d for d in range(-kcls.ground, kcls.ground)}

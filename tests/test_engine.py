@@ -46,7 +46,7 @@ from tautmat.kclass import (
     s_class,
     structure_sheaf,
 )
-from tautmat.genperm import base_polytope, simplex
+from tautmat.genperm import DEFAULT_GUARDRAIL, GuardrailExceeded, base_polytope, simplex
 from tautmat.invariants import cf_check, chi_both_routes, chi_via_zeta, fs_classes, fs_tutte
 from tautmat.matroid import matroid_from_bases, uniform
 from tautmat.perms import all_perms
@@ -59,7 +59,6 @@ from reference import (
     graded_reference,
     grid_classes,
     localization_denominator,
-    perm_keys,
     zeta_monomial_value,
 )
 
@@ -274,44 +273,10 @@ def test_euler_char_many_matches_per_permutation_reference(rng, u24):
     classes += [line_bundle(simplex(2)), line_bundle(base_polytope(u24))]
     classes += list(fs_classes(u24).values())
     classes.append(cremona(kc_product(det_s_dual(u24), exterior_power(s_class(u24), 1))))
-    # one batch per ground set, so the classes share joint keys and shape rows
+    # one call per ground set, as euler_char_many requires
     for ground in sorted({c.ground for c in classes}):
         batch = [c for c in classes if c.ground == ground]
         assert euler_char_many(batch, rng=rng) == [chi_reference(c) for c in batch]
-
-
-def test_euler_char_many_shares_partitions(rng, monkeypatch):
-    # the fs classes read only the basis atom, the cf twists also first and
-    # last, so each fs key gathers several joint keys into one partition
-    # that several classes share; the joint keys are exactly those of the
-    # permutations, read off the value-free walk
-    tables = []
-    real = tautmat.engine._chi_tables
-
-    def record(kclasses, slots, joints, w):
-        out = real(kclasses, slots, joints, w)
-        tables.append((list(joints), out))
-        return out
-
-    monkeypatch.setattr(tautmat.engine, "_chi_tables", record)
-    for name in ("uniform_2_4", "uniform_2_5"):
-        m = builtin_matroid(name)
-        n1 = m.n_elements
-        batch = list(fs_classes(m).values())
-        batch += [
-            kc_product(alpha_beta_twist(n1, t, u), det_s_dual(m)) for t in range(3) for u in range(3)
-        ]
-        assert euler_char_many(batch, rng=rng) == [chi_reference(c) for c in batch]
-        joints, (parts, rows, _) = tables[-1]
-        atoms = _dedup_atoms(tuple(a for c in batch for a in c.atoms))
-        assert sorted(joints) == sorted({key for _, key in perm_keys(atoms, n1)})
-        # no coefficient of these classes cancels, so every part a class
-        # reads shows up in its rows
-        read = [{p for row in class_rows for p, _ in row} for class_rows in rows]
-        for ps in read:
-            assert sorted(j for p in ps for j in parts[p]) == sorted(joints)
-        shared = [p for ps in read for p in ps if len(parts[p]) > 1]
-        assert len(shared) > len(set(shared))
 
 
 def _record_weights(monkeypatch):
@@ -413,15 +378,16 @@ def test_hull_bound_needs_no_escalation(rng, monkeypatch, name, run):
 
 def test_one_sided_exponent_hull_matches_reference(rng, u24, monkeypatch):
     # twisting by T_i^-2 for every i moves every exponent m.w below 0 and
-    # the dual above 0, so the shift q^-lo_c lowers some classes' exponents
-    # and raises others' within one batch
+    # the dual above 0, so at one pinned w the shift q^-lo_c lowers some
+    # classes' exponents and raises others'
     points = [line_bundle(simplex(4, 1 << i)) for i in range(4)]
     below = [kc_product(c, *points, *points) for c in fs_classes(u24).values()]
     above = [dual_class(c) for c in below]
-    weights = _record_weights(monkeypatch)
+    w = tautmat.engine.sample_weight(4, rng)
+    monkeypatch.setattr(tautmat.engine, "sample_weight", lambda n, rng: w)
     chis = euler_char_many(below + above, rng=rng)
-    assert all(_exponent_hull(c, weights[0])[1] < 0 for c in below)
-    assert all(_exponent_hull(c, weights[0])[0] > 0 for c in above)
+    assert all(_exponent_hull(c, w)[1] < 0 for c in below)
+    assert all(_exponent_hull(c, w)[0] > 0 for c in above)
     assert chis == [chi_reference(c) for c in below + above]
 
 
@@ -617,6 +583,18 @@ def test_both_routes_reject_non_gkm_class(u24):
     for seed in range(12):
         with pytest.raises(NonIntegral):
             chi_both_routes(_corrupted_s_class(u24), rng=random.Random(seed))
+
+
+def test_every_route_enforces_the_guardrail(monkeypatch):
+    # a ground set above the default guardrail is refused by the zeta route
+    # as by the character and graded paths, before any walk
+    monkeypatch.delenv("TAUTMAT_GUARDRAIL", raising=False)
+    n = DEFAULT_GUARDRAIL + 1
+    for route in (chi_via_zeta, euler_char_ab):
+        with pytest.raises(GuardrailExceeded):
+            route(structure_sheaf(n), rng=random.Random(0))
+    with pytest.raises(GuardrailExceeded):
+        integrate_graded(n, [power_series(alpha_class(n), "x")], rng=random.Random(0))
 
 
 def test_zeta_route_rejects_non_gkm_class(rng, u24):

@@ -1,7 +1,7 @@
 """The prefix-set walk of the graded path, the zeta route and the character
-path against the permutation scan, and the character grid against the list
-of its product classes, on random sparse paving and graphic matroids and
-their duals."""
+path against the permutation scan, and the character grid against its
+product classes read one at a time, on random sparse paving and graphic
+matroids and their duals."""
 
 import contextlib
 import itertools
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import tautmat.engine
 from tautmat.engine import (
     NonIntegral,
-    _chi_tables,
     _chi_walk,
     _frees,
     _increments,
@@ -35,7 +34,6 @@ from tautmat.engine import (
 from tautmat.genperm import base_polytope, simplex
 from tautmat.invariants import fs_classes
 from tautmat.kclass import (
-    _dedup_atoms,
     alpha_class,
     beta_class,
     cremona,
@@ -61,7 +59,7 @@ from reference import (
     scan_character_sums,
     scan_class_sums,
 )
-from test_engine import _corrupted_s_class, _exponent_hull
+from test_engine import _corrupted_s_class, _exponent_hull, _record_weights
 
 
 @st.composite
@@ -208,18 +206,6 @@ def _class_pool(m):
     return fs + twists + bundles + [cremona(c) for c in (fs[-1], twists[-1], bundles[-1])]
 
 
-@given(small_matroids(), st.data(), st.integers(0, 2**16))
-@settings(max_examples=50, deadline=None)
-def test_euler_char_many_matches_reference_and_zeta_route(m, data, seed):
-    pool = _class_pool(m)
-    picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=3,
-                               unique=True))
-    batch = [pool[i] for i in picks]
-    chis = euler_char_many(batch, rng=random.Random(seed))
-    assert chis == [chi_reference(c) for c in batch]
-    assert chis == integrate_inhomogeneous(batch, rng=random.Random(seed))
-
-
 def _table_class_pool(m):
     """_class_pool plus nested products, a dual and a negated product, and a
     product whose monomials cancel."""
@@ -235,49 +221,34 @@ def _table_class_pool(m):
     ]
 
 
-def _assert_tables_match_monomials(batch, n, w):
-    """Each row holds the monomials of one m.w, summed per class key, and the
-    rows span the hull of every monomial, cancelled or not."""
-    atoms = _dedup_atoms(tuple(a for c in batch for a in c.atoms))
-    slots = [tuple(atoms.index(a) for a in c.atoms) for c in batch]
-    joints = _prefix_sums(atoms, n, (), [[()] * n] * n)
-    parts, tables, bound = _chi_tables(batch, slots, joints, w)
-    hulls = [_exponent_hull(c, w) for c in batch]
-    assert bound == max(hi - lo for lo, hi in hulls)
-    for cls, sl, rows, (lo, hi) in zip(batch, slots, tables, hulls):
-        assert len(rows) == hi - lo + 1
-        got = {(p, hi - lo - r): c for r, row in enumerate(rows) for p, c in row}
-        assert len(got) == sum(map(len, rows))
-        by_key = {}
-        for joint in joints:
-            by_key.setdefault(tuple(joint[i] for i in sl), []).append(joint)
-        want = {}
-        for key, js in by_key.items():
-            p = parts.index(tuple(js))
-            for c, mono in cls.monomials(key):
-                e = sum(x * y for x, y in zip(mono, w)) - lo
-                want[p, e] = want.get((p, e), 0) + c
-        assert got == {k: c for k, c in want.items() if c}
-
-
 @given(small_matroids(), st.data(), st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
-def test_chi_tables_match_monomials(m, data, seed):
+def test_euler_char_many_matches_reference_and_zeta_route(m, data, seed):
+    # with nested, dual, negated and cancelling products; each class draws
+    # its own w and is read off once, from B_c + 4 samples at B_c = hi_c -
+    # lo_c, the hull of every one of its monomials along that w, cancelled
+    # or not
     pool = _table_class_pool(m)
     picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=4,
                                unique=True))
-    n = m.n_elements
-    _assert_tables_match_monomials([pool[i] for i in picks], n, sample_weight(n, random.Random(seed)))
+    batch = [pool[i] for i in picks]
+    with _recorded_weights() as weights, _recorded_reads() as reads:
+        chis = euler_char_many(batch, rng=random.Random(seed))
+    assert chis == [chi_reference(c) for c in batch]
+    assert chis == integrate_inhomogeneous(batch, rng=random.Random(seed))
+    bounds = [hi - lo for lo, hi in map(_exponent_hull, batch, weights)]
+    assert reads == [(b + 4, b) for b in bounds]
 
 
-def test_chi_tables_of_a_class_without_monomials():
+def test_euler_char_many_of_a_class_without_monomials():
     # a drawn case: on a rank-0 matroid S_M is 0, so the nested product has
-    # no monomials; its hull is (0, 0), one empty row, and chi is 0
+    # no monomials; its hull is (0, 0), so it is read at bound 0, and chi is 0
     m = Matroid(1, [0])
     cls = kc_product(kc_product(alpha_beta_twist(1, 1, 1), s_class(m)), line_bundle(base_polytope(m)))
     assert cls.monomials(cls.key_at((0,))) == ()
-    _assert_tables_match_monomials([cls], 1, sample_weight(1, random.Random(0)))
-    assert euler_char_many([cls], rng=random.Random(0)) == [0]
+    with _recorded_reads() as reads:
+        assert euler_char_many([cls], rng=random.Random(0)) == [0]
+    assert reads == [(4, 0)]
 
 
 @contextlib.contextmanager
@@ -297,27 +268,47 @@ def _recorded_reads():
         tautmat.engine._extrapolate_back = real
 
 
-def _grid_and_list(base, rows, cols, seed):
-    """(flattened grid, its reads, euler_char_many on grid_classes, its reads).
+@contextlib.contextmanager
+def _recorded_weights():
+    """The weights w that engine.sample_weight draws inside the block, in order."""
+    with pytest.MonkeyPatch.context() as mp:
+        yield _record_weights(mp)
 
-    Also checks that both draw the same numbers from their rng.
-    """
-    rng_grid, rng_list = random.Random(seed), random.Random(seed)
-    with _recorded_reads() as grid_reads:
-        grid = euler_char_grid(base, rows, cols, rng=rng_grid)
-    with _recorded_reads() as list_reads:
-        chis = euler_char_many(grid_classes(base, rows, cols), rng=rng_list)
-    assert rng_grid.getstate() == rng_list.getstate()
-    return [chi for row in grid for chi in row], grid_reads, chis, list_reads
+
+@contextlib.contextmanager
+def _pinned_weight(w):
+    """engine.sample_weight returns w inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tautmat.engine, "sample_weight", lambda n, rng: w)
+        yield
+
+
+def _assert_grid_matches_singles(base, rows, cols, seed, oracle):
+    """The grid against euler_char_many on grid_classes, both at the w that
+    random.Random(seed) draws: the same values as oracle(classes), the grid
+    read at one bound B from B + 4 samples, each single from its own B_c + 4
+    samples at B_c <= B, and the largest B_c is B."""
+    classes = grid_classes(base, rows, cols)
+    with _pinned_weight(sample_weight(base.ground, random.Random(seed))):
+        with _recorded_reads() as grid_reads:
+            grid = euler_char_grid(base, rows, cols, rng=random.Random(seed))
+        with _recorded_reads() as single_reads:
+            chis = euler_char_many(classes, rng=random.Random(seed))
+    assert [chi for row in grid for chi in row] == chis == oracle(classes)
+    bound = grid_reads[0][1]
+    assert grid_reads == [(bound + 4, bound)] * len(classes)
+    assert [count - b for count, b in single_reads] == [4] * len(classes)
+    assert max(b for _, b in single_reads) == bound
 
 
 @given(small_matroids(), st.data(), st.integers(0, 2**16))
 @settings(max_examples=40, deadline=None)
 def test_euler_char_grid_matches_class_list(m, data, seed):
-    # the grid entry against euler_char_many on the kc_product of base, row
-    # class and column class at every point: the same values, read off at
-    # the same bound B from B + 4 samples; twist axes run up to n + 2,
-    # above the degree n of the Cameron-Fink polynomial
+    # every grid entry against the kc_product of base, row class and column
+    # class read off alone at the same w and against the zeta route (the
+    # reference's Fraction interpolation takes minutes on the wide twist
+    # grids); twist axes run up to n + 2, above the degree n of the
+    # Cameron-Fink polynomial
     n = m.n_elements
     twist_top = st.integers(0, n + 2)
     axes = [
@@ -330,9 +321,9 @@ def test_euler_char_grid_matches_class_list(m, data, seed):
     bases = [det_s_dual(m), structure_sheaf(n), line_bundle(base_polytope(m) + simplex(n))]
     base = bases[data.draw(st.integers(0, len(bases) - 1))]
     rows, cols = (axes[data.draw(st.integers(0, len(axes) - 1))]() for _ in range(2))
-    grid, grid_reads, chis, list_reads = _grid_and_list(base, rows, cols, seed)
-    assert grid == chis
-    assert grid_reads == list_reads
+    _assert_grid_matches_singles(
+        base, rows, cols, seed, lambda cs: integrate_inhomogeneous(cs, rng=random.Random(seed))
+    )
 
 
 def test_euler_char_grid_of_the_cf_and_fs_grids():
@@ -346,27 +337,26 @@ def test_euler_char_grid_of_the_cf_and_fs_grids():
         (structure_sheaf(4), wedge_axis(s, 2), wedge_axis(qd, 2)),
     ]
     for base, rows, cols in grids:
-        grid, grid_reads, chis, list_reads = _grid_and_list(base, rows, cols, 0)
-        assert grid == chis == [chi_reference(c) for c in grid_classes(base, rows, cols)]
-        assert grid_reads == list_reads
+        _assert_grid_matches_singles(base, rows, cols, 0, lambda cs: list(map(chi_reference, cs)))
 
 
 def test_euler_char_grid_rejects_a_non_gkm_base():
-    # a base failing the fixed-point congruences: along the w of some seeds
-    # euler_char_many raises NonIntegral on the class list, and the grid
-    # raises too; along the others both give the same values
+    # a base failing the fixed-point congruences, at the w of each seed:
+    # along some, a single class raises NonIntegral and the grid raises
+    # too; along the others neither raises and both give the same values
     m = uniform(2, 4)
     base = _corrupted_s_class(m)
     rows, cols = wedge_axis(s_class(m), 2), wedge_axis(dual_class(q_class(m)), 2)
     raised = []
     for seed in range(6):
-        try:
-            chis = euler_char_many(grid_classes(base, rows, cols), rng=random.Random(seed))
-        except NonIntegral:
-            raised.append(seed)
-            with pytest.raises(NonIntegral):
-                euler_char_grid(base, rows, cols, rng=random.Random(seed))
-        else:
-            grid = euler_char_grid(base, rows, cols, rng=random.Random(seed))
-            assert [chi for row in grid for chi in row] == chis
-    assert 0 in raised
+        with _pinned_weight(sample_weight(4, random.Random(seed))):
+            try:
+                chis = euler_char_many(grid_classes(base, rows, cols), rng=random.Random(seed))
+            except NonIntegral:
+                raised.append(seed)
+                with pytest.raises(NonIntegral):
+                    euler_char_grid(base, rows, cols, rng=random.Random(seed))
+            else:
+                grid = euler_char_grid(base, rows, cols, rng=random.Random(seed))
+                assert [chi for row in grid for chi in row] == chis
+    assert 0 in raised and len(raised) < 6

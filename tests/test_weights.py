@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import all_chains, balance_reference, chain_insertions
+from test_walk import small_matroids
+from tautmat.checks import _logconc, _weights
 from tautmat.corpus import corpus
 from tautmat.matroid import bits, mask_of, matroid_from_bases, uniform
 from tautmat.invariants import bergman_weight, csm_weight, minkowski_weights
@@ -170,3 +172,13 @@ def perturbed_weights(draw):
 def test_one_pass_balance_matches_reference(weight):
     # the same verdict and the same witness as the candidate-by-candidate check
     assert mw_balance_check(weight) == balance_reference(weight)
+
+
+@given(small_matroids(), st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_minkowski_routes_and_log_concavity_on_random_matroids(m, seed):
+    # the ledger's minkowski and logconc checks on random matroids: the
+    # geometric and combinatorial routes agree, every weight is balanced,
+    # csm_(r-1) is the Bergman weight, and the Tutte transform is log-concave
+    assert _weights(m, random.Random(seed)) == ""
+    assert _logconc(m) == ""
