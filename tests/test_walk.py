@@ -5,6 +5,7 @@ matroids and their duals."""
 
 import contextlib
 import itertools
+import operator
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from tautmat.engine import (
     NonIntegral,
     _chi_walk,
     _frees,
+    _grid_plan,
     _increments,
     _pairwise_diff_product,
     _point_steps,
@@ -34,6 +36,7 @@ from tautmat.engine import (
 from tautmat.genperm import base_polytope, simplex
 from tautmat.invariants import fs_classes
 from tautmat.kclass import (
+    _dedup_atoms,
     alpha_class,
     beta_class,
     cremona,
@@ -246,9 +249,49 @@ def test_euler_char_many_of_a_class_without_monomials():
     m = Matroid(1, [0])
     cls = kc_product(kc_product(alpha_beta_twist(1, 1, 1), s_class(m)), line_bundle(base_polytope(m)))
     assert cls.monomials(cls.key_at((0,))) == ()
+    _assert_table_matches_monomials(cls, sample_weight(1, random.Random(0)))
     with _recorded_reads() as reads:
         assert euler_char_many([cls], rng=random.Random(0)) == [0]
     assert reads == [(4, 0)]
+
+
+def _assert_table_matches_monomials(cls, w):
+    """The q-independent table that euler_char_many reads cls from (the plan
+    of its 1x1 grid): at each joint key, the summed coefficient of cls's
+    monomials per m.w - lo, zero sums left out, and a bound spanning the
+    hull [lo, hi] of every monomial, cancelled or not."""
+    n = cls.ground
+    unit = wedge_axis(structure_sheaf(n), 0)
+    atoms = _dedup_atoms(cls.atoms)
+    slot = [atoms.index(a) for a in cls.atoms]
+    joints = _prefix_sums(atoms, n, (), [[()] * n] * n)
+    (terms, row_exps, col_exps, shifts), bound = _grid_plan(cls, unit, unit, atoms, joints, w)
+    lo, hi = _exponent_hull(cls, w)
+    assert bound == hi - lo
+    assert row_exps == col_exps == [[0]] and shifts == [[0]]
+    got = {}
+    for rc, e, coeffs in terms:
+        assert rc == (0, 0)
+        for joint, c in coeffs:
+            assert c and (joint, e) not in got
+            got[joint, e] = c
+    want = {}
+    for joint in joints:
+        for c, mono in cls.monomials(tuple(joint[i] for i in slot)):
+            e = sum(map(operator.mul, mono, w)) - lo
+            want[joint, e] = want.get((joint, e), 0) + c
+    assert got == {k: c for k, c in want.items() if c}
+
+
+@given(small_matroids(), st.data(), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_chi_tables_match_monomials(m, data, seed):
+    pool = _table_class_pool(m)
+    picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=4,
+                               unique=True))
+    w = sample_weight(m.n_elements, random.Random(seed))
+    for i in picks:
+        _assert_table_matches_monomials(pool[i], w)
 
 
 @contextlib.contextmanager
