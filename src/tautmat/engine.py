@@ -16,21 +16,24 @@ Three pushforward paths:
 * a character path for Euler characteristics: restrict to a one-parameter
   subgroup T_i = q^{w_i} and sample the character, shifted by q^{-lo}, at
   q = 2, 3, ...; it is an integer polynomial of degree at most B = hi - lo,
-  where [lo, hi] is the hull of the class's exponents m.w.  Integer forward
-  differences of the samples give its value at q = 1, and three extra
-  samples verify the degree bound (their differences above it must
-  vanish).  One walk carries an integer slot per sample q, scaled by dq =
-  prod_{a<b} (q^|w_a - w_b| - 1).  Every chi is a point of a grid of
-  classes base * R_a * C_b (`euler_char_grid`): the Cameron-Fink twists
-  beta^u alpha^t, the Fink-Speyer wedges wedge^i S wedge^j Q^v, or a single
-  class with both axes wedge^0 O = 1 (`euler_char_many`).  Each sample is a
-  bilinear form in the axes' values at the roots q^{m.w}, so no product
-  class is built.
+  where [lo, hi] is the hull of the class's exponents m.w.  Binomial
+  weights on the samples give its value at q = 1, and three extra samples
+  verify the degree bound (their differences above it must vanish).  A
+  value-free walk lists the joint keys, and one valued walk carries an
+  integer slot per sample q, scaled by dq = prod_{a<b} (q^|w_a - w_b| -
+  1).  Every chi is a point of a grid of classes base * R_a * C_b
+  (`euler_char_grid`): the Cameron-Fink twists beta^u alpha^t, the
+  Fink-Speyer wedges wedge^i S wedge^j Q^v, or a single class with both
+  axes wedge^0 O = 1 (`euler_char_many`).  Each sample is a bilinear form
+  in the axes' values at the roots q^{m.w}, so no product class is built.
+  A base that is a vertex class no axis reads (det S^v under the twists,
+  a line bundle alone) is folded into the valued walk's steps, so its atom
+  leaves the walk's keys.
 
 * a zeta route, the Chow-side Euler characteristic of K-classes: their
   zeta images are pushed forward along t = q*w; the integer samples at
   q = 1, 2, ... (one exact division each) are read off at q = 0 by the
-  same forward differences, with three verification samples per class.
+  same binomial weights, with three verification samples per class.
 
 All three walk prefix sets: `_prefix_sums` sums over chains S_1 < ... <
 S_n, growing each atom's value one element at a time and stepping each
@@ -229,34 +232,42 @@ def _point_steps(points):
 
     d_sigma(t) is the product of adjacent differences t_sigma(i) -
     t_sigma(i+1) and D'(t) = _pairwise_diff_product(t): appending b after a
-    divides by t_a - t_b.
+    divides by t_a - t_b, and the first element keeps the start.
     """
     ground = len(points[0])
     starts = [_pairwise_diff_product(t) for t in points]
     steps = [[tuple((t[a] - t[b], 1) for t in points) for b in range(ground)]
              for a in range(ground)]
-    return starts, steps
+    return starts, steps + [[((1, 1),) * len(points)] * ground]
 
 
-def _prefix_sums(atoms, ground, starts, steps):
+def _prefix_sums(atoms, ground, starts, steps, fold=None):
     """acc[joint atom key] = [sum over matching sigma of the chain value, per slot].
 
     A slot's chain value starts at starts[i], and appending b after a takes
-    it from v to v // d * m, (d, m) = steps[a][b][i].  Every division must be
-    exact: the callers start at a product holding each pair's divisor once,
-    and a permutation's adjacent pairs are distinct.  A permutation is a
-    chain of prefix sets, so the sum is a walk over prefix sets S, one size
-    at a time.  A state is (S, last element, the atoms' vertices on the
-    prefix) and holds the sum of its prefixes' chain values per slot:
-    appending e to S sets coordinate e of an atom's vertex to its increment
-    rk(S + e) - rk(S).  All of a state but last is one packed int: S in the
-    low bits, then a field per atom and coordinate, as wide as the atom's
-    increments less their least, each step OR-ing in one tabulated
-    delta[S][i] for the i-th element outside S.  The free-element lists
+    it from v to v // d * m, (d, m) = steps[a][b][i]; the first element b
+    steps from a = ground, a row of steps for the empty prefix.  Every
+    division must be exact: the callers start at a product holding each
+    pair's divisor once, and a permutation's adjacent pairs are distinct.
+    A permutation is a chain of prefix sets, so the sum is a walk over
+    prefix sets S, one size at a time.  A state is (S, last element, the
+    atoms' vertices on the prefix) and holds the sum of its prefixes' chain
+    values per slot: appending e to S sets coordinate e of an atom's vertex
+    to its increment rk(S + e) - rk(S).  A state is one packed int: last in
+    the low bits, then S, then a field per atom and coordinate, as wide as
+    the atom's increments less their least, each step OR-ing in one
+    tabulated move for the element appended.  The free-element lists
     (`_frees`) and each atom's increment table (`_increments`) are built
     once per ground size and per atom and cached; a walk only shifts each
-    atom's table to its field offset.  With no slots the walk only lists
-    the reachable joint keys.
+    atom's table to its field offset.
+
+    With fold, an atom P is summed over instead of kept in the key: the
+    step that appends e, at increment rk_P(S + e) - rk_P(S) = gains[k] +
+    lo (see _fold_picks), is steps[a][e + ground * k].  The caller's steps
+    carry P's vertex in the chain value, as _chi_walk does.
+
+    With no slots the walk only lists the reachable joint keys, {key: ()};
+    keys do not depend on last, so its states are the packed prefixes alone.
     """
     full = (1 << ground) - 1
     frees = _frees(ground)
@@ -268,27 +279,43 @@ def _prefix_sums(atoms, ground, starts, steps):
         delta = [[d | v << off for d, v in zip(ds, vs)] for ds, vs in zip(delta, incs)]
         fields.append((off, width, lo))
         off += width * ground
+    decode = _key_decoder(fields, ground)
+    if not starts:
+        level = {0}
+        for _ in range(ground):
+            level = {p | de for p in level for de in delta[p & full]}
+        return dict.fromkeys(map(decode, level), ())
     lb = ground.bit_length()
     lmask = (1 << lb) - 1
-    level = {de << lb | e: starts for e, de in zip(frees[0], delta[0])}
-    for _ in range(ground - 1):
+    picks = frees if fold is None else _fold_picks(fold)[0]
+    moves = [[de << lb | e for e, de in zip(es, ds)] for es, ds in zip(frees, delta)]
+    level = {ground: starts}
+    for _ in range(ground):
         nxt = {}
         for key, vals in level.items():
-            packed, sl = key >> lb, steps[key & lmask]
-            s = packed & full
-            for e, de in zip(frees[s], delta[s]):
-                k2 = (packed | de) << lb | e
+            a, s = key & lmask, key >> lb & full
+            sl, prefix = steps[a], key ^ a
+            for j, mv in zip(picks[s], moves[s]):
+                k2 = prefix | mv
                 cur = nxt.get(k2)
                 if cur is None:
-                    nxt[k2] = [v // d * m for v, (d, m) in zip(vals, sl[e])]
+                    nxt[k2] = [v // d * m for v, (d, m) in zip(vals, sl[j])]
                 else:
-                    for i, (d, m) in enumerate(sl[e]):
+                    for i, (d, m) in enumerate(sl[j]):
                         cur[i] += vals[i] // d * m
         level = nxt
-    acc = {}
-    vertices = [{} for _ in fields]  # per atom: packed field -> vertex
+    acc = {}  # packed prefix -> slots, summed over last
     for key, vals in level.items():
-        packed = key >> lb
+        cur = acc.get(key >> lb)
+        acc[key >> lb] = vals if cur is None else [a + b for a, b in zip(cur, vals)]
+    return {decode(packed): vals for packed, vals in acc.items()}
+
+
+def _key_decoder(fields, ground):
+    """packed prefix -> joint key: per atom, its field read back as a vertex."""
+    vertices = [{} for _ in fields]  # per atom: packed field -> vertex
+
+    def decode(packed):
         jk = []
         for (o, w, lo), vs in zip(fields, vertices):
             f = packed >> o & ((1 << w * ground) - 1)
@@ -296,10 +323,9 @@ def _prefix_sums(atoms, ground, starts, steps):
             if v is None:
                 v = vs[f] = tuple(((f >> w * e) & ((1 << w) - 1)) + lo for e in range(ground))
             jk.append(v)
-        jk = tuple(jk)
-        cur = acc.get(jk)
-        acc[jk] = vals if cur is None else [a + b for a, b in zip(cur, vals)]
-    return acc
+        return tuple(jk)
+
+    return decode
 
 
 @functools.lru_cache(maxsize=16)
@@ -307,6 +333,12 @@ def _frees(ground):
     """frees[S]: the elements outside S, ascending, for each subset S of range(ground)."""
     full = (1 << ground) - 1
     return tuple(tuple(bits(full ^ s)) for s in range(full + 1))
+
+
+def _raw_increments(atom):
+    """incs[S][i] = rk(S + e) - rk(S) for e = frees[S][i]."""
+    rk = atom.rk
+    return [[rk[s | 1 << e] - rk[s] for e in es] for s, es in enumerate(_frees(atom.n_elements))]
 
 
 @functools.lru_cache(maxsize=256)
@@ -318,16 +350,32 @@ def _increments(atom):
     The cache holds 256 atoms, more than the 180 distinct atoms of a full
     `check`; an entry is 2^n * n ints, about 50 KB at n = 9 with its atom.
     """
-    n = atom.n_elements
-    frees = _frees(n)
-    rk = atom.rk
-    incs = [[rk[s | 1 << e] - rk[s] for e in es] for s, es in enumerate(frees)]
+    incs = _raw_increments(atom)
     lo = min(map(min, incs[:-1]))
     width = (max(map(max, incs[:-1])) - lo).bit_length() or 1
     shifted = tuple(
-        tuple((v - lo) << width * e for e, v in zip(es, vs)) for es, vs in zip(frees, incs)
+        tuple((v - lo) << width * e for e, v in zip(es, vs))
+        for es, vs in zip(_frees(atom.n_elements), incs)
     )
     return shifted, lo, width
+
+
+@functools.lru_cache(maxsize=16)
+def _fold_picks(atom):
+    """(picks, gains): the step indices of a walk that folds atom (see _prefix_sums).
+
+    gains are the atom's distinct increments less the least one, ascending,
+    and picks[S][i] = e + n * k for e = frees[S][i] and rk(S + e) - rk(S) -
+    lo = gains[k].
+    """
+    n = atom.n_elements
+    incs = _raw_increments(atom)
+    values = sorted({v for vs in incs[:-1] for v in vs})
+    index = {v: k for k, v in enumerate(values)}
+    picks = tuple(
+        tuple(e + n * index[v] for e, v in zip(es, vs)) for es, vs in zip(_frees(n), incs)
+    )
+    return picks, tuple(v - values[0] for v in values)
 
 
 def _fold_factors(factors, vars, atoms, acc, slot, tstar, cap):
@@ -405,20 +453,31 @@ def euler_char_many(kclasses, *, rng):
     return [euler_char_grid(c, unit, unit, rng=rng)[0][0] for c in kclasses]
 
 
-def _chi_walk(atoms, ground, w, qs):
+def _chi_walk(atoms, ground, w, qs, fold=None):
     """(acc, dqs): the character sums of _prefix_sums at T_i = q^{w_i}, one slot per q.
 
     A slot starts at dq = prod_{a<b} (q^|w_a - w_b| - 1).  Appending b
     after a, with delta = w_b - w_a, divides by q^|delta| - 1 and multiplies
     by -1 if delta > 0, else by q^|delta|: the chain value is dq times
-    prod 1/(1 - q^delta) over the adjacent pairs.
+    prod 1/(1 - q^delta) over the adjacent pairs.  With fold, an atom P with
+    least increment lo, appending b at increment lo + g also multiplies by
+    q^{w_b g}, so the chain value carries q^{(v - lo).w} for P's vertex v;
+    w >= 0 keeps every step an integer.
     """
     dqs = [math.prod(q ** abs(a - b) - 1 for a, b in itertools.combinations(w, 2)) for q in qs]
     steps = [
         [tuple((q ** abs(wb - wa) - 1, -1 if wb > wa else q ** (wa - wb)) for q in qs) for wb in w]
         for wa in w
     ]
-    return _prefix_sums(atoms, ground, dqs, steps), dqs
+    steps.append([((1, 1),) * len(qs)] * ground)
+    if fold is not None:
+        gains = _fold_picks(fold)[1]
+        steps = [
+            [tuple((d, m * q ** (wb * g)) for (d, m), q in zip(row[b], qs))
+             for g in gains for b, wb in enumerate(w)]
+            for row in steps
+        ]
+    return _prefix_sums(atoms, ground, dqs, steps, fold), dqs
 
 
 class GridAxis:
@@ -482,12 +541,16 @@ def euler_char_grid(base, rows, cols, *, rng):
     q^delta) expands with support >= lo at q -> 0 and <= hi at q -> oo, and
     the sum is a Laurent polynomial.  The grid shares B = max(hi - lo) and
     one escalation; it is sampled at B + 4 values q = 2, 3, ..., three of
-    them verifying the bound, and read off at q = 1.  No product class is
-    built.  At each sample q the walk's slots times base's value are summed
-    once per (row key, column key) pair, reduced over column keys once per
-    column index b into Y[row key][b], and chi's sample at (a, b) is the sum
-    over row keys of R_a's value times Y, R_a's value an elementary
-    symmetric function or a power of the roots q^{m.w}.
+    them verifying the bound, and read off at q = 1 by binomial weights
+    (_extrapolate_back).  No product class is built.  A value-free walk
+    lists the joint keys, from which the hulls are read.  At each sample q
+    the valued walk's slots times base's value are summed once per (row
+    key, column key) pair, reduced over column keys once per column index
+    b into Y[row key][b], and chi's sample at (a, b) is the sum over row
+    keys of R_a's value times Y, R_a's value an elementary symmetric
+    function or a power of the roots q^{m.w}.  A base that is a vertex
+    class no axis reads is folded into the valued walk (_fold_base), as in
+    the Cameron-Fink grid and a single line bundle.
 
     The NonIntegral guard on each sample is necessary but not sufficient:
     it sees only the restriction along the drawn w, so a class failing the
@@ -500,9 +563,46 @@ def euler_char_grid(base, rows, cols, *, rng):
     check_guardrail(ground)
     w = sample_weight(ground, rng)
     atoms = _dedup_atoms(base.atoms + rows.cls.atoms + cols.cls.atoms)
-    joints = _prefix_sums(atoms, ground, (), [[()] * ground] * ground)
+    joints = _prefix_sums(atoms, ground, (), ())
     plan, bound = _grid_plan(base, rows, cols, atoms, joints, w)
-    return _escalating(lambda d: _grid_interpolate(atoms, ground, w, rows, cols, plan, d), bound)
+    walk, plan = _fold_base(base, rows, cols, atoms, joints, plan, w)
+    return _escalating(lambda d: _grid_interpolate(walk, ground, w, rows, cols, plan, d), bound)
+
+
+def _fold_base(base, rows, cols, atoms, joints, plan, w):
+    """((walk atoms, fold), plan): base's atom folded into the valued walk where it can be.
+
+    base folds if it is a vertex class, whose one monomial at every joint
+    key is T^v for the vertex v of its one atom P (det S^v, O(D_P)), and no
+    axis reads P.  The walk then drops P from its keys and carries q^{(v -
+    lo).w} in its slots (_chi_walk), lo P's least increment, so each pair's
+    term sums the folded slots of its keys at coefficient 1 and exponent
+    0.  The plan's terms carry q^{v.w - lb}, lb the least v.w, so every
+    shift grows by lb - lo * sum(w).
+
+    The fold must also pay (_fold_pays).  Otherwise (atoms, None) and the
+    plan are returned as they are.
+    """
+    unfolded = (atoms, None), plan
+    if len(base.atoms) != 1 or base.atoms[0] in rows.cls.atoms + cols.cls.atoms:
+        return unfolded
+    (fold,) = base.atoms
+    i = atoms.index(fold)
+    vertices = {joint[i] for joint in joints}
+    if any(base.monomials((v,)) != ((1, v),) for v in vertices):
+        return unfolded
+    exps = [sum(map(operator.mul, v, w)) for v in vertices]
+    offset = _increments(fold)[1] * sum(w)
+    if not _fold_pays(max(exps) - offset, w):
+        return unfolded
+    terms, row_exps, col_exps, shifts = plan
+    keep = _getter([k for k in range(len(atoms)) if k != i])
+    by_pair = {}  # (r, c) -> folded keys
+    for rc, _, coeffs in terms:
+        by_pair.setdefault(rc, {}).update((keep(joint), 1) for joint, _ in coeffs)
+    terms = [(rc, 0, tuple(folded.items())) for rc, folded in by_pair.items()]
+    shifts = [[s + min(exps) - offset for s in row] for row in shifts]
+    return (keep(atoms), fold), (terms, row_exps, col_exps, shifts)
 
 
 def _grid_plan(base, rows, cols, atoms, joints, w):
@@ -563,15 +663,29 @@ def _grid_plan(base, rows, cols, atoms, joints, w):
     return (terms, row_exps, col_exps, shifts), bound
 
 
-def _grid_interpolate(atoms, ground, w, rows, cols, plan, bound):
+def _fold_pays(span, w):
+    """Whether a fold whose slots gain up to q^span makes the walk cheaper.
+
+    A slot is an integer of about q^E, E = sum_{a<b} |w_a - w_b| the
+    exponent of its scale dq.  The fold pays if span <= E / 2: past about
+    span = E the larger integers cost more than the fewer states save.
+    line_bundle(k * P(U_{4,9})) (span 30k, E = 120) read off alone took
+    0.11 s folded against 0.13 s unfolded at k = 1, and 1.6 s against
+    1.0 s at k = 8 (CPython 3.11, one core).
+    """
+    return 2 * span <= sum(abs(a - b) for a, b in itertools.combinations(w, 2))
+
+
+def _grid_interpolate(walk, ground, w, rows, cols, plan, bound):
     """Every point of the grid from bound + 4 samples at q = 2, 3, ..., read off at q = 1.
 
-    Three samples verify the degree bound, and a point's sample must divide
-    by dq exactly, else NonIntegral.
+    walk is (atoms, fold) of _chi_walk.  Three samples verify the degree
+    bound, and a point's sample must divide by dq exactly, else NonIntegral.
     """
     terms, row_exps, col_exps, shifts = plan
     qs = range(2, bound + 6)
-    acc, dqs = _chi_walk(atoms, ground, w, qs)
+    atoms, fold = walk
+    acc, dqs = _chi_walk(atoms, ground, w, qs, fold)
     vectors = [
         (rc, e, [sum(col) for col in zip(*(acc[j] if c == 1 else [c * v for v in acc[j]]
                                            for j, c in coeffs))])
@@ -630,12 +744,35 @@ def forward_differences(values, degree_bound):
 
 
 def _extrapolate_back(values, degree_bound):
-    """P(q0 - 1) = sum_k (-1)^k Delta^k P(q0), from samples P(q0), P(q0 + 1), ...
+    """P(q0 - 1) = sum_i (-1)^i binom(B + 1, i + 1) P(q0 + i), from samples P(q0), P(q0 + 1), ...
 
-    P has degree <= degree_bound; see forward_differences.
+    P has degree <= B = degree_bound, so every difference of order B + 1
+    vanishes, the one at q0 - 1 too.  Every sample past the first B + 1
+    verifies the bound: the order-(B + 1) difference of each B + 2
+    consecutive samples, a dot product with the signed binomial row, must
+    vanish, else InconsistentSamples.  The same reads as the alternating sum
+    of forward_differences, at O(B) per sample instead of an O(B^2) table.
     """
-    diffs = forward_differences(values, degree_bound)
-    return sum(-d if k & 1 else d for k, d in enumerate(diffs))
+    back, check = _binomial_rows(degree_bound)
+    for j in range(len(values) - degree_bound - 1):
+        if sum(map(operator.mul, check, values[j : j + degree_bound + 2])):
+            raise InconsistentSamples(
+                f"order-{degree_bound + 1} differences of the samples do not vanish"
+            )
+    return sum(map(operator.mul, back, values))
+
+
+@functools.lru_cache(maxsize=64)
+def _binomial_rows(degree_bound):
+    """(back, check): the weights of _extrapolate_back's read-off and of its checks.
+
+    back[i] = (-1)^i binom(k, i + 1) for i < k = B + 1, and check[i] =
+    (-1)^(k - i) binom(k, i) for i <= k.
+    """
+    k = degree_bound + 1
+    back = tuple((-1) ** i * math.comb(k, i + 1) for i in range(k))
+    check = tuple((-1) ** (k - i) * math.comb(k, i) for i in range(k + 1))
+    return back, check
 
 
 def _escalating(read_off, bound):
@@ -666,7 +803,7 @@ def integrate_inhomogeneous(kclasses, *, rng):
     pole*(n+1) plus the largest monomial degree.  One prefix-set walk over
     the union of the classes' atoms and -Delta (the last element), at one drawn w,
     serves every class; each gets its integer samples at q = 1, 2, ... by
-    exact division, and forward differences read off q = 0.
+    exact division, and binomial weights read off q = 0 (_extrapolate_back).
     """
     ground = kclasses[0].ground
     if any(c.ground != ground for c in kclasses):

@@ -151,8 +151,7 @@ def _check_submodular(n_elements, rk):
 
 def base_polytope(m: Matroid) -> GenPermutohedron:
     """P(M), the convex hull of basis indicators; rk table is the rank function."""
-    rk = [m.rank(s) for s in range(1 << m.n_elements)]
-    return GenPermutohedron(m.n_elements, rk, validate=False)
+    return GenPermutohedron(m.n_elements, m.rank_table(), validate=False)
 
 
 def simplex(n_elements, subset=None) -> GenPermutohedron:

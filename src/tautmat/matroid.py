@@ -101,6 +101,31 @@ class Matroid:
             memo[subset] = r
         return r
 
+    def rank_table(self):
+        """[rk(S) for every subset S], by a subset DP, and memoized as rank() is.
+
+        The independent sets are the subsets of the bases; rk(S) = |S| for
+        S independent, else the largest rk(S - e).
+        """
+        size = 1 << self.n_elements
+        memo = self._rank_memo
+        if len(memo) == size:
+            return list(map(memo.__getitem__, range(size)))
+        singles = [1 << e for e in range(self.n_elements)]
+        independent = bytearray(size)
+        for b in self.bases:
+            independent[b] = 1
+        for s in range(size - 1, 0, -1):
+            if independent[s]:
+                for e in singles:
+                    if s & e:
+                        independent[s ^ e] = 1
+        rk = [0] * size
+        for s in range(1, size):
+            rk[s] = popcount(s) if independent[s] else max(rk[s ^ e] for e in singles if s & e)
+        memo.update(enumerate(rk))
+        return rk
+
     def loops(self) -> int:
         m = 0
         for b in self.bases:

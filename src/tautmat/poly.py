@@ -5,7 +5,8 @@ with an ordered tuple of variable names.  Coefficients are stored as given:
 ints stay ints under + - * and substitution, and a Rat appears only where a
 division made one: psi_inverse (the rational Cameron-Fink polynomial Q_M),
 "p/q" input, and the public interpolate_univariate, which no computation
-path calls (the library reads polynomials off integer forward differences,
+path calls (the library reads polynomials off integer samples by binomial
+weights and forward differences, `engine._extrapolate_back` and
 `engine.forward_differences`).  The canonical term order used for
 serialization and rendering is graded lexicographic (total degree first).
 Also houses exact univariate Lagrange interpolation, the binomial-basis

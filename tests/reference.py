@@ -8,10 +8,19 @@ import math
 from fractions import Fraction
 from operator import sub
 
-from tautmat.engine import sample_eval_point
+from tautmat.engine import (
+    _escalating,
+    _grid_interpolate,
+    _grid_plan,
+    _prefix_sums,
+    forward_differences,
+    sample_eval_point,
+    sample_weight,
+)
 from tautmat.invariants import _factor_degree_poly
 from tautmat.kclass import (
     KClassLoc,
+    _dedup_atoms,
     exterior_power,
     kc_product,
     restrict_to_chain,
@@ -120,10 +129,10 @@ def chi_reference(kcls):
     contributes its localization over prod_k (1 - T_{sigma(k+1)}/T_{sigma(k)}),
     a denominator that depends only on the adjacent differences of w along
     sigma, so the numerators are gathered per sorted difference tuple.
-    Scaled by q^D, D the largest |m.w| of a monomial (0 if there is none),
-    the character is a polynomial of degree at most 2D; it is sampled at
-    q = 2, 3, ..., interpolated with five verification samples and read at
-    q = 1.
+    Scaled by q^-lo, [lo, hi] the hull of the exponents m.w ((0, 0) if
+    there is no monomial), the character is a polynomial of degree at most
+    hi - lo; it is sampled at q = 2, 3, ..., and its Lagrange interpolant,
+    checked at five more samples, is read at q = 1.
     """
     w = tuple(range(kcls.ground))
     by_diffs = {}
@@ -133,18 +142,64 @@ def chi_reference(kcls):
         for c, m in kcls.monomials(kcls.key_at(sigma)):
             e = sum(x * y for x, y in zip(m, w))
             terms[e] = terms.get(e, 0) + c
-    shift = max((abs(e) for terms in by_diffs.values() for e in terms), default=0)
+    exps = [e for terms in by_diffs.values() for e in terms]
+    lo, hi = min(exps, default=0), max(exps, default=0)
     samples = []
-    for q in range(2, 2 * shift + 8):
-        factor = {d: 1 - Fraction(q) ** d for d in range(-kcls.ground, kcls.ground)}
-        total = Fraction(0)
+    for q in range(2, hi - lo + 8):
+        total, scale = 0, 1  # the sample is total / scale
         for diffs, terms in by_diffs.items():
-            den = Fraction(1)
+            # 1 - q^d, and (q^-d - 1) / q^-d for d < 0
+            num, den = sum(c * q ** (e - lo) for e, c in terms.items()), 1
             for d in diffs:
-                den *= factor[d]
-            total += sum(c * q ** (shift + e) for e, c in terms.items()) / den
-        samples.append((Fraction(q), total))
-    return interpolate_univariate(samples, 2 * shift).evaluate({"q": Fraction(1)})
+                if d > 0:
+                    den *= 1 - q**d
+                else:
+                    num *= q**-d
+                    den *= q**-d - 1
+            total, scale = total * den + num * scale, scale * den
+        samples.append((q, Fraction(total, scale)))
+    nodes = samples[: hi - lo + 1]
+    assert all(lagrange_at(nodes, q) == y for q, y in samples[hi - lo + 1 :])
+    return lagrange_at(nodes, 1)
+
+
+def lagrange_at(samples, x):
+    """The value at x of the interpolant through samples (x_j, y_j), the x_j distinct integers."""
+    total = Fraction(0)
+    for j, (xj, yj) in enumerate(samples):
+        num = den = 1
+        for k, (xk, _) in enumerate(samples):
+            if k != j:
+                num *= x - xk
+                den *= xj - xk
+        total += yj * Fraction(num, den)
+    return total
+
+
+def extrapolate_back_reference(values, degree_bound):
+    """P(q0 - 1) = sum_k (-1)^k Delta^k P(q0), from the table of forward differences.
+
+    The oracle for `engine._extrapolate_back`; forward_differences raises
+    InconsistentSamples unless every difference above the bound vanishes.
+    """
+    diffs = forward_differences(values, degree_bound)
+    return sum(-d if k & 1 else d for k, d in enumerate(diffs))
+
+
+def unfolded_euler_char_grid(base, rows, cols, *, rng):
+    """`engine.euler_char_grid` with base's atom kept in the walk's keys.
+
+    The oracle for the fold of a vertex-class base into the valued walk
+    (`engine._fold_base`): the same w, plan, bound and read-off, with
+    base's monomials summed at each joint key of the walk.
+    """
+    ground = base.ground
+    w = sample_weight(ground, rng)
+    atoms = _dedup_atoms(base.atoms + rows.cls.atoms + cols.cls.atoms)
+    joints = _prefix_sums(atoms, ground, (), ())
+    plan, bound = _grid_plan(base, rows, cols, atoms, joints, w)
+    walk = (atoms, None)
+    return _escalating(lambda d: _grid_interpolate(walk, ground, w, rows, cols, plan, d), bound)
 
 
 def alpha_beta_twist(n, t_pow, u_pow):

@@ -56,6 +56,7 @@ from tautmat.rat import Rat
 from reference import (
     alpha_beta_twist,
     chi_reference,
+    extrapolate_back_reference,
     graded_reference,
     grid_classes,
     localization_denominator,
@@ -451,6 +452,38 @@ def test_extrapolate_back_rejects_higher_degree(bound_coeffs_lead, q0):
         _extrapolate_back(values, degree_bound)
 
 
+@given(
+    st.integers(0, 12).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.integers(-10**6, 10**6), min_size=d + 1, max_size=d + 1),
+            st.integers(-3, 3),
+        )
+    ),
+    st.integers(-6, 6),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_binomial_read_off_matches_difference_table(bound_coeffs_lead, q0, data):
+    # on polynomials of degree up to B + 1, one sample maybe corrupted: the
+    # binomial weights read the same value as the table of differences, and
+    # raise InconsistentSamples on exactly the same inputs
+    degree_bound, coeffs, lead = bound_coeffs_lead
+    values = _poly_values(coeffs + [lead], q0, degree_bound + 4)
+    if data.draw(st.booleans()):
+        values[data.draw(st.integers(0, len(values) - 1))] += data.draw(
+            st.integers(-5, 5).filter(bool)
+        )
+
+    def read(extrapolate):
+        try:
+            return extrapolate(values, degree_bound)
+        except InconsistentSamples:
+            return InconsistentSamples
+
+    assert read(_extrapolate_back) == read(extrapolate_back_reference)
+
+
 def _zeta_reference(kcls):
     # the zeta pushforward summed per permutation in exact rationals along
     # t = q*(1, ..., n+1), scaled to a polynomial and interpolated at q = 0
@@ -504,9 +537,9 @@ def test_zeta_check_makes_one_walk(rng, monkeypatch):
     slots = []
     walk = tautmat.engine._prefix_sums
 
-    def counting(atoms, ground, starts, steps):
+    def counting(atoms, ground, starts, steps, fold=None):
         slots.append(len(starts))
-        return walk(atoms, ground, starts, steps)
+        return walk(atoms, ground, starts, steps, fold)
 
     def no_scan(*args):
         raise AssertionError("a permutation scan ran")

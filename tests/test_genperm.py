@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tautmat.corpus import builtin_matroid
+from tautmat.corpus import builtin_matroid, corpus
 from tautmat.genperm import (
     GenPermutohedron,
     GuardrailExceeded,
@@ -14,9 +14,10 @@ from tautmat.genperm import (
     base_polytope,
     simplex,
 )
-from tautmat.matroid import bits, mask_of, popcount, uniform
+from tautmat.matroid import Matroid, bits, mask_of, popcount, uniform
 
 from reference import coordinate_bounds, lattice_count_reference
+from test_walk import small_matroids
 
 
 def brute_force_points(p):
@@ -36,6 +37,26 @@ def brute_force_points(p):
 def test_base_polytope_table():
     p = base_polytope(uniform(2, 4))
     assert all(p.rk[s] == min(popcount(s), 2) for s in range(16))
+
+
+def _scanned_ranks(m):
+    """[m.rank(s) for every s], read before any rank table fills m's rank memo."""
+    fresh = Matroid(m.n_elements, m.bases, validate=False)
+    return [fresh.rank(s) for s in range(1 << m.n_elements)]
+
+
+def test_base_polytope_table_is_the_rank_function_on_the_corpus():
+    # the subset DP against the scan of the bases, subset by subset
+    for _, m in corpus():
+        assert base_polytope(m).rk == _scanned_ranks(m)
+
+
+@given(small_matroids())
+@settings(max_examples=100, deadline=None)
+def test_base_polytope_table_is_the_rank_function_on_random_matroids(m):
+    assert base_polytope(m).rk == _scanned_ranks(m)
+    # the table also fills the rank memo, with the same values
+    assert [m.rank(s) for s in range(1 << m.n_elements)] == _scanned_ranks(m)
 
 
 def test_negate_formula():

@@ -61,6 +61,7 @@ from reference import (
     grid_classes,
     scan_character_sums,
     scan_class_sums,
+    unfolded_euler_char_grid,
 )
 from test_engine import _corrupted_s_class, _exponent_hull, _record_weights
 
@@ -112,9 +113,10 @@ def test_walk_matches_scan(m, data, seed, npoints):
     rng = random.Random(seed)
     points = [sample_eval_point(n, rng) for _ in range(npoints)]
     scans = [scan_class_sums(atoms, n, t, _pairwise_diff_product(t)) for t in points]
-    assert _prefix_sums(atoms, n, *_point_steps(points)) == {
-        k: [s[k] for s in scans] for k in scans[0]
-    }
+    acc = _prefix_sums(atoms, n, *_point_steps(points))
+    assert acc == {k: [s[k] for s in scans] for k in scans[0]}
+    # the value-free walk, without last element or slot, lists the same joint keys
+    assert _prefix_sums(atoms, n, (), ()) == dict.fromkeys(acc, ())
 
 
 @given(small_matroids(), st.data(), st.integers(0, 2**16),
@@ -130,7 +132,93 @@ def test_character_walk_matches_scan(m, data, seed, qs):
     acc, dqs = _chi_walk(atoms, n, w, qs)
     assert acc == {k: [s[k] for s in scans] for k in scans[0]}
     # the value-free walk reaches the same joint keys
-    assert _prefix_sums(atoms, n, (), [[()] * n] * n).keys() == acc.keys()
+    assert _prefix_sums(atoms, n, (), ()) == dict.fromkeys(acc, ())
+
+
+@given(small_matroids(), st.data(), st.integers(0, 2**16),
+       st.lists(st.integers(2, 7), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_folded_walk_matches_unfolded(m, data, seed, qs):
+    # folding an atom P sums the unfolded walk over P's vertex v, each slot
+    # weighted by q^{(v - lo).w}, lo P's least increment
+    pool = _atom_pool(m)
+    picks = data.draw(st.lists(st.sampled_from(range(len(pool))), max_size=3, unique=True))
+    fold = pool[data.draw(st.sampled_from(range(len(pool))))]
+    atoms = _dedup_atoms(tuple(a for a in (pool[i] for i in picks) if a != fold))
+    n = m.n_elements
+    w = sample_weight(n, random.Random(seed))
+    unfolded, dqs = _chi_walk(atoms + (fold,), n, w, qs)
+    lo = _increments(fold)[1]
+    want = {}
+    for joint, vals in unfolded.items():
+        e = sum((x - lo) * y for x, y in zip(joint[-1], w))
+        sums = want.setdefault(joint[:-1], [0] * len(qs))
+        for i, (q, v) in enumerate(zip(qs, vals)):
+            sums[i] += v * q**e
+    assert _chi_walk(atoms, n, w, qs, fold) == (want, dqs)
+
+
+@contextlib.contextmanager
+def _recorded_folds(pays=None):
+    """The atom each _chi_walk inside the block folds (None for none); with
+    pays given, _fold_pays answers pays."""
+    real = tautmat.engine._chi_walk
+    folds = []
+
+    def record(atoms, ground, w, qs, fold=None):
+        folds.append(fold)
+        return real(atoms, ground, w, qs, fold)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tautmat.engine, "_chi_walk", record)
+        if pays is not None:
+            mp.setattr(tautmat.engine, "_fold_pays", lambda span, w: pays)
+        yield folds
+
+
+@given(small_matroids(), st.data(), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_folded_grid_matches_unfolded(m, data, seed):
+    # cf twist grids and line bundles of P(M), -P and dilates: the fold
+    # changes neither a value nor the (samples, bound) of a read-off, and
+    # applies to each, however little it would pay, unless an axis reads
+    # base's atom (on one element P(U_{1,1}) is Delta)
+    n = m.n_elements
+    p = base_polytope(m)
+    unit = wedge_axis(structure_sheaf(n), 0)
+    twist_top = st.integers(0, n + 1)
+    grids = [
+        lambda: (det_s_dual(m), power_axis(beta_class(n), data.draw(twist_top)),
+                 power_axis(alpha_class(n), data.draw(twist_top))),
+        lambda: (line_bundle(p), unit, unit),
+        lambda: (line_bundle(p.negate()), unit, unit),
+        lambda: (line_bundle(p.dilate(data.draw(st.integers(0, 4)))), unit, unit),
+    ]
+    base, rows, cols = grids[data.draw(st.integers(0, len(grids) - 1))]()
+    with _recorded_folds(True) as folds, _recorded_reads() as folded_reads:
+        folded = euler_char_grid(base, rows, cols, rng=random.Random(seed))
+    with _recorded_reads() as unfolded_reads:
+        unfolded = unfolded_euler_char_grid(base, rows, cols, rng=random.Random(seed))
+    assert folded == unfolded and folded_reads == unfolded_reads
+    (atom,) = base.atoms
+    assert folds == [None if atom in rows.cls.atoms + cols.cls.atoms else atom]
+
+
+def test_fold_applies_only_where_it_pays():
+    # det S^v under the cf twists folds on U_{2,4} (span 5, half of E = 10);
+    # a dilate 5P does not (span 25), and a base an axis reads never does
+    m = uniform(2, 4)
+    p = base_polytope(m)
+    unit = wedge_axis(structure_sheaf(4), 0)
+    twists = power_axis(beta_class(4), 3), power_axis(alpha_class(4), 3)
+    for base, rows, cols, pays, folded in [
+        (det_s_dual(m), *twists, None, True),
+        (line_bundle(p.dilate(5)), unit, unit, None, False),
+        (det_s_dual(m), wedge_axis(s_class(m), 2), unit, True, False),
+    ]:
+        with _recorded_folds(pays) as folds:
+            euler_char_grid(base, rows, cols, rng=random.Random(0))
+        assert folds == [base.atoms[0] if folded else None]
 
 
 def _factors_at(factors, vars, sigma, tstar):
@@ -349,9 +437,9 @@ def _assert_grid_matches_singles(base, rows, cols, seed, oracle):
 def test_euler_char_grid_matches_class_list(m, data, seed):
     # every grid entry against the kc_product of base, row class and column
     # class read off alone at the same w and against the zeta route (the
-    # reference's Fraction interpolation takes minutes on the wide twist
-    # grids); twist axes run up to n + 2, above the degree n of the
-    # Cameron-Fink polynomial
+    # reference's Fraction interpolation takes about 12 s on the 81 twist
+    # classes of U_{3,6} with axes up to 8); twist axes run up to n + 2,
+    # above the degree n of the Cameron-Fink polynomial
     n = m.n_elements
     twist_top = st.integers(0, n + 2)
     axes = [
