@@ -14,26 +14,28 @@ Three pushforward paths:
   monomial T^m of the class at a fixed point is a Chern root m.t.
 
 * a character path for Euler characteristics: restrict to a one-parameter
-  subgroup T_i = q^{w_i} and sample the character, shifted by q^{-lo}, at
-  q = 2, 3, ...; it is an integer polynomial of degree at most B = hi - lo,
-  where [lo, hi] is the hull of the class's exponents m.w.  Binomial
-  weights on the samples give its value at q = 1, and three extra samples
-  verify the degree bound (their differences above it must vanish).  A
-  value-free walk lists the joint keys, and one valued walk carries an
-  integer slot per sample q, scaled by dq = prod_{a<b} (q^|w_a - w_b| -
-  1).  Every chi is a point of a grid of classes base * R_a * C_b
-  (`euler_char_grid`): the Cameron-Fink twists beta^u alpha^t, the
-  Fink-Speyer wedges wedge^i S wedge^j Q^v, or a single class with both
-  axes wedge^0 O = 1 (`euler_char_many`).  Each sample is a bilinear form
-  in the axes' values at the roots q^{m.w}, so no product class is built.
-  A base that is a vertex class no axis reads (det S^v under the twists,
-  a line bundle alone) is folded into the valued walk's steps, so its atom
-  leaves the walk's keys.
+  subgroup T_i = q^{w_i}; shifted by q^{-lo}, the character is an integer
+  polynomial P of degree at most B = hi - lo, where [lo, hi] is the hull of
+  the class's exponents m.w, and chi = P(1).  A value-free walk lists the
+  joint keys, and one valued walk carries a single integer slot, scaled by
+  dq = prod_{a<b} (q^|w_a - w_b| - 1), at q = Q = 2^K (Kronecker
+  substitution): every slot is the value at Q of an integer polynomial, so
+  P's coefficients are read exactly off one quotient as its digits in
+  balanced base 2^K.  K is set a priori by a bound A on the coefficients
+  of P's numerator, and the read-off is proven by bounding those of P
+  times dq, or rerun at 2K.  Every chi is a point of a grid of classes
+  base * R_a * C_b (`euler_char_grid`): the Cameron-Fink twists beta^u
+  alpha^t, the Fink-Speyer wedges wedge^i S wedge^j Q^v, or a single class
+  with both axes wedge^0 O = 1 (`euler_char_many`).  A point's numerator
+  is a bilinear form in the axes' values at the roots Q^{m.w}, so no
+  product class is built.  A base that is a vertex class no axis reads
+  (det S^v under the twists, a line bundle alone) is folded into the
+  valued walk's steps, so its atom leaves the walk's keys.
 
 * a zeta route, the Chow-side Euler characteristic of K-classes: their
   zeta images are pushed forward along t = q*w; the integer samples at
-  q = 1, 2, ... (one exact division each) are read off at q = 0 by the
-  same binomial weights, with three verification samples per class.
+  q = 1, 2, ... (one exact division each) are read off at q = 0 by
+  binomial weights, with three verification samples per class.
 
 All three walk prefix sets: `_prefix_sums` sums over chains S_1 < ... <
 S_n, growing each atom's value one element at a time and stepping each
@@ -69,7 +71,7 @@ class NonIntegral(AssertionError):
 
 
 class InterpolationInconsistent(AssertionError):
-    """Verification samples do not match the interpolant after escalation."""
+    """A read-off exceeds its degree bound, or is still unproven after escalation."""
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +465,14 @@ def _chi_walk(atoms, ground, w, qs, fold=None):
     least increment lo, appending b at increment lo + g also multiplies by
     q^{w_b g}, so the chain value carries q^{(v - lo).w} for P's vertex v;
     w >= 0 keeps every step an integer.
+
+    As a polynomial in q, a chain value is +-q^k times the C(n - 1, 2)
+    factors q^|delta| - 1 of the chain's non-adjacent pairs, so its
+    coefficients' absolute values sum to at most 2^C(n - 1, 2), folded or
+    not, and every slot is an integer polynomial N(q).  euler_char_grid
+    walks the single sample q = 2^K, where N's coefficients are N(2^K)'s
+    digits in balanced base 2^K once they are all below 2^(K - 1) in
+    absolute value.
     """
     dqs = [math.prod(q ** abs(a - b) - 1 for a, b in itertools.combinations(w, 2)) for q in qs]
     steps = [
@@ -504,6 +514,13 @@ class GridAxis:
             raise ValueError(f"{self.cls.name} is not a line bundle")
         return es
 
+    def width(self, key):
+        """The most monomials of any E_k at an atom key of cls: C(m, k) for m roots, 1 for L^k."""
+        if not self.wedge:
+            return 1
+        m = len(_root_vectors(self.cls, key))
+        return math.comb(m, min(m // 2, self.size - 1))
+
     def hull(self, es, k):
         """(least, largest) exponent of E_k's monomials at roots es, None if it has none."""
         if not self.wedge:
@@ -537,25 +554,36 @@ def euler_char_grid(base, rows, cols, *, rng):
     One drawn w serves the whole grid.  The point (a, b) is shifted by
     q^{-lo}, [lo, hi] the hull of the exponents m.w of every monomial of
     kc_product(base, R_a, C_b), cancelled or not, so its character is an
-    integer polynomial in q of degree at most hi - lo: every term 1/(1 -
-    q^delta) expands with support >= lo at q -> 0 and <= hi at q -> oo, and
-    the sum is a Laurent polynomial.  The grid shares B = max(hi - lo) and
-    one escalation; it is sampled at B + 4 values q = 2, 3, ..., three of
-    them verifying the bound, and read off at q = 1 by binomial weights
-    (_extrapolate_back).  No product class is built.  A value-free walk
-    lists the joint keys, from which the hulls are read.  At each sample q
-    the valued walk's slots times base's value are summed once per (row
-    key, column key) pair, reduced over column keys once per column index
-    b into Y[row key][b], and chi's sample at (a, b) is the sum over row
+    integer polynomial P_ab in q of degree at most hi - lo: every term 1/(1
+    - q^delta) expands with support >= lo at q -> 0 and <= hi at q -> oo,
+    and the sum is a Laurent polynomial.  The grid shares B = max(hi - lo).
+    A value-free walk lists the joint keys, from which the hulls are read,
+    and one valued walk at q = Q = 2^K carries a single slot per key
+    (_chi_walk).  No product class is built: the valued walk's slots times
+    base's value are summed once per (row key, column key) pair, reduced
+    over column keys once per column index b into Y[row key][b], and the
+    numerator Num_ab(Q) = dq(Q) Q^s P_ab(Q) at (a, b) is the sum over row
     keys of R_a's value times Y, R_a's value an elementary symmetric
-    function or a power of the roots q^{m.w}.  A base that is a vertex
+    function or a power of the roots Q^{m.w}.  A base that is a vertex
     class no axis reads is folded into the valued walk (_fold_base), as in
     the Cameron-Fink grid and a single line bundle.
 
-    The NonIntegral guard on each sample is necessary but not sufficient:
-    it sees only the restriction along the drawn w, so a class failing the
-    fixed-point congruences can pass it.  fixed_point_compatibility_check
-    or the zeta route (integrate_inhomogeneous) is the full check.
+    The read-off is exact (_grid_interpolate), under two bounds.  K is the
+    least integer with 2^(K - 1) > A, where A bounds every coefficient of
+    every Num_ab (_numerator_height).  P_ab is taken as the quotient's
+    digits in balanced base 2^K, which is proven once every coefficient of
+    P_ab dq is also below 2^(K - 1): at once if sum_j |P_ab,j| times dq's
+    largest coefficient is, else by computing P_ab dq.  Where that fails
+    the grid is walked again at 2K, at most three times, before
+    InterpolationInconsistent, which a proven P_ab of degree above B raises
+    too.  chi_ab = P_ab(1).
+
+    The NonIntegral guard (Num_ab must divide by dq q^s) is necessary but
+    not sufficient.  Exactness along w does not remove the dependence on
+    w: the guard sees only the restriction along the drawn w, so a class
+    failing the fixed-point congruences can pass it.
+    fixed_point_compatibility_check or the zeta route
+    (integrate_inhomogeneous) is the full check.
     """
     ground = base.ground
     if any(c.ground != ground for c in (rows.cls, cols.cls)):
@@ -564,9 +592,45 @@ def euler_char_grid(base, rows, cols, *, rng):
     w = sample_weight(ground, rng)
     atoms = _dedup_atoms(base.atoms + rows.cls.atoms + cols.cls.atoms)
     joints = _prefix_sums(atoms, ground, (), ())
+    height = _numerator_height(base, rows, cols, atoms, joints)
     plan, bound = _grid_plan(base, rows, cols, atoms, joints, w)
     walk, plan = _fold_base(base, rows, cols, atoms, joints, plan, w)
-    return _escalating(lambda d: _grid_interpolate(walk, ground, w, rows, cols, plan, d), bound)
+    return _kronecker_grid(walk, ground, w, rows, cols, plan, bound, height)
+
+
+def _kronecker_grid(walk, ground, w, rows, cols, plan, bound, height):
+    """chi at every grid point, read at K = _kronecker_bits(height) bits, else 2K, 4K, 8K."""
+    bits = _kronecker_bits(height)
+    for _ in range(4):
+        polys = _grid_interpolate(walk, ground, w, rows, cols, plan, bound, bits, height)
+        if polys is not None:
+            return [[sum(p) for p in row] for row in polys]
+        bits *= 2
+    raise InterpolationInconsistent(
+        f"no read-off up to {bits // 2} bits bounds the characters' coefficients"
+    )
+
+
+def _kronecker_bits(height):
+    """The least K with 2^(K - 1) > height."""
+    return height.bit_length() + 1
+
+
+def _numerator_height(base, rows, cols, atoms, joints):
+    """A = n! 2^C(n - 1, 2) M, a bound on every coefficient of every grid numerator Num_ab(q).
+
+    Num_ab sums the n! chain values (_chi_walk), each of coefficient mass
+    (sum of |coefficients|) at most 2^C(n - 1, 2), times the class base *
+    R_a * C_b at the chain's joint key.  M bounds that class's mass at any
+    joint key and any (a, b): base's sum of |coefficients| times the most
+    monomials of R_a and of C_b (GridAxis.width).
+    """
+    bkey, rkey, ckey = (_getter([atoms.index(a) for a in c.atoms]) for c in (base, rows.cls, cols.cls))
+    base_mass = functools.cache(lambda key: sum(abs(c) for c, _ in base.monomials(key)))
+    row_width, col_width = functools.cache(rows.width), functools.cache(cols.width)
+    mass = max(base_mass(bkey(j)) * row_width(rkey(j)) * col_width(ckey(j)) for j in joints)
+    n = base.ground
+    return (math.factorial(n) << math.comb(n - 1, 2)) * mass
 
 
 def _fold_base(base, rows, cols, atoms, joints, plan, w):
@@ -666,60 +730,108 @@ def _grid_plan(base, rows, cols, atoms, joints, w):
 def _fold_pays(span, w):
     """Whether a fold whose slots gain up to q^span makes the walk cheaper.
 
-    A slot is an integer of about q^E, E = sum_{a<b} |w_a - w_b| the
-    exponent of its scale dq.  The fold pays if span <= E / 2: past about
-    span = E the larger integers cost more than the fewer states save.
-    line_bundle(k * P(U_{4,9})) (span 30k, E = 120) read off alone took
-    0.11 s folded against 0.13 s unfolded at k = 1, and 1.6 s against
-    1.0 s at k = 8 (CPython 3.11, one core).
+    A slot is an integer of about Q^E at Q = 2^K, E = sum_{a<b} |w_a -
+    w_b| the degree of its scale dq, and a fold makes it about Q^(E +
+    span).  The fold pays if span <= E / 2: past that the larger integers
+    cost more than the fewer states save.  Folded against unfolded, one
+    process each (CPython 3.11, one core): `cf uniform:4:9` (span 26, E =
+    120) 1.24 s / 25 MB against 1.8-1.9 s / 43 MB; `ehrhart
+    hypersimplex:4:9 --c 20` (span 600) 0.50 s against 0.21 s; and
+    line_bundle(k * P(U_{4,9})) (span 30k) read off alone 0.11 s against
+    0.12-0.13 s at k = 1, even at k = 2, and 0.25 s against 0.13 s at k =
+    8.
     """
     return 2 * span <= sum(abs(a - b) for a, b in itertools.combinations(w, 2))
 
 
-def _grid_interpolate(walk, ground, w, rows, cols, plan, bound):
-    """Every point of the grid from bound + 4 samples at q = 2, 3, ..., read off at q = 1.
+def _grid_interpolate(walk, ground, w, rows, cols, plan, bound, bits, height):
+    """[[P_ab]]: each point's shifted character, coefficients lowest first, from one walk at q = 2^bits.
 
-    walk is (atoms, fold) of _chi_walk.  Three samples verify the degree
-    bound, and a point's sample must divide by dq exactly, else NonIntegral.
+    walk is (atoms, fold) of _chi_walk.  With Q = 2^bits, Num_ab(Q) must
+    divide by dq(Q) Q^s, s the point's shift, else NonIntegral; P_ab is the
+    quotient's digits in balanced base Q.  Num_ab and P_ab dq q^s are then
+    integer polynomials equal at Q, so they are equal if all their
+    coefficients lie in [-Q / 2, Q / 2), where balanced digits are unique:
+    Num_ab's if height < Q / 2, height bounding them (_numerator_height),
+    and P_ab dq's if sum_j |P_ab,j| times dq's largest |coefficient| is
+    below Q / 2, or else if P_ab dq, computed, has every |coefficient|
+    below Q / 2.
+    None if either bound fails at any point; a proven P_ab of degree above
+    bound raises InterpolationInconsistent.
     """
+    half = 1 << bits - 1
+    if height >= half:
+        return None
     terms, row_exps, col_exps, shifts = plan
-    qs = range(2, bound + 6)
     atoms, fold = walk
-    acc, dqs = _chi_walk(atoms, ground, w, qs, fold)
-    vectors = [
-        (rc, e, [sum(col) for col in zip(*(acc[j] if c == 1 else [c * v for v in acc[j]]
-                                           for j, c in coeffs))])
-        for rc, e, coeffs in terms
-    ]
-    top = max(
-        [e for _, e, _ in terms] + [e for es in row_exps + col_exps for e in es]
-        + [s for ss in shifts for s in ss]
+    acc, (dq,) = _chi_walk(atoms, ground, w, [1 << bits], fold)
+    pair_sums = {}
+    for rc, e, coeffs in terms:
+        v = sum(acc[j][0] if c == 1 else c * acc[j][0] for j, c in coeffs)
+        pair_sums[rc] = pair_sums.get(rc, 0) + (v << bits * e)
+    cvals = [cols.values([1 << bits * e for e in es]) for es in col_exps]
+    ys = [[0] * cols.size for _ in row_exps]
+    for (r, c), p in pair_sums.items():
+        if p:
+            y = ys[r]
+            for b, v in enumerate(cvals[c]):
+                y[b] += p * v
+    # per row index a, R_a at every row key; per column index b, Y at every row key
+    by_row = list(zip(*(rows.values([1 << bits * e for e in es]) for es in row_exps)))
+    by_col = list(zip(*ys))
+    dq_coeffs = _dq_coefficients(w)
+    dq_height = max(map(abs, dq_coeffs))
+    out = []
+    for rv, row_shifts in zip(by_row, shifts):
+        row = []
+        for y, s in zip(by_col, row_shifts):
+            num, rem = divmod(sum(map(operator.mul, rv, y)), dq << bits * s)
+            if rem:
+                raise NonIntegral(
+                    f"scaled character at q=2^{bits} is not divisible by the common denominator"
+                )
+            p = _balanced_digits(num, bits)
+            total = sum(map(abs, p)) * dq_height
+            if total >= half and max(map(abs, _product(p, dq_coeffs, total))) >= half:
+                return None
+            if len(p) > bound + 1:
+                raise InterpolationInconsistent(
+                    f"a character has degree {len(p) - 1} above the bound {bound}"
+                )
+            row.append(p)
+        out.append(row)
+    return out
+
+
+def _balanced_digits(x, bits):
+    """x's digits in balanced base 2^bits, lowest first, each in [-2^(bits - 1), 2^(bits - 1))."""
+    half = 1 << bits - 1
+    mask = (1 << bits) - 1
+    out = []
+    while x:
+        d = ((x + half) & mask) - half
+        out.append(d)
+        x = (x - d) >> bits
+    return out
+
+
+def _product(p, r, total):
+    """The coefficients of the polynomial product p * r, both coefficient lists
+    lowest first, from one integer product at q = 2^k, 2^(k - 1) > total >=
+    every |coefficient|."""
+    k = total.bit_length() + 1
+    return _balanced_digits(
+        sum(c << k * j for j, c in enumerate(p)) * sum(c << k * j for j, c in enumerate(r)), k
     )
-    samples = [[[] for _ in range(cols.size)] for _ in range(rows.size)]
-    for i, (q, dq) in enumerate(zip(qs, dqs)):
-        qpow = list(itertools.accumulate([q] * top, operator.mul, initial=1))
-        pair_sums = {}
-        for rc, e, vec in vectors:
-            pair_sums[rc] = pair_sums.get(rc, 0) + vec[i] * qpow[e]
-        cvals = [cols.values([qpow[e] for e in es]) for es in col_exps]
-        ys = [[0] * cols.size for _ in row_exps]
-        for (r, c), p in pair_sums.items():
-            if p:
-                y = ys[r]
-                for b, v in enumerate(cvals[c]):
-                    y[b] += p * v
-        # per row index a, R_a at every row key; per column index b, Y at every row key
-        by_row = list(zip(*(rows.values([qpow[e] for e in es]) for es in row_exps)))
-        by_col = list(zip(*ys))
-        for rv, row_samples, row_shifts in zip(by_row, samples, shifts):
-            for y, ss, s in zip(by_col, row_samples, row_shifts):
-                num, rem = divmod(sum(map(operator.mul, rv, y)), dq * qpow[s])
-                if rem:
-                    raise NonIntegral(
-                        f"scaled character at q={q} is not divisible by the common denominator"
-                    )
-                ss.append(num)
-    return [[_extrapolate_back(ss, bound) for ss in row] for row in samples]
+
+
+def _dq_coefficients(w):
+    """The coefficients of dq(q) = prod_{a<b} (q^|w_a - w_b| - 1), lowest first."""
+    coeffs = [1]
+    for a, b in itertools.combinations(w, 2):
+        d = abs(a - b)
+        coeffs = [x - y for x, y in itertools.zip_longest([0] * d + coeffs, coeffs, fillvalue=0)]
+    return coeffs
 
 
 def forward_differences(values, degree_bound):

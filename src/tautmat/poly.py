@@ -7,7 +7,8 @@ division made one: psi_inverse (the rational Cameron-Fink polynomial Q_M),
 "p/q" input, and the public interpolate_univariate, which no computation
 path calls (the library reads polynomials off integer samples by binomial
 weights and forward differences, `engine._extrapolate_back` and
-`engine.forward_differences`).  The canonical term order used for
+`engine.forward_differences`, or off one integer's digits,
+`engine._grid_interpolate`).  The canonical term order used for
 serialization and rendering is graded lexicographic (total degree first).
 Also houses exact univariate Lagrange interpolation, the binomial-basis
 transform sending binom(t,i)binom(u,j) -> x^i y^j, and the log-concave

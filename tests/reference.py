@@ -9,9 +9,9 @@ from fractions import Fraction
 from operator import sub
 
 from tautmat.engine import (
-    _escalating,
-    _grid_interpolate,
     _grid_plan,
+    _kronecker_grid,
+    _numerator_height,
     _prefix_sums,
     forward_differences,
     sample_eval_point,
@@ -190,16 +190,29 @@ def unfolded_euler_char_grid(base, rows, cols, *, rng):
     """`engine.euler_char_grid` with base's atom kept in the walk's keys.
 
     The oracle for the fold of a vertex-class base into the valued walk
-    (`engine._fold_base`): the same w, plan, bound and read-off, with
+    (`engine._fold_base`): the same w, plan, bound, K and read-off, with
     base's monomials summed at each joint key of the walk.
     """
     ground = base.ground
     w = sample_weight(ground, rng)
     atoms = _dedup_atoms(base.atoms + rows.cls.atoms + cols.cls.atoms)
     joints = _prefix_sums(atoms, ground, (), ())
+    height = _numerator_height(base, rows, cols, atoms, joints)
     plan, bound = _grid_plan(base, rows, cols, atoms, joints, w)
-    walk = (atoms, None)
-    return _escalating(lambda d: _grid_interpolate(walk, ground, w, rows, cols, plan, d), bound)
+    return _kronecker_grid((atoms, None), ground, w, rows, cols, plan, bound, height)
+
+
+def balanced_digits(x, bits):
+    """The digits of x in balanced base 2^bits, each in [-2^(bits - 1), 2^(bits - 1)), lowest first."""
+    base = 1 << bits
+    out = []
+    while x:
+        x, d = divmod(x, base)
+        if 2 * d >= base:
+            d -= base
+            x += 1
+        out.append(d)
+    return out
 
 
 def alpha_beta_twist(n, t_pow, u_pow):

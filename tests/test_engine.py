@@ -19,6 +19,7 @@ from tautmat.engine import (
     euler_char_ab,
     euler_char_many,
     integrate_graded,
+    euler_char_grid,
     integrate_inhomogeneous,
     fixed_point_compatibility_check,
     forward_differences,
@@ -26,7 +27,9 @@ from tautmat.engine import (
     _pairwise_diff_product,
     _point_steps,
     _prefix_sums,
+    power_axis,
     power_series,
+    wedge_axis,
 )
 from tautmat.kclass import (
     KClassLoc,
@@ -306,43 +309,128 @@ def _exponent_hull(cls, w):
     return min(es, default=0), max(es, default=0)
 
 
+def _record_reads(monkeypatch):
+    """(K, B, degrees) of every grid read-off at q = 2^K from now on, in order.
+
+    degrees lists deg P_ab per point, rows first (-1 for P_ab = 0), or is
+    None for a read that could not prove its P_ab and asks for 2K.
+    """
+    reads = []
+    real = tautmat.engine._grid_interpolate
+
+    def record(walk, ground, w, rows, cols, plan, bound, bits, height):
+        polys = real(walk, ground, w, rows, cols, plan, bound, bits, height)
+        degrees = None if polys is None else tuple(len(p) - 1 for row in polys for p in row)
+        reads.append((bits, bound, degrees))
+        return polys
+
+    monkeypatch.setattr(tautmat.engine, "_grid_interpolate", record)
+    return reads
+
+
+def first_bits(base, rows, cols):
+    """The K a grid is first read at: the least with 2^(K - 1) > n! 2^C(n - 1, 2) M.
+
+    M is the largest coefficient mass of a point's class base * R_a * C_b
+    at any fixed point: the sum of |base's coefficients| times the
+    monomial counts of R_a and C_b, C(m, a) for wedge^a of m roots and 1
+    for a power.
+    """
+    n = base.ground
+
+    def count(axis, sigma):
+        if not axis.wedge:
+            return 1
+        m = sum(axis.cls.merged(axis.cls.key_at(sigma)).values())
+        return max(math.comb(m, k) for k in range(axis.size))
+
+    mass = max(
+        sum(abs(c) for c, _ in base.monomials(base.key_at(sigma)))
+        * count(rows, sigma) * count(cols, sigma)
+        for sigma in all_perms(n)
+    )
+    return ((math.factorial(n) << math.comb(n - 1, 2)) * mass).bit_length() + 1
+
+
+def split_reads(reads):
+    """reads cut into one list per grid: each grid's reads end at its first proven one."""
+    grids, cur = [], []
+    for read in reads:
+        cur.append(read)
+        if read[2] is not None:
+            grids.append(cur)
+            cur = []
+    assert not cur
+    return grids
+
+
+def assert_escalation(reads, bits, bound):
+    """One grid's reads run at bits, 2 bits, ..., at bound, and only the last
+    proves every P_ab, each of degree <= bound.  Returns its degrees."""
+    assert [r[:2] for r in reads] == [(bits << i, bound) for i in range(len(reads))]
+    assert all(r[2] is None for r in reads[:-1])
+    degrees = reads[-1][2]
+    assert max(degrees, default=-1) <= bound
+    return degrees
+
+
+def _unit(n):
+    return wedge_axis(structure_sheaf(n), 0)
+
+
 def test_euler_escalation_recovers(rng, u24, monkeypatch):
-    # the first verification fails; the escalated bound reads the same chi
+    # a first K of 2 proves nothing (2^(K - 1) is below the bound on the
+    # numerator's coefficients); the reads at 4 and 8 do not either, and 16
+    # reads the same chi
     cls = line_bundle(base_polytope(u24))
     unforced = euler_char_ab(cls, rng=rng)
-    real = tautmat.engine._extrapolate_back
-    bounds = []
-
-    def first_fails(values, degree_bound):
-        bounds.append(degree_bound)
-        if len(bounds) == 1:
-            raise InconsistentSamples("forced")
-        return real(values, degree_bound)
-
     weights = _record_weights(monkeypatch)
-    monkeypatch.setattr(tautmat.engine, "_extrapolate_back", first_fails)
+    reads = _record_reads(monkeypatch)
+    monkeypatch.setattr(tautmat.engine, "_kronecker_bits", lambda height: 2)
     assert euler_char_ab(cls, rng=rng) == unforced
-    # the span hi - lo of the class's exponents along w, then 2*span + 1
     lo, hi = _exponent_hull(cls, weights[0])
-    span = hi - lo
-    assert span > 0 and bounds == [span, 2 * span + 1]
+    assert first_bits(cls, _unit(4), _unit(4)) <= 16
+    assert [bits for bits, _, _ in reads] == [2, 4, 8, 16]
+    assert_escalation(reads, 2, hi - lo)
 
 
-def test_euler_escalation_fails_cleanly(rng, monkeypatch):
-    # verification fails at the first bound and again after escalation
-    bounds = []
+def test_euler_escalation_rereads_large_characters(monkeypatch):
+    # O(40 Delta) on three elements: its character counts the lattice
+    # points of 40 Delta per weight, up to 41 of them, more than half of
+    # 2^K at the first K = 5, so the grid is walked again at 2K and reads
+    # binom(42, 2) lattice points
+    cls = line_bundle(simplex(3).dilate(40))
+    weights = _record_weights(monkeypatch)
+    reads = _record_reads(monkeypatch)
+    assert euler_char_ab(cls, rng=random.Random(0)) == math.comb(42, 2)
+    lo, hi = _exponent_hull(cls, weights[0])
+    assert first_bits(cls, _unit(3), _unit(3)) == 5 and len(reads) == 2
+    assert_escalation(reads, 5, hi - lo)
 
-    def inconsistent(values, degree_bound):
-        bounds.append(degree_bound)
-        raise InconsistentSamples("forced")
 
+def test_euler_escalation_fails_cleanly(rng, u24, monkeypatch):
+    # a bound one below the hull's, B - 1, meets a proven P of degree B;
+    # and reads that prove nothing up to 8K give up
     cls = line_bundle(simplex(2))
     weights = _record_weights(monkeypatch)
-    monkeypatch.setattr(tautmat.engine, "_extrapolate_back", inconsistent)
-    with pytest.raises(InterpolationInconsistent):
-        euler_char_ab(cls, rng=rng)
+    reads = _record_reads(monkeypatch)
+    real_plan = tautmat.engine._grid_plan
+
+    def lowered(*args):
+        plan, bound = real_plan(*args)
+        return plan, bound - 1
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tautmat.engine, "_grid_plan", lowered)
+        with pytest.raises(InterpolationInconsistent, match="above the bound"):
+            euler_char_ab(cls, rng=rng)
     lo, hi = _exponent_hull(cls, weights[0])
-    assert bounds == [hi - lo, 2 * (hi - lo) + 1]
+    assert hi - lo > 0
+    assert reads == []  # the raising read records nothing
+    monkeypatch.setattr(tautmat.engine, "_kronecker_bits", lambda height: 1)
+    with pytest.raises(InterpolationInconsistent, match="no read-off up to 8 bits"):
+        euler_char_ab(line_bundle(base_polytope(u24)), rng=rng)
+    assert [(bits, degrees) for bits, _, degrees in reads] == [(1, None), (2, None), (4, None), (8, None)]
 
 
 @pytest.mark.parametrize(
@@ -351,8 +439,8 @@ def test_euler_escalation_fails_cleanly(rng, monkeypatch):
 )
 def test_hull_bound_needs_no_escalation(rng, monkeypatch, name, run):
     # B = max_c (hi_c - lo_c) over the grid's classes is a true degree
-    # bound: every class is read off from B + 4 samples at bound B on the
-    # first try, none retried
+    # bound: the grid is read once, at its first K, with every P_ab of
+    # degree at most B and some of degree B
     grids = []
     real_grid = tautmat.invariants.euler_char_grid
 
@@ -360,21 +448,16 @@ def test_hull_bound_needs_no_escalation(rng, monkeypatch, name, run):
         grids.append((base, rows, cols))
         return real_grid(base, rows, cols, rng=rng)
 
-    reads = []
-    real = tautmat.engine._extrapolate_back
-
-    def record_read(values, degree_bound):
-        reads.append((len(values), degree_bound))
-        return real(values, degree_bound)
-
     weights = _record_weights(monkeypatch)
+    reads = _record_reads(monkeypatch)
     monkeypatch.setattr(tautmat.invariants, "euler_char_grid", record_grid)
-    monkeypatch.setattr(tautmat.engine, "_extrapolate_back", record_read)
     run(builtin_matroid(name), rng=rng)
     [grid], [w] = grids, weights
     classes = grid_classes(*grid)
     bound = max(hi - lo for lo, hi in (_exponent_hull(c, w) for c in classes))
-    assert reads == [(bound + 4, bound)] * len(classes)
+    [(bits, b, degrees)] = reads
+    assert (bits, b) == (first_bits(*grid), bound)
+    assert len(degrees) == len(classes) and max(degrees) == bound
 
 
 def test_one_sided_exponent_hull_matches_reference(rng, u24, monkeypatch):
@@ -532,8 +615,8 @@ def test_integrate_inhomogeneous_batch_matches_per_class_reference(rng, u24):
 
 def test_zeta_check_makes_one_walk(rng, monkeypatch):
     # fs_tutte's zeta cross-check batches every class into one walk, after
-    # the character path's value-free walk and its walk with one slot per
-    # sample; no permutation is enumerated
+    # the character path's value-free walk and its one-slot walk at q =
+    # 2^K; no permutation is enumerated
     slots = []
     walk = tautmat.engine._prefix_sums
 
@@ -550,7 +633,7 @@ def test_zeta_check_makes_one_walk(rng, monkeypatch):
     monkeypatch.setattr(tautmat.perms, "iter_perm_bases", no_scan)
     assert not hasattr(tautmat.engine, "iter_perm_bases")
     fs_tutte(uniform(2, 4), rng=rng, zeta_check=True)
-    assert len(slots) == 3 and slots[0] == 0 and slots[1] > 4 and slots[2] == 1
+    assert slots == [0, 1, 1]
 
 
 def test_integrate_inhomogeneous_escalation_fails_cleanly(rng, monkeypatch):
@@ -608,6 +691,19 @@ def test_character_path_rejects_non_gkm_class(u24, monkeypatch):
     monkeypatch.setattr(tautmat.engine, "sample_weight", lambda n, rng: w)
     with pytest.raises(NonIntegral):
         euler_char_many([_corrupted_s_class(u24)], rng=random.Random(1))
+
+
+def test_exact_read_off_rejects_non_gkm_class_along_some_weights(u24):
+    # exact along w, the read-off still sees only the restriction along w:
+    # of seeds 0-5 it rejects the class at the w of seeds 0, 4 and 5, as
+    # the sampled guard did, and reads a chi at the w of the others
+    raised = []
+    for seed in range(6):
+        try:
+            euler_char_many([_corrupted_s_class(u24)], rng=random.Random(seed))
+        except NonIntegral:
+            raised.append(seed)
+    assert raised == [0, 4, 5]
 
 
 def test_both_routes_reject_non_gkm_class(u24):

@@ -5,6 +5,7 @@ matroids and their duals."""
 
 import contextlib
 import itertools
+import math
 import operator
 import random
 
@@ -19,6 +20,7 @@ from tautmat.engine import (
     _frees,
     _grid_plan,
     _increments,
+    _kronecker_bits,
     _pairwise_diff_product,
     _point_steps,
     _prefix_sums,
@@ -56,6 +58,7 @@ from tautmat.poly import SparsePoly
 
 from reference import (
     alpha_beta_twist,
+    balanced_digits,
     chi_reference,
     graded_reference,
     grid_classes,
@@ -63,7 +66,15 @@ from reference import (
     scan_class_sums,
     unfolded_euler_char_grid,
 )
-from test_engine import _corrupted_s_class, _exponent_hull, _record_weights
+from test_engine import (
+    _corrupted_s_class,
+    _exponent_hull,
+    _record_reads,
+    _record_weights,
+    assert_escalation,
+    first_bits,
+    split_reads,
+)
 
 
 @st.composite
@@ -158,6 +169,36 @@ def test_folded_walk_matches_unfolded(m, data, seed, qs):
     assert _chi_walk(atoms, n, w, qs, fold) == (want, dqs)
 
 
+@given(small_matroids(), st.data(), st.integers(0, 2**16), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_kronecker_slot_matches_scan(m, data, seed, folded):
+    # a chain value has coefficient mass at most 2^C(n - 1, 2), so at the
+    # a priori K of n! such chains each slot of the walk at q = 2^K is a
+    # polynomial's value whose balanced base-2^K digits are its
+    # coefficients; its values at q = 2, 3, 4 are the scan's sums, times
+    # q^{(v - lo).w} for the vertex v of a folded atom P, lo P's least
+    # increment
+    pool = _atom_pool(m)
+    picks = data.draw(st.lists(st.sampled_from(range(len(pool))), max_size=3, unique=True))
+    fold = pool[data.draw(st.sampled_from(range(len(pool))))] if folded else None
+    atoms = _dedup_atoms(tuple(a for a in (pool[i] for i in picks) if a != fold))
+    n = m.n_elements
+    w = sample_weight(n, random.Random(seed))
+    bits = _kronecker_bits(math.factorial(n) << math.comb(n - 1, 2))
+    acc, _ = _chi_walk(atoms, n, w, [1 << bits], fold)
+    polys = {k: balanced_digits(v, bits) for k, (v,) in acc.items()}
+    for q in (2, 3, 4):
+        if fold is None:
+            want = scan_character_sums(atoms, n, w, q)
+        else:
+            lo = _increments(fold)[1]
+            want = {}
+            for joint, v in scan_character_sums(atoms + (fold,), n, w, q).items():
+                e = sum((x - lo) * y for x, y in zip(joint[-1], w))
+                want[joint[:-1]] = want.get(joint[:-1], 0) + v * q**e
+        assert {k: sum(c * q**j for j, c in enumerate(p)) for k, p in polys.items()} == want
+
+
 @contextlib.contextmanager
 def _recorded_folds(pays=None):
     """The atom each _chi_walk inside the block folds (None for none); with
@@ -180,7 +221,7 @@ def _recorded_folds(pays=None):
 @settings(max_examples=60, deadline=None)
 def test_folded_grid_matches_unfolded(m, data, seed):
     # cf twist grids and line bundles of P(M), -P and dilates: the fold
-    # changes neither a value nor the (samples, bound) of a read-off, and
+    # changes neither a value nor the (K, B, degrees) of a read-off, and
     # applies to each, however little it would pay, unless an axis reads
     # base's atom (on one element P(U_{1,1}) is Delta)
     n = m.n_elements
@@ -201,7 +242,8 @@ def test_folded_grid_matches_unfolded(m, data, seed):
         unfolded = unfolded_euler_char_grid(base, rows, cols, rng=random.Random(seed))
     assert folded == unfolded and folded_reads == unfolded_reads
     (atom,) = base.atoms
-    assert folds == [None if atom in rows.cls.atoms + cols.cls.atoms else atom]
+    # one walk per read: a read past the first K walks again
+    assert folds == [None if atom in rows.cls.atoms + cols.cls.atoms else atom] * len(folded_reads)
 
 
 def test_fold_applies_only_where_it_pays():
@@ -316,9 +358,9 @@ def _table_class_pool(m):
 @settings(max_examples=60, deadline=None)
 def test_euler_char_many_matches_reference_and_zeta_route(m, data, seed):
     # with nested, dual, negated and cancelling products; each class draws
-    # its own w and is read off once, from B_c + 4 samples at B_c = hi_c -
-    # lo_c, the hull of every one of its monomials along that w, cancelled
-    # or not
+    # its own w and is read off at its first K, or escalates from it, at
+    # B_c = hi_c - lo_c, the hull of every one of its monomials along that
+    # w, cancelled or not
     pool = _table_class_pool(m)
     picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=4,
                                unique=True))
@@ -328,19 +370,24 @@ def test_euler_char_many_matches_reference_and_zeta_route(m, data, seed):
     assert chis == [chi_reference(c) for c in batch]
     assert chis == integrate_inhomogeneous(batch, rng=random.Random(seed))
     bounds = [hi - lo for lo, hi in map(_exponent_hull, batch, weights)]
-    assert reads == [(b + 4, b) for b in bounds]
+    unit = wedge_axis(structure_sheaf(m.n_elements), 0)
+    per_class = split_reads(reads)
+    assert len(per_class) == len(batch)
+    for c, b, class_reads in zip(batch, bounds, per_class):
+        assert_escalation(class_reads, first_bits(c, unit, unit), b)
 
 
 def test_euler_char_many_of_a_class_without_monomials():
     # a drawn case: on a rank-0 matroid S_M is 0, so the nested product has
-    # no monomials; its hull is (0, 0), so it is read at bound 0, and chi is 0
+    # no monomials; its hull is (0, 0), so it is read at bound 0, its
+    # numerator is bounded by 0, so K = 1, and chi is 0 (P = 0, degree -1)
     m = Matroid(1, [0])
     cls = kc_product(kc_product(alpha_beta_twist(1, 1, 1), s_class(m)), line_bundle(base_polytope(m)))
     assert cls.monomials(cls.key_at((0,))) == ()
     _assert_table_matches_monomials(cls, sample_weight(1, random.Random(0)))
     with _recorded_reads() as reads:
         assert euler_char_many([cls], rng=random.Random(0)) == [0]
-    assert reads == [(4, 0)]
+    assert reads == [(1, 0, (-1,))]
 
 
 def _assert_table_matches_monomials(cls, w):
@@ -384,19 +431,9 @@ def test_chi_tables_match_monomials(m, data, seed):
 
 @contextlib.contextmanager
 def _recorded_reads():
-    """(sample count, degree bound) of every read-off at q = 1 inside the block."""
-    real = tautmat.engine._extrapolate_back
-    reads = []
-
-    def record(values, degree_bound):
-        reads.append((len(values), degree_bound))
-        return real(values, degree_bound)
-
-    tautmat.engine._extrapolate_back = record
-    try:
-        yield reads
-    finally:
-        tautmat.engine._extrapolate_back = real
+    """(K, B, degrees) of every grid read-off inside the block (see test_engine._record_reads)."""
+    with pytest.MonkeyPatch.context() as mp:
+        yield _record_reads(mp)
 
 
 @contextlib.contextmanager
@@ -417,8 +454,9 @@ def _pinned_weight(w):
 def _assert_grid_matches_singles(base, rows, cols, seed, oracle):
     """The grid against euler_char_many on grid_classes, both at the w that
     random.Random(seed) draws: the same values as oracle(classes), the grid
-    read at one bound B from B + 4 samples, each single from its own B_c + 4
-    samples at B_c <= B, and the largest B_c is B."""
+    read at one bound B from its first K on, each single at its own B_c <=
+    B from its own first K on, the largest B_c is B, and every P_ab has
+    the single's degree."""
     classes = grid_classes(base, rows, cols)
     with _pinned_weight(sample_weight(base.ground, random.Random(seed))):
         with _recorded_reads() as grid_reads:
@@ -426,10 +464,18 @@ def _assert_grid_matches_singles(base, rows, cols, seed, oracle):
         with _recorded_reads() as single_reads:
             chis = euler_char_many(classes, rng=random.Random(seed))
     assert [chi for row in grid for chi in row] == chis == oracle(classes)
+    [grid_reads] = split_reads(grid_reads)
     bound = grid_reads[0][1]
-    assert grid_reads == [(bound + 4, bound)] * len(classes)
-    assert [count - b for count, b in single_reads] == [4] * len(classes)
-    assert max(b for _, b in single_reads) == bound
+    degrees = assert_escalation(grid_reads, first_bits(base, rows, cols), bound)
+    unit = wedge_axis(structure_sheaf(base.ground), 0)
+    singles = split_reads(single_reads)
+    assert len(singles) == len(classes)
+    single_degrees = [
+        assert_escalation(reads, first_bits(c, unit, unit), reads[0][1])
+        for c, reads in zip(classes, singles)
+    ]
+    assert max(reads[0][1] for reads in singles) == bound
+    assert list(degrees) == [d for (d,) in single_degrees]
 
 
 @given(small_matroids(), st.data(), st.integers(0, 2**16))
