@@ -8,25 +8,26 @@ Three pushforward paths:
   fraction-free: every per-permutation denominator divides the product D
   of all pairwise coordinate differences, so integer numerators scaled by
   D are accumulated and one exact integer division (divmod) per
-  coefficient ends the sum.  Both points share one walk over prefix sets
-  (`_prefix_sums`), and the factors are folded in per atom value.  Each
-  factor is a Chern-class functional of a K-class (`GradedFactor`): a
-  monomial T^m of the class at a fixed point is a Chern root m.t.
+  coefficient ends the sum.  Both points are tables of one walk over
+  prefix sets (`_prefix_sums`), and the factors are folded in per atom
+  value.  Each factor is a Chern-class functional of a K-class
+  (`GradedFactor`): a monomial T^m of the class at a fixed point is a
+  Chern root m.t.
 
 * a character path for Euler characteristics: restrict to a one-parameter
   subgroup T_i = q^{w_i}; shifted by q^{-lo}, the character is an integer
   polynomial P of degree at most B = hi - lo, where [lo, hi] is the hull of
   the class's exponents m.w, and chi = P(1).  A value-free walk lists the
-  joint keys, and one valued walk carries a single integer slot, scaled by
-  dq = prod_{a<b} (q^|w_a - w_b| - 1), at q = Q = 2^K (Kronecker
-  substitution): every slot is the value at Q of an integer polynomial, so
-  P's coefficients are read exactly off one quotient as its digits in
-  balanced base 2^K.  K is set a priori by a bound A on the coefficients
-  of P's numerator, and the read-off is proven by bounding those of P
-  times dq, or rerun at 2K.  Every chi is a point of a grid of classes
-  base * R_a * C_b (`euler_char_grid`): the Cameron-Fink twists beta^u
-  alpha^t, the Fink-Speyer wedges wedge^i S wedge^j Q^v, or a single class
-  with both axes wedge^0 O = 1 (`euler_char_many`).  A point's numerator
+  joint keys, and one valued walk carries a single integer per key, scaled
+  by dq = prod_{a<b} (q^|w_a - w_b| - 1), at q = Q = 2^K (Kronecker
+  substitution): every such sum is the value at Q of an integer
+  polynomial, so P's coefficients are read exactly off one quotient as its
+  digits in balanced base 2^K.  K is set a priori by a bound A on the
+  coefficients of P's numerator, and the read-off is proven by bounding
+  those of P times dq, or rerun at 2K.  Every chi is a point of a grid of
+  classes base * R_a * C_b (`euler_char_grid`): the Cameron-Fink twists
+  beta^u alpha^t, the Fink-Speyer wedges wedge^i S wedge^j Q^v, or a single
+  class with both axes wedge^0 O = 1 (`euler_char_many`).  A point's numerator
   is a bilinear form in the axes' values at the roots Q^{m.w}, so no
   product class is built.  A base that is a vertex class no axis reads
   (det S^v under the twists, a line bundle alone) is folded into the
@@ -38,9 +39,11 @@ Three pushforward paths:
   binomial weights, with three verification samples per class.
 
 All three walk prefix sets: `_prefix_sums` sums over chains S_1 < ... <
-S_n, growing each atom's value one element at a time and stepping each
-slot's integer value v -> v // d * m per appended pair, so no permutation
-is enumerated.  All computation is single-process.
+S_n, growing each atom's value one element at a time, so no permutation
+is enumerated.  A chain's value is a product over its ordered pairs, one
+tabulated factor for an adjacent pair and another for the rest, so each
+step multiplies the state's integer by one tabulated product and no step
+divides.  All computation is single-process.
 """
 
 from __future__ import annotations
@@ -185,9 +188,9 @@ def integrate_graded(ground, factors, *, rng):
     """Non-equivariant degrees of a product of GradedFactors, as an integer polynomial.
 
     The polynomial's variables are the factors' vars in factor order.  The
-    fixed-point sum runs at two independent generic points, both in one
-    prefix-set walk; each gives integer numerators over the point's common
-    denominator D'.  In order:
+    fixed-point sum runs at two independent generic points, each a table
+    (_point_steps) of one prefix-set walk; each gives integer numerators
+    over the point's common denominator D'.  In order:
     numerators of total degree below n = ground - 1 must vanish
     (SubDegreeNonzero), the two points must give the same rationals
     (GenericPointMismatch), and each degree-n numerator must divide by D'
@@ -198,10 +201,10 @@ def integrate_graded(ground, factors, *, rng):
     vars = tuple(dict.fromkeys(f.var for f in factors))
     atoms = _dedup_atoms(tuple(a for f in factors for a in f.cls.atoms))
     points = (sample_eval_point(ground, rng), sample_eval_point(ground, rng))
-    acc = _prefix_sums(atoms, ground, *_point_steps(points))
+    accs = _prefix_sums(atoms, ground, [_point_steps(t) for t in points])
     (num_a, d_a), (num_b, d_b) = (
-        (_fold_factors(factors, vars, atoms, acc, i, t, target), _pairwise_diff_product(t))
-        for i, t in enumerate(points)
+        (_fold_factors(factors, vars, atoms, acc, t, target), _pairwise_diff_product(t))
+        for acc, t in zip(accs, points)
     )
     for e in itertools.chain(num_a, num_b):
         if sum(e) < target:
@@ -229,46 +232,50 @@ def _pairwise_diff_product(tstar):
     return d
 
 
-def _point_steps(points):
-    """Walk slots that sum D'(t)/d_sigma(t) per generic point t (see _prefix_sums).
+def _point_steps(t):
+    """The walk table (pair, adj) whose chain values are D'(t)/d_sigma(t) (see _prefix_sums).
 
     d_sigma(t) is the product of adjacent differences t_sigma(i) -
-    t_sigma(i+1) and D'(t) = _pairwise_diff_product(t): appending b after a
-    divides by t_a - t_b, and the first element keeps the start.
+    t_sigma(i+1) and D'(t) = _pairwise_diff_product(t), which holds each
+    unordered pair {b, e} as (t_b - t_e)(t_e - t_b): a pair b before e
+    multiplies by pair[b][e] = -(t_b - t_e)^2, or, adjacent, by that over
+    t_b - t_e, adj[b][e] = t_e - t_b.  The first element takes 1.
     """
-    ground = len(points[0])
-    starts = [_pairwise_diff_product(t) for t in points]
-    steps = [[tuple((t[a] - t[b], 1) for t in points) for b in range(ground)]
-             for a in range(ground)]
-    return starts, steps + [[((1, 1),) * len(points)] * ground]
+    pair = [[-(tb - te) ** 2 for te in t] for tb in t]
+    adj = [[te - tb for te in t] for tb in t]
+    return pair, adj + [[1] * len(t)]
 
 
-def _prefix_sums(atoms, ground, starts, steps, fold=None):
-    """acc[joint atom key] = [sum over matching sigma of the chain value, per slot].
+def _prefix_sums(atoms, ground, tables, fold=None):
+    """[{joint atom key: sum over matching sigma of the chain value}, one per table].
 
-    A slot's chain value starts at starts[i], and appending b after a takes
-    it from v to v // d * m, (d, m) = steps[a][b][i]; the first element b
-    steps from a = ground, a row of steps for the empty prefix.  Every
-    division must be exact: the callers start at a product holding each
-    pair's divisor once, and a permutation's adjacent pairs are distinct.
-    A permutation is a chain of prefix sets, so the sum is a walk over
-    prefix sets S, one size at a time.  A state is (S, last element, the
-    atoms' vertices on the prefix) and holds the sum of its prefixes' chain
-    values per slot: appending e to S sets coordinate e of an atom's vertex
-    to its increment rk(S + e) - rk(S).  A state is one packed int: last in
-    the low bits, then S, then a field per atom and coordinate, as wide as
-    the atom's increments less their least, each step OR-ing in one
-    tabulated move for the element appended.  The free-element lists
-    (`_frees`) and each atom's increment table (`_increments`) are built
-    once per ground size and per atom and cached; a walk only shifts each
-    atom's table to its field offset.
+    A table is (pair, adj).  A permutation's chain value is the product,
+    over its ordered pairs (b before e), of adj[b][e] if b immediately
+    precedes e and of pair[b][e] otherwise; the first element e takes
+    adj[ground][e], a row for the empty prefix.  A permutation is a chain of
+    prefix sets, so the sum is a walk over prefix sets S, one size at a
+    time.  A state is (S, last element a, the atoms' vertices on the prefix)
+    and holds, per table, one int: the sum of its prefixes' chain values.
+    Appending e multiplies by adj[a][e] and by P[S - a][e], where P[T][e] =
+    prod_{b in T} pair[b][e] is tabulated once per table by a subset DP, so
+    no step divides.  Appending e to S also sets coordinate e of an atom's
+    vertex to its increment rk(S + e) - rk(S).  A state's key is one packed
+    int: last in the low bits, then S, then a field per atom and
+    coordinate, as wide as the atom's increments less their least, each
+    step OR-ing in one tabulated move for the element appended.  The
+    free-element lists (`_frees`) and each atom's increment table
+    (`_increments`) are built once per ground size and per atom and
+    cached; a walk only shifts each atom's table to its field offset, and
+    every table of a call shares the moves and the key decoder.  Each table
+    has its own level dict; all hold the same keys, so one pass over the
+    first's keys steps every table.
 
     With fold, an atom P is summed over instead of kept in the key: the
     step that appends e, at increment rk_P(S + e) - rk_P(S) = gains[k] +
-    lo (see _fold_picks), is steps[a][e + ground * k].  The caller's steps
-    carry P's vertex in the chain value, as _chi_walk does.
+    lo (see _fold_picks), multiplies by adj[a][e + ground * k] instead.  The
+    caller's adj rows carry P's vertex in the chain value, as _chi_walk's do.
 
-    With no slots the walk only lists the reachable joint keys, {key: ()};
+    With no tables the walk only lists the reachable joint keys, {key: ()};
     keys do not depend on last, so its states are the packed prefixes alone.
     """
     full = (1 << ground) - 1
@@ -282,7 +289,7 @@ def _prefix_sums(atoms, ground, starts, steps, fold=None):
         fields.append((off, width, lo))
         off += width * ground
     decode = _key_decoder(fields, ground)
-    if not starts:
+    if not tables:
         level = {0}
         for _ in range(ground):
             level = {p | de for p in level for de in delta[p & full]}
@@ -290,27 +297,41 @@ def _prefix_sums(atoms, ground, starts, steps, fold=None):
     lb = ground.bit_length()
     lmask = (1 << lb) - 1
     picks = frees if fold is None else _fold_picks(fold)[0]
-    moves = [[de << lb | e for e, de in zip(es, ds)] for es, ds in zip(frees, delta)]
-    level = {ground: starts}
+    moves = [
+        tuple(zip(es, js, (de << lb | e for e, de in zip(es, ds))))
+        for es, js, ds in zip(frees, picks, delta)
+    ]
+    walks = [(_pair_products(pair, ground), adj) for pair, adj in tables]
+    levels = [{ground: 1} for _ in tables]
     for _ in range(ground):
-        nxt = {}
-        for key, vals in level.items():
-            a, s = key & lmask, key >> lb & full
-            sl, prefix = steps[a], key ^ a
-            for j, mv in zip(picks[s], moves[s]):
-                k2 = prefix | mv
-                cur = nxt.get(k2)
-                if cur is None:
-                    nxt[k2] = [v // d * m for v, (d, m) in zip(vals, sl[j])]
-                else:
-                    for i, (d, m) in enumerate(sl[j]):
-                        cur[i] += vals[i] // d * m
-        level = nxt
-    acc = {}  # packed prefix -> slots, summed over last
-    for key, vals in level.items():
-        cur = acc.get(key >> lb)
-        acc[key >> lb] = vals if cur is None else [a + b for a, b in zip(cur, vals)]
-    return {decode(packed): vals for packed, vals in acc.items()}
+        nexts = [{} for _ in tables]
+        for key in levels[0]:
+            a = key & lmask
+            s = key >> lb & full
+            prefix, steps, rest = key ^ a, moves[s], s & ~(1 << a)
+            for (prods, adj), level, nxt in zip(walks, levels, nexts):
+                v, row, p = level[key], adj[a], prods[rest]
+                for e, j, mv in steps:
+                    k2 = prefix | mv
+                    x = v * (row[j] * p[e])
+                    cur = nxt.get(k2)
+                    nxt[k2] = x if cur is None else cur + x
+        levels = nexts
+    sums = [{} for _ in tables]  # per table, packed prefix -> sum over last
+    for level, acc in zip(levels, sums):
+        for key, v in level.items():
+            acc[key >> lb] = acc.get(key >> lb, 0) + v
+    joints = list(map(decode, sums[0]))
+    return [dict(zip(joints, acc.values())) for acc in sums]
+
+
+def _pair_products(pair, ground):
+    """P[T][e] = prod_{b in T} pair[b][e] for every subset T of range(ground), by a subset DP."""
+    prods = [[1] * ground]
+    for t in range(1, 1 << ground):
+        low = t & -t
+        prods.append(list(map(operator.mul, prods[t ^ low], pair[low.bit_length() - 1])))
+    return prods
 
 
 def _key_decoder(fields, ground):
@@ -380,10 +401,10 @@ def _fold_picks(atom):
     return picks, tuple(v - values[0] for v in values)
 
 
-def _fold_factors(factors, vars, atoms, acc, slot, tstar, cap):
+def _fold_factors(factors, vars, atoms, acc, tstar, cap):
     """Integer numerators {exponent: num} of the graded sum at tstar, up to total degree cap.
 
-    acc[joint key][slot] is the class sum at tstar.  Factors are multiplied
+    acc[joint key] is the class sum at tstar.  Factors are multiplied
     in one at a time, each key projected afterwards onto the atoms later
     factors read.  A factor is tabulated once per distinct value of its
     class's atoms, and an exponent vector is one packed int: a field of
@@ -394,7 +415,7 @@ def _fold_factors(factors, vars, atoms, acc, slot, tstar, cap):
     width = max(cap.bit_length(), 1)
     top = width * len(vidx)
     limit = (cap + 1) << top
-    state = {key: {0: vals[slot]} for key, vals in acc.items() if vals[slot]}
+    state = {key: {0: v} for key, v in acc.items() if v}
     layout = list(atoms)
     for fi, factor in enumerate(factors):
         needed = [a for g in factors[fi + 1 :] for a in g.cls.atoms]
@@ -455,39 +476,34 @@ def euler_char_many(kclasses, *, rng):
     return [euler_char_grid(c, unit, unit, rng=rng)[0][0] for c in kclasses]
 
 
-def _chi_walk(atoms, ground, w, qs, fold=None):
-    """(acc, dqs): the character sums of _prefix_sums at T_i = q^{w_i}, one slot per q.
+def _chi_walk(atoms, ground, w, q, fold=None):
+    """(acc, dq): the character sums of _prefix_sums at T_i = q^{w_i}, one int per key.
 
-    A slot starts at dq = prod_{a<b} (q^|w_a - w_b| - 1).  Appending b
-    after a, with delta = w_b - w_a, divides by q^|delta| - 1 and multiplies
-    by -1 if delta > 0, else by q^|delta|: the chain value is dq times
-    prod 1/(1 - q^delta) over the adjacent pairs.  With fold, an atom P with
-    least increment lo, appending b at increment lo + g also multiplies by
-    q^{w_b g}, so the chain value carries q^{(v - lo).w} for P's vertex v;
-    w >= 0 keeps every step an integer.
+    A chain value is dq = prod_{a<b} (q^|w_a - w_b| - 1) times prod 1/(1 -
+    q^delta) over the adjacent pairs, delta = w_e - w_b for b just before e:
+    a pair b before e multiplies by pair[b][e] = q^|delta| - 1 or, adjacent,
+    by adj[b][e] = -1 if delta > 0, else q^-delta.  With fold, an atom P
+    with least increment lo, appending e at increment lo + g also
+    multiplies by q^{w_e g}, so the chain value carries q^{(v - lo).w} for
+    P's vertex v; w >= 0 keeps every factor an integer.
 
     As a polynomial in q, a chain value is +-q^k times the C(n - 1, 2)
     factors q^|delta| - 1 of the chain's non-adjacent pairs, so its
     coefficients' absolute values sum to at most 2^C(n - 1, 2), folded or
-    not, and every slot is an integer polynomial N(q).  euler_char_grid
+    not, and every key's sum is an integer polynomial N(q).  euler_char_grid
     walks the single sample q = 2^K, where N's coefficients are N(2^K)'s
     digits in balanced base 2^K once they are all below 2^(K - 1) in
     absolute value.
     """
-    dqs = [math.prod(q ** abs(a - b) - 1 for a, b in itertools.combinations(w, 2)) for q in qs]
-    steps = [
-        [tuple((q ** abs(wb - wa) - 1, -1 if wb > wa else q ** (wa - wb)) for q in qs) for wb in w]
-        for wa in w
-    ]
-    steps.append([((1, 1),) * len(qs)] * ground)
+    dq = math.prod(q ** abs(a - b) - 1 for a, b in itertools.combinations(w, 2))
+    pair = [[q ** abs(we - wb) - 1 for we in w] for wb in w]
+    adj = [[-1 if we > wb else q ** (wb - we) for we in w] for wb in w]
+    adj.append([1] * ground)
     if fold is not None:
         gains = _fold_picks(fold)[1]
-        steps = [
-            [tuple((d, m * q ** (wb * g)) for (d, m), q in zip(row[b], qs))
-             for g in gains for b, wb in enumerate(w)]
-            for row in steps
-        ]
-    return _prefix_sums(atoms, ground, dqs, steps, fold), dqs
+        adj = [[row[e] * q ** (we * g) for g in gains for e, we in enumerate(w)] for row in adj]
+    (acc,) = _prefix_sums(atoms, ground, [(pair, adj)], fold)
+    return acc, dq
 
 
 class GridAxis:
@@ -558,8 +574,8 @@ def euler_char_grid(base, rows, cols, *, rng):
     - q^delta) expands with support >= lo at q -> 0 and <= hi at q -> oo,
     and the sum is a Laurent polynomial.  The grid shares B = max(hi - lo).
     A value-free walk lists the joint keys, from which the hulls are read,
-    and one valued walk at q = Q = 2^K carries a single slot per key
-    (_chi_walk).  No product class is built: the valued walk's slots times
+    and one valued walk at q = Q = 2^K carries a single integer per key
+    (_chi_walk).  No product class is built: the valued walk's sums times
     base's value are summed once per (row key, column key) pair, reduced
     over column keys once per column index b into Y[row key][b], and the
     numerator Num_ab(Q) = dq(Q) Q^s P_ab(Q) at (a, b) is the sum over row
@@ -591,7 +607,7 @@ def euler_char_grid(base, rows, cols, *, rng):
     check_guardrail(ground)
     w = sample_weight(ground, rng)
     atoms = _dedup_atoms(base.atoms + rows.cls.atoms + cols.cls.atoms)
-    joints = _prefix_sums(atoms, ground, (), ())
+    joints = _prefix_sums(atoms, ground, ())
     height = _numerator_height(base, rows, cols, atoms, joints)
     plan, bound = _grid_plan(base, rows, cols, atoms, joints, w)
     walk, plan = _fold_base(base, rows, cols, atoms, joints, plan, w)
@@ -639,8 +655,8 @@ def _fold_base(base, rows, cols, atoms, joints, plan, w):
     base folds if it is a vertex class, whose one monomial at every joint
     key is T^v for the vertex v of its one atom P (det S^v, O(D_P)), and no
     axis reads P.  The walk then drops P from its keys and carries q^{(v -
-    lo).w} in its slots (_chi_walk), lo P's least increment, so each pair's
-    term sums the folded slots of its keys at coefficient 1 and exponent
+    lo).w} in its sums (_chi_walk), lo P's least increment, so each pair's
+    term sums the folded sums of its keys at coefficient 1 and exponent
     0.  The plan's terms carry q^{v.w - lb}, lb the least v.w, so every
     shift grows by lb - lo * sum(w).
 
@@ -728,18 +744,20 @@ def _grid_plan(base, rows, cols, atoms, joints, w):
 
 
 def _fold_pays(span, w):
-    """Whether a fold whose slots gain up to q^span makes the walk cheaper.
+    """Whether a fold whose sums gain up to q^span makes the walk cheaper.
 
-    A slot is an integer of about Q^E at Q = 2^K, E = sum_{a<b} |w_a -
-    w_b| the degree of its scale dq, and a fold makes it about Q^(E +
+    A key's sum is an integer of about Q^E at Q = 2^K, E = sum_{a<b} |w_a
+    - w_b| the degree of its scale dq, and a fold makes it about Q^(E +
     span).  The fold pays if span <= E / 2: past that the larger integers
-    cost more than the fewer states save.  Folded against unfolded, one
-    process each (CPython 3.11, one core): `cf uniform:4:9` (span 26, E =
-    120) 1.24 s / 25 MB against 1.8-1.9 s / 43 MB; `ehrhart
-    hypersimplex:4:9 --c 20` (span 600) 0.50 s against 0.21 s; and
-    line_bundle(k * P(U_{4,9})) (span 30k) read off alone 0.11 s against
-    0.12-0.13 s at k = 1, even at k = 2, and 0.25 s against 0.13 s at k =
-    8.
+    cost more than the fewer states save.  Folded against unfolded, a fresh
+    process each, two or three runs (CPython 3.11, fractions backend, one
+    core of a shared 2-core host): `cf uniform:4:9` (span 26, E = 120)
+    0.83-0.97 s / 23 MB against 0.98-1.37 s / 36 MB; `ehrhart
+    hypersimplex:4:9 --c 20` (span 600) 0.30 s against 0.11-0.12 s; and
+    line_bundle(k * P(U_{4,9})) (span 30k) read off alone 0.03-0.06 s
+    against 0.08-0.09 s at k = 1, 0.04-0.05 s against 0.09-0.11 s at k = 2
+    (span E / 2), 0.09-0.10 s against 0.09 s at k = 3, and 0.17 s against
+    0.09 s at k = 8.
     """
     return 2 * span <= sum(abs(a - b) for a, b in itertools.combinations(w, 2))
 
@@ -764,10 +782,10 @@ def _grid_interpolate(walk, ground, w, rows, cols, plan, bound, bits, height):
         return None
     terms, row_exps, col_exps, shifts = plan
     atoms, fold = walk
-    acc, (dq,) = _chi_walk(atoms, ground, w, [1 << bits], fold)
+    acc, dq = _chi_walk(atoms, ground, w, 1 << bits, fold)
     pair_sums = {}
     for rc, e, coeffs in terms:
-        v = sum(acc[j][0] if c == 1 else c * acc[j][0] for j, c in coeffs)
+        v = sum(acc[j] if c == 1 else c * acc[j] for j, c in coeffs)
         pair_sums[rc] = pair_sums.get(rc, 0) + (v << bits * e)
     cvals = [cols.values([1 << bits * e for e in es]) for es in col_exps]
     ys = [[0] * cols.size for _ in row_exps]
@@ -925,7 +943,7 @@ def integrate_inhomogeneous(kclasses, *, rng):
     dprime = _pairwise_diff_product(w)
     nabla = simplex_pair(ground)[1]
     atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms) + (nabla,))
-    acc = _prefix_sums(atoms, ground, *_point_steps((w,)))
+    (acc,) = _prefix_sums(atoms, ground, [_point_steps(w)])
     ilast = atoms.index(nabla)
     out = []
     for kcls in kclasses:
@@ -936,7 +954,7 @@ def integrate_inhomogeneous(kclasses, *, rng):
         terms = {}
         pole = posdeg = 0
         sums = {}
-        for joint, (a,) in acc.items():
+        for joint, a in acc.items():
             by_last = sums.setdefault(tuple(joint[i] for i in sl), {})
             by_last[joint[ilast]] = by_last.get(joint[ilast], 0) + a
         for key, by_last in sums.items():

@@ -192,7 +192,7 @@ def test_partition_independence(rng, fano):
     for sigma in all_perms(7):
         key = tuple(a.vertex_at(sigma) for a in atoms)
         naive[key] = naive.get(key, 0) + d // localization_denominator(sigma, tstar)
-    assert _prefix_sums(atoms, 7, *_point_steps([tstar])) == {k: [v] for k, v in naive.items()}
+    assert _prefix_sums(atoms, 7, [_point_steps(tstar)]) == [naive]
 
 
 def test_factor_values_at_literal_points():
@@ -615,14 +615,14 @@ def test_integrate_inhomogeneous_batch_matches_per_class_reference(rng, u24):
 
 def test_zeta_check_makes_one_walk(rng, monkeypatch):
     # fs_tutte's zeta cross-check batches every class into one walk, after
-    # the character path's value-free walk and its one-slot walk at q =
+    # the character path's value-free walk and its one-table walk at q =
     # 2^K; no permutation is enumerated
-    slots = []
+    table_sets = []
     walk = tautmat.engine._prefix_sums
 
-    def counting(atoms, ground, starts, steps, fold=None):
-        slots.append(len(starts))
-        return walk(atoms, ground, starts, steps, fold)
+    def counting(atoms, ground, tables, fold=None):
+        table_sets.append(len(tables))
+        return walk(atoms, ground, tables, fold)
 
     def no_scan(*args):
         raise AssertionError("a permutation scan ran")
@@ -633,7 +633,22 @@ def test_zeta_check_makes_one_walk(rng, monkeypatch):
     monkeypatch.setattr(tautmat.perms, "iter_perm_bases", no_scan)
     assert not hasattr(tautmat.engine, "iter_perm_bases")
     fs_tutte(uniform(2, 4), rng=rng, zeta_check=True)
-    assert slots == [0, 1, 1]
+    assert table_sets == [0, 1, 1]
+
+
+def test_integrate_graded_makes_one_walk(rng, monkeypatch, u24):
+    # both generic points are tables of one walk, not one walk each
+    table_sets = []
+    walk = tautmat.engine._prefix_sums
+
+    def counting(atoms, ground, tables, fold=None):
+        table_sets.append(len(tables))
+        return walk(atoms, ground, tables, fold)
+
+    monkeypatch.setattr(tautmat.engine, "_prefix_sums", counting)
+    factors = [chern_series(dual_class(s_class(u24)), "z"), power_series(beta_class(4), "y")]
+    integrate_graded(4, factors, rng=rng)
+    assert table_sets == [2]
 
 
 def test_integrate_inhomogeneous_escalation_fails_cleanly(rng, monkeypatch):

@@ -62,8 +62,10 @@ from reference import (
     chi_reference,
     graded_reference,
     grid_classes,
+    increment_values,
     scan_character_sums,
     scan_class_sums,
+    scan_pair_products,
     unfolded_euler_char_grid,
 )
 from test_engine import (
@@ -124,10 +126,32 @@ def test_walk_matches_scan(m, data, seed, npoints):
     rng = random.Random(seed)
     points = [sample_eval_point(n, rng) for _ in range(npoints)]
     scans = [scan_class_sums(atoms, n, t, _pairwise_diff_product(t)) for t in points]
-    acc = _prefix_sums(atoms, n, *_point_steps(points))
-    assert acc == {k: [s[k] for s in scans] for k in scans[0]}
-    # the value-free walk, without last element or slot, lists the same joint keys
-    assert _prefix_sums(atoms, n, (), ()) == dict.fromkeys(acc, ())
+    # every point's table in one walk
+    assert _prefix_sums(atoms, n, [_point_steps(t) for t in points]) == scans
+    # the value-free walk, without last element or value, lists the same joint keys
+    assert _prefix_sums(atoms, n, ()) == dict.fromkeys(scans[0], ())
+
+
+@given(small_matroids(), st.data(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_walk_matches_pair_product_scan(m, data, folded):
+    # random integer tables, with zeros, negative and asymmetric entries, one
+    # or two per walk; with fold, adj has a column per element and increment
+    pool = _atom_pool(m)
+    picks = data.draw(st.lists(st.sampled_from(range(len(pool))), max_size=3, unique=True))
+    fold = pool[data.draw(st.sampled_from(range(len(pool))))] if folded else None
+    atoms = _dedup_atoms(tuple(a for a in (pool[i] for i in picks) if a != fold))
+    n = m.n_elements
+    cols = n * (len(increment_values(fold)) if folded else 1)
+    entry = st.integers(-3, 3)
+    tables = data.draw(st.lists(
+        st.tuples(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n),
+                  st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                           min_size=n + 1, max_size=n + 1)),
+        min_size=1, max_size=2,
+    ))
+    want = [scan_pair_products(atoms, n, pair, adj, fold) for pair, adj in tables]
+    assert _prefix_sums(atoms, n, tables, fold) == want
 
 
 @given(small_matroids(), st.data(), st.integers(0, 2**16),
@@ -139,18 +163,19 @@ def test_character_walk_matches_scan(m, data, seed, qs):
     atoms = tuple(pool[i] for i in picks)
     n = m.n_elements
     w = sample_weight(n, random.Random(seed))
-    scans = [scan_character_sums(atoms, n, w, q) for q in qs]
-    acc, dqs = _chi_walk(atoms, n, w, qs)
-    assert acc == {k: [s[k] for s in scans] for k in scans[0]}
+    for q in qs:
+        acc, dq = _chi_walk(atoms, n, w, q)
+        assert acc == scan_character_sums(atoms, n, w, q)
+        assert dq == math.prod(q ** abs(a - b) - 1 for a, b in itertools.combinations(w, 2))
     # the value-free walk reaches the same joint keys
-    assert _prefix_sums(atoms, n, (), ()) == dict.fromkeys(acc, ())
+    assert _prefix_sums(atoms, n, ()) == dict.fromkeys(acc, ())
 
 
 @given(small_matroids(), st.data(), st.integers(0, 2**16),
        st.lists(st.integers(2, 7), min_size=1, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_folded_walk_matches_unfolded(m, data, seed, qs):
-    # folding an atom P sums the unfolded walk over P's vertex v, each slot
+    # folding an atom P sums the unfolded walk over P's vertex v, each value
     # weighted by q^{(v - lo).w}, lo P's least increment
     pool = _atom_pool(m)
     picks = data.draw(st.lists(st.sampled_from(range(len(pool))), max_size=3, unique=True))
@@ -158,15 +183,14 @@ def test_folded_walk_matches_unfolded(m, data, seed, qs):
     atoms = _dedup_atoms(tuple(a for a in (pool[i] for i in picks) if a != fold))
     n = m.n_elements
     w = sample_weight(n, random.Random(seed))
-    unfolded, dqs = _chi_walk(atoms + (fold,), n, w, qs)
     lo = _increments(fold)[1]
-    want = {}
-    for joint, vals in unfolded.items():
-        e = sum((x - lo) * y for x, y in zip(joint[-1], w))
-        sums = want.setdefault(joint[:-1], [0] * len(qs))
-        for i, (q, v) in enumerate(zip(qs, vals)):
-            sums[i] += v * q**e
-    assert _chi_walk(atoms, n, w, qs, fold) == (want, dqs)
+    for q in qs:
+        unfolded, dq = _chi_walk(atoms + (fold,), n, w, q)
+        want = {}
+        for joint, v in unfolded.items():
+            e = sum((x - lo) * y for x, y in zip(joint[-1], w))
+            want[joint[:-1]] = want.get(joint[:-1], 0) + v * q**e
+        assert _chi_walk(atoms, n, w, q, fold) == (want, dq)
 
 
 @given(small_matroids(), st.data(), st.integers(0, 2**16), st.booleans())
@@ -185,8 +209,8 @@ def test_kronecker_slot_matches_scan(m, data, seed, folded):
     n = m.n_elements
     w = sample_weight(n, random.Random(seed))
     bits = _kronecker_bits(math.factorial(n) << math.comb(n - 1, 2))
-    acc, _ = _chi_walk(atoms, n, w, [1 << bits], fold)
-    polys = {k: balanced_digits(v, bits) for k, (v,) in acc.items()}
+    acc, _ = _chi_walk(atoms, n, w, 1 << bits, fold)
+    polys = {k: balanced_digits(v, bits) for k, v in acc.items()}
     for q in (2, 3, 4):
         if fold is None:
             want = scan_character_sums(atoms, n, w, q)
@@ -206,9 +230,9 @@ def _recorded_folds(pays=None):
     real = tautmat.engine._chi_walk
     folds = []
 
-    def record(atoms, ground, w, qs, fold=None):
+    def record(atoms, ground, w, q, fold=None):
         folds.append(fold)
-        return real(atoms, ground, w, qs, fold)
+        return real(atoms, ground, w, q, fold)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tautmat.engine, "_chi_walk", record)
@@ -307,8 +331,8 @@ def test_walk_reads_first_only_when_asked():
     d = _pairwise_diff_product(t)
     nabla = (simplex_pair(4)[1],)
     scan = scan_class_sums(nabla, 4, t, d)
-    assert _prefix_sums(nabla, 4, *_point_steps([t])) == {k: [v] for k, v in scan.items()}
-    assert _prefix_sums((), 4, *_point_steps([t])) == {(): [sum(scan.values())]}
+    assert _prefix_sums(nabla, 4, [_point_steps(t)]) == [scan]
+    assert _prefix_sums((), 4, [_point_steps(t)]) == [{(): sum(scan.values())}]
 
 
 @given(small_matroids(), st.integers(0, 2**16))
@@ -318,14 +342,14 @@ def test_walk_tables_are_built_once_per_atom(m, seed):
     # tables built again from a cleared cache give the same walk
     n = m.n_elements
     t = sample_eval_point(n, random.Random(seed))
-    walk = _point_steps([t])
-    cached = _prefix_sums((base_polytope(m), simplex_pair(n)[1]), n, *walk)
+    walk = [_point_steps(t)]
+    cached = _prefix_sums((base_polytope(m), simplex_pair(n)[1]), n, walk)
     hits = _increments.cache_info().hits
-    again = _prefix_sums((base_polytope(m), simplex_pair(n)[1]), n, *walk)
+    again = _prefix_sums((base_polytope(m), simplex_pair(n)[1]), n, walk)
     assert _increments.cache_info().hits == hits + 2
     _increments.cache_clear()
     _frees.cache_clear()
-    cold = _prefix_sums((base_polytope(m), simplex_pair(n)[1]), n, *walk)
+    cold = _prefix_sums((base_polytope(m), simplex_pair(n)[1]), n, walk)
     assert cached == again == cold
 
 
@@ -399,7 +423,7 @@ def _assert_table_matches_monomials(cls, w):
     unit = wedge_axis(structure_sheaf(n), 0)
     atoms = _dedup_atoms(cls.atoms)
     slot = [atoms.index(a) for a in cls.atoms]
-    joints = _prefix_sums(atoms, n, (), [[()] * n] * n)
+    joints = _prefix_sums(atoms, n, ())
     (terms, row_exps, col_exps, shifts), bound = _grid_plan(cls, unit, unit, atoms, joints, w)
     lo, hi = _exponent_hull(cls, w)
     assert bound == hi - lo
