@@ -34,9 +34,13 @@ Three pushforward paths:
   valued walk's steps, so its atom leaves the walk's keys.
 
 * a zeta route, the Chow-side Euler characteristic of K-classes: their
-  zeta images are pushed forward along t = q*w; the integer samples at
-  q = 1, 2, ... (one exact division each) are read off at q = 0 by
-  binomial weights, with three verification samples per class.
+  zeta images are pushed forward along t = q*w.  A class's scaled
+  numerator N(q) is a sum of products of powers of 1 + q w_i, whose
+  coefficients are all nonnegative, so N(1) with every coefficient made
+  positive is a height H bounding N's coefficients, and they are read
+  exactly off N(2^K), 2^(K - 1) > H, as its digits in balanced base 2^K.
+  N must be q^(n - 1) D'(w) times an integer polynomial, whose value at
+  q = 0 is chi.
 
 All three walk prefix sets: `_prefix_sums` sums over chains S_1 < ... <
 S_n, growing each atom's value one element at a time, so no permutation
@@ -873,49 +877,6 @@ def forward_differences(values, degree_bound):
     return out
 
 
-def _extrapolate_back(values, degree_bound):
-    """P(q0 - 1) = sum_i (-1)^i binom(B + 1, i + 1) P(q0 + i), from samples P(q0), P(q0 + 1), ...
-
-    P has degree <= B = degree_bound, so every difference of order B + 1
-    vanishes, the one at q0 - 1 too.  Every sample past the first B + 1
-    verifies the bound: the order-(B + 1) difference of each B + 2
-    consecutive samples, a dot product with the signed binomial row, must
-    vanish, else InconsistentSamples.  The same reads as the alternating sum
-    of forward_differences, at O(B) per sample instead of an O(B^2) table.
-    """
-    back, check = _binomial_rows(degree_bound)
-    for j in range(len(values) - degree_bound - 1):
-        if sum(map(operator.mul, check, values[j : j + degree_bound + 2])):
-            raise InconsistentSamples(
-                f"order-{degree_bound + 1} differences of the samples do not vanish"
-            )
-    return sum(map(operator.mul, back, values))
-
-
-@functools.lru_cache(maxsize=64)
-def _binomial_rows(degree_bound):
-    """(back, check): the weights of _extrapolate_back's read-off and of its checks.
-
-    back[i] = (-1)^i binom(k, i + 1) for i < k = B + 1, and check[i] =
-    (-1)^(k - i) binom(k, i) for i <= k.
-    """
-    k = degree_bound + 1
-    back = tuple((-1) ** i * math.comb(k, i + 1) for i in range(k))
-    check = tuple((-1) ** (k - i) * math.comb(k, i) for i in range(k + 1))
-    return back, check
-
-
-def _escalating(read_off, bound):
-    """read_off(bound), retried once at 2*bound + 1 if the samples exceed the bound."""
-    try:
-        return read_off(bound)
-    except InconsistentSamples:
-        try:
-            return read_off(2 * bound + 1)
-        except InconsistentSamples as exc:
-            raise InterpolationInconsistent(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # zeta route
 # ---------------------------------------------------------------------------
@@ -928,19 +889,18 @@ def integrate_inhomogeneous(kclasses, *, rng):
     prod_{i != sigma(n)} (1 + t_i) of the corank-one tautological dual and
     the scale prod_i (1 + t_i)^pole is an integer polynomial at every fixed
     point.  Along t = q*w (w a shuffle of 1..n+1, so no 1 + t_i vanishes)
-    the denominator is q^n times the adjacent w-differences, and the scaled
-    pushforward is an integer polynomial in q of degree at most
-    pole*(n+1) plus the largest monomial degree.  One prefix-set walk over
-    the union of the classes' atoms and -Delta (the last element), at one drawn w,
-    serves every class; each gets its integer samples at q = 1, 2, ... by
-    exact division, and binomial weights read off q = 0 (_extrapolate_back).
+    the denominator is q^n times the adjacent w-differences, so the
+    numerator N(q), summed over the fixed points and scaled by their product
+    D'(w) (_pairwise_diff_product), is q^n D'(w) times an integer polynomial
+    whose value at q = 0 is chi (_zeta_chi).  One prefix-set walk over the
+    union of the classes' atoms and -Delta (the last element), at one drawn
+    w, serves every class.
     """
     ground = kclasses[0].ground
     if any(c.ground != ground for c in kclasses):
         raise ValueError("classes on different ground sets")
     check_guardrail(ground)
     w = tuple(x + 1 for x in sample_weight(ground, rng))
-    dprime = _pairwise_diff_product(w)
     nabla = simplex_pair(ground)[1]
     atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms) + (nabla,))
     (acc,) = _prefix_sums(atoms, ground, [_point_steps(w)])
@@ -952,7 +912,7 @@ def integrate_inhomogeneous(kclasses, *, rng):
         # the zeta monomial and one Chern factor for every i but sigma(n), so
         # e = m + 1 + v with v = -e_sigma(n) the vertex of -Delta
         terms = {}
-        pole = posdeg = 0
+        pole = 0
         sums = {}
         for joint, a in acc.items():
             by_last = sums.setdefault(tuple(joint[i] for i in sl), {})
@@ -960,29 +920,40 @@ def integrate_inhomogeneous(kclasses, *, rng):
         for key, by_last in sums.items():
             for c, mono in kcls.monomials(key):
                 pole = max(pole, sum(-x for x in mono if x < 0))
-                posdeg = max(posdeg, sum(mono))
                 up = [x + 1 for x in mono]
                 for v, a in by_last.items():
                     e = tuple(map(operator.add, up, v))
                     terms[e] = terms.get(e, 0) + a * c
-
-        def sample(q):
-            bases = [1 + q * wi for wi in w]
-            num = 0
-            for e, c in terms.items():
-                for b, x in zip(bases, e):
-                    c *= b ** (x + pole)
-                num += c
-            val, rem = divmod(num, q ** (ground - 1) * dprime)
-            if rem:
-                raise NonIntegral(f"zeta pushforward of {kcls.name} at q={q} is not an integer")
-            return val
-
-        def read_off(bound):
-            return _extrapolate_back([sample(q) for q in range(1, bound + 5)], bound)
-
-        out.append(_escalating(read_off, pole * ground + posdeg))
+        out.append(_zeta_chi(terms, pole, w, kcls.name))
     return out
+
+
+def _zeta_chi(terms, pole, w, name):
+    """[q^(n-1)] N / D'(w) of N(q) = sum_e terms[e] prod_i (1 + q w_i)^(e_i + pole), w > 0.
+
+    n = len(w).  Every power of 1 + q w_i has nonnegative coefficients, so
+    every |[q^j] N| is at most H = sum_e |terms[e]| prod_i (1 + w_i)^(e_i +
+    pole), N(1) with each coefficient made positive.  With K =
+    _kronecker_bits(H), 2^(K - 1) > H, N's coefficients are the digits of
+    N(2^K) in balanced base 2^K, read off exactly from one evaluation.  N
+    must be q^(n - 1) D'(w) times an integer polynomial P (the pushforward
+    lies in Z[t]): every digit below q^(n - 1) must vanish and every digit
+    divide by D'(w), else NonIntegral.  The result is P(0).
+    """
+    n = len(w)
+    dprime = _pairwise_diff_product(w)
+
+    def value(q, coeffs):
+        return sum(
+            c * math.prod((1 + q * wi) ** (x + pole) for wi, x in zip(w, e))
+            for e, c in zip(terms, coeffs)
+        )
+
+    bits = _kronecker_bits(value(1, map(abs, terms.values())))
+    digits = _balanced_digits(value(1 << bits, terms.values()), bits) + [0] * n
+    if any(digits[: n - 1]) or any(d % dprime for d in digits):
+        raise NonIntegral(f"zeta pushforward of {name} is not an integer polynomial")
+    return digits[n - 1] // dprime
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ with an ordered tuple of variable names.  Coefficients are stored as given:
 ints stay ints under + - * and substitution, and a Rat appears only where a
 division made one: psi_inverse (the rational Cameron-Fink polynomial Q_M),
 "p/q" input, and the public interpolate_univariate, which no computation
-path calls (the library reads polynomials off integer samples by binomial
-weights and forward differences, `engine._extrapolate_back` and
-`engine.forward_differences`, or off one integer's digits,
-`engine._grid_interpolate`).  The canonical term order used for
-serialization and rendering is graded lexicographic (total degree first).
+path calls (the library reads polynomials off one integer's digits,
+`engine._grid_interpolate` and `engine._zeta_chi`, or off integer samples
+by forward differences, `engine.forward_differences`).  The canonical
+term order used for serialization and rendering is graded lexicographic
+(total degree first).
 Also houses exact univariate Lagrange interpolation, the binomial-basis
 transform sending binom(t,i)binom(u,j) -> x^i y^j, and the log-concave
 unbroken-array test for coefficient arrays of homogeneous polynomials.

@@ -6,6 +6,7 @@ library computes by a faster route, so the tests can compare the two.
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from operator import sub
 
 from tautmat.engine import (
@@ -13,7 +14,6 @@ from tautmat.engine import (
     _kronecker_grid,
     _numerator_height,
     _prefix_sums,
-    forward_differences,
     sample_eval_point,
     sample_weight,
 )
@@ -205,16 +205,6 @@ def lagrange_at(samples, x):
     return total
 
 
-def extrapolate_back_reference(values, degree_bound):
-    """P(q0 - 1) = sum_k (-1)^k Delta^k P(q0), from the table of forward differences.
-
-    The oracle for `engine._extrapolate_back`; forward_differences raises
-    InconsistentSamples unless every difference above the bound vanishes.
-    """
-    diffs = forward_differences(values, degree_bound)
-    return sum(-d if k & 1 else d for k, d in enumerate(diffs))
-
-
 def unfolded_euler_char_grid(base, rows, cols, *, rng):
     """`engine.euler_char_grid` with base's atom kept in the walk's keys.
 
@@ -287,6 +277,22 @@ def zeta_monomial_value(mono, tpoint):
         if e:
             val = val * (1 + Fraction(tpoint[i])) ** e
     return val
+
+
+def zeta_numerator(terms, pole, w):
+    """The coefficients of N(q) = sum_e terms[e] prod_i (1 + q w_i)^(e_i + pole), lowest first.
+
+    The oracle for `engine._zeta_chi`: each product expanded one factor
+    1 + q w_i at a time.
+    """
+    out = [0]
+    for e, c in terms.items():
+        poly = [c]
+        for wi, x in zip(w, e):
+            for _ in range(x + pole):
+                poly = [a + wi * b for a, b in zip(poly + [0], [0] + poly)]
+        out = [a + b for a, b in zip_longest(out, poly, fillvalue=0)]
+    return out
 
 
 def induced_subpermutation(sigma, subset_mask):

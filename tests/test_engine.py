@@ -23,10 +23,10 @@ from tautmat.engine import (
     integrate_inhomogeneous,
     fixed_point_compatibility_check,
     forward_differences,
-    _extrapolate_back,
     _pairwise_diff_product,
     _point_steps,
     _prefix_sums,
+    _zeta_chi,
     power_axis,
     power_series,
     wedge_axis,
@@ -59,11 +59,11 @@ from tautmat.rat import Rat
 from reference import (
     alpha_beta_twist,
     chi_reference,
-    extrapolate_back_reference,
     graded_reference,
     grid_classes,
     localization_denominator,
     zeta_monomial_value,
+    zeta_numerator,
 )
 
 
@@ -488,23 +488,6 @@ def _poly_values(coeffs, q0, count):
     st.integers(-6, 6),
 )
 @settings(max_examples=60, deadline=None)
-def test_extrapolate_back_matches_lagrange(bound_coeffs, q0):
-    degree_bound, coeffs = bound_coeffs
-    values = _poly_values(coeffs, q0, degree_bound + 4)
-    samples = [(q0 + j, v) for j, v in enumerate(values)]
-    expected = interpolate_univariate(samples, degree_bound).evaluate({"q": Rat(q0 - 1)})
-    assert _extrapolate_back(values, degree_bound) == expected
-
-
-@given(
-    st.integers(0, 12).flatmap(
-        lambda d: st.tuples(
-            st.just(d), st.lists(st.integers(-10**6, 10**6), max_size=d + 1)
-        )
-    ),
-    st.integers(-6, 6),
-)
-@settings(max_examples=60, deadline=None)
 def test_forward_differences_are_newton_coefficients(bound_coeffs, q0):
     # P(q0 + k) = sum_i binom(k, i) Delta^i P(q0) at every sample, verifying
     # ones included: the coefficients in the binomial basis that cf_check
@@ -515,56 +498,10 @@ def test_forward_differences_are_newton_coefficients(bound_coeffs, q0):
     assert len(diffs) == degree_bound + 1
     for k, v in enumerate(values):
         assert sum(math.comb(k, i) * d for i, d in enumerate(diffs)) == v
-
-
-@given(
-    st.integers(0, 12).flatmap(
-        lambda d: st.tuples(
-            st.just(d),
-            st.lists(st.integers(-100, 100), min_size=d + 1, max_size=d + 1),
-            st.integers(-100, 100).filter(bool),
-        )
-    ),
-    st.integers(-6, 6),
-)
-@settings(max_examples=60, deadline=None)
-def test_extrapolate_back_rejects_higher_degree(bound_coeffs_lead, q0):
-    degree_bound, coeffs, lead = bound_coeffs_lead
-    values = _poly_values(coeffs + [lead], q0, degree_bound + 4)
+    # a term of degree B + 1 leaves a difference of order B + 1 that does not vanish
+    lead = [v + (q0 + k) ** (degree_bound + 1) for k, v in enumerate(values)]
     with pytest.raises(InconsistentSamples):
-        _extrapolate_back(values, degree_bound)
-
-
-@given(
-    st.integers(0, 12).flatmap(
-        lambda d: st.tuples(
-            st.just(d),
-            st.lists(st.integers(-10**6, 10**6), min_size=d + 1, max_size=d + 1),
-            st.integers(-3, 3),
-        )
-    ),
-    st.integers(-6, 6),
-    st.data(),
-)
-@settings(max_examples=200, deadline=None)
-def test_binomial_read_off_matches_difference_table(bound_coeffs_lead, q0, data):
-    # on polynomials of degree up to B + 1, one sample maybe corrupted: the
-    # binomial weights read the same value as the table of differences, and
-    # raise InconsistentSamples on exactly the same inputs
-    degree_bound, coeffs, lead = bound_coeffs_lead
-    values = _poly_values(coeffs + [lead], q0, degree_bound + 4)
-    if data.draw(st.booleans()):
-        values[data.draw(st.integers(0, len(values) - 1))] += data.draw(
-            st.integers(-5, 5).filter(bool)
-        )
-
-    def read(extrapolate):
-        try:
-            return extrapolate(values, degree_bound)
-        except InconsistentSamples:
-            return InconsistentSamples
-
-    assert read(_extrapolate_back) == read(extrapolate_back_reference)
+        forward_differences(lead, degree_bound)
 
 
 def _zeta_reference(kcls):
@@ -651,36 +588,6 @@ def test_integrate_graded_makes_one_walk(rng, monkeypatch, u24):
     assert table_sets == [2]
 
 
-def test_integrate_inhomogeneous_escalation_fails_cleanly(rng, monkeypatch):
-    # verification fails at the degree bound and again after escalation
-    bounds = []
-
-    def inconsistent(values, degree_bound):
-        bounds.append(degree_bound)
-        raise InconsistentSamples("forced")
-
-    monkeypatch.setattr(tautmat.engine, "_extrapolate_back", inconsistent)
-    with pytest.raises(InterpolationInconsistent):
-        integrate_inhomogeneous([line_bundle(simplex(2))], rng=rng)
-    # T_{sigma(1)}^{-1} on P^1: pole 1 on two coordinates, bound 2, then 2*2 + 1
-    assert bounds == [2, 5]
-
-
-def test_integrate_inhomogeneous_bounds_each_class(rng, monkeypatch):
-    # a batch reads each class off at its own degree bound
-    bounds = []
-    real = tautmat.engine._extrapolate_back
-
-    def recording(values, degree_bound):
-        bounds.append(degree_bound)
-        return real(values, degree_bound)
-
-    monkeypatch.setattr(tautmat.engine, "_extrapolate_back", recording)
-    got = integrate_inhomogeneous([line_bundle(simplex(2)), structure_sheaf(2)], rng=rng)
-    assert got == [_zeta_reference(line_bundle(simplex(2))), 1]
-    assert bounds == [2, 0]
-
-
 def _corrupted_s_class(m):
     # [S_M] with one fixed point replaced by a non-adjacent set
     good = s_class(m)
@@ -741,10 +648,57 @@ def test_every_route_enforces_the_guardrail(monkeypatch):
         integrate_graded(n, [power_series(alpha_class(n), "x")], rng=random.Random(0))
 
 
-def test_zeta_route_rejects_non_gkm_class(rng, u24):
-    # a class failing the fixed-point congruences has no integral pushforward
+@pytest.mark.parametrize("seed", range(12))
+def test_zeta_route_rejects_non_gkm_class(seed, u24):
+    # a class failing the fixed-point congruences has no integral pushforward:
+    # the zeta route alone rejects it along the w of every seed, those at
+    # which the character route reads a chi included
     with pytest.raises(NonIntegral):
-        chi_via_zeta(_corrupted_s_class(u24), rng=rng)
+        chi_via_zeta(_corrupted_s_class(u24), rng=random.Random(seed))
     # in a batch, the bad class still fails its own integrality check
     with pytest.raises(NonIntegral):
-        integrate_inhomogeneous([s_class(u24), _corrupted_s_class(u24)], rng=rng)
+        integrate_inhomogeneous([s_class(u24), _corrupted_s_class(u24)], rng=random.Random(seed))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_zeta_read_off_matches_expansion(data):
+    # N(q) = sum_e terms[e] prod_i (1 + q w_i)^(e_i + pole), read off one
+    # evaluation at q = 2^K, against N expanded term by term: chi is
+    # [q^(n-1)] N / D', and NonIntegral is raised exactly when a coefficient
+    # below q^(n-1) is nonzero or one does not divide by D'
+    n = data.draw(st.integers(1, 6))
+    w = tuple(data.draw(st.permutations(range(1, n + 1))))
+    pole = data.draw(st.integers(0, 2))
+    exps = st.tuples(*[st.integers(-pole, 3 - pole)] * n)
+    terms = data.draw(st.dictionaries(exps, st.integers(-10**4, 10**4), max_size=5))
+    dprime = _pairwise_diff_product(w)
+    if data.draw(st.booleans()):
+        # subtract, in the powers of 1 + q w_0 alone, the part of w_0^d N
+        # that keeps N from being q^(n-1) D' times an integer polynomial,
+        # then a drawn multiple of q^(n-1) D' and a slip at one degree
+        # >= n - 1 that D' need not divide
+        coeffs = zeta_numerator(terms, pole, w) + [0] * n
+        d = len(coeffs) - 1
+        rest = [c if j < n - 1 else c % dprime for j, c in enumerate(coeffs)]
+        rest[n - 1] += dprime * data.draw(st.integers(-50, 50))
+        rest[data.draw(st.integers(n - 1, d))] += data.draw(st.integers(-2, 2))
+        terms = {e: c * w[0] ** d for e, c in terms.items()}
+        for j, r in enumerate(rest):
+            # w_0^d r q^j = r w_0^(d - j) (u - 1)^j with u = 1 + q w_0
+            for k in range(j + 1):
+                e = (k - pole,) + (-pole,) * (n - 1)
+                c = r * w[0] ** (d - j) * math.comb(j, k) * (-1) ** (j - k)
+                terms[e] = terms.get(e, 0) - c
+    if data.draw(st.booleans()):
+        # scale so that the height H sits just below a power of two
+        height = sum(zeta_numerator({e: abs(c) for e, c in terms.items()}, pole, w))
+        if height:
+            top = (1 << height.bit_length() + data.draw(st.integers(0, 3))) - 1
+            terms = {e: c * (top // height) for e, c in terms.items()}
+    coeffs = zeta_numerator(terms, pole, w) + [0] * n
+    if any(coeffs[: n - 1]) or any(c % dprime for c in coeffs):
+        with pytest.raises(NonIntegral):
+            _zeta_chi(terms, pole, w, "drawn")
+    else:
+        assert _zeta_chi(terms, pole, w, "drawn") == coeffs[n - 1] // dprime
