@@ -729,14 +729,16 @@ def _grid_plan(base, rows, cols, atoms, joints, w):
                 terms.append((rc, e - lb, nonzero))
     row_hulls = [[rows.hull(es, a) for a in range(rows.size)] for es in row_exps]
     col_hulls = [[cols.hull(es, b) for b in range(cols.size)] for es in col_exps]
+    pair_hulls = [
+        (min(by_e), max(by_e), row_hulls[r], col_hulls[c]) for (r, c), by_e in by_pair.items()
+    ]
     shifts = [[0] * cols.size for _ in range(rows.size)]
     bound = 0
     for a, b in itertools.product(range(rows.size), range(cols.size)):
         ends = [
-            (min(by_e) + row_hulls[r][a][0] + col_hulls[c][b][0],
-             max(by_e) + row_hulls[r][a][1] + col_hulls[c][b][1])
-            for (r, c), by_e in by_pair.items()
-            if row_hulls[r][a] and col_hulls[c][b]
+            (lo + rh[a][0] + ch[b][0], hi + rh[a][1] + ch[b][1])
+            for lo, hi, rh, ch in pair_hulls
+            if rh[a] and ch[b]
         ]
         if ends:
             lo = min(lo for lo, _ in ends)

@@ -105,38 +105,48 @@ class GenPermutohedron:
             prev = cur
         return tuple(coords)
 
-    def count_lattice_points(self):
+    def count_lattice_points(self, memo=None):
         """Exact number of integer points, counted without listing them.
 
         The points are the integer x with x(S) <= rk(S) for every S and
-        x(E) = rk(E).  The walk fixes one coordinate per level.  Once
-        x_0..x_{i-1} are fixed, what is left to count depends only on the
-        state (remaining, b): the sum still to place, and the table
-        b(T) = min over fixed m of rk(m | T) - x(m) for T within
-        {i..n-1}, indexed with coordinate i as bit 0.  Fixing x_i = v maps
-        b to b'(t) = min(b[2t], b[2t+1] - v): the subsets without i and
-        with it.  v ranges from remaining - b[-2] (the later coordinates
-        must fit) to b[1] (which keeps b'[0] >= 0, every facet on fixed
-        coordinates alone).  The last coordinate takes what remains, which
-        fits iff remaining <= b[1].  The completions of a state do not depend
-        on the prefix that reached it, so a level is a dict {state: ways}, the
-        number of prefixes reaching each state, and level i + 1 is built
-        from level i alone: only two levels are held at a time.
+        x(E) = rk(E).  Once x_0..x_{i-1} are fixed, what is left to count
+        depends only on the table b(T) = min over fixed m of rk(m | T) - x(m)
+        for T within {i..n-1}, indexed with coordinate i as bit 0; its last
+        entry is the sum still to place.  Fixing x_i = v maps b to b'(t) =
+        min(b[2t], b[2t+1] - v): the subsets without i and with it.  v ranges
+        from b[-1] - b[-2] (the later coordinates must fit, which keeps
+        b'[-1] = b[-1] - v) to b[1] (which keeps b'[0] >= 0, every facet on
+        fixed coordinates alone).  The count is the backward recursion
+        count(b) = sum over v of count(b'), which ends at the last two
+        coordinates: x_{n-1} = b[3] - v fits iff v >= b[3] - b[2], so there
+        are max(0, b[1] + b[2] - b[3] + 1) points.
+
+        memo maps tables b to their counts.  A table alone fixes its
+        completions: its length gives the coordinates left, and it holds
+        every facet they still meet.  So a key means the same count whatever
+        polytope or prefix reached it, and one memo may serve many
+        polytopes, as it serves the Cameron-Fink grid (invariants.cf_check).
+        Without one, each call uses a fresh dict.
         """
         check_guardrail(self.n_elements)
-        n = self.n_elements
-        if n == 0:
+        if self.n_elements < 2:
             return 1
-        level = {(self.rk[-1], tuple(self.rk)): 1}
-        for _ in range(n - 1):
-            nxt = {}
-            for (remaining, b), ways in level.items():
-                pairs = tuple(zip(b[0::2], b[1::2]))
-                for v in range(remaining - b[-2], b[1] + 1):
-                    key = (remaining - v, tuple([e if e < o - v else o - v for e, o in pairs]))
-                    nxt[key] = nxt.get(key, 0) + ways
-            level = nxt
-        return sum(ways for (remaining, b), ways in level.items() if remaining <= b[1])
+        return _count_completions(tuple(self.rk), {} if memo is None else memo)
+
+
+def _count_completions(b, memo):
+    """count(b) of GenPermutohedron.count_lattice_points, b of length >= 4."""
+    if len(b) == 4:
+        return max(0, b[1] + b[2] - b[3] + 1)
+    ways = memo.get(b)
+    if ways is None:
+        pairs = tuple(zip(b[0::2], b[1::2]))
+        ways = sum(
+            _count_completions(tuple([e if e < o - v else o - v for e, o in pairs]), memo)
+            for v in range(b[-1] - b[-2], b[1] + 1)
+        )
+        memo[b] = ways
+    return ways
 
 
 def _check_submodular(n_elements, rk):

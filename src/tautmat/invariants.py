@@ -392,7 +392,9 @@ def cf_check(m: Matroid, t_max=None, u_max=None, *, rng, jobs=1) -> CfReport:
 
     Q_M(t, u) is sampled on the grid 0..t_max x 0..u_max (default n each)
     both as chi(O(t alpha + u beta) det S^v) and as the number of lattice
-    points of P(M) + t*nabla + u*Delta; the samples must agree.  Psi maps
+    points of P(M) + t*nabla + u*Delta; the samples must agree.  The grid's
+    polytopes share one memo of lattice-count states (count_lattice_points),
+    made for this call and dropped with it.  Psi maps
     binom(t,i) binom(u,j) to x^i y^j, so Psi(Q_M) is read off in integers:
     its x^i y^j coefficient is the forward difference Delta_t^i Delta_u^j
     Q_M(0, 0), i, j <= n.  Differences of higher order must vanish, else
@@ -416,10 +418,11 @@ def cf_check(m: Matroid, t_max=None, u_max=None, *, rng, jobs=1) -> CfReport:
         rng=rng,
     )
     grid = {}
+    memo = {}
     for t, u in itertools.product(ts, us):
         chi = chis[u][t]
         poly = pm + nabla.dilate(t) + delta.dilate(u)
-        count = poly.count_lattice_points()
+        count = poly.count_lattice_points(memo)
         if count != chi:
             raise CountMismatch(
                 f"Q_{{{m!r}}}({t},{u}): chi {chi} != lattice count {count}"

@@ -18,6 +18,7 @@ unbroken-array test for coefficient arrays of homogeneous polynomials.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from functools import lru_cache
 
@@ -422,29 +423,41 @@ def psi_transform(poly, var_map=(("t", "x"), ("u", "y"))):
 
 
 def psi_inverse(poly, var_map=(("t", "x"), ("u", "y"))):
-    """Inverse of psi_transform: x^i y^j -> binom(t,i)binom(u,j)."""
+    """Inverse of psi_transform: x^i y^j -> binom(t,i)binom(u,j).
+
+    binom(t, i) is the falling factorial t(t-1)...(t-i+1) over i!, written
+    over the common denominator top!, top the largest exponent of its
+    variable: times top!/i! its coefficients are integers.  So each
+    coefficient of the result is an integer sum over one denominator, the
+    product of the tops' factorials, made a Rat once.  The variables come in
+    merge_vars order.
+    """
     var_map = tuple(var_map)
     src = tuple(v for v, _ in var_map)
     dst = tuple(v for _, v in var_map)
     p = poly.with_vars(merge_vars(poly.vars, dst))
     idx = [p.vars.index(v) for v in dst]
-    out = SparsePoly.zero(src)
+    tops = [max((exp[k] for exp in p.terms), default=0) for k in idx]
+    # rows[k][i]: (degree, coefficient) of binom(v_k, i) times tops[k]!
+    rows = [
+        [
+            [(d, c * (math.factorial(top) // math.factorial(i)))
+             for d, c in enumerate(_falling_factorial_coeffs(i)) if c]
+            for i in range(top + 1)
+        ]
+        for top in tops
+    ]
+    sums = {}
     for exp, c in p.terms.items():
         for j, v in enumerate(p.vars):
             if v not in dst and exp[j]:
                 raise VariableMismatch(f"unexpected variable {v!r} in psi_inverse input")
-        term = SparsePoly.constant(c, src)
-        for v, i in zip(src, (exp[k] for k in idx)):
-            coeffs = _falling_factorial_coeffs(i)
-            fact = 1
-            for m in range(2, i + 1):
-                fact *= m
-            binom = SparsePoly(
-                (v,), {(d,): Rat(cc, fact) for d, cc in enumerate(coeffs) if cc}
-            )
-            term = term * binom
-        out = out + term
-    return out
+        for combo in itertools.product(*(row[exp[k]] for row, k in zip(rows, idx))):
+            e = tuple(d for d, _ in combo)
+            sums[e] = sums.get(e, 0) + c * math.prod(cc for _, cc in combo)
+    den = math.prod(math.factorial(top) for top in tops)
+    out = SparsePoly(src, {e: Rat(s, den) for e, s in sums.items() if s})
+    return out.with_vars(merge_vars(src, ()))
 
 
 # ---------------------------------------------------------------------------

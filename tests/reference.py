@@ -29,7 +29,13 @@ from tautmat.kclass import (
 )
 from tautmat.matroid import Matroid, bits, popcount
 from tautmat.perms import all_perms
-from tautmat.poly import SparsePoly, interpolate_univariate
+from tautmat.poly import (
+    SparsePoly,
+    VariableMismatch,
+    _falling_factorial_coeffs,
+    interpolate_univariate,
+    merge_vars,
+)
 from tautmat.tutte import beta_pair
 
 
@@ -526,3 +532,50 @@ def lattice_count_reference(p):
         return count
 
     return descend(0, total)
+
+
+def level_walk_count(p):
+    """Integer points of p by a level-by-level walk over the slice states.
+
+    The state after fixing x_0..x_{i-1} is (remaining, b): the sum still
+    to place and the table b of GenPermutohedron.count_lattice_points.  The
+    walk goes forward: a level is a dict {state: ways}, the number of
+    prefixes reaching each state, and level i + 1 is built from level i
+    alone.  The last coordinate takes what remains, which fits iff
+    remaining <= b[1].
+    """
+    n = p.n_elements
+    if n == 0:
+        return 1
+    level = {(p.rk[-1], tuple(p.rk)): 1}
+    for _ in range(n - 1):
+        nxt = {}
+        for (remaining, b), ways in level.items():
+            pairs = tuple(zip(b[0::2], b[1::2]))
+            for v in range(remaining - b[-2], b[1] + 1):
+                key = (remaining - v, tuple([e if e < o - v else o - v for e, o in pairs]))
+                nxt[key] = nxt.get(key, 0) + ways
+        level = nxt
+    return sum(ways for (remaining, b), ways in level.items() if remaining <= b[1])
+
+
+def psi_inverse_reference(poly, var_map=(("t", "x"), ("u", "y"))):
+    """poly.psi_inverse term by term: each x^i y^j becomes a product of binomial polynomials."""
+    src = tuple(v for v, _ in var_map)
+    dst = tuple(v for _, v in var_map)
+    p = poly.with_vars(merge_vars(poly.vars, dst))
+    idx = [p.vars.index(v) for v in dst]
+    out = SparsePoly.zero(src)
+    for exp, c in p.terms.items():
+        for j, v in enumerate(p.vars):
+            if v not in dst and exp[j]:
+                raise VariableMismatch(f"unexpected variable {v!r} in psi_inverse input")
+        term = SparsePoly.constant(c, src)
+        for v, i in zip(src, (exp[k] for k in idx)):
+            coeffs = _falling_factorial_coeffs(i)
+            binom = SparsePoly(
+                (v,), {(d,): Fraction(cc, math.factorial(i)) for d, cc in enumerate(coeffs) if cc}
+            )
+            term = term * binom
+        out = out + term
+    return out

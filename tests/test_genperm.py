@@ -16,7 +16,7 @@ from tautmat.genperm import (
 )
 from tautmat.matroid import Matroid, bits, mask_of, popcount, uniform
 
-from reference import coordinate_bounds, lattice_count_reference
+from reference import coordinate_bounds, lattice_count_reference, level_walk_count
 from test_walk import small_matroids
 
 
@@ -128,9 +128,10 @@ def test_lattice_points_match_brute_force():
 
 
 @st.composite
-def cf_grid_polytopes(draw):
-    """Minkowski sums of dilated P(U_{r,n}), Delta_S and -Delta on n = 1..5."""
-    n = draw(st.integers(1, 5))
+def cf_grid_polytopes(draw, n=None):
+    """Minkowski sums of dilated P(U_{r,n}), Delta_S and -Delta on n = 1..5, or on n given."""
+    if n is None:
+        n = draw(st.integers(1, 5))
     summands = st.one_of(
         st.integers(0, n).map(lambda r: base_polytope(uniform(r, n))),
         st.integers(1, (1 << n) - 1).map(lambda s: simplex(n, s)),
@@ -143,9 +144,13 @@ def cf_grid_polytopes(draw):
 
 
 @st.composite
-def raw_tables(draw):
-    """Arbitrary small tables, submodular or not: the count must still be exact."""
-    n = draw(st.integers(1, 4))
+def raw_tables(draw, n=None):
+    """Arbitrary small tables on n = 1..4, or on n given, submodular or not.
+
+    The count must still be exact.
+    """
+    if n is None:
+        n = draw(st.integers(1, 4))
     rk = draw(st.lists(st.integers(-1, 3), min_size=(1 << n) - 1, max_size=(1 << n) - 1))
     return GenPermutohedron(n, [0] + rk, validate=False)
 
@@ -159,19 +164,48 @@ def raw_tables(draw):
 @example(GenPermutohedron(2, [0, 0, 0, 1], validate=False))
 @example(GenPermutohedron(3, [0, 1, 0, 0, 1, 1, 0, 2], validate=False))
 def test_lattice_count_matches_brute_force(p):
-    assert p.count_lattice_points() == len(brute_force_points(p))
+    expected = len(brute_force_points(p))
+    assert p.count_lattice_points() == expected
+    assert level_walk_count(p) == expected
+
+
+@st.composite
+def polytope_sequences(draw):
+    """Polytopes on one ground size n = 1..5, grid-like and (n <= 4) raw tables mixed."""
+    n = draw(st.integers(1, 5))
+    kinds = st.one_of(cf_grid_polytopes(n), raw_tables(n)) if n <= 4 else cf_grid_polytopes(n)
+    return draw(st.lists(kinds, min_size=2, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polytope_sequences())
+@example([simplex(3).dilate(2), GenPermutohedron(3, [0, 1, 0, 0, 1, 1, 0, 2], validate=False),
+          simplex(3).dilate(2) + simplex(3).negate()])
+def test_shared_memo_counts_every_polytope(polytopes):
+    # one memo serves the whole sequence, as one serves a Cameron-Fink grid:
+    # a table met before, from another polytope, must still count right
+    memo = {}
+    for p in polytopes:
+        expected = len(brute_force_points(p))
+        assert p.count_lattice_points(memo) == expected
+        assert level_walk_count(p) == expected
 
 
 @pytest.mark.parametrize("name", ["uniform_2_5", "k4"])
 def test_lattice_count_matches_depth_first_walk(name):
-    # every polytope P(M) + t*nabla + u*Delta of the Cameron-Fink grid, t, u <= n
+    # every polytope P(M) + t*nabla + u*Delta of the Cameron-Fink grid, t, u <= n,
+    # counted through one memo as cf_check counts them
     m = builtin_matroid(name)
     n1 = m.n_elements
     pm, nabla, delta = base_polytope(m), simplex(n1).negate(), simplex(n1)
+    memo = {}
     for t in range(n1):
         for u in range(n1):
             p = pm + nabla.dilate(t) + delta.dilate(u)
-            assert p.count_lattice_points() == lattice_count_reference(p)
+            expected = lattice_count_reference(p)
+            assert p.count_lattice_points(memo) == expected
+            assert level_walk_count(p) == expected
+    assert memo
 
 
 def test_guardrail(monkeypatch):

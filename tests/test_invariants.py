@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -30,7 +31,12 @@ from tautmat.invariants import (
     valuativity_demo,
 )
 import tautmat.invariants as invariants
-from reference import all_chains, comb_weight_reference, geometric_weight_reference
+from reference import (
+    all_chains,
+    comb_weight_reference,
+    geometric_weight_reference,
+    psi_inverse_reference,
+)
 from tautmat.kclass import restrict_to_chain, structure_sheaf
 from tautmat.matroid import FlagMatroid, higgs_lift, matroid_from_bases, uniform
 from tautmat.poly import SparsePoly, logconcave_unbroken_check
@@ -226,6 +232,34 @@ def test_cf_u24(rng, u24):
     repd = cf_check(u24.dual(), rng=rng)
     for (t, u), v in rep.grid.items():
         assert repd.grid[u, t] == v
+
+
+def test_cf_memo_lives_for_one_call(rng, monkeypatch, u24):
+    # one call's counts share one memo, which starts empty; the next call
+    # makes another, and nothing outside the call keeps either
+    real_count = invariants.GenPermutohedron.count_lattice_points
+    memos = []
+
+    def count(poly, memo=None):
+        if not memos or memos[-1] is not memo:
+            assert memo == {}
+            memos.append(memo)
+        return real_count(poly, memo)
+
+    monkeypatch.setattr(invariants.GenPermutohedron, "count_lattice_points", count)
+    first = cf_check(u24, rng=rng)
+    assert cf_check(u24, rng=rng).grid == first.grid
+    assert len(memos) == 2 and memos[0] is not memos[1]
+    assert all(memos)
+    for i in range(2):
+        assert gc.get_referrers(memos[i]) == [memos]
+
+
+@pytest.mark.parametrize("name", ["uniform_1_2", "uniform_2_4", "uniform_2_5", "k4", "fano"])
+def test_q_poly_matches_term_by_term_psi_inverse(rng, name):
+    # the same coefficients and the same variable order, so the same bytes
+    rep = cf_check(builtin_matroid(name), rng=rng)
+    assert rep.q_poly.to_json() == psi_inverse_reference(rep.psi_image).to_json()
 
 
 def test_cf_psi_identity_u12(rng):

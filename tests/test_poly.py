@@ -16,6 +16,8 @@ from tautmat.poly import (
 )
 from tautmat.rat import Rat, parse_rat, rat_str
 
+from reference import psi_inverse_reference
+
 
 def P(vars, terms):
     return SparsePoly(vars, {e: Rat(c) for e, c in terms.items()})
@@ -223,7 +225,9 @@ def test_psi_bijection_on_random_polys():
                 rng.randrange(-30, 30), rng.randrange(1, 4)
             )
         p = SparsePoly(("t", "u"), terms)
-        assert psi_inverse(psi_transform(p)) == p
+        psi = psi_transform(p)
+        assert psi_inverse(psi) == p
+        assert psi_inverse(psi).to_json() == psi_inverse_reference(psi).to_json()
 
 
 # -- log-concave unbroken arrays ---------------------------------------------
