@@ -33,14 +33,13 @@ Three pushforward paths:
   (det S^v under the twists, a line bundle alone) is folded into the
   valued walk's steps, so its atom leaves the walk's keys.
 
-* a zeta route, the Chow-side Euler characteristic of K-classes: their
-  zeta images are pushed forward along t = q*w.  A class's scaled
-  numerator N(q) is a sum of products of powers of 1 + q w_i, whose
-  coefficients are all nonnegative, so N(1) with every coefficient made
-  positive is a height H bounding N's coefficients, and they are read
-  exactly off N(2^K), 2^(K - 1) > H, as its digits in balanced base 2^K.
-  N must be q^(n - 1) D'(w) times an integer polynomial, whose value at
-  q = 0 is chi.
+* a zeta route, the Chow-side Euler characteristic of the same grids:
+  zeta images T_i -> 1 + t_i are pushed forward along t = q*w.  A point's
+  scaled numerator N(q) is the same bilinear form, in powers of 1 + q w_i,
+  whose coefficients are nonnegative, so the form at q = 1 with every
+  coefficient made positive bounds N's, and they are read exactly off
+  N(2^K) as its digits in balanced base 2^K.  N must be q^(n - 1) D'(w)
+  times an integer polynomial, whose value at q = 0 is chi.
 
 All three walk prefix sets: `_prefix_sums` sums over chains S_1 < ... <
 S_n, growing each atom's value one element at a time, so no permutation
@@ -527,12 +526,16 @@ class GridAxis:
         self.size = top + 1
         self.wedge = wedge
 
+    def roots(self, key):
+        """The roots' exponent vectors m at an atom key of cls."""
+        ms = _root_vectors(self.cls, key)
+        if not self.wedge and len(ms) != 1:
+            raise ValueError(f"{self.cls.name} is not a line bundle")
+        return ms
+
     def exponents(self, key, w):
         """The roots' exponents m.w at an atom key of cls, ascending."""
-        es = sorted(sum(map(operator.mul, m, w)) for m in _root_vectors(self.cls, key))
-        if not self.wedge and len(es) != 1:
-            raise ValueError(f"{self.cls.name} is not a line bundle")
-        return es
+        return sorted(sum(map(operator.mul, m, w)) for m in self.roots(key))
 
     def width(self, key):
         """The most monomials of any E_k at an atom key of cls: C(m, k) for m roots, 1 for L^k."""
@@ -572,21 +575,21 @@ def euler_char_grid(base, rows, cols, *, rng):
     """[[chi(base * R_a * C_b) for C_b in cols] for R_a in rows], rows and cols GridAxes.
 
     One drawn w serves the whole grid.  The point (a, b) is shifted by
-    q^{-lo}, [lo, hi] the hull of the exponents m.w of every monomial of
-    kc_product(base, R_a, C_b), cancelled or not, so its character is an
-    integer polynomial P_ab in q of degree at most hi - lo: every term 1/(1
-    - q^delta) expands with support >= lo at q -> 0 and <= hi at q -> oo,
-    and the sum is a Laurent polynomial.  The grid shares B = max(hi - lo).
+    q^{-lo}, [lo, hi] the hull of the exponents m.w of every product of a
+    monomial of base, of R_a and of C_b, cancelled or not, so its character
+    is an integer polynomial P_ab in q of degree at most hi - lo: every term
+    1/(1 - q^delta) expands with support >= lo at q -> 0 and <= hi at q ->
+    oo, and the sum is a Laurent polynomial.  The grid shares B = max(hi -
+    lo).
     A value-free walk lists the joint keys, from which the hulls are read,
     and one valued walk at q = Q = 2^K carries a single integer per key
     (_chi_walk).  No product class is built: the valued walk's sums times
-    base's value are summed once per (row key, column key) pair, reduced
-    over column keys once per column index b into Y[row key][b], and the
-    numerator Num_ab(Q) = dq(Q) Q^s P_ab(Q) at (a, b) is the sum over row
-    keys of R_a's value times Y, R_a's value an elementary symmetric
-    function or a power of the roots Q^{m.w}.  A base that is a vertex
-    class no axis reads is folded into the valued walk (_fold_base), as in
-    the Cameron-Fink grid and a single line bundle.
+    base's value are summed once per (row key, column key) pair, and the
+    numerator Num_ab(Q) = dq(Q) Q^s P_ab(Q) at (a, b) is a bilinear form in
+    those sums (_bilinear_grid) and R_a's and C_b's values, each an
+    elementary symmetric function or a power of the roots Q^{m.w}.  A base
+    that is a vertex class no axis reads is folded into the valued walk
+    (_fold_base), as in the Cameron-Fink grid and a single line bundle.
 
     The read-off is exact (_grid_interpolate), under two bounds.  K is the
     least integer with 2^(K - 1) > A, where A bounds every coefficient of
@@ -698,10 +701,10 @@ def _grid_plan(base, rows, cols, atoms, joints, w):
     coefficient), ...)): the summed coefficient of base's monomials of
     shifted exponent e at each joint key of row key r and column key c,
     zero sums left out.  row_exps[r] and col_exps[c] are the shifted root
-    exponents.  The hull [lo, hi] of point (a, b) spans every monomial of
-    kc_product(base, R_a, C_b), cancelled or not, and is (0, 0) if there is
-    none; B = max(hi - lo).  Scaled by q^-(lb + a*lr + b*lc), the sum at
-    (a, b) is its character times q^-lo times q^shifts[a][b].
+    exponents.  The hull [lo, hi] of point (a, b) spans every product of a
+    monomial of base, of R_a and of C_b, cancelled or not, and is (0, 0)
+    if there is none; B = max(hi - lo).  Scaled by q^-(lb + a*lr + b*lc),
+    the sum at (a, b) is its character times q^-lo times q^shifts[a][b].
     """
     slots = [_getter([atoms.index(a) for a in cls.atoms]) for cls in (base, rows.cls, cols.cls)]
     row_keys, col_keys, base_exps = {}, {}, {}
@@ -793,23 +796,15 @@ def _grid_interpolate(walk, ground, w, rows, cols, plan, bound, bits, height):
     for rc, e, coeffs in terms:
         v = sum(acc[j] if c == 1 else c * acc[j] for j, c in coeffs)
         pair_sums[rc] = pair_sums.get(rc, 0) + (v << bits * e)
+    rvals = [rows.values([1 << bits * e for e in es]) for es in row_exps]
     cvals = [cols.values([1 << bits * e for e in es]) for es in col_exps]
-    ys = [[0] * cols.size for _ in row_exps]
-    for (r, c), p in pair_sums.items():
-        if p:
-            y = ys[r]
-            for b, v in enumerate(cvals[c]):
-                y[b] += p * v
-    # per row index a, R_a at every row key; per column index b, Y at every row key
-    by_row = list(zip(*(rows.values([1 << bits * e for e in es]) for es in row_exps)))
-    by_col = list(zip(*ys))
     dq_coeffs = _dq_coefficients(w)
     dq_height = max(map(abs, dq_coeffs))
     out = []
-    for rv, row_shifts in zip(by_row, shifts):
+    for nums, row_shifts in zip(_bilinear_grid(pair_sums, rvals, cvals, cols.size), shifts):
         row = []
-        for y, s in zip(by_col, row_shifts):
-            num, rem = divmod(sum(map(operator.mul, rv, y)), dq << bits * s)
+        for x, s in zip(nums, row_shifts):
+            num, rem = divmod(x, dq << bits * s)
             if rem:
                 raise NonIntegral(
                     f"scaled character at q=2^{bits} is not divisible by the common denominator"
@@ -825,6 +820,22 @@ def _grid_interpolate(walk, ground, w, rows, cols, plan, bound, bits, height):
             row.append(p)
         out.append(row)
     return out
+
+
+def _bilinear_grid(pair_sums, rvals, cvals, size):
+    """[[sum_{r, c} rvals[r][a] pair_sums[r, c] cvals[c][b] for b < size] for each a].
+
+    rvals[r] and cvals[c] are an axis's classes at the roots of key r or c.
+    Reduced over c once per b into Y[r][b], each point is one dot product.
+    """
+    ys = [[0] * size for _ in rvals]
+    for (r, c), p in pair_sums.items():
+        if p:
+            y = ys[r]
+            for b, v in enumerate(cvals[c]):
+                y[b] += p * v
+    by_col = list(zip(*ys))
+    return [[sum(map(operator.mul, rv, y)) for y in by_col] for rv in zip(*rvals)]
 
 
 def _balanced_digits(x, bits):
@@ -884,77 +895,84 @@ def forward_differences(values, degree_bound):
 # ---------------------------------------------------------------------------
 
 
-def integrate_inhomogeneous(kclasses, *, rng):
-    """chi of K-classes on one ground set: Chow-side pushforwards of zeta images at t = 0.
+def integrate_inhomogeneous(base, rows, cols, *, rng):
+    """The grid of euler_char_grid by the zeta route: Chow-side pushforwards at t = 0.
 
     zeta substitutes T_i -> 1 + t_i; the image times the total Chern class
-    prod_{i != sigma(n)} (1 + t_i) of the corank-one tautological dual and
-    the scale prod_i (1 + t_i)^pole is an integer polynomial at every fixed
-    point.  Along t = q*w (w a shuffle of 1..n+1, so no 1 + t_i vanishes)
-    the denominator is q^n times the adjacent w-differences, so the
-    numerator N(q), summed over the fixed points and scaled by their product
-    D'(w) (_pairwise_diff_product), is q^n D'(w) times an integer polynomial
-    whose value at q = 0 is chi (_zeta_chi).  One prefix-set walk over the
-    union of the classes' atoms and -Delta (the last element), at one drawn
-    w, serves every class.
+    prod_{i != sigma(n)} (1 + t_i) of the corank-one tautological dual is
+    pushed forward along t = q*w (w a shuffle of 1..n), where a fixed
+    point's denominator is q^(n - 1) d_sigma(w).  One walk over the atoms
+    and -Delta, whose vertex places the Chern factor, sums D'(w)/d_sigma(w)
+    per joint key.  zeta is a ring map, so N_ab(q) is a bilinear form in the
+    zeta images prod_i (1 + q w_i)^{m_i}, each exponent raised by the least
+    k making it nonnegative (_lift): that scales the pushforward by prod_i
+    (1 + t_i)^k, 1 at t = 0.  The form at q = 1, with the sums and base's
+    coefficients made positive, is a height H bounding N_ab's coefficients,
+    and N_ab is read off at q = 2^K, 2^(K - 1) > H (_zeta_read_off).
     """
-    ground = kclasses[0].ground
-    if any(c.ground != ground for c in kclasses):
+    ground = base.ground
+    if any(c.ground != ground for c in (rows.cls, cols.cls)):
         raise ValueError("classes on different ground sets")
     check_guardrail(ground)
     w = tuple(x + 1 for x in sample_weight(ground, rng))
     nabla = simplex_pair(ground)[1]
-    atoms = _dedup_atoms(tuple(a for c in kclasses for a in c.atoms) + (nabla,))
+    atoms = _dedup_atoms(base.atoms + rows.cls.atoms + cols.cls.atoms + (nabla,))
     (acc,) = _prefix_sums(atoms, ground, [_point_steps(w)])
     ilast = atoms.index(nabla)
-    out = []
-    for kcls in kclasses:
-        sl = tuple(atoms.index(a) for a in kcls.atoms)
-        # terms[e] = coefficient of prod_i (1 + t_i)^(e_i + pole) in the numerator:
-        # the zeta monomial and one Chern factor for every i but sigma(n), so
-        # e = m + 1 + v with v = -e_sigma(n) the vertex of -Delta
-        terms = {}
-        pole = 0
-        sums = {}
-        for joint, a in acc.items():
-            by_last = sums.setdefault(tuple(joint[i] for i in sl), {})
-            by_last[joint[ilast]] = by_last.get(joint[ilast], 0) + a
-        for key, by_last in sums.items():
-            for c, mono in kcls.monomials(key):
-                pole = max(pole, sum(-x for x in mono if x < 0))
-                up = [x + 1 for x in mono]
-                for v, a in by_last.items():
-                    e = tuple(map(operator.add, up, v))
-                    terms[e] = terms.get(e, 0) + a * c
-        out.append(_zeta_chi(terms, pole, w, kcls.name))
-    return out
+    slots = [_getter([atoms.index(a) for a in cls.atoms]) for cls in (base, rows.cls, cols.cls)]
+    row_keys, col_keys = {}, {}
+    by_pair = {}  # (r, c) -> {e: summed coefficient of prod_i (1 + t_i)^e_i}
+    for joint, a in acc.items():
+        bkey, rkey, ckey = (s(joint) for s in slots)
+        rc = (row_keys.setdefault(rkey, len(row_keys)), col_keys.setdefault(ckey, len(col_keys)))
+        terms = by_pair.setdefault(rc, {})
+        # the Chern factor: 1 + t_i for every i but sigma(n), where -Delta's vertex is -1
+        chern = [1 + x for x in joint[ilast]]
+        for c, m in base.monomials(bkey):
+            e = tuple(map(operator.add, m, chern))
+            terms[e] = terms.get(e, 0) + a * c
+    row_roots = [rows.roots(k) for k in row_keys]
+    col_roots = [cols.roots(k) for k in col_keys]
+    kb = _lift(e for terms in by_pair.values() for e in terms)
+    kr, kc = (_lift(m for ms in roots for m in ms) for roots in (row_roots, col_roots))
 
-
-def _zeta_chi(terms, pole, w, name):
-    """[q^(n-1)] N / D'(w) of N(q) = sum_e terms[e] prod_i (1 + q w_i)^(e_i + pole), w > 0.
-
-    n = len(w).  Every power of 1 + q w_i has nonnegative coefficients, so
-    every |[q^j] N| is at most H = sum_e |terms[e]| prod_i (1 + w_i)^(e_i +
-    pole), N(1) with each coefficient made positive.  With K =
-    _kronecker_bits(H), 2^(K - 1) > H, N's coefficients are the digits of
-    N(2^K) in balanced base 2^K, read off exactly from one evaluation.  N
-    must be q^(n - 1) D'(w) times an integer polynomial P (the pushforward
-    lies in Z[t]): every digit below q^(n - 1) must vanish and every digit
-    divide by D'(w), else NonIntegral.  The result is P(0).
-    """
-    n = len(w)
-    dprime = _pairwise_diff_product(w)
-
-    def value(q, coeffs):
-        return sum(
-            c * math.prod((1 + q * wi) ** (x + pole) for wi, x in zip(w, e))
-            for e, c in zip(terms, coeffs)
+    def form(q, sign):
+        zeta = functools.cache(
+            lambda m, k: math.prod((1 + q * wi) ** (x + k) for wi, x in zip(w, m))
         )
+        pair_sums = {
+            rc: sum(sign(c) * zeta(e, kb) for e, c in terms.items())
+            for rc, terms in by_pair.items()
+        }
+        rvals = [rows.values([zeta(m, kr) for m in ms]) for ms in row_roots]
+        cvals = [cols.values([zeta(m, kc) for m in ms]) for ms in col_roots]
+        return _bilinear_grid(pair_sums, rvals, cvals, cols.size)
 
-    bits = _kronecker_bits(value(1, map(abs, terms.values())))
-    digits = _balanced_digits(value(1 << bits, terms.values()), bits) + [0] * n
+    bits = _kronecker_bits(max(map(max, form(1, abs))))
+    dprime = _pairwise_diff_product(w)
+    return [
+        [
+            _zeta_read_off(num, bits, ground, dprime, f"({a}, {b}) of {base.name}")
+            for b, num in enumerate(row)
+        ]
+        for a, row in enumerate(form(1 << bits, operator.pos))
+    ]
+
+
+def _lift(vectors):
+    """The least k >= 0 with every entry of every vector at least -k."""
+    return max(0, -min((x for m in vectors for x in m), default=0))
+
+
+def _zeta_read_off(num, bits, n, dprime, name):
+    """P(0) of N = q^(n - 1) D' P from num = N(2^bits), N's coefficients below 2^(bits - 1).
+
+    Every digit below q^(n - 1) must vanish and every digit divide by D' =
+    dprime, else NonIntegral.
+    """
+    digits = _balanced_digits(num, bits) + [0] * n
     if any(digits[: n - 1]) or any(d % dprime for d in digits):
-        raise NonIntegral(f"zeta pushforward of {name} is not an integer polynomial")
+        raise NonIntegral(f"zeta pushforward at {name} is not an integer polynomial")
     return digits[n - 1] // dprime
 
 

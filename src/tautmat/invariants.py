@@ -32,9 +32,7 @@ from .kclass import (
     beta_class,
     det_s_dual,
     dual_class,
-    exterior_power,
     kc_negate,
-    kc_product,
     kc_sum,
     line_bundle,
     q_class,
@@ -299,8 +297,11 @@ def chi_via_zeta(kcls: KClassLoc, *, rng):
     The zeta image of the class times the equivariant total Chern class of
     the corank-one tautological dual is pushed forward with the Chow-side
     localization formula; the value at t = 0 is the Euler characteristic.
+    The class is a 1x1 grid with both axes wedge^0 O = 1, as in
+    euler_char_many.
     """
-    return integrate_inhomogeneous([kcls], rng=rng)[0]
+    unit = wedge_axis(structure_sheaf(kcls.ground), 0)
+    return integrate_inhomogeneous(kcls, unit, unit, rng=rng)[0][0]
 
 
 def chi_both_routes(kcls: KClassLoc, *, rng):
@@ -322,41 +323,24 @@ def _wedge_axes(m: Matroid):
     return wedge_axis(s_class(m), m.rank_value), wedge_axis(dual_class(q_class(m)), m.corank)
 
 
-def fs_classes(m: Matroid):
-    """[det S^v][wedge^i S][wedge^j Q^v] for 0<=i<=r, 0<=j<=crk, the classes of fs_tutte's grid.
-
-    Each power is built once, so every product that shares it shares its
-    per-key monomial cache.
-    """
-    det = det_s_dual(m)
-    s = s_class(m)
-    qd = dual_class(q_class(m))
-    ws = [exterior_power(s, i) for i in range(m.rank_value + 1)]
-    wq = [exterior_power(qd, j) for j in range(m.corank + 1)]
-    return {
-        (i, j): kc_product(det, wsi, wqj)
-        for i, wsi in enumerate(ws)
-        for j, wqj in enumerate(wq)
-    }
-
-
 def fs_tutte(m: Matroid, *, rng, jobs=1, zeta_check=False) -> SparsePoly:
     """Tutte polynomial assembled from Euler characteristics.
 
     T(u, v) = sum chi([det S^v][wedge^i S][wedge^j Q^v]) (u-1)^i (v-1)^j,
-    computed as one character grid (optionally cross-checked against the
-    zeta route on fs_classes) and verified against deletion-contraction.
+    computed as one character grid and verified against
+    deletion-contraction.  With zeta_check the zeta route reads the same
+    grid, and the two must agree at every point (i, j).
     """
     del jobs  # ignored; kept only because bench/worker.py passes jobs=1
-    grid = euler_char_grid(det_s_dual(m), *_wedge_axes(m), rng=rng)
+    base, axes = det_s_dual(m), _wedge_axes(m)
+    grid = euler_char_grid(base, *axes, rng=rng)
     chis = {(i, j): chi for i, row in enumerate(grid) for j, chi in enumerate(row)}
     if zeta_check:
-        classes = fs_classes(m)
-        pairs = sorted(classes)
-        zetas = integrate_inhomogeneous([classes[p] for p in pairs], rng=rng)
-        for p, zz in zip(pairs, zetas):
-            if zz != chis[p]:
-                raise ChiRouteMismatch(f"fs class {p}: chi {chis[p]} vs zeta {zz}")
+        zetas = integrate_inhomogeneous(base, *axes, rng=rng)
+        for i, row in enumerate(zetas):
+            for j, zz in enumerate(row):
+                if zz != chis[i, j]:
+                    raise ChiRouteMismatch(f"fs class {(i, j)}: chi {chis[i, j]} vs zeta {zz}")
     u1 = SparsePoly(("u", "v"), {(1, 0): 1, (0, 0): -1})
     v1 = SparsePoly(("u", "v"), {(0, 1): 1, (0, 0): -1})
     out = SparsePoly.zero(("u", "v"))

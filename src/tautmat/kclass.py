@@ -15,7 +15,6 @@ giving c Chern roots m.t (engine.GradedFactor).
 
 from __future__ import annotations
 
-import itertools
 import operator
 from functools import lru_cache
 
@@ -164,46 +163,6 @@ def kc_negate(cls: KClassLoc) -> KClassLoc:
         return [(-c, m) for c, m in cls.monomials(key)]
 
     return KClassLoc(cls.ground, cls.atoms, mono, name=f"-({cls.name})")
-
-
-def kc_product(*classes) -> KClassLoc:
-    ground = classes[0].ground
-    atoms = _dedup_atoms(tuple(a for c in classes for a in c.atoms))
-    factors = tuple((c, tuple(atoms.index(a) for a in c.atoms)) for c in classes)
-
-    def mono(key):
-        acc = [(1, _zero(ground))]
-        for c, sl in factors:
-            factor = c.monomials(tuple(key[i] for i in sl))
-            acc = [
-                (ca * cb, tuple(map(operator.add, ma, mb)))
-                for ca, ma in acc
-                for cb, mb in factor
-            ]
-        return acc
-
-    return KClassLoc(ground, atoms, mono, name="*".join(c.name for c in classes))
-
-
-def exterior_power(cls: KClassLoc, j: int) -> KClassLoc:
-    """j-th exterior power; requires all localization signs to be +1."""
-
-    def mono(key):
-        ms = []
-        for c, m in cls.monomials(key):
-            if c < 0 or c != int(c):
-                raise MixedSigns(f"exterior power of a class with sign {c}")
-            ms.extend([m] * int(c))
-        out = []
-        for combo in itertools.combinations(range(len(ms)), j):
-            tot = [0] * cls.ground
-            for i in combo:
-                for p, x in enumerate(ms[i]):
-                    tot[p] += x
-            out.append((1, tuple(tot)))
-        return out
-
-    return KClassLoc(cls.ground, cls.atoms, mono, name=f"wedge^{j}({cls.name})")
 
 
 def det_class(cls: KClassLoc) -> KClassLoc:

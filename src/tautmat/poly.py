@@ -6,7 +6,7 @@ ints stay ints under + - * and substitution, and a Rat appears only where a
 division made one: psi_inverse (the rational Cameron-Fink polynomial Q_M),
 "p/q" input, and the public interpolate_univariate, which no computation
 path calls (the library reads polynomials off one integer's digits,
-`engine._grid_interpolate` and `engine._zeta_chi`, or off integer samples
+`engine._grid_interpolate` and `engine._zeta_read_off`, or off integer samples
 by forward differences, `engine.forward_differences`).  The canonical
 term order used for serialization and rendering is graded lexicographic
 (total degree first).

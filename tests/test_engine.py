@@ -25,8 +25,9 @@ from tautmat.engine import (
     forward_differences,
     _pairwise_diff_product,
     _point_steps,
+    _kronecker_bits,
     _prefix_sums,
-    _zeta_chi,
+    _zeta_read_off,
     power_axis,
     power_series,
     wedge_axis,
@@ -40,9 +41,7 @@ from tautmat.kclass import (
     cremona,
     det_s_dual,
     dual_class,
-    exterior_power,
     kc_negate,
-    kc_product,
     kc_sum,
     line_bundle,
     q_class,
@@ -50,7 +49,7 @@ from tautmat.kclass import (
     structure_sheaf,
 )
 from tautmat.genperm import DEFAULT_GUARDRAIL, GuardrailExceeded, base_polytope, simplex
-from tautmat.invariants import cf_check, chi_both_routes, chi_via_zeta, fs_classes, fs_tutte
+from tautmat.invariants import cf_check, chi_both_routes, chi_via_zeta, fs_tutte
 from tautmat.matroid import matroid_from_bases, uniform
 from tautmat.perms import all_perms
 from tautmat.poly import InconsistentSamples, SparsePoly, interpolate_univariate
@@ -59,8 +58,11 @@ from tautmat.rat import Rat
 from reference import (
     alpha_beta_twist,
     chi_reference,
+    exterior_power,
+    fs_classes,
     graded_reference,
     grid_classes,
+    kc_product,
     localization_denominator,
     zeta_monomial_value,
     zeta_numerator,
@@ -275,7 +277,7 @@ def test_euler_batch_matches_single(rng, u24):
 def test_euler_char_many_matches_per_permutation_reference(rng, u24):
     classes = [structure_sheaf(n1) for n1 in (1, 2, 3, 4)]
     classes += [line_bundle(simplex(2)), line_bundle(base_polytope(u24))]
-    classes += list(fs_classes(u24).values())
+    classes += fs_classes(u24)
     classes.append(cremona(kc_product(det_s_dual(u24), exterior_power(s_class(u24), 1))))
     # one call per ground set, as euler_char_many requires
     for ground in sorted({c.ground for c in classes}):
@@ -465,7 +467,7 @@ def test_one_sided_exponent_hull_matches_reference(rng, u24, monkeypatch):
     # the dual above 0, so at one pinned w the shift q^-lo_c lowers some
     # classes' exponents and raises others'
     points = [line_bundle(simplex(4, 1 << i)) for i in range(4)]
-    below = [kc_product(c, *points, *points) for c in fs_classes(u24).values()]
+    below = [kc_product(c, *points, *points) for c in fs_classes(u24)]
     above = [dual_class(c) for c in below]
     w = tautmat.engine.sample_weight(4, rng)
     monkeypatch.setattr(tautmat.engine, "sample_weight", lambda n, rng: w)
@@ -530,24 +532,32 @@ def _zeta_reference(kcls):
 
 
 def test_integrate_inhomogeneous_matches_per_permutation_reference(rng, u24):
-    # ground 1 is the single fixed point with empty products
-    classes = [structure_sheaf(n1) for n1 in (1, 2, 3)] + list(fs_classes(u24).values())
+    # each class as a 1x1 grid with both axes wedge^0 O = 1; ground 1 is
+    # the single fixed point with empty products
+    classes = [structure_sheaf(n1) for n1 in (1, 2, 3)] + fs_classes(u24)
     for cls in classes:
-        assert integrate_inhomogeneous([cls], rng=rng) == [_zeta_reference(cls)]
+        unit = wedge_axis(structure_sheaf(cls.ground), 0)
+        assert integrate_inhomogeneous(cls, unit, unit, rng=rng) == [[_zeta_reference(cls)]]
 
 
 def test_integrate_inhomogeneous_batch_matches_per_class_reference(rng, u24):
-    # one walk over the union of the atoms (basis, vmin, first, last) serves
-    # every class, each read off with its own degree bound
-    classes = [
-        structure_sheaf(4),
-        line_bundle(base_polytope(u24)),
-        alpha_beta_twist(4, 1, 2),
-        *fs_classes(u24).values(),
+    # one walk over the atoms of base and axes and -Delta serves every point
+    # of a grid, each read off the same evaluation: wedge axes whose roots
+    # need no lift (S) and a lift of 1 (Q^v), twist axes of one root, and
+    # bases of zero, one and two atoms
+    s, qd = s_class(u24), dual_class(q_class(u24))
+    grids = [
+        (structure_sheaf(4), wedge_axis(s, 2), wedge_axis(qd, 2)),
+        (line_bundle(base_polytope(u24)), wedge_axis(qd, 1), power_axis(beta_class(4), 1)),
+        (alpha_beta_twist(4, 1, 2), power_axis(alpha_class(4), 2), wedge_axis(s, 1)),
+        (det_s_dual(u24), wedge_axis(s, 2), wedge_axis(qd, 2)),
     ]
-    assert integrate_inhomogeneous(classes, rng=rng) == [_zeta_reference(c) for c in classes]
+    for base, rows, cols in grids:
+        zeta = integrate_inhomogeneous(base, rows, cols, rng=rng)
+        assert [z for row in zeta for z in row] == list(map(_zeta_reference, grid_classes(base, rows, cols)))
+    unit = wedge_axis(structure_sheaf(4), 0)
     with pytest.raises(ValueError):
-        integrate_inhomogeneous([structure_sheaf(3), structure_sheaf(4)], rng=rng)
+        integrate_inhomogeneous(structure_sheaf(3), unit, unit, rng=rng)
 
 
 def test_zeta_check_makes_one_walk(rng, monkeypatch):
@@ -655,18 +665,20 @@ def test_zeta_route_rejects_non_gkm_class(seed, u24):
     # which the character route reads a chi included
     with pytest.raises(NonIntegral):
         chi_via_zeta(_corrupted_s_class(u24), rng=random.Random(seed))
-    # in a batch, the bad class still fails its own integrality check
+    # as the base of a grid, whose point (0, 0) is the class alone
+    rows, cols = wedge_axis(s_class(u24), 2), wedge_axis(dual_class(q_class(u24)), 2)
     with pytest.raises(NonIntegral):
-        integrate_inhomogeneous([s_class(u24), _corrupted_s_class(u24)], rng=random.Random(seed))
+        integrate_inhomogeneous(_corrupted_s_class(u24), rows, cols, rng=random.Random(seed))
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_zeta_read_off_matches_expansion(data):
-    # N(q) = sum_e terms[e] prod_i (1 + q w_i)^(e_i + pole), read off one
-    # evaluation at q = 2^K, against N expanded term by term: chi is
-    # [q^(n-1)] N / D', and NonIntegral is raised exactly when a coefficient
-    # below q^(n-1) is nonzero or one does not divide by D'
+    # N(q) = sum_e terms[e] prod_i (1 + q w_i)^(e_i + pole), a zeta grid
+    # point's numerator, read off one evaluation at q = 2^K, 2^(K - 1) above
+    # N(1) with every coefficient made positive, against N expanded term by
+    # term: chi is [q^(n-1)] N / D', and NonIntegral is raised exactly when
+    # a coefficient below q^(n-1) is nonzero or one does not divide by D'
     n = data.draw(st.integers(1, 6))
     w = tuple(data.draw(st.permutations(range(1, n + 1))))
     pole = data.draw(st.integers(0, 2))
@@ -696,9 +708,17 @@ def test_zeta_read_off_matches_expansion(data):
         if height:
             top = (1 << height.bit_length() + data.draw(st.integers(0, 3))) - 1
             terms = {e: c * (top // height) for e, c in terms.items()}
+    def value(q, coeffs):
+        return sum(
+            c * math.prod((1 + q * wi) ** (x + pole) for wi, x in zip(w, e))
+            for e, c in zip(terms, coeffs)
+        )
+
+    bits = _kronecker_bits(value(1, map(abs, terms.values())))
+    num = value(1 << bits, terms.values())
     coeffs = zeta_numerator(terms, pole, w) + [0] * n
     if any(coeffs[: n - 1]) or any(c % dprime for c in coeffs):
         with pytest.raises(NonIntegral):
-            _zeta_chi(terms, pole, w, "drawn")
+            _zeta_read_off(num, bits, n, dprime, "drawn")
     else:
-        assert _zeta_chi(terms, pole, w, "drawn") == coeffs[n - 1] // dprime
+        assert _zeta_read_off(num, bits, n, dprime, "drawn") == coeffs[n - 1] // dprime

@@ -15,9 +15,7 @@ from tautmat.kclass import (
     det_class,
     det_s_dual,
     dual_class,
-    exterior_power,
     kc_negate,
-    kc_product,
     kc_sum,
     line_bundle,
     q_class,
@@ -36,7 +34,9 @@ from reference import (
     alpha_beta_twist,
     direct_sum,
     direct_sum_check,
+    exterior_power,
     induced_subpermutation,
+    kc_product,
     zeta_monomial_value,
 )
 from test_walk import small_matroids

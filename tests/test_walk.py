@@ -36,7 +36,7 @@ from tautmat.engine import (
     wedge_axis,
 )
 from tautmat.genperm import base_polytope, simplex
-from tautmat.invariants import fs_classes
+from tautmat.invariants import chi_via_zeta
 from tautmat.kclass import (
     _dedup_atoms,
     alpha_class,
@@ -45,7 +45,6 @@ from tautmat.kclass import (
     det_s_dual,
     dual_class,
     kc_negate,
-    kc_product,
     kc_sum,
     line_bundle,
     q_class,
@@ -60,9 +59,11 @@ from reference import (
     alpha_beta_twist,
     balanced_digits,
     chi_reference,
+    fs_classes,
     graded_reference,
     grid_classes,
     increment_values,
+    kc_product,
     scan_character_sums,
     scan_class_sums,
     scan_pair_products,
@@ -357,7 +358,7 @@ def _class_pool(m):
     """fs classes, alpha-beta twists times det S^v, line bundles and Cremona images."""
     n = m.n_elements
     p = base_polytope(m)
-    fs = list(fs_classes(m).values())
+    fs = fs_classes(m)
     twists = [kc_product(alpha_beta_twist(n, t, u), det_s_dual(m)) for t in range(2) for u in range(2)]
     bundles = [line_bundle(p), line_bundle(p + simplex(n))]
     return fs + twists + bundles + [cremona(c) for c in (fs[-1], twists[-1], bundles[-1])]
@@ -392,7 +393,7 @@ def test_euler_char_many_matches_reference_and_zeta_route(m, data, seed):
     with _recorded_weights() as weights, _recorded_reads() as reads:
         chis = euler_char_many(batch, rng=random.Random(seed))
     assert chis == [chi_reference(c) for c in batch]
-    assert chis == integrate_inhomogeneous(batch, rng=random.Random(seed))
+    assert chis == [chi_via_zeta(c, rng=random.Random(seed)) for c in batch]
     bounds = [hi - lo for lo, hi in map(_exponent_hull, batch, weights)]
     unit = wedge_axis(structure_sheaf(m.n_elements), 0)
     per_class = split_reads(reads)
@@ -480,7 +481,7 @@ def _assert_grid_matches_singles(base, rows, cols, seed, oracle):
     random.Random(seed) draws: the same values as oracle(classes), the grid
     read at one bound B from its first K on, each single at its own B_c <=
     B from its own first K on, the largest B_c is B, and every P_ab has
-    the single's degree."""
+    the single's degree.  Returns the grid."""
     classes = grid_classes(base, rows, cols)
     with _pinned_weight(sample_weight(base.ground, random.Random(seed))):
         with _recorded_reads() as grid_reads:
@@ -500,16 +501,18 @@ def _assert_grid_matches_singles(base, rows, cols, seed, oracle):
     ]
     assert max(reads[0][1] for reads in singles) == bound
     assert list(degrees) == [d for (d,) in single_degrees]
+    return grid
 
 
 @given(small_matroids(), st.data(), st.integers(0, 2**16))
 @settings(max_examples=40, deadline=None)
 def test_euler_char_grid_matches_class_list(m, data, seed):
     # every grid entry against the kc_product of base, row class and column
-    # class read off alone at the same w and against the zeta route (the
-    # reference's Fraction interpolation takes about 12 s on the 81 twist
-    # classes of U_{3,6} with axes up to 8); twist axes run up to n + 2,
-    # above the degree n of the Cameron-Fink polynomial
+    # class read off alone at the same w and by the zeta route one class at
+    # a time (the reference's Fraction interpolation takes about 12 s on
+    # the 81 twist classes of U_{3,6} with axes up to 8), and the zeta
+    # grid against the character grid; twist axes run up to n + 2, above
+    # the degree n of the Cameron-Fink polynomial
     n = m.n_elements
     twist_top = st.integers(0, n + 2)
     axes = [
@@ -522,9 +525,10 @@ def test_euler_char_grid_matches_class_list(m, data, seed):
     bases = [det_s_dual(m), structure_sheaf(n), line_bundle(base_polytope(m) + simplex(n))]
     base = bases[data.draw(st.integers(0, len(bases) - 1))]
     rows, cols = (axes[data.draw(st.integers(0, len(axes) - 1))]() for _ in range(2))
-    _assert_grid_matches_singles(
-        base, rows, cols, seed, lambda cs: integrate_inhomogeneous(cs, rng=random.Random(seed))
+    grid = _assert_grid_matches_singles(
+        base, rows, cols, seed, lambda cs: [chi_via_zeta(c, rng=random.Random(seed)) for c in cs]
     )
+    assert integrate_inhomogeneous(base, rows, cols, rng=random.Random(seed)) == grid
 
 
 def test_euler_char_grid_of_the_cf_and_fs_grids():
