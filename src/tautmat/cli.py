@@ -96,7 +96,6 @@ def build_parser():
     sp = common(sub.add_parser("lvt", help="Las Vergnas Tutte polynomial of a morphism"))
     sp.add_argument("matroids", nargs=2, help="quotient then matroid")
     sp = common(sub.add_parser("check", help="run the full cross-validation ledger"))
-    sp.add_argument("--corpus", default="builtin", choices=("builtin",))
     sp.add_argument("--max-elements", type=int, default=8)
     sp.add_argument("--only", nargs="*", default=None, help="restrict to ledger sections by prefix")
     common(sub.add_parser("corpus", help="list builtin corpus names"))

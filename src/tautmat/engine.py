@@ -25,13 +25,10 @@ Three pushforward paths:
   digits in balanced base 2^K.  K is set a priori by a bound A on the
   coefficients of P's numerator, and the read-off is proven by bounding
   those of P times dq, or rerun at 2K.  Every chi is a point of a grid of
-  classes base * R_a * C_b (`euler_char_grid`): the Cameron-Fink twists
-  beta^u alpha^t, the Fink-Speyer wedges wedge^i S wedge^j Q^v, or a single
-  class with both axes wedge^0 O = 1 (`euler_char_many`).  A point's numerator
-  is a bilinear form in the axes' values at the roots Q^{m.w}, so no
-  product class is built.  A base that is a vertex class no axis reads
-  (det S^v under the twists, a line bundle alone) is folded into the
-  valued walk's steps, so its atom leaves the walk's keys.
+  classes base * R_a * C_b (`euler_char_grid`): the Fink-Speyer wedges
+  wedge^i S wedge^j Q^v, or a single class with both axes wedge^0 O = 1
+  (`euler_char_many`).  A point's numerator is a bilinear form in the
+  axes' values at the roots Q^{m.w}, so no product class is built.
 
 * a zeta route, the Chow-side Euler characteristic of the same grids:
   zeta images T_i -> 1 + t_i are pushed forward along t = q*w.  A point's
@@ -39,7 +36,8 @@ Three pushforward paths:
   whose coefficients are nonnegative, so the form at q = 1 with every
   coefficient made positive bounds N's, and they are read exactly off
   N(2^K) as its digits in balanced base 2^K.  N must be q^(n - 1) D'(w)
-  times an integer polynomial, whose value at q = 0 is chi.
+  times an integer polynomial, whose value at q = 0 is chi.  The
+  Cameron-Fink twists beta^u alpha^t of det S^v are read this way.
 
 All three walk prefix sets: `_prefix_sums` sums over chains S_1 < ... <
 S_n, growing each atom's value one element at a time, so no permutation
@@ -249,7 +247,7 @@ def _point_steps(t):
     return pair, adj + [[1] * len(t)]
 
 
-def _prefix_sums(atoms, ground, tables, fold=None):
+def _prefix_sums(atoms, ground, tables):
     """[{joint atom key: sum over matching sigma of the chain value}, one per table].
 
     A table is (pair, adj).  A permutation's chain value is the product,
@@ -273,11 +271,6 @@ def _prefix_sums(atoms, ground, tables, fold=None):
     has its own level dict; all hold the same keys, so one pass over the
     first's keys steps every table.
 
-    With fold, an atom P is summed over instead of kept in the key: the
-    step that appends e, at increment rk_P(S + e) - rk_P(S) = gains[k] +
-    lo (see _fold_picks), multiplies by adj[a][e + ground * k] instead.  The
-    caller's adj rows carry P's vertex in the chain value, as _chi_walk's do.
-
     With no tables the walk only lists the reachable joint keys, {key: ()};
     keys do not depend on last, so its states are the packed prefixes alone.
     """
@@ -299,11 +292,7 @@ def _prefix_sums(atoms, ground, tables, fold=None):
         return dict.fromkeys(map(decode, level), ())
     lb = ground.bit_length()
     lmask = (1 << lb) - 1
-    picks = frees if fold is None else _fold_picks(fold)[0]
-    moves = [
-        tuple(zip(es, js, (de << lb | e for e, de in zip(es, ds))))
-        for es, js, ds in zip(frees, picks, delta)
-    ]
+    moves = [tuple((e, de << lb | e) for e, de in zip(es, ds)) for es, ds in zip(frees, delta)]
     walks = [(_pair_products(pair, ground), adj) for pair, adj in tables]
     levels = [{ground: 1} for _ in tables]
     for _ in range(ground):
@@ -314,9 +303,9 @@ def _prefix_sums(atoms, ground, tables, fold=None):
             prefix, steps, rest = key ^ a, moves[s], s & ~(1 << a)
             for (prods, adj), level, nxt in zip(walks, levels, nexts):
                 v, row, p = level[key], adj[a], prods[rest]
-                for e, j, mv in steps:
+                for e, mv in steps:
                     k2 = prefix | mv
-                    x = v * (row[j] * p[e])
+                    x = v * (row[e] * p[e])
                     cur = nxt.get(k2)
                     nxt[k2] = x if cur is None else cur + x
         levels = nexts
@@ -361,12 +350,6 @@ def _frees(ground):
     return tuple(tuple(bits(full ^ s)) for s in range(full + 1))
 
 
-def _raw_increments(atom):
-    """incs[S][i] = rk(S + e) - rk(S) for e = frees[S][i]."""
-    rk = atom.rk
-    return [[rk[s | 1 << e] - rk[s] for e in es] for s, es in enumerate(_frees(atom.n_elements))]
-
-
 @functools.lru_cache(maxsize=256)
 def _increments(atom):
     """(incs, lo, width): an atom's increments as _prefix_sums packs them.
@@ -376,32 +359,16 @@ def _increments(atom):
     The cache holds 256 atoms, more than the 180 distinct atoms of a full
     `check`; an entry is 2^n * n ints, about 50 KB at n = 9 with its atom.
     """
-    incs = _raw_increments(atom)
+    rk = atom.rk
+    frees = _frees(atom.n_elements)
+    incs = [[rk[s | 1 << e] - rk[s] for e in es] for s, es in enumerate(frees)]
     lo = min(map(min, incs[:-1]))
     width = (max(map(max, incs[:-1])) - lo).bit_length() or 1
     shifted = tuple(
         tuple((v - lo) << width * e for e, v in zip(es, vs))
-        for es, vs in zip(_frees(atom.n_elements), incs)
+        for es, vs in zip(frees, incs)
     )
     return shifted, lo, width
-
-
-@functools.lru_cache(maxsize=16)
-def _fold_picks(atom):
-    """(picks, gains): the step indices of a walk that folds atom (see _prefix_sums).
-
-    gains are the atom's distinct increments less the least one, ascending,
-    and picks[S][i] = e + n * k for e = frees[S][i] and rk(S + e) - rk(S) -
-    lo = gains[k].
-    """
-    n = atom.n_elements
-    incs = _raw_increments(atom)
-    values = sorted({v for vs in incs[:-1] for v in vs})
-    index = {v: k for k, v in enumerate(values)}
-    picks = tuple(
-        tuple(e + n * index[v] for e, v in zip(es, vs)) for es, vs in zip(_frees(n), incs)
-    )
-    return picks, tuple(v - values[0] for v in values)
 
 
 def _fold_factors(factors, vars, atoms, acc, tstar, cap):
@@ -479,33 +446,26 @@ def euler_char_many(kclasses, *, rng):
     return [euler_char_grid(c, unit, unit, rng=rng)[0][0] for c in kclasses]
 
 
-def _chi_walk(atoms, ground, w, q, fold=None):
+def _chi_walk(atoms, ground, w, q):
     """(acc, dq): the character sums of _prefix_sums at T_i = q^{w_i}, one int per key.
 
     A chain value is dq = prod_{a<b} (q^|w_a - w_b| - 1) times prod 1/(1 -
     q^delta) over the adjacent pairs, delta = w_e - w_b for b just before e:
     a pair b before e multiplies by pair[b][e] = q^|delta| - 1 or, adjacent,
-    by adj[b][e] = -1 if delta > 0, else q^-delta.  With fold, an atom P
-    with least increment lo, appending e at increment lo + g also
-    multiplies by q^{w_e g}, so the chain value carries q^{(v - lo).w} for
-    P's vertex v; w >= 0 keeps every factor an integer.
+    by adj[b][e] = -1 if delta > 0, else q^-delta.
 
     As a polynomial in q, a chain value is +-q^k times the C(n - 1, 2)
     factors q^|delta| - 1 of the chain's non-adjacent pairs, so its
-    coefficients' absolute values sum to at most 2^C(n - 1, 2), folded or
-    not, and every key's sum is an integer polynomial N(q).  euler_char_grid
-    walks the single sample q = 2^K, where N's coefficients are N(2^K)'s
-    digits in balanced base 2^K once they are all below 2^(K - 1) in
-    absolute value.
+    coefficients' absolute values sum to at most 2^C(n - 1, 2), and every
+    key's sum is an integer polynomial N(q).  euler_char_grid walks the
+    single sample q = 2^K, where N's coefficients are N(2^K)'s digits in
+    balanced base 2^K once they are all below 2^(K - 1) in absolute value.
     """
     dq = math.prod(q ** abs(a - b) - 1 for a, b in itertools.combinations(w, 2))
     pair = [[q ** abs(we - wb) - 1 for we in w] for wb in w]
     adj = [[-1 if we > wb else q ** (wb - we) for we in w] for wb in w]
     adj.append([1] * ground)
-    if fold is not None:
-        gains = _fold_picks(fold)[1]
-        adj = [[row[e] * q ** (we * g) for g in gains for e, we in enumerate(w)] for row in adj]
-    (acc,) = _prefix_sums(atoms, ground, [(pair, adj)], fold)
+    (acc,) = _prefix_sums(atoms, ground, [(pair, adj)])
     return acc, dq
 
 
@@ -587,9 +547,7 @@ def euler_char_grid(base, rows, cols, *, rng):
     base's value are summed once per (row key, column key) pair, and the
     numerator Num_ab(Q) = dq(Q) Q^s P_ab(Q) at (a, b) is a bilinear form in
     those sums (_bilinear_grid) and R_a's and C_b's values, each an
-    elementary symmetric function or a power of the roots Q^{m.w}.  A base
-    that is a vertex class no axis reads is folded into the valued walk
-    (_fold_base), as in the Cameron-Fink grid and a single line bundle.
+    elementary symmetric function or a power of the roots Q^{m.w}.
 
     The read-off is exact (_grid_interpolate), under two bounds.  K is the
     least integer with 2^(K - 1) > A, where A bounds every coefficient of
@@ -606,7 +564,8 @@ def euler_char_grid(base, rows, cols, *, rng):
     w: the guard sees only the restriction along the drawn w, so a class
     failing the fixed-point congruences can pass it.
     fixed_point_compatibility_check or the zeta route
-    (integrate_inhomogeneous) is the full check.
+    (integrate_inhomogeneous), which reads the Cameron-Fink twist grid, is
+    the full check.
     """
     ground = base.ground
     if any(c.ground != ground for c in (rows.cls, cols.cls)):
@@ -617,15 +576,14 @@ def euler_char_grid(base, rows, cols, *, rng):
     joints = _prefix_sums(atoms, ground, ())
     height = _numerator_height(base, rows, cols, atoms, joints)
     plan, bound = _grid_plan(base, rows, cols, atoms, joints, w)
-    walk, plan = _fold_base(base, rows, cols, atoms, joints, plan, w)
-    return _kronecker_grid(walk, ground, w, rows, cols, plan, bound, height)
+    return _kronecker_grid(atoms, ground, w, rows, cols, plan, bound, height)
 
 
-def _kronecker_grid(walk, ground, w, rows, cols, plan, bound, height):
+def _kronecker_grid(atoms, ground, w, rows, cols, plan, bound, height):
     """chi at every grid point, read at K = _kronecker_bits(height) bits, else 2K, 4K, 8K."""
     bits = _kronecker_bits(height)
     for _ in range(4):
-        polys = _grid_interpolate(walk, ground, w, rows, cols, plan, bound, bits, height)
+        polys = _grid_interpolate(atoms, ground, w, rows, cols, plan, bound, bits, height)
         if polys is not None:
             return [[sum(p) for p in row] for row in polys]
         bits *= 2
@@ -654,42 +612,6 @@ def _numerator_height(base, rows, cols, atoms, joints):
     mass = max(base_mass(bkey(j)) * row_width(rkey(j)) * col_width(ckey(j)) for j in joints)
     n = base.ground
     return (math.factorial(n) << math.comb(n - 1, 2)) * mass
-
-
-def _fold_base(base, rows, cols, atoms, joints, plan, w):
-    """((walk atoms, fold), plan): base's atom folded into the valued walk where it can be.
-
-    base folds if it is a vertex class, whose one monomial at every joint
-    key is T^v for the vertex v of its one atom P (det S^v, O(D_P)), and no
-    axis reads P.  The walk then drops P from its keys and carries q^{(v -
-    lo).w} in its sums (_chi_walk), lo P's least increment, so each pair's
-    term sums the folded sums of its keys at coefficient 1 and exponent
-    0.  The plan's terms carry q^{v.w - lb}, lb the least v.w, so every
-    shift grows by lb - lo * sum(w).
-
-    The fold must also pay (_fold_pays).  Otherwise (atoms, None) and the
-    plan are returned as they are.
-    """
-    unfolded = (atoms, None), plan
-    if len(base.atoms) != 1 or base.atoms[0] in rows.cls.atoms + cols.cls.atoms:
-        return unfolded
-    (fold,) = base.atoms
-    i = atoms.index(fold)
-    vertices = {joint[i] for joint in joints}
-    if any(base.monomials((v,)) != ((1, v),) for v in vertices):
-        return unfolded
-    exps = [sum(map(operator.mul, v, w)) for v in vertices]
-    offset = _increments(fold)[1] * sum(w)
-    if not _fold_pays(max(exps) - offset, w):
-        return unfolded
-    terms, row_exps, col_exps, shifts = plan
-    keep = _getter([k for k in range(len(atoms)) if k != i])
-    by_pair = {}  # (r, c) -> folded keys
-    for rc, _, coeffs in terms:
-        by_pair.setdefault(rc, {}).update((keep(joint), 1) for joint, _ in coeffs)
-    terms = [(rc, 0, tuple(folded.items())) for rc, folded in by_pair.items()]
-    shifts = [[s + min(exps) - offset for s in row] for row in shifts]
-    return (keep(atoms), fold), (terms, row_exps, col_exps, shifts)
 
 
 def _grid_plan(base, rows, cols, atoms, joints, w):
@@ -752,29 +674,10 @@ def _grid_plan(base, rows, cols, atoms, joints, w):
     return (terms, row_exps, col_exps, shifts), bound
 
 
-def _fold_pays(span, w):
-    """Whether a fold whose sums gain up to q^span makes the walk cheaper.
-
-    A key's sum is an integer of about Q^E at Q = 2^K, E = sum_{a<b} |w_a
-    - w_b| the degree of its scale dq, and a fold makes it about Q^(E +
-    span).  The fold pays if span <= E / 2: past that the larger integers
-    cost more than the fewer states save.  Folded against unfolded, a fresh
-    process each, two or three runs (CPython 3.11, fractions backend, one
-    core of a shared 2-core host): `cf uniform:4:9` (span 26, E = 120)
-    0.83-0.97 s / 23 MB against 0.98-1.37 s / 36 MB; `ehrhart
-    hypersimplex:4:9 --c 20` (span 600) 0.30 s against 0.11-0.12 s; and
-    line_bundle(k * P(U_{4,9})) (span 30k) read off alone 0.03-0.06 s
-    against 0.08-0.09 s at k = 1, 0.04-0.05 s against 0.09-0.11 s at k = 2
-    (span E / 2), 0.09-0.10 s against 0.09 s at k = 3, and 0.17 s against
-    0.09 s at k = 8.
-    """
-    return 2 * span <= sum(abs(a - b) for a, b in itertools.combinations(w, 2))
-
-
-def _grid_interpolate(walk, ground, w, rows, cols, plan, bound, bits, height):
+def _grid_interpolate(atoms, ground, w, rows, cols, plan, bound, bits, height):
     """[[P_ab]]: each point's shifted character, coefficients lowest first, from one walk at q = 2^bits.
 
-    walk is (atoms, fold) of _chi_walk.  With Q = 2^bits, Num_ab(Q) must
+    With Q = 2^bits, Num_ab(Q) must
     divide by dq(Q) Q^s, s the point's shift, else NonIntegral; P_ab is the
     quotient's digits in balanced base Q.  Num_ab and P_ab dq q^s are then
     integer polynomials equal at Q, so they are equal if all their
@@ -790,8 +693,7 @@ def _grid_interpolate(walk, ground, w, rows, cols, plan, bound, bits, height):
     if height >= half:
         return None
     terms, row_exps, col_exps, shifts = plan
-    atoms, fold = walk
-    acc, dq = _chi_walk(atoms, ground, w, 1 << bits, fold)
+    acc, dq = _chi_walk(atoms, ground, w, 1 << bits)
     pair_sums = {}
     for rc, e, coeffs in terms:
         v = sum(acc[j] if c == 1 else c * acc[j] for j, c in coeffs)

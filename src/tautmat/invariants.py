@@ -4,7 +4,7 @@ Every invariant that the theory derives in two ways is computed by both
 and compared, with a hard error on mismatch: the 4-variable degree
 polynomial against the Tutte transform, Bergman/CSM weights by chain
 combinatorics against factor-variety localization, Euler-characteristic
-formulas against the zeta substitution, lattice counts against characters,
+formulas against the zeta substitution, lattice counts against zeta-route chi,
 and the Las Vergnas / flag Tutte polynomials against their defining sums.
 """
 
@@ -375,7 +375,8 @@ def cf_check(m: Matroid, t_max=None, u_max=None, *, rng, jobs=1) -> CfReport:
     """Cameron-Fink polynomial Q_M computed two ways, then Psi vs the transform.
 
     Q_M(t, u) is sampled on the grid 0..t_max x 0..u_max (default n each)
-    both as chi(O(t alpha + u beta) det S^v) and as the number of lattice
+    both as chi(O(t alpha + u beta) det S^v), every twist read off one
+    zeta-route grid (integrate_inhomogeneous), and as the number of lattice
     points of P(M) + t*nabla + u*Delta; the samples must agree.  The grid's
     polytopes share one memo of lattice-count states (count_lattice_points),
     made for this call and dropped with it.  Psi maps
@@ -397,7 +398,7 @@ def cf_check(m: Matroid, t_max=None, u_max=None, *, rng, jobs=1) -> CfReport:
     nabla = simplex(n1).negate()
     delta = simplex(n1)
     # rows beta^u, columns alpha^t: chis[u][t] = chi(O(t alpha + u beta) det S^v)
-    chis = euler_char_grid(
+    chis = integrate_inhomogeneous(
         det_s_dual(m), power_axis(beta_class(n1), us[-1]), power_axis(alpha_class(n1), ts[-1]),
         rng=rng,
     )

@@ -174,7 +174,11 @@ def parse_genperm(source) -> GenPermutohedron:
         except ValueError as exc:
             raise ParseError(f"bad hypersimplex shorthand {source!r}") from exc
     if source.startswith("simplex:"):
-        return simplex(int(source.split(":")[1]))
+        try:
+            _, n = source.split(":")
+            return simplex(int(n))
+        except ValueError as exc:
+            raise ParseError(f"bad simplex shorthand {source!r}") from exc
     from .corpus import builtin_matroid
 
     builtin = builtin_matroid(source)

@@ -11,15 +11,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from operator import sub
 
-from tautmat.engine import (
-    _grid_plan,
-    _kronecker_grid,
-    _numerator_height,
-    _prefix_sums,
-    sample_eval_point,
-    sample_weight,
-    wedge_axis,
-)
+from tautmat.engine import sample_eval_point, wedge_axis
 from tautmat.invariants import _factor_degree_poly
 from tautmat.kclass import (
     KClassLoc,
@@ -86,31 +78,20 @@ def scan_class_sums(atoms, ground, tstar, dprime):
     return acc
 
 
-def increment_values(atom):
-    """The distinct rank increments rk(S + e) - rk(S), e outside S, of an atom, ascending."""
-    rk, n = atom.rk, atom.n_elements
-    return sorted({rk[s | 1 << e] - rk[s] for s in range(1 << n) for e in range(n) if not s >> e & 1})
-
-
-def scan_pair_products(atoms, ground, pair, adj, fold=None):
+def scan_pair_products(atoms, ground, pair, adj):
     """acc[joint atom key] = sum over matching sigma of prod over its ordered pairs (b before e).
 
     The oracle for `engine._prefix_sums` with one table (pair, adj): a pair
     b before e contributes adj[b][j] if b immediately precedes e, else
-    pair[b][e], and the first element e contributes adj[ground][j].  j is
-    e, or with fold, e + ground * k, where fold's increment at that step is
-    the k-th of increment_values(fold).
+    pair[b][e], and the first element e contributes adj[ground][e].
     """
-    index = {v: k for k, v in enumerate(increment_values(fold))} if fold is not None else None
     acc = {}
     for sigma, key in perm_keys(atoms, ground):
-        value, s = 1, 0
+        value = 1
         for i, e in enumerate(sigma):
-            j = e if fold is None else e + ground * index[fold.rk[s | 1 << e] - fold.rk[s]]
-            value *= adj[sigma[i - 1] if i else ground][j]
+            value *= adj[sigma[i - 1] if i else ground][e]
             for b in sigma[: max(i - 1, 0)]:
                 value *= pair[b][e]
-            s |= 1 << e
         acc[key] = acc.get(key, 0) + value
     return acc
 
@@ -215,22 +196,6 @@ def lagrange_at(samples, x):
                 den *= xj - xk
         total += yj * Fraction(num, den)
     return total
-
-
-def unfolded_euler_char_grid(base, rows, cols, *, rng):
-    """`engine.euler_char_grid` with base's atom kept in the walk's keys.
-
-    The oracle for the fold of a vertex-class base into the valued walk
-    (`engine._fold_base`): the same w, plan, bound, K and read-off, with
-    base's monomials summed at each joint key of the walk.
-    """
-    ground = base.ground
-    w = sample_weight(ground, rng)
-    atoms = _dedup_atoms(base.atoms + rows.cls.atoms + cols.cls.atoms)
-    joints = _prefix_sums(atoms, ground, ())
-    height = _numerator_height(base, rows, cols, atoms, joints)
-    plan, bound = _grid_plan(base, rows, cols, atoms, joints, w)
-    return _kronecker_grid((atoms, None), ground, w, rows, cols, plan, bound, height)
 
 
 def balanced_digits(x, bits):

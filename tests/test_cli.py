@@ -59,10 +59,17 @@ def test_shorthand_parsing(u24):
     assert parse_matroid("uniform:2:4") == u24
     assert parse_matroid("vamos").n_elements == 8
     assert parse_genperm("hypersimplex:2:4") == base_polytope(u24)
+    assert parse_genperm("simplex:3") == simplex(3)
     with pytest.raises(ParseError):
         parse_matroid("uniform:2")
     with pytest.raises(ParseError):
         parse_matroid("/nonexistent/file.json")
+
+
+@pytest.mark.parametrize("source", ["simplex:x", "simplex:", "simplex:3:4"])
+def test_bad_simplex_shorthand_names_the_input(source):
+    with pytest.raises(ParseError, match=repr(source)):
+        parse_genperm(source)
 
 
 def test_validation_error_from_file(tmp_path):
@@ -230,7 +237,7 @@ def test_cf_grid_above_degree_n_is_a_failed_identity(capsys, monkeypatch, axis):
 
     m = uniform(2, 4)
     n = m.n_elements - 1
-    real_grid = inv.euler_char_grid
+    real_grid = inv.integrate_inhomogeneous
     real_count = inv.GenPermutohedron.count_lattice_points
 
     def bump(t, u):
@@ -248,7 +255,7 @@ def test_cf_grid_above_degree_n_is_a_failed_identity(capsys, monkeypatch, axis):
         t = m.rank_value + u - poly.rk[poly.full_mask]
         return real_count(poly, memo) + bump(t, u)
 
-    monkeypatch.setattr(inv, "euler_char_grid", chis)
+    monkeypatch.setattr(inv, "integrate_inhomogeneous", chis)
     monkeypatch.setattr(inv.GenPermutohedron, "count_lattice_points", count)
     with pytest.raises(IdentityFailure, match=f"not of degree <= {n}"):
         cf_check(m, **{f"{axis}_max": n + 1}, rng=random.Random(0))

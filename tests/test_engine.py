@@ -320,8 +320,8 @@ def _record_reads(monkeypatch):
     reads = []
     real = tautmat.engine._grid_interpolate
 
-    def record(walk, ground, w, rows, cols, plan, bound, bits, height):
-        polys = real(walk, ground, w, rows, cols, plan, bound, bits, height)
+    def record(atoms, ground, w, rows, cols, plan, bound, bits, height):
+        polys = real(atoms, ground, w, rows, cols, plan, bound, bits, height)
         degrees = None if polys is None else tuple(len(p) - 1 for row in polys for p in row)
         reads.append((bits, bound, degrees))
         return polys
@@ -435,14 +435,27 @@ def test_euler_escalation_fails_cleanly(rng, u24, monkeypatch):
     assert [(bits, degrees) for bits, _, degrees in reads] == [(1, None), (2, None), (4, None), (8, None)]
 
 
+def _cf_twist_grid(m, *, rng):
+    """chi(O(t alpha + u beta) det S^v) for t, u <= n on the character path: cf_check's grid."""
+    n1 = m.n_elements
+    twists = power_axis(beta_class(n1), n1 - 1), power_axis(alpha_class(n1), n1 - 1)
+    return tautmat.invariants.euler_char_grid(det_s_dual(m), *twists, rng=rng)
+
+
 @pytest.mark.parametrize(
     "name, run",
-    [("fano", fs_tutte), ("nonfano", fs_tutte), ("uniform_2_5", cf_check)],
+    [
+        ("fano", fs_tutte),
+        ("nonfano", fs_tutte),
+        pytest.param("uniform_2_5", _cf_twist_grid, id="uniform_2_5-cf_check"),
+    ],
 )
 def test_hull_bound_needs_no_escalation(rng, monkeypatch, name, run):
     # B = max_c (hi_c - lo_c) over the grid's classes is a true degree
     # bound: the grid is read once, at its first K, with every P_ab of
-    # degree at most B and some of degree B
+    # degree at most B and some of degree B; cf_check reads its twists by
+    # the zeta route, so its grid is read here on the character path, whose
+    # power axes the bound must also cover
     grids = []
     real_grid = tautmat.invariants.euler_char_grid
 
@@ -567,9 +580,9 @@ def test_zeta_check_makes_one_walk(rng, monkeypatch):
     table_sets = []
     walk = tautmat.engine._prefix_sums
 
-    def counting(atoms, ground, tables, fold=None):
+    def counting(atoms, ground, tables):
         table_sets.append(len(tables))
-        return walk(atoms, ground, tables, fold)
+        return walk(atoms, ground, tables)
 
     def no_scan(*args):
         raise AssertionError("a permutation scan ran")
@@ -583,14 +596,33 @@ def test_zeta_check_makes_one_walk(rng, monkeypatch):
     assert table_sets == [0, 1, 1]
 
 
+def test_cf_check_reads_its_grid_by_the_zeta_route(rng, monkeypatch):
+    # every twist chi(O(t alpha + u beta) det S^v) comes off one zeta-route
+    # grid, rows beta^u and columns alpha^t; the character walk never runs
+    axes = []
+    real = tautmat.invariants.integrate_inhomogeneous
+
+    def counting(base, rows, cols, *, rng):
+        axes.append((rows.cls.name, rows.size, cols.cls.name, cols.size))
+        return real(base, rows, cols, rng=rng)
+
+    def no_walk(*args):
+        raise AssertionError("the character walk ran")
+
+    monkeypatch.setattr(tautmat.invariants, "integrate_inhomogeneous", counting)
+    monkeypatch.setattr(tautmat.engine, "_chi_walk", no_walk)
+    cf_check(uniform(2, 4), t_max=4, rng=rng)
+    assert axes == [("O(b)", 4, "O(a)", 5)]
+
+
 def test_integrate_graded_makes_one_walk(rng, monkeypatch, u24):
     # both generic points are tables of one walk, not one walk each
     table_sets = []
     walk = tautmat.engine._prefix_sums
 
-    def counting(atoms, ground, tables, fold=None):
+    def counting(atoms, ground, tables):
         table_sets.append(len(tables))
-        return walk(atoms, ground, tables, fold)
+        return walk(atoms, ground, tables)
 
     monkeypatch.setattr(tautmat.engine, "_prefix_sums", counting)
     factors = [chern_series(dual_class(s_class(u24)), "z"), power_series(beta_class(4), "y")]

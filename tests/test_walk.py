@@ -62,12 +62,10 @@ from reference import (
     fs_classes,
     graded_reference,
     grid_classes,
-    increment_values,
     kc_product,
     scan_character_sums,
     scan_class_sums,
     scan_pair_products,
-    unfolded_euler_char_grid,
 )
 from test_engine import (
     _corrupted_s_class,
@@ -133,26 +131,24 @@ def test_walk_matches_scan(m, data, seed, npoints):
     assert _prefix_sums(atoms, n, ()) == dict.fromkeys(scans[0], ())
 
 
-@given(small_matroids(), st.data(), st.booleans())
+@given(small_matroids(), st.data())
 @settings(max_examples=80, deadline=None)
-def test_walk_matches_pair_product_scan(m, data, folded):
+def test_walk_matches_pair_product_scan(m, data):
     # random integer tables, with zeros, negative and asymmetric entries, one
-    # or two per walk; with fold, adj has a column per element and increment
+    # or two per walk
     pool = _atom_pool(m)
     picks = data.draw(st.lists(st.sampled_from(range(len(pool))), max_size=3, unique=True))
-    fold = pool[data.draw(st.sampled_from(range(len(pool))))] if folded else None
-    atoms = _dedup_atoms(tuple(a for a in (pool[i] for i in picks) if a != fold))
+    atoms = _dedup_atoms(tuple(pool[i] for i in picks))
     n = m.n_elements
-    cols = n * (len(increment_values(fold)) if folded else 1)
     entry = st.integers(-3, 3)
     tables = data.draw(st.lists(
         st.tuples(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n),
-                  st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                  st.lists(st.lists(entry, min_size=n, max_size=n),
                            min_size=n + 1, max_size=n + 1)),
         min_size=1, max_size=2,
     ))
-    want = [scan_pair_products(atoms, n, pair, adj, fold) for pair, adj in tables]
-    assert _prefix_sums(atoms, n, tables, fold) == want
+    want = [scan_pair_products(atoms, n, pair, adj) for pair, adj in tables]
+    assert _prefix_sums(atoms, n, tables) == want
 
 
 @given(small_matroids(), st.data(), st.integers(0, 2**16),
@@ -172,120 +168,24 @@ def test_character_walk_matches_scan(m, data, seed, qs):
     assert _prefix_sums(atoms, n, ()) == dict.fromkeys(acc, ())
 
 
-@given(small_matroids(), st.data(), st.integers(0, 2**16),
-       st.lists(st.integers(2, 7), min_size=1, max_size=3))
+@given(small_matroids(), st.data(), st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
-def test_folded_walk_matches_unfolded(m, data, seed, qs):
-    # folding an atom P sums the unfolded walk over P's vertex v, each value
-    # weighted by q^{(v - lo).w}, lo P's least increment
-    pool = _atom_pool(m)
-    picks = data.draw(st.lists(st.sampled_from(range(len(pool))), max_size=3, unique=True))
-    fold = pool[data.draw(st.sampled_from(range(len(pool))))]
-    atoms = _dedup_atoms(tuple(a for a in (pool[i] for i in picks) if a != fold))
-    n = m.n_elements
-    w = sample_weight(n, random.Random(seed))
-    lo = _increments(fold)[1]
-    for q in qs:
-        unfolded, dq = _chi_walk(atoms + (fold,), n, w, q)
-        want = {}
-        for joint, v in unfolded.items():
-            e = sum((x - lo) * y for x, y in zip(joint[-1], w))
-            want[joint[:-1]] = want.get(joint[:-1], 0) + v * q**e
-        assert _chi_walk(atoms, n, w, q, fold) == (want, dq)
-
-
-@given(small_matroids(), st.data(), st.integers(0, 2**16), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_kronecker_slot_matches_scan(m, data, seed, folded):
+def test_kronecker_slot_matches_scan(m, data, seed):
     # a chain value has coefficient mass at most 2^C(n - 1, 2), so at the
     # a priori K of n! such chains each slot of the walk at q = 2^K is a
     # polynomial's value whose balanced base-2^K digits are its
-    # coefficients; its values at q = 2, 3, 4 are the scan's sums, times
-    # q^{(v - lo).w} for the vertex v of a folded atom P, lo P's least
-    # increment
+    # coefficients; its values at q = 2, 3, 4 are the scan's sums
     pool = _atom_pool(m)
     picks = data.draw(st.lists(st.sampled_from(range(len(pool))), max_size=3, unique=True))
-    fold = pool[data.draw(st.sampled_from(range(len(pool))))] if folded else None
-    atoms = _dedup_atoms(tuple(a for a in (pool[i] for i in picks) if a != fold))
+    atoms = _dedup_atoms(tuple(pool[i] for i in picks))
     n = m.n_elements
     w = sample_weight(n, random.Random(seed))
     bits = _kronecker_bits(math.factorial(n) << math.comb(n - 1, 2))
-    acc, _ = _chi_walk(atoms, n, w, 1 << bits, fold)
+    acc, _ = _chi_walk(atoms, n, w, 1 << bits)
     polys = {k: balanced_digits(v, bits) for k, v in acc.items()}
     for q in (2, 3, 4):
-        if fold is None:
-            want = scan_character_sums(atoms, n, w, q)
-        else:
-            lo = _increments(fold)[1]
-            want = {}
-            for joint, v in scan_character_sums(atoms + (fold,), n, w, q).items():
-                e = sum((x - lo) * y for x, y in zip(joint[-1], w))
-                want[joint[:-1]] = want.get(joint[:-1], 0) + v * q**e
+        want = scan_character_sums(atoms, n, w, q)
         assert {k: sum(c * q**j for j, c in enumerate(p)) for k, p in polys.items()} == want
-
-
-@contextlib.contextmanager
-def _recorded_folds(pays=None):
-    """The atom each _chi_walk inside the block folds (None for none); with
-    pays given, _fold_pays answers pays."""
-    real = tautmat.engine._chi_walk
-    folds = []
-
-    def record(atoms, ground, w, q, fold=None):
-        folds.append(fold)
-        return real(atoms, ground, w, q, fold)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tautmat.engine, "_chi_walk", record)
-        if pays is not None:
-            mp.setattr(tautmat.engine, "_fold_pays", lambda span, w: pays)
-        yield folds
-
-
-@given(small_matroids(), st.data(), st.integers(0, 2**16))
-@settings(max_examples=60, deadline=None)
-def test_folded_grid_matches_unfolded(m, data, seed):
-    # cf twist grids and line bundles of P(M), -P and dilates: the fold
-    # changes neither a value nor the (K, B, degrees) of a read-off, and
-    # applies to each, however little it would pay, unless an axis reads
-    # base's atom (on one element P(U_{1,1}) is Delta)
-    n = m.n_elements
-    p = base_polytope(m)
-    unit = wedge_axis(structure_sheaf(n), 0)
-    twist_top = st.integers(0, n + 1)
-    grids = [
-        lambda: (det_s_dual(m), power_axis(beta_class(n), data.draw(twist_top)),
-                 power_axis(alpha_class(n), data.draw(twist_top))),
-        lambda: (line_bundle(p), unit, unit),
-        lambda: (line_bundle(p.negate()), unit, unit),
-        lambda: (line_bundle(p.dilate(data.draw(st.integers(0, 4)))), unit, unit),
-    ]
-    base, rows, cols = grids[data.draw(st.integers(0, len(grids) - 1))]()
-    with _recorded_folds(True) as folds, _recorded_reads() as folded_reads:
-        folded = euler_char_grid(base, rows, cols, rng=random.Random(seed))
-    with _recorded_reads() as unfolded_reads:
-        unfolded = unfolded_euler_char_grid(base, rows, cols, rng=random.Random(seed))
-    assert folded == unfolded and folded_reads == unfolded_reads
-    (atom,) = base.atoms
-    # one walk per read: a read past the first K walks again
-    assert folds == [None if atom in rows.cls.atoms + cols.cls.atoms else atom] * len(folded_reads)
-
-
-def test_fold_applies_only_where_it_pays():
-    # det S^v under the cf twists folds on U_{2,4} (span 5, half of E = 10);
-    # a dilate 5P does not (span 25), and a base an axis reads never does
-    m = uniform(2, 4)
-    p = base_polytope(m)
-    unit = wedge_axis(structure_sheaf(4), 0)
-    twists = power_axis(beta_class(4), 3), power_axis(alpha_class(4), 3)
-    for base, rows, cols, pays, folded in [
-        (det_s_dual(m), *twists, None, True),
-        (line_bundle(p.dilate(5)), unit, unit, None, False),
-        (det_s_dual(m), wedge_axis(s_class(m), 2), unit, True, False),
-    ]:
-        with _recorded_folds(pays) as folds:
-            euler_char_grid(base, rows, cols, rng=random.Random(0))
-        assert folds == [base.atoms[0] if folded else None]
 
 
 def _factors_at(factors, vars, sigma, tstar):
@@ -533,7 +433,8 @@ def test_euler_char_grid_matches_class_list(m, data, seed):
 
 def test_euler_char_grid_of_the_cf_and_fs_grids():
     # the grids of cf_check (twists, one axis above n) and of fs_tutte and
-    # g_polynomial (wedge powers, base det S^v and O) on U_{2,4}
+    # g_polynomial (wedge powers, base det S^v and O) on U_{2,4}, by the
+    # character path and by the zeta route, which cf_check reads
     m = uniform(2, 4)
     s, qd = s_class(m), dual_class(q_class(m))
     grids = [
@@ -542,7 +443,8 @@ def test_euler_char_grid_of_the_cf_and_fs_grids():
         (structure_sheaf(4), wedge_axis(s, 2), wedge_axis(qd, 2)),
     ]
     for base, rows, cols in grids:
-        _assert_grid_matches_singles(base, rows, cols, 0, lambda cs: list(map(chi_reference, cs)))
+        grid = _assert_grid_matches_singles(base, rows, cols, 0, lambda cs: list(map(chi_reference, cs)))
+        assert integrate_inhomogeneous(base, rows, cols, rng=random.Random(0)) == grid
 
 
 def test_euler_char_grid_rejects_a_non_gkm_base():
