@@ -15,16 +15,15 @@ Three pushforward paths:
   Chern root m.t.
 
 * a character path for Euler characteristics: restrict to a one-parameter
-  subgroup T_i = q^{w_i}; shifted by q^{-lo}, the character is an integer
-  polynomial P of degree at most B = hi - lo, where [lo, hi] is the hull of
-  the class's exponents m.w, and chi = P(1).  A value-free walk lists the
-  joint keys, and one valued walk carries a single integer per key, scaled
-  by dq = prod_{a<b} (q^|w_a - w_b| - 1), at q = Q = 2^K (Kronecker
-  substitution): every such sum is the value at Q of an integer
-  polynomial, so P's coefficients are read exactly off one quotient as its
-  digits in balanced base 2^K.  K is set a priori by a bound A on the
-  coefficients of P's numerator, and the read-off is proven by bounding
-  those of P times dq, or rerun at 2K.  Every chi is a point of a grid of
+  subgroup T_i = q^{w_i}; the character times a power of q is an integer
+  polynomial P, and chi = P(1).  A value-free walk lists the joint keys,
+  and one valued walk carries a single integer per key, scaled by dq =
+  prod_{a<b} (q^|w_a - w_b| - 1), at q = Q = 2^K (Kronecker substitution):
+  every such sum is the value at Q of an integer polynomial, so P's
+  coefficients are read exactly off one quotient by dq(Q) as its digits in
+  balanced base 2^K.  K is set a priori by a bound A on the coefficients
+  of P's numerator, and the read-off is proven by bounding those of P
+  times dq, or rerun at 2K.  Every chi is a point of a grid of
   classes base * R_a * C_b (`euler_char_grid`): the Fink-Speyer wedges
   wedge^i S wedge^j Q^v, or a single class with both axes wedge^0 O = 1
   (`euler_char_many`).  A point's numerator is a bilinear form in the
@@ -75,7 +74,7 @@ class NonIntegral(AssertionError):
 
 
 class InterpolationInconsistent(AssertionError):
-    """A read-off exceeds its degree bound, or is still unproven after escalation."""
+    """A character grid's read-off is still unproven after escalation."""
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +265,7 @@ def _prefix_sums(atoms, ground, tables):
     step OR-ing in one tabulated move for the element appended.  The
     free-element lists (`_frees`) and each atom's increment table
     (`_increments`) are built once per ground size and per atom and
-    cached; a walk only shifts each atom's table to its field offset, and
+    cached; a walk only moves each atom's table to its field offset, and
     every table of a call shares the moves and the key decoder.  Each table
     has its own level dict; all hold the same keys, so one pass over the
     first's keys steps every table.
@@ -440,7 +439,7 @@ def euler_char_many(kclasses, *, rng):
 
     Class c is the grid base c with the axes wedge^0 O = 1 (one root, of
     exponent 0, on no atom), so it draws its own w and is read off at its
-    own bound B_c = hi_c - lo_c (see euler_char_grid).
+    own K (see euler_char_grid).
     """
     unit = wedge_axis(structure_sheaf(kclasses[0].ground), 0)
     return [euler_char_grid(c, unit, unit, rng=rng)[0][0] for c in kclasses]
@@ -455,11 +454,12 @@ def _chi_walk(atoms, ground, w, q):
     by adj[b][e] = -1 if delta > 0, else q^-delta.
 
     As a polynomial in q, a chain value is +-q^k times the C(n - 1, 2)
-    factors q^|delta| - 1 of the chain's non-adjacent pairs, so its
-    coefficients' absolute values sum to at most 2^C(n - 1, 2), and every
-    key's sum is an integer polynomial N(q).  euler_char_grid walks the
-    single sample q = 2^K, where N's coefficients are N(2^K)'s digits in
-    balanced base 2^K once they are all below 2^(K - 1) in absolute value.
+    factors q^|delta| - 1 of the chain's non-adjacent pairs, of degree at
+    most deg dq, so its coefficients' absolute values sum to at most
+    2^C(n - 1, 2), and every key's sum is an integer polynomial N(q).
+    euler_char_grid walks the single sample q = 2^K, where N's coefficients
+    are N(2^K)'s digits in balanced base 2^K once they are all below
+    2^(K - 1) in absolute value.
     """
     dq = math.prod(q ** abs(a - b) - 1 for a, b in itertools.combinations(w, 2))
     pair = [[q ** abs(we - wb) - 1 for we in w] for wb in w]
@@ -493,24 +493,12 @@ class GridAxis:
             raise ValueError(f"{self.cls.name} is not a line bundle")
         return ms
 
-    def exponents(self, key, w):
-        """The roots' exponents m.w at an atom key of cls, ascending."""
-        return sorted(sum(map(operator.mul, m, w)) for m in self.roots(key))
-
     def width(self, key):
         """The most monomials of any E_k at an atom key of cls: C(m, k) for m roots, 1 for L^k."""
         if not self.wedge:
             return 1
         m = len(_root_vectors(self.cls, key))
         return math.comb(m, min(m // 2, self.size - 1))
-
-    def hull(self, es, k):
-        """(least, largest) exponent of E_k's monomials at roots es, None if it has none."""
-        if not self.wedge:
-            return k * es[0], k * es[0]
-        if k > len(es):
-            return None
-        return sum(es[:k]), sum(es[len(es) - k :])
 
     def values(self, roots):
         """[E_0, ..., E_top] at integer root values."""
@@ -534,34 +522,33 @@ def power_axis(line, top):
 def euler_char_grid(base, rows, cols, *, rng):
     """[[chi(base * R_a * C_b) for C_b in cols] for R_a in rows], rows and cols GridAxes.
 
-    One drawn w serves the whole grid.  The point (a, b) is shifted by
-    q^{-lo}, [lo, hi] the hull of the exponents m.w of every product of a
-    monomial of base, of R_a and of C_b, cancelled or not, so its character
-    is an integer polynomial P_ab in q of degree at most hi - lo: every term
-    1/(1 - q^delta) expands with support >= lo at q -> 0 and <= hi at q ->
-    oo, and the sum is a Laurent polynomial.  The grid shares B = max(hi -
-    lo).
-    A value-free walk lists the joint keys, from which the hulls are read,
-    and one valued walk at q = Q = 2^K carries a single integer per key
-    (_chi_walk).  No product class is built: the valued walk's sums times
-    base's value are summed once per (row key, column key) pair, and the
-    numerator Num_ab(Q) = dq(Q) Q^s P_ab(Q) at (a, b) is a bilinear form in
-    those sums (_bilinear_grid) and R_a's and C_b's values, each an
-    elementary symmetric function or a power of the roots Q^{m.w}.
+    One drawn w serves the whole grid.  A value-free walk lists the joint
+    keys, which bound the numerators (_numerator_height), and one valued
+    walk at q = Q = 2^K carries a single integer per key (_chi_walk).  No
+    product class is built: the walk's sums are grouped per (row key,
+    column key) and base exponent m.w (_grid_terms), and the numerator
+    Num_ab(Q) at (a, b) is a bilinear form in those sums (_bilinear_grid)
+    and R_a's and C_b's values, each an elementary symmetric function or a
+    power of the roots Q^{m.w}.  Each exponent is lowered by its least
+    value, lb for base's and lr, lc for the axes' roots, so every term of
+    Num_ab is a chain value times a power q^e, e >= 0.
 
-    The read-off is exact (_grid_interpolate), under two bounds.  K is the
-    least integer with 2^(K - 1) > A, where A bounds every coefficient of
-    every Num_ab (_numerator_height).  P_ab is taken as the quotient's
-    digits in balanced base 2^K, which is proven once every coefficient of
-    P_ab dq is also below 2^(K - 1): at once if sum_j |P_ab,j| times dq's
-    largest coefficient is, else by computing P_ab dq.  Where that fails
-    the grid is walked again at 2K, at most three times, before
-    InterpolationInconsistent, which a proven P_ab of degree above B raises
-    too.  chi_ab = P_ab(1).
+    The read-off is exact (_grid_interpolate).  K is the least integer
+    with 2^(K - 1) > A, where A bounds every coefficient of every Num_ab.
+    P_ab is taken as the digits of Num_ab(Q) / dq(Q) in balanced base 2^K,
+    which is proven once every coefficient of P_ab dq is also below
+    2^(K - 1): at once if sum_j |P_ab,j| times dq's largest coefficient is,
+    else by computing P_ab dq.  Where that fails the grid is walked again
+    at 2K, at most three times, before InterpolationInconsistent.  chi_ab
+    = P_ab(1).  No degree check is needed: with [lo, hi] the hull of the
+    exponents m.w of every product of a monomial of base, of R_a and of
+    C_b, every term of Num_ab has degree in [s, deg dq + s + hi - lo], s =
+    lo - (lb + a lr + b lc) >= 0, and dq(0) = +-1, so Num_ab = dq P_ab
+    makes P_ab q^-s a polynomial of degree at most hi - lo, for any class.
 
-    The NonIntegral guard (Num_ab must divide by dq q^s) is necessary but
-    not sufficient.  Exactness along w does not remove the dependence on
-    w: the guard sees only the restriction along the drawn w, so a class
+    The NonIntegral guard (Num_ab must divide by dq) is necessary but not
+    sufficient.  Exactness along w does not remove the dependence on w:
+    the guard sees only the restriction along the drawn w, so a class
     failing the fixed-point congruences can pass it.
     fixed_point_compatibility_check or the zeta route
     (integrate_inhomogeneous), which reads the Cameron-Fink twist grid, is
@@ -573,17 +560,10 @@ def euler_char_grid(base, rows, cols, *, rng):
     check_guardrail(ground)
     w = sample_weight(ground, rng)
     atoms = _dedup_atoms(base.atoms + rows.cls.atoms + cols.cls.atoms)
-    joints = _prefix_sums(atoms, ground, ())
-    height = _numerator_height(base, rows, cols, atoms, joints)
-    plan, bound = _grid_plan(base, rows, cols, atoms, joints, w)
-    return _kronecker_grid(atoms, ground, w, rows, cols, plan, bound, height)
-
-
-def _kronecker_grid(atoms, ground, w, rows, cols, plan, bound, height):
-    """chi at every grid point, read at K = _kronecker_bits(height) bits, else 2K, 4K, 8K."""
+    height = _numerator_height(base, rows, cols, atoms, _prefix_sums(atoms, ground, ()))
     bits = _kronecker_bits(height)
     for _ in range(4):
-        polys = _grid_interpolate(atoms, ground, w, rows, cols, plan, bound, bits, height)
+        polys = _grid_interpolate(atoms, ground, w, base, rows, cols, bits, height)
         if polys is not None:
             return [[sum(p) for p in row] for row in polys]
         bits *= 2
@@ -614,99 +594,62 @@ def _numerator_height(base, rows, cols, atoms, joints):
     return (math.factorial(n) << math.comb(n - 1, 2)) * mass
 
 
-def _grid_plan(base, rows, cols, atoms, joints, w):
-    """The q-independent part of a chi grid: ((terms, row_exps, col_exps, shifts), B).
+def _grid_terms(acc, atoms, base, rows, cols, exponents):
+    """(by_pair, row_roots, col_roots): a walk's sums grouped as a grid reads them.
 
-    Each axis numbers its keys.  Exponents are shifted by their least
-    value, lb for base's monomials and lr, lc for the axes' roots, so every
-    sampled value is an integer.  terms lists ((r, c), e, ((joint,
-    coefficient), ...)): the summed coefficient of base's monomials of
-    shifted exponent e at each joint key of row key r and column key c,
-    zero sums left out.  row_exps[r] and col_exps[c] are the shifted root
-    exponents.  The hull [lo, hi] of point (a, b) spans every product of a
-    monomial of base, of R_a and of C_b, cancelled or not, and is (0, 0)
-    if there is none; B = max(hi - lo).  Scaled by q^-(lb + a*lr + b*lc),
-    the sum at (a, b) is its character times q^-lo times q^shifts[a][b].
+    Each axis numbers its atom keys in the order the walk meets them, and
+    row_roots[r], col_roots[c] are the roots of key r, c (GridAxis.roots).
+    by_pair[r, c][e] sums acc[joint] times the coefficient of every
+    monomial T^m of base at each joint key of row key r and column key c
+    with exponents(joint, m) = e.
     """
     slots = [_getter([atoms.index(a) for a in cls.atoms]) for cls in (base, rows.cls, cols.cls)]
-    row_keys, col_keys, base_exps = {}, {}, {}
-    by_pair = {}  # (r, c) -> {base exponent m.w: {joint: summed coefficient}}
-    for joint in joints:
+    row_keys, col_keys = {}, {}
+    by_pair = {}
+    for joint, v in acc.items():
         bkey, rkey, ckey = (s(joint) for s in slots)
-        exps = base_exps.get(bkey)
-        if exps is None:
-            exps = base_exps[bkey] = [
-                (sum(map(operator.mul, m, w)), coeff) for coeff, m in base.monomials(bkey)
-            ]
         rc = (row_keys.setdefault(rkey, len(row_keys)), col_keys.setdefault(ckey, len(col_keys)))
-        for e, coeff in exps:
-            at_e = by_pair.setdefault(rc, {}).setdefault(e, {})
-            at_e[joint] = at_e.get(joint, 0) + coeff
-    row_exps = [rows.exponents(k, w) for k in row_keys]
-    col_exps = [cols.exponents(k, w) for k in col_keys]
-    lb = min((e for by_e in by_pair.values() for e in by_e), default=0)
-    lr, lc = (min((e for es in exps for e in es), default=0) for exps in (row_exps, col_exps))
-    terms = []
-    for rc, by_e in by_pair.items():
-        for e, coeffs in by_e.items():
-            nonzero = tuple((j, c) for j, c in coeffs.items() if c)
-            if nonzero:
-                terms.append((rc, e - lb, nonzero))
-    row_hulls = [[rows.hull(es, a) for a in range(rows.size)] for es in row_exps]
-    col_hulls = [[cols.hull(es, b) for b in range(cols.size)] for es in col_exps]
-    pair_hulls = [
-        (min(by_e), max(by_e), row_hulls[r], col_hulls[c]) for (r, c), by_e in by_pair.items()
-    ]
-    shifts = [[0] * cols.size for _ in range(rows.size)]
-    bound = 0
-    for a, b in itertools.product(range(rows.size), range(cols.size)):
-        ends = [
-            (lo + rh[a][0] + ch[b][0], hi + rh[a][1] + ch[b][1])
-            for lo, hi, rh, ch in pair_hulls
-            if rh[a] and ch[b]
-        ]
-        if ends:
-            lo = min(lo for lo, _ in ends)
-            shifts[a][b] = lo - (lb + a * lr + b * lc)
-            bound = max(bound, max(hi for _, hi in ends) - lo)
-    row_exps = [[e - lr for e in es] for es in row_exps]
-    col_exps = [[e - lc for e in es] for es in col_exps]
-    return (terms, row_exps, col_exps, shifts), bound
+        terms = by_pair.setdefault(rc, {})
+        for c, m in base.monomials(bkey):
+            e = exponents(joint, m)
+            terms[e] = terms.get(e, 0) + v * c
+    return by_pair, list(map(rows.roots, row_keys)), list(map(cols.roots, col_keys))
 
 
-def _grid_interpolate(atoms, ground, w, rows, cols, plan, bound, bits, height):
-    """[[P_ab]]: each point's shifted character, coefficients lowest first, from one walk at q = 2^bits.
+def _grid_interpolate(atoms, ground, w, base, rows, cols, bits, height):
+    """[[P_ab]]: each point's Num_ab / dq, coefficients lowest first, from one walk at q = 2^bits.
 
-    With Q = 2^bits, Num_ab(Q) must
-    divide by dq(Q) Q^s, s the point's shift, else NonIntegral; P_ab is the
-    quotient's digits in balanced base Q.  Num_ab and P_ab dq q^s are then
-    integer polynomials equal at Q, so they are equal if all their
-    coefficients lie in [-Q / 2, Q / 2), where balanced digits are unique:
-    Num_ab's if height < Q / 2, height bounding them (_numerator_height),
-    and P_ab dq's if sum_j |P_ab,j| times dq's largest |coefficient| is
-    below Q / 2, or else if P_ab dq, computed, has every |coefficient|
-    below Q / 2.
-    None if either bound fails at any point; a proven P_ab of degree above
-    bound raises InterpolationInconsistent.
+    With Q = 2^bits, Num_ab(Q) must divide by dq(Q), else NonIntegral;
+    P_ab is the quotient's digits in balanced base Q.  Num_ab and P_ab dq
+    are then integer polynomials equal at Q, so they are equal if all
+    their coefficients lie in [-Q / 2, Q / 2), where balanced digits are
+    unique: Num_ab's if height < Q / 2, height bounding them
+    (_numerator_height), and P_ab dq's if sum_j |P_ab,j| times dq's
+    largest |coefficient| is below Q / 2, or else if P_ab dq, computed,
+    has every |coefficient| below Q / 2.  None if either bound fails at any
+    point.
     """
     half = 1 << bits - 1
     if height >= half:
         return None
-    terms, row_exps, col_exps, shifts = plan
     acc, dq = _chi_walk(atoms, ground, w, 1 << bits)
-    pair_sums = {}
-    for rc, e, coeffs in terms:
-        v = sum(acc[j] if c == 1 else c * acc[j] for j, c in coeffs)
-        pair_sums[rc] = pair_sums.get(rc, 0) + (v << bits * e)
-    rvals = [rows.values([1 << bits * e for e in es]) for es in row_exps]
-    cvals = [cols.values([1 << bits * e for e in es]) for es in col_exps]
+    dot = functools.cache(lambda m: sum(map(operator.mul, m, w)))
+    by_pair, row_roots, col_roots = _grid_terms(acc, atoms, base, rows, cols, lambda _, m: dot(m))
+    row_exps, col_exps = ([list(map(dot, ms)) for ms in roots] for roots in (row_roots, col_roots))
+    lb = min((e for terms in by_pair.values() for e in terms), default=0)
+    lr, lc = (min((e for es in exps for e in es), default=0) for exps in (row_exps, col_exps))
+    pair_sums = {
+        rc: sum(v << bits * (e - lb) for e, v in terms.items()) for rc, terms in by_pair.items()
+    }
+    rvals = [rows.values([1 << bits * (e - lr) for e in es]) for es in row_exps]
+    cvals = [cols.values([1 << bits * (e - lc) for e in es]) for es in col_exps]
     dq_coeffs = _dq_coefficients(w)
     dq_height = max(map(abs, dq_coeffs))
     out = []
-    for nums, row_shifts in zip(_bilinear_grid(pair_sums, rvals, cvals, cols.size), shifts):
+    for nums in _bilinear_grid(pair_sums, rvals, cvals, cols.size):
         row = []
-        for x, s in zip(nums, row_shifts):
-            num, rem = divmod(x, dq << bits * s)
+        for x in nums:
+            num, rem = divmod(x, dq)
             if rem:
                 raise NonIntegral(
                     f"scaled character at q=2^{bits} is not divisible by the common denominator"
@@ -715,10 +658,6 @@ def _grid_interpolate(atoms, ground, w, rows, cols, plan, bound, bits, height):
             total = sum(map(abs, p)) * dq_height
             if total >= half and max(map(abs, _product(p, dq_coeffs, total))) >= half:
                 return None
-            if len(p) > bound + 1:
-                raise InterpolationInconsistent(
-                    f"a character has degree {len(p) - 1} above the bound {bound}"
-                )
             row.append(p)
         out.append(row)
     return out
@@ -821,20 +760,12 @@ def integrate_inhomogeneous(base, rows, cols, *, rng):
     atoms = _dedup_atoms(base.atoms + rows.cls.atoms + cols.cls.atoms + (nabla,))
     (acc,) = _prefix_sums(atoms, ground, [_point_steps(w)])
     ilast = atoms.index(nabla)
-    slots = [_getter([atoms.index(a) for a in cls.atoms]) for cls in (base, rows.cls, cols.cls)]
-    row_keys, col_keys = {}, {}
-    by_pair = {}  # (r, c) -> {e: summed coefficient of prod_i (1 + t_i)^e_i}
-    for joint, a in acc.items():
-        bkey, rkey, ckey = (s(joint) for s in slots)
-        rc = (row_keys.setdefault(rkey, len(row_keys)), col_keys.setdefault(ckey, len(col_keys)))
-        terms = by_pair.setdefault(rc, {})
-        # the Chern factor: 1 + t_i for every i but sigma(n), where -Delta's vertex is -1
-        chern = [1 + x for x in joint[ilast]]
-        for c, m in base.monomials(bkey):
-            e = tuple(map(operator.add, m, chern))
-            terms[e] = terms.get(e, 0) + a * c
-    row_roots = [rows.roots(k) for k in row_keys]
-    col_roots = [cols.roots(k) for k in col_keys]
+    # base's T^m times the Chern factor: 1 + t_i for every i but sigma(n),
+    # where -Delta's vertex is -1; by_pair[r, c][e] is prod_i (1 + t_i)^e_i's coefficient
+    by_pair, row_roots, col_roots = _grid_terms(
+        acc, atoms, base, rows, cols,
+        lambda joint, m: tuple(x + y + 1 for x, y in zip(m, joint[ilast])),
+    )
     kb = _lift(e for terms in by_pair.values() for e in terms)
     kr, kc = (_lift(m for ms in roots for m in ms) for roots in (row_roots, col_roots))
 

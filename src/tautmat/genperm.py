@@ -25,7 +25,11 @@ DEFAULT_GUARDRAIL = 9
 
 
 def check_guardrail(n_elements):
-    cap = int(os.environ.get("TAUTMAT_GUARDRAIL") or DEFAULT_GUARDRAIL)
+    raw = os.environ.get("TAUTMAT_GUARDRAIL")
+    try:
+        cap = int(raw or DEFAULT_GUARDRAIL)
+    except ValueError:
+        raise ValueError(f"TAUTMAT_GUARDRAIL={raw!r} is not an integer") from None
     if n_elements > cap:
         raise GuardrailExceeded(
             f"ground set size {n_elements} exceeds the guardrail {cap}; "

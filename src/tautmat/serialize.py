@@ -48,10 +48,7 @@ def matroid_from_json(obj, validate=True) -> Matroid:
         if kind == "uniform":
             return uniform(int(obj["r"]), int(obj["n"]))
         if kind == "graphic":
-            return graphic(
-                [tuple(e) for e in obj["edges"]],
-                int(obj["vertices"]) if "vertices" in obj else None,
-            )
+            return _graphic(obj)
         if kind == "bases":
             return matroid_from_bases(
                 int(obj["ground_set"]), obj["bases"], validate=validate
@@ -59,6 +56,22 @@ def matroid_from_json(obj, validate=True) -> Matroid:
     except KeyError as exc:
         raise ParseError(f"missing field {exc} in matroid input") from exc
     raise ParseError(f"unknown matroid type {kind!r}")
+
+
+def _elements(values, n, what):
+    """values, each an int in range(n) (n None: any int >= 0), else ParseError naming what."""
+    values = list(values)
+    if not all(isinstance(i, int) and 0 <= i and (n is None or i < n) for i in values):
+        where = "a nonnegative int" if n is None else f"in 0..{n - 1}"
+        raise ParseError(f"{what} {values} has an entry not {where}")
+    return values
+
+
+def _graphic(obj):
+    """The cycle matroid of obj's edges on its vertices, each endpoint checked to be one."""
+    n = obj.get("vertices")
+    n = None if n is None else int(n)
+    return graphic([tuple(_elements(e, n, "graphic edge")) for e in obj["edges"]], n)
 
 
 def ground_set_size(obj) -> int:
@@ -97,8 +110,7 @@ def genperm_from_json(obj) -> GenPermutohedron:
             n = int(obj["ground_set"])
             rk = [0] * (1 << n)
             for key, v in obj["rk"].items():
-                members = json.loads(key)
-                rk[mask_of(members)] = int(v)
+                rk[mask_of(_elements(json.loads(key), n, "rk key"))] = int(v)
             return GenPermutohedron(n, rk)
         if kind == "base_polytope":
             return base_polytope(matroid_from_json(obj["matroid"]))
@@ -106,7 +118,7 @@ def genperm_from_json(obj) -> GenPermutohedron:
             return base_polytope(uniform(int(obj["r"]), int(obj["n"])))
         if kind == "simplex":
             n = int(obj["ground_set"])
-            sub = mask_of(obj["subset"]) if "subset" in obj else None
+            sub = mask_of(_elements(obj["subset"], n, "simplex subset")) if "subset" in obj else None
             return simplex(n, sub)
         if kind == "negate":
             return genperm_from_json(obj["of"]).negate()
@@ -152,7 +164,7 @@ def parse_matroid(source) -> Matroid:
         obj = load_json_file(source[len("graphic:@") :])
         if "edges" not in obj:
             raise ParseError("graphic file needs an 'edges' field")
-        return graphic([tuple(e) for e in obj["edges"]], obj.get("vertices"))
+        return _graphic(obj)
     builtin = builtin_matroid(source)
     if builtin is not None:
         return builtin

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +71,47 @@ def test_shorthand_parsing(u24):
 def test_bad_simplex_shorthand_names_the_input(source):
     with pytest.raises(ParseError, match=repr(source)):
         parse_genperm(source)
+
+
+@pytest.mark.parametrize(
+    "obj, name",
+    [
+        ({"type": "simplex", "ground_set": 3, "subset": [5]}, "simplex subset [5]"),
+        ({"type": "simplex", "ground_set": 3, "subset": [0, 5]}, "simplex subset [0, 5]"),
+        ({"type": "simplex", "ground_set": 3, "subset": [-1]}, "simplex subset [-1]"),
+        ({"ground_set": 2, "rk": {"[0,5]": 1}}, "rk key [0, 5]"),
+        ({"ground_set": 2, "rk": {"[-1]": 1}}, "rk key [-1]"),
+    ],
+    ids=["subset-5", "subset-0-5", "subset-negative", "rk-0-5", "rk-negative"],
+)
+def test_polytope_element_outside_the_ground_set_names_the_input(obj, name):
+    with pytest.raises(ParseError, match=re.escape(name)):
+        parse_genperm(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, name",
+    [
+        ({"type": "graphic", "vertices": 2, "edges": [[0, 1], [0, 2]]}, "graphic edge [0, 2]"),
+        ({"type": "graphic", "vertices": 2, "edges": [[0, 1], [0, -1]]}, "graphic edge [0, -1]"),
+        ({"type": "graphic", "edges": [[0, 1], [0, -1]]}, "graphic edge [0, -1]"),
+    ],
+    ids=["endpoint-2", "endpoint-negative", "endpoint-negative-no-vertices"],
+)
+def test_graphic_endpoint_outside_the_vertices_names_the_input(obj, name, tmp_path):
+    with pytest.raises(ParseError, match=re.escape(name)):
+        parse_matroid(obj)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=re.escape(name)):
+        parse_matroid(f"graphic:@{path}")
+
+
+def test_ehrhart_of_a_subset_outside_the_ground_set_exits_2(tmp_path, capsys):
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"type": "simplex", "ground_set": 3, "subset": [5]}))
+    assert main(["ehrhart", str(path)]) == 2
+    assert "ParseError: simplex subset [5]" in capsys.readouterr().err
 
 
 def test_validation_error_from_file(tmp_path):

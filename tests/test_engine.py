@@ -311,19 +311,26 @@ def _exponent_hull(cls, w):
     return min(es, default=0), max(es, default=0)
 
 
-def _record_reads(monkeypatch):
-    """(K, B, degrees) of every grid read-off at q = 2^K from now on, in order.
+def _span(p):
+    """The highest nonzero digit's place minus the lowest's, -1 for p = 0."""
+    places = [j for j, c in enumerate(p) if c]
+    return places[-1] - places[0] if places else -1
 
-    degrees lists deg P_ab per point, rows first (-1 for P_ab = 0), or is
-    None for a read that could not prove its P_ab and asks for 2K.
+
+def _record_reads(monkeypatch):
+    """(K, spans) of every grid read-off at q = 2^K from now on, in order.
+
+    spans lists, per point and rows first, the span of P_ab's nonzero
+    digits, the degree of P_ab q^-s (-1 for P_ab = 0), or is None for a
+    read that could not prove its P_ab and asks for 2K.
     """
     reads = []
     real = tautmat.engine._grid_interpolate
 
-    def record(atoms, ground, w, rows, cols, plan, bound, bits, height):
-        polys = real(atoms, ground, w, rows, cols, plan, bound, bits, height)
-        degrees = None if polys is None else tuple(len(p) - 1 for row in polys for p in row)
-        reads.append((bits, bound, degrees))
+    def record(atoms, ground, w, base, rows, cols, bits, height):
+        polys = real(atoms, ground, w, base, rows, cols, bits, height)
+        spans = None if polys is None else tuple(_span(p) for row in polys for p in row)
+        reads.append((bits, spans))
         return polys
 
     monkeypatch.setattr(tautmat.engine, "_grid_interpolate", record)
@@ -359,7 +366,7 @@ def split_reads(reads):
     grids, cur = [], []
     for read in reads:
         cur.append(read)
-        if read[2] is not None:
+        if read[1] is not None:
             grids.append(cur)
             cur = []
     assert not cur
@@ -367,13 +374,14 @@ def split_reads(reads):
 
 
 def assert_escalation(reads, bits, bound):
-    """One grid's reads run at bits, 2 bits, ..., at bound, and only the last
-    proves every P_ab, each of degree <= bound.  Returns its degrees."""
-    assert [r[:2] for r in reads] == [(bits << i, bound) for i in range(len(reads))]
-    assert all(r[2] is None for r in reads[:-1])
-    degrees = reads[-1][2]
-    assert max(degrees, default=-1) <= bound
-    return degrees
+    """One grid's reads run at bits, 2 bits, ..., and only the last proves
+    every P_ab, each of span <= bound, the reference hull's width.  Returns
+    its spans."""
+    assert [k for k, _ in reads] == [bits << i for i in range(len(reads))]
+    assert all(spans is None for _, spans in reads[:-1])
+    spans = reads[-1][1]
+    assert max(spans, default=-1) <= bound
+    return spans
 
 
 def _unit(n):
@@ -392,7 +400,7 @@ def test_euler_escalation_recovers(rng, u24, monkeypatch):
     assert euler_char_ab(cls, rng=rng) == unforced
     lo, hi = _exponent_hull(cls, weights[0])
     assert first_bits(cls, _unit(4), _unit(4)) <= 16
-    assert [bits for bits, _, _ in reads] == [2, 4, 8, 16]
+    assert [bits for bits, _ in reads] == [2, 4, 8, 16]
     assert_escalation(reads, 2, hi - lo)
 
 
@@ -411,28 +419,12 @@ def test_euler_escalation_rereads_large_characters(monkeypatch):
 
 
 def test_euler_escalation_fails_cleanly(rng, u24, monkeypatch):
-    # a bound one below the hull's, B - 1, meets a proven P of degree B;
-    # and reads that prove nothing up to 8K give up
-    cls = line_bundle(simplex(2))
-    weights = _record_weights(monkeypatch)
+    # reads that prove nothing up to 8K give up
     reads = _record_reads(monkeypatch)
-    real_plan = tautmat.engine._grid_plan
-
-    def lowered(*args):
-        plan, bound = real_plan(*args)
-        return plan, bound - 1
-
-    with monkeypatch.context() as mp:
-        mp.setattr(tautmat.engine, "_grid_plan", lowered)
-        with pytest.raises(InterpolationInconsistent, match="above the bound"):
-            euler_char_ab(cls, rng=rng)
-    lo, hi = _exponent_hull(cls, weights[0])
-    assert hi - lo > 0
-    assert reads == []  # the raising read records nothing
     monkeypatch.setattr(tautmat.engine, "_kronecker_bits", lambda height: 1)
     with pytest.raises(InterpolationInconsistent, match="no read-off up to 8 bits"):
         euler_char_ab(line_bundle(base_polytope(u24)), rng=rng)
-    assert [(bits, degrees) for bits, _, degrees in reads] == [(1, None), (2, None), (4, None), (8, None)]
+    assert reads == [(1, None), (2, None), (4, None), (8, None)]
 
 
 def _cf_twist_grid(m, *, rng):
@@ -453,8 +445,8 @@ def _cf_twist_grid(m, *, rng):
 def test_hull_bound_needs_no_escalation(rng, monkeypatch, name, run):
     # B = max_c (hi_c - lo_c) over the grid's classes is a true degree
     # bound: the grid is read once, at its first K, with every P_ab of
-    # degree at most B and some of degree B; cf_check reads its twists by
-    # the zeta route, so its grid is read here on the character path, whose
+    # span at most B and some of span B; cf_check reads its twists by the
+    # zeta route, so its grid is read here on the character path, whose
     # power axes the bound must also cover
     grids = []
     real_grid = tautmat.invariants.euler_char_grid
@@ -470,9 +462,9 @@ def test_hull_bound_needs_no_escalation(rng, monkeypatch, name, run):
     [grid], [w] = grids, weights
     classes = grid_classes(*grid)
     bound = max(hi - lo for lo, hi in (_exponent_hull(c, w) for c in classes))
-    [(bits, b, degrees)] = reads
-    assert (bits, b) == (first_bits(*grid), bound)
-    assert len(degrees) == len(classes) and max(degrees) == bound
+    [(bits, spans)] = reads
+    assert bits == first_bits(*grid)
+    assert len(spans) == len(classes) and max(spans) == bound
 
 
 def test_one_sided_exponent_hull_matches_reference(rng, u24, monkeypatch):

@@ -12,6 +12,7 @@ from tautmat.genperm import (
     GuardrailExceeded,
     SubmodularityViolation,
     base_polytope,
+    check_guardrail,
     simplex,
 )
 from tautmat.matroid import Matroid, bits, mask_of, popcount, uniform
@@ -215,3 +216,10 @@ def test_guardrail(monkeypatch):
         big.count_lattice_points()
     monkeypatch.setenv("TAUTMAT_GUARDRAIL", "10")
     assert big.count_lattice_points() == 10
+
+
+@pytest.mark.parametrize("raw", ["abc", "9.5"])
+def test_guardrail_names_a_bad_setting(monkeypatch, raw):
+    monkeypatch.setenv("TAUTMAT_GUARDRAIL", raw)
+    with pytest.raises(ValueError, match=f"TAUTMAT_GUARDRAIL='{raw}' is not an integer"):
+        check_guardrail(3)

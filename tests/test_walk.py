@@ -18,7 +18,7 @@ from tautmat.engine import (
     NonIntegral,
     _chi_walk,
     _frees,
-    _grid_plan,
+    _grid_terms,
     _increments,
     _kronecker_bits,
     _pairwise_diff_product,
@@ -283,9 +283,9 @@ def _table_class_pool(m):
 @settings(max_examples=60, deadline=None)
 def test_euler_char_many_matches_reference_and_zeta_route(m, data, seed):
     # with nested, dual, negated and cancelling products; each class draws
-    # its own w and is read off at its first K, or escalates from it, at
-    # B_c = hi_c - lo_c, the hull of every one of its monomials along that
-    # w, cancelled or not
+    # its own w and is read off at its first K, or escalates from it, with
+    # a span at most B_c = hi_c - lo_c, the hull of every one of its
+    # monomials along that w, cancelled or not
     pool = _table_class_pool(m)
     picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=4,
                                unique=True))
@@ -304,43 +304,38 @@ def test_euler_char_many_matches_reference_and_zeta_route(m, data, seed):
 
 def test_euler_char_many_of_a_class_without_monomials():
     # a drawn case: on a rank-0 matroid S_M is 0, so the nested product has
-    # no monomials; its hull is (0, 0), so it is read at bound 0, its
-    # numerator is bounded by 0, so K = 1, and chi is 0 (P = 0, degree -1)
+    # no monomials; its numerator is bounded by 0, so K = 1, and chi is 0
+    # (P = 0, span -1)
     m = Matroid(1, [0])
     cls = kc_product(kc_product(alpha_beta_twist(1, 1, 1), s_class(m)), line_bundle(base_polytope(m)))
     assert cls.monomials(cls.key_at((0,))) == ()
     _assert_table_matches_monomials(cls, sample_weight(1, random.Random(0)))
     with _recorded_reads() as reads:
         assert euler_char_many([cls], rng=random.Random(0)) == [0]
-    assert reads == [(1, 0, (-1,))]
+    assert reads == [(1, (-1,))]
 
 
 def _assert_table_matches_monomials(cls, w):
-    """The q-independent table that euler_char_many reads cls from (the plan
-    of its 1x1 grid): at each joint key, the summed coefficient of cls's
-    monomials per m.w - lo, zero sums left out, and a bound spanning the
-    hull [lo, hi] of every monomial, cancelled or not."""
+    """The grouped sums that euler_char_many reads cls from (_grid_terms of
+    its 1x1 grid), at distinct values per joint key: per m.w, the sum over
+    joint keys of the value times the summed coefficient of cls's monomials
+    there, cancelled or not, and the unit axes' one root, of exponent 0."""
     n = cls.ground
     unit = wedge_axis(structure_sheaf(n), 0)
     atoms = _dedup_atoms(cls.atoms)
     slot = [atoms.index(a) for a in cls.atoms]
-    joints = _prefix_sums(atoms, n, ())
-    (terms, row_exps, col_exps, shifts), bound = _grid_plan(cls, unit, unit, atoms, joints, w)
-    lo, hi = _exponent_hull(cls, w)
-    assert bound == hi - lo
-    assert row_exps == col_exps == [[0]] and shifts == [[0]]
-    got = {}
-    for rc, e, coeffs in terms:
-        assert rc == (0, 0)
-        for joint, c in coeffs:
-            assert c and (joint, e) not in got
-            got[joint, e] = c
+    acc = {joint: 3 * i + 1 for i, joint in enumerate(_prefix_sums(atoms, n, ()))}
+
+    def dot(m):
+        return sum(map(operator.mul, m, w))
+
+    by_pair, row_roots, col_roots = _grid_terms(acc, atoms, cls, unit, unit, lambda _, m: dot(m))
+    assert row_roots == col_roots == [[(0,) * n]]
     want = {}
-    for joint in joints:
+    for joint, v in acc.items():
         for c, mono in cls.monomials(tuple(joint[i] for i in slot)):
-            e = sum(map(operator.mul, mono, w)) - lo
-            want[joint, e] = want.get((joint, e), 0) + c
-    assert got == {k: c for k, c in want.items() if c}
+            want[dot(mono)] = want.get(dot(mono), 0) + v * c
+    assert by_pair == {(0, 0): want}
 
 
 @given(small_matroids(), st.data(), st.integers(0, 2**16))
@@ -356,7 +351,7 @@ def test_chi_tables_match_monomials(m, data, seed):
 
 @contextlib.contextmanager
 def _recorded_reads():
-    """(K, B, degrees) of every grid read-off inside the block (see test_engine._record_reads)."""
+    """(K, spans) of every grid read-off inside the block (see test_engine._record_reads)."""
     with pytest.MonkeyPatch.context() as mp:
         yield _record_reads(mp)
 
@@ -379,28 +374,29 @@ def _pinned_weight(w):
 def _assert_grid_matches_singles(base, rows, cols, seed, oracle):
     """The grid against euler_char_many on grid_classes, both at the w that
     random.Random(seed) draws: the same values as oracle(classes), the grid
-    read at one bound B from its first K on, each single at its own B_c <=
-    B from its own first K on, the largest B_c is B, and every P_ab has
-    the single's degree.  Returns the grid."""
+    read from its first K on with every span at most B, the largest width
+    hi_c - lo_c of a class's exponent hull, each single from its own first
+    K on with its span at most its own width, and every P_ab of the
+    single's span.  Returns the grid."""
     classes = grid_classes(base, rows, cols)
-    with _pinned_weight(sample_weight(base.ground, random.Random(seed))):
+    w = sample_weight(base.ground, random.Random(seed))
+    with _pinned_weight(w):
         with _recorded_reads() as grid_reads:
             grid = euler_char_grid(base, rows, cols, rng=random.Random(seed))
         with _recorded_reads() as single_reads:
             chis = euler_char_many(classes, rng=random.Random(seed))
     assert [chi for row in grid for chi in row] == chis == oracle(classes)
+    widths = [hi - lo for lo, hi in (_exponent_hull(c, w) for c in classes)]
     [grid_reads] = split_reads(grid_reads)
-    bound = grid_reads[0][1]
-    degrees = assert_escalation(grid_reads, first_bits(base, rows, cols), bound)
+    spans = assert_escalation(grid_reads, first_bits(base, rows, cols), max(widths))
     unit = wedge_axis(structure_sheaf(base.ground), 0)
     singles = split_reads(single_reads)
     assert len(singles) == len(classes)
-    single_degrees = [
-        assert_escalation(reads, first_bits(c, unit, unit), reads[0][1])
-        for c, reads in zip(classes, singles)
+    single_spans = [
+        assert_escalation(reads, first_bits(c, unit, unit), b)
+        for c, b, reads in zip(classes, widths, singles)
     ]
-    assert max(reads[0][1] for reads in singles) == bound
-    assert list(degrees) == [d for (d,) in single_degrees]
+    assert list(spans) == [s for (s,) in single_spans]
     return grid
 
 
