@@ -10,9 +10,9 @@ Three pushforward paths:
   D are accumulated and one exact integer division (divmod) per
   coefficient ends the sum.  Both points are tables of one walk over
   prefix sets (`_prefix_sums`), and the factors are folded in per atom
-  value.  Each factor is a Chern-class functional of a K-class
-  (`GradedFactor`): a monomial T^m of the class at a fixed point is a
-  Chern root m.t.
+  value.  Each factor is an axis of classes E_k of a K-class (`GridAxis`,
+  as the other two paths read): a monomial T^m of the class at a fixed
+  point is a Chern root m.t, where E_k is a Chern class or a power.
 
 * a character path for Euler characteristics: restrict to a one-parameter
   subgroup T_i = q^{w_i}; the character times a power of q is an integer
@@ -97,86 +97,75 @@ def sample_weight(n, rng):
 
 
 # ---------------------------------------------------------------------------
-# graded factors
+# axes
 # ---------------------------------------------------------------------------
 
 
-class GradedFactor:
-    """One multiplicative factor of a graded integrand: a Chern-class functional of a K-class.
+class GridAxis:
+    """Classes E_low, ..., E_top read off the roots of one K-class cls.
 
-    var:    formal variable tracking this factor's degree
-    cls:    the KClassLoc whose Chern roots the factor reads
-    coeffs: Chern roots -> (exponent, integer value) pairs, where the value
-            of the coefficient of var**k is t-homogeneous of degree k.
-
-    At an atom key of cls, a merged monomial T^m of multiplicity c > 0
-    gives c roots m.t*; a negative multiplicity raises MixedSigns.
+    At an atom key of cls, a merged monomial T^m of multiplicity c > 0 is c
+    roots T^m; a negative multiplicity raises MixedSigns.  wedge: E_k =
+    wedge^k cls, the elementary symmetric function e_k of the roots (0 for
+    k above their number).  Otherwise cls is a line bundle with one root L
+    and E_k = L^k.  The graded path reads the roots at m.t*, so E_k is the
+    Chern class c_k or the power b^k of the root b; the character route
+    reads them at q^{m.w}, the zeta route at prod_i (1 + q w_i)^{m_i}.  low
+    is 0 except where the graded path reads one Chern class alone.
     """
 
-    __slots__ = ("var", "cls", "coeffs", "_vectors")
+    __slots__ = ("cls", "low", "size", "wedge", "_roots")
 
-    def __init__(self, var, cls, coeffs):
-        self.var = var
+    def __init__(self, cls, top, wedge, low=0):
         self.cls = cls
-        self.coeffs = coeffs
-        self._vectors = {}  # key -> each m repeated c times, shared by both generic points
+        self.low = low
+        self.size = top + 1 - low
+        self.wedge = wedge
+        self._roots = {}  # key -> roots, shared by every point and grid reading the axis
 
-    def at(self, key, tstar):
-        """{exponent: nonzero value} at an atom-value key of cls and the point tstar."""
-        vectors = self._vectors.get(key)
-        if vectors is None:
-            vectors = self._vectors[key] = _root_vectors(self.cls, key)
-        roots = [sum(map(operator.mul, m, tstar)) for m in vectors]
-        return {k: v for k, v in self.coeffs(roots) if v}
+    def roots(self, key):
+        """The roots' exponent vectors m at an atom key of cls, each m repeated c times."""
+        ms = self._roots.get(key)
+        if ms is None:
+            ms = []
+            for m, c in self.cls.merged(key).items():
+                if c < 0:
+                    raise MixedSigns(f"{self.cls.name} has a monomial of multiplicity {c}")
+                ms += [m] * c
+            if not self.wedge and len(ms) != 1:
+                raise ValueError(f"{self.cls.name} is not a line bundle")
+            self._roots[key] = ms
+        return ms
 
+    def width(self, key):
+        """The most monomials of any E_k at an atom key of cls: C(m, k) for m roots, 1 for L^k."""
+        if not self.wedge:
+            return 1
+        m = len(self.roots(key))
+        return math.comb(m, min(m // 2, self.low + self.size - 1))
 
-def _root_vectors(cls, key):
-    """The roots of cls at an atom key: each merged monomial T^m, c times for c > 0."""
-    vectors = []
-    for m, c in cls.merged(key).items():
-        if c < 0:
-            raise MixedSigns(f"{cls.name} has a monomial of multiplicity {c}")
-        vectors += [m] * c
-    return vectors
-
-
-def _elem_sym(values):
-    """All elementary symmetric functions e_0..e_len of a value list."""
-    out = [1]
-    for v in values:
-        out.append(0)
-        for j in range(len(out) - 1, 0, -1):
-            out[j] += out[j - 1] * v
-    return out
-
-
-def chern_series(cls, var):
-    """Full Chern polynomial factor: coefficient of var^j is Elem_j of the roots."""
-    return GradedFactor(var, cls, lambda roots: enumerate(_elem_sym(roots)))
-
-
-def chern_fixed(cls, k, var):
-    """Single graded Chern coefficient c_k as a factor (exponent k in var)."""
-
-    def coeffs(roots):
-        es = _elem_sym(roots)
-        return [(k, es[k])] if k < len(es) else ()
-
-    return GradedFactor(var, cls, coeffs)
+    def values(self, roots):
+        """[E_low, ..., E_top] at integer root values."""
+        top = self.low + self.size - 1
+        if self.wedge:
+            es = [1] + [0] * top
+            for i, x in enumerate(roots):
+                for k in range(min(i + 1, top), 0, -1):
+                    es[k] += es[k - 1] * x
+        else:
+            (x,) = roots
+            es = list(itertools.accumulate([x] * top, operator.mul, initial=1))
+        return es[self.low :]
 
 
-def power_series(line, var):
-    """1 + b var + ... + b^n var^n for the Chern root b of a line-bundle class, n = ground - 1.
+def wedge_axis(cls, top, low=0):
+    """wedge^k cls for k = low..top."""
+    return GridAxis(cls, top, True, low)
 
-    With kclass.alpha_class or beta_class the factor reads one atom, -Delta
-    or Delta.
-    """
 
-    def coeffs(roots):
-        (base,) = roots
-        return ((i, base**i) for i in range(line.ground))
-
-    return GradedFactor(var, line, coeffs)
+def power_axis(line, top):
+    """L^k for k = 0..top, L a line-bundle class such as kclass.alpha_class or beta_class."""
+    return GridAxis(line, top, False)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +174,11 @@ def power_series(line, var):
 
 
 def integrate_graded(ground, factors, *, rng):
-    """Non-equivariant degrees of a product of GradedFactors, as an integer polynomial.
+    """Non-equivariant degrees of a product of factors, as an integer polynomial.
 
-    The polynomial's variables are the factors' vars in factor order.  The
+    A factor (axis, var) is sum_k E_k var^k over a GridAxis's classes read
+    at the Chern roots, each E_k t-homogeneous of degree k.  The
+    polynomial's variables are the factors' vars in factor order.  The
     fixed-point sum runs at two independent generic points, each a table
     (_point_steps) of one prefix-set walk; each gives integer numerators
     over the point's common denominator D'.  In order:
@@ -198,8 +189,8 @@ def integrate_graded(ground, factors, *, rng):
     """
     target = ground - 1
     check_guardrail(ground)
-    vars = tuple(dict.fromkeys(f.var for f in factors))
-    atoms = _dedup_atoms(tuple(a for f in factors for a in f.cls.atoms))
+    vars = tuple(dict.fromkeys(var for _, var in factors))
+    atoms = _dedup_atoms(tuple(a for axis, _ in factors for a in axis.cls.atoms))
     points = (sample_eval_point(ground, rng), sample_eval_point(ground, rng))
     accs = _prefix_sums(atoms, ground, [_point_steps(t) for t in points])
     (num_a, d_a), (num_b, d_b) = (
@@ -375,10 +366,13 @@ def _fold_factors(factors, vars, atoms, acc, tstar, cap):
 
     acc[joint key] is the class sum at tstar.  Factors are multiplied
     in one at a time, each key projected afterwards onto the atoms later
-    factors read.  A factor is tabulated once per distinct value of its
-    class's atoms, and an exponent vector is one packed int: a field of
-    cap.bit_length() bits per variable and the total degree in the top
-    field, so a term is kept iff the packed sum is below (cap + 1) << top.
+    factors read.  A factor (axis, var) is tabulated once per distinct value
+    of its class's atoms: axis.values at the roots m.tstar, E_k the
+    coefficient of var^k from k = axis.low on, e_k of the roots for a wedge
+    axis and b^k for a power axis of root b.  An exponent vector is one
+    packed int: a field of cap.bit_length() bits per variable and the total
+    degree in the top field, so a term is kept iff the packed sum is below
+    (cap + 1) << top.
     """
     vidx = {v: i for i, v in enumerate(vars)}
     width = max(cap.bit_length(), 1)
@@ -386,18 +380,21 @@ def _fold_factors(factors, vars, atoms, acc, tstar, cap):
     limit = (cap + 1) << top
     state = {key: {0: v} for key, v in acc.items() if v}
     layout = list(atoms)
-    for fi, factor in enumerate(factors):
-        needed = [a for g in factors[fi + 1 :] for a in g.cls.atoms]
+    for fi, (axis, var) in enumerate(factors):
+        needed = [a for g, _ in factors[fi + 1 :] for a in g.cls.atoms]
         keep = [i for i, a in enumerate(layout) if a in needed]
-        project, fkey = _getter(keep), _getter([layout.index(a) for a in factor.cls.atoms])
-        unit = (1 << width * vidx[factor.var]) + (1 << top)
+        project, fkey = _getter(keep), _getter([layout.index(a) for a in axis.cls.atoms])
+        unit = (1 << width * vidx[var]) + (1 << top)
         table = {}
         new_state = {}
         for key, poly in state.items():
             fk = fkey(key)
             fp = table.get(fk)
             if fp is None:
-                fp = table[fk] = [(k * unit, c) for k, c in factor.at(fk, tstar).items()]
+                roots = [sum(map(operator.mul, m, tstar)) for m in axis.roots(fk)]
+                fp = table[fk] = [
+                    (k * unit, c) for k, c in enumerate(axis.values(roots), axis.low) if c
+                ]
             tgt = new_state.setdefault(project(key), {})
             for e, c in poly.items():
                 for de, fc in fp:
@@ -467,56 +464,6 @@ def _chi_walk(atoms, ground, w, q):
     adj.append([1] * ground)
     (acc,) = _prefix_sums(atoms, ground, [(pair, adj)])
     return acc, dq
-
-
-class GridAxis:
-    """One axis of a chi grid: classes E_0, ..., E_top read off the roots of one K-class.
-
-    The roots are cls's, as a GradedFactor reads them; along T_i = q^{w_i}
-    a root T^m is q^{m.w}.  wedge: E_k = wedge^k cls, whose value is the
-    elementary symmetric function e_k of the roots (0 for k above their
-    number), as chern_series reads them.  Otherwise cls is a line bundle
-    with one root L and E_k = L^k, as power_series reads it.
-    """
-
-    __slots__ = ("cls", "size", "wedge")
-
-    def __init__(self, cls, top, wedge):
-        self.cls = cls
-        self.size = top + 1
-        self.wedge = wedge
-
-    def roots(self, key):
-        """The roots' exponent vectors m at an atom key of cls."""
-        ms = _root_vectors(self.cls, key)
-        if not self.wedge and len(ms) != 1:
-            raise ValueError(f"{self.cls.name} is not a line bundle")
-        return ms
-
-    def width(self, key):
-        """The most monomials of any E_k at an atom key of cls: C(m, k) for m roots, 1 for L^k."""
-        if not self.wedge:
-            return 1
-        m = len(_root_vectors(self.cls, key))
-        return math.comb(m, min(m // 2, self.size - 1))
-
-    def values(self, roots):
-        """[E_0, ..., E_top] at integer root values."""
-        if not self.wedge:
-            (x,) = roots
-            return list(itertools.accumulate([x] * (self.size - 1), operator.mul, initial=1))
-        es = _elem_sym(roots)[: self.size]
-        return es + [0] * (self.size - len(es))
-
-
-def wedge_axis(cls, top):
-    """wedge^k cls for k = 0..top."""
-    return GridAxis(cls, top, True)
-
-
-def power_axis(line, top):
-    """L^k for k = 0..top, L a line-bundle class such as kclass.alpha_class or beta_class."""
-    return GridAxis(line, top, False)
 
 
 def euler_char_grid(base, rows, cols, *, rng):

@@ -14,15 +14,12 @@ import itertools
 from functools import lru_cache
 
 from .engine import (
-    chern_fixed,
-    chern_series,
     euler_char_ab,
     euler_char_grid,
     forward_differences,
     integrate_graded,
     integrate_inhomogeneous,
     power_axis,
-    power_series,
     wedge_axis,
 )
 from .genperm import GenPermutohedron, base_polytope, simplex
@@ -91,10 +88,10 @@ def taut_degree_polynomial(m: Matroid, *, rng) -> SparsePoly:
     p = integrate_graded(
         n1,
         [
-            chern_series(dual_class(s_class(m)), "z"),
-            chern_series(q_class(m), "w"),
-            power_series(beta_class(n1), "y"),
-            power_series(alpha_class(n1), "x"),
+            (wedge_axis(dual_class(s_class(m)), n1 - 1), "z"),
+            (wedge_axis(q_class(m), n1 - 1), "w"),
+            (power_axis(beta_class(n1), n1 - 1), "y"),
+            (power_axis(alpha_class(n1), n1 - 1), "x"),
         ],
         rng=rng,
     )
@@ -116,19 +113,20 @@ def mixed_degree_generating(subs, quots, *, rng) -> SparsePoly:
     factors = []
     vars_out = ["x", "y"]
     for i, m in enumerate(subs, start=1):
-        factors.append(chern_series(dual_class(s_class(m)), f"z{i}"))
+        factors.append((wedge_axis(dual_class(s_class(m)), n1 - 1), f"z{i}"))
         vars_out.append(f"z{i}")
     for i, m in enumerate(quots, start=1):
-        factors.append(chern_series(q_class(m), f"w{i}"))
+        factors.append((wedge_axis(q_class(m), n1 - 1), f"w{i}"))
         vars_out.append(f"w{i}")
-    factors.append(power_series(beta_class(n1), "y"))
-    factors.append(power_series(alpha_class(n1), "x"))
+    factors.append((power_axis(beta_class(n1), n1 - 1), "y"))
+    factors.append((power_axis(alpha_class(n1), n1 - 1), "x"))
     return integrate_graded(n1, factors, rng=rng).with_vars(tuple(vars_out))
 
 
 def alpha_beta_degrees(n1, *, rng) -> SparsePoly:
     """sum (deg alpha^i beta^j) x^i y^j on the ground set of size n1."""
-    factors = [power_series(beta_class(n1), "y"), power_series(alpha_class(n1), "x")]
+    top = n1 - 1
+    factors = [(power_axis(beta_class(n1), top), "y"), (power_axis(alpha_class(n1), top), "x")]
     return integrate_graded(n1, factors, rng=rng).with_vars(("x", "y"))
 
 
@@ -163,8 +161,10 @@ def _factor_degree_poly(m: Matroid, rng) -> SparsePoly:
     key = m.key()
     got = _FACTOR_DEGREE_MEMO.get(key)
     if got is None:
-        factors = [chern_series(dual_class(s_class(m)), "z"), chern_series(q_class(m), "w")]
-        got = integrate_graded(m.n_elements, factors, rng=rng).with_vars(("z", "w"))
+        n1 = m.n_elements
+        factors = [(wedge_axis(dual_class(s_class(m)), n1 - 1), "z"),
+                   (wedge_axis(q_class(m), n1 - 1), "w")]
+        got = integrate_graded(n1, factors, rng=rng).with_vars(("z", "w"))
         _FACTOR_DEGREE_MEMO[key] = got
     return got
 
@@ -467,10 +467,10 @@ def g_polynomial(m: Matroid, *, rng) -> SparsePoly:
     top = integrate_graded(
         n1,
         [
-            chern_series(dual_class(q_class(m)), "u"),
-            chern_series(dual_class(s_class(m)), "z"),
-            chern_fixed(q_class(m), crk, "w"),
-            power_series(alpha_class(n1), "x"),
+            (wedge_axis(dual_class(q_class(m)), n1 - 1), "u"),
+            (wedge_axis(dual_class(s_class(m)), n1 - 1), "z"),
+            (wedge_axis(q_class(m), crk, crk), "w"),
+            (power_axis(alpha_class(n1), n1 - 1), "x"),
         ],
         rng=rng,
     )
@@ -514,10 +514,10 @@ def flag_tutte_kt(flag: FlagMatroid, *, rng) -> SparsePoly:
     n1 = flag.n_elements
     r_top = mats[-1].rank_value
     r_bot = mats[0].rank_value
-    factors = [chern_series(dual_class(s_class(mm)), "v") for mm in mats[:-1]]
-    factors.append(chern_series(dual_class(s_class(mats[-1])), "z"))
-    factors.append(chern_series(q_class(mats[0]), "w"))
-    factors.append(power_series(alpha_class(n1), "x"))
+    factors = [(wedge_axis(dual_class(s_class(mm)), n1 - 1), "v") for mm in mats[:-1]]
+    factors.append((wedge_axis(dual_class(s_class(mats[-1])), n1 - 1), "z"))
+    factors.append((wedge_axis(q_class(mats[0]), n1 - 1), "w"))
+    factors.append((power_axis(alpha_class(n1), n1 - 1), "x"))
     top = integrate_graded(n1, factors, rng=rng)
     collapsed = top.substitute("x", 1)
     if k > 1:
@@ -575,10 +575,10 @@ def lvt(m1: Matroid, m2: Matroid, *, rng) -> SparsePoly:
     top = integrate_graded(
         n1,
         [
-            chern_series(dual_class(s_class(m1)), "u"),
-            chern_series(dual_class(q_class(m2)), "v"),
-            chern_series(sdiff, "s"),
-            power_series(alpha_class(n1), "x"),
+            (wedge_axis(dual_class(s_class(m1)), n1 - 1), "u"),
+            (wedge_axis(dual_class(q_class(m2)), n1 - 1), "v"),
+            (wedge_axis(sdiff, n1 - 1), "s"),
+            (power_axis(alpha_class(n1), n1 - 1), "x"),
         ],
         rng=rng,
     )

@@ -10,7 +10,7 @@ O(D_P) reads the vertex of -P, which is its monomial.  Pushforwards read a
 class only at its distinct atom-value keys, which are cached per class.
 The same classes serve the Chow side: a Chern-class factor of the graded
 path reads a class's merged monomials, each T^m of multiplicity c > 0
-giving c Chern roots m.t (engine.GradedFactor).
+giving c Chern roots m.t (engine.GridAxis).
 """
 
 from __future__ import annotations
@@ -194,9 +194,9 @@ def line_bundle(p: GenPermutohedron) -> KClassLoc:
 def alpha_class(n) -> KClassLoc:
     """[O(alpha)] = O(D_Delta), read at -Delta alone: T_{sigma(n)}^{-1}.
 
-    Its one monomial is the root that engine.power_series and
-    engine.power_axis raise to powers: O(t alpha) for the graded path and
-    for the t axis of the Cameron-Fink grid.
+    Its one monomial is the root that engine.power_axis raises to powers:
+    alpha^t at its Chern root on the graded path, O(t alpha) on the t axis
+    of the Cameron-Fink grid.
     """
     return _vertex_class(simplex_pair(n)[1], "O(a)")
 
@@ -204,9 +204,9 @@ def alpha_class(n) -> KClassLoc:
 def beta_class(n) -> KClassLoc:
     """[O(beta)] = O(D_{-Delta}), read at Delta alone: T_{sigma(0)}.
 
-    Its one monomial is the root that engine.power_series and
-    engine.power_axis raise to powers: O(u beta) for the graded path and
-    for the u axis of the Cameron-Fink grid.
+    Its one monomial is the root that engine.power_axis raises to powers:
+    beta^u at its Chern root on the graded path, O(u beta) on the u axis
+    of the Cameron-Fink grid.
     """
     return _vertex_class(simplex_pair(n)[0], "O(b)")
 

@@ -190,23 +190,18 @@ class Matroid:
         return self._minor(upper & ~lower, lower, allow_empty)
 
     def _minor(self, keep: int, contracted: int, allow_empty):
+        """M|(keep + contracted)/contracted on keep: B & keep, relabelled, for each basis B
+        of M meeting both contracted and keep + contracted in a basis of the set."""
         if keep == 0:
             if allow_empty:
                 return _empty_matroid()
             raise EmptyGroundSetResult("minor would have an empty ground set")
         keep_bits = list(bits(keep))
         rk_c = self.rank(contracted)
-        # independent spanning part of the contracted set, greedily completed
-        base_c = 0
-        for e in bits(contracted):
-            if self.rank(base_c | (1 << e)) > self.rank(base_c):
-                base_c |= 1 << e
-        target = self.rank(contracted | keep) - rk_c
-        new_bases = set()
-        for cand in itertools.combinations(keep_bits, target):
-            m = mask_of(cand)
-            if self.rank(m | base_c) == target + rk_c:
-                new_bases.add(_compress(m, keep_bits))
+        rk_k = self.rank(keep | contracted) - rk_c
+        kept = {b & keep for b in self.bases
+                if (b & contracted).bit_count() == rk_c and (b & keep).bit_count() == rk_k}
+        new_bases = [_compress(b, keep_bits) for b in kept]
         labels = tuple(self.labels[i] for i in keep_bits)
         return Matroid(len(keep_bits), new_bases, labels=labels, validate=False)
 

@@ -15,7 +15,7 @@ import hashlib
 import json
 
 from .genperm import GenPermutohedron, base_polytope, simplex
-from .matroid import FlagMatroid, Matroid, bits, graphic, mask_of, matroid_from_bases, uniform
+from .matroid import FlagMatroid, Matroid, bits, graphic, uniform
 
 
 class ParseError(ValueError):
@@ -50,21 +50,43 @@ def matroid_from_json(obj, validate=True) -> Matroid:
         if kind == "graphic":
             return _graphic(obj)
         if kind == "bases":
-            return matroid_from_bases(
-                int(obj["ground_set"]), obj["bases"], validate=validate
-            )
+            n, bases = _ground_set(obj), obj["bases"]
+            if not isinstance(bases, list):
+                raise ParseError(f"bases {bases!r} is not a list")
+            return Matroid(n, [_mask(b, n, "basis") for b in bases], validate=validate)
     except KeyError as exc:
         raise ParseError(f"missing field {exc} in matroid input") from exc
     raise ParseError(f"unknown matroid type {kind!r}")
 
 
+def _ground_set(obj):
+    """obj["ground_set"], a nonnegative JSON integer, else ParseError."""
+    n = obj["ground_set"]
+    if type(n) is not int or n < 0:
+        raise ParseError(f"ground_set {n!r} is not a nonnegative integer")
+    return n
+
+
 def _elements(values, n, what):
-    """values, each an int in range(n) (n None: any int >= 0), else ParseError naming what."""
-    values = list(values)
-    if not all(isinstance(i, int) and 0 <= i and (n is None or i < n) for i in values):
+    """values, a list of ints (not bools) in range(n) (n None: any int >= 0), else ParseError."""
+    if not isinstance(values, list) or not all(
+        type(i) is int and 0 <= i and (n is None or i < n) for i in values
+    ):
         where = "a nonnegative int" if n is None else f"in 0..{n - 1}"
-        raise ParseError(f"{what} {values} has an entry not {where}")
+        raise ParseError(f"{what} {values!r} has an entry not {where}")
     return values
+
+
+def _mask(values, n, what):
+    """The mask of values, a list of distinct ints in range(n), else ParseError naming what."""
+    if not isinstance(values, list):
+        raise ParseError(f"{what} {values!r} is not a list")
+    mask = 0
+    for i in values:
+        if type(i) is not int or not 0 <= i < n or mask >> i & 1:
+            raise ParseError(f"{what} {values} has an entry not a distinct int in 0..{n - 1}")
+        mask |= 1 << i
+    return mask
 
 
 def _graphic(obj):
@@ -85,7 +107,7 @@ def ground_set_size(obj) -> int:
         if kind == "graphic":
             return len(obj["edges"])
         if kind == "bases":
-            return int(obj["ground_set"])
+            return _ground_set(obj)
     except KeyError as exc:
         raise ParseError(f"missing field {exc} in matroid input") from exc
     raise ParseError(f"unknown matroid type {kind!r}")
@@ -107,18 +129,18 @@ def genperm_from_json(obj) -> GenPermutohedron:
     kind = obj.get("type", "rk")
     try:
         if kind == "rk":
-            n = int(obj["ground_set"])
+            n = _ground_set(obj)
             rk = [0] * (1 << n)
             for key, v in obj["rk"].items():
-                rk[mask_of(_elements(json.loads(key), n, "rk key"))] = int(v)
+                rk[_mask(json.loads(key), n, "rk key")] = int(v)
             return GenPermutohedron(n, rk)
         if kind == "base_polytope":
             return base_polytope(matroid_from_json(obj["matroid"]))
         if kind == "hypersimplex":
             return base_polytope(uniform(int(obj["r"]), int(obj["n"])))
         if kind == "simplex":
-            n = int(obj["ground_set"])
-            sub = mask_of(_elements(obj["subset"], n, "simplex subset")) if "subset" in obj else None
+            n = _ground_set(obj)
+            sub = _mask(obj["subset"], n, "simplex subset") if "subset" in obj else None
             return simplex(n, sub)
         if kind == "negate":
             return genperm_from_json(obj["of"]).negate()

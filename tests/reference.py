@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from operator import sub
 
-from tautmat.engine import sample_eval_point, wedge_axis
+from tautmat.engine import power_axis, sample_eval_point, wedge_axis
 from tautmat.invariants import _factor_degree_poly
 from tautmat.kclass import (
     KClassLoc,
@@ -25,7 +25,7 @@ from tautmat.kclass import (
     s_class,
     simplex_pair,
 )
-from tautmat.matroid import Matroid, bits, popcount
+from tautmat.matroid import Matroid, bits, mask_of, popcount
 from tautmat.perms import all_perms
 from tautmat.poly import (
     SparsePoly,
@@ -47,6 +47,27 @@ def direct_sum(m1, m2):
     shift = m1.n_elements
     bases = [b1 | (b2 << shift) for b1 in m1.bases for b2 in m2.bases]
     return Matroid(m1.n_elements + m2.n_elements, bases, validate=False)
+
+
+def minor_reference(m, upper, lower):
+    """M|upper/lower on upper - lower, by a greedy basis of lower completed in upper.
+
+    A candidate of size rk(upper) - rk(lower) in upper - lower is a basis iff
+    together with a basis of lower it spans upper.
+    """
+    keep_bits = list(bits(upper & ~lower))
+    rk_c = m.rank(lower)
+    base_c = 0
+    for e in bits(lower):
+        if m.rank(base_c | (1 << e)) > m.rank(base_c):
+            base_c |= 1 << e
+    target = m.rank(upper) - rk_c
+    new_bases = set()
+    for cand in itertools.combinations(keep_bits, target):
+        if m.rank(mask_of(cand) | base_c) == target + rk_c:
+            new_bases.add(mask_of(i for i, e in enumerate(keep_bits) if e in cand))
+    labels = tuple(m.labels[i] for i in keep_bits)
+    return Matroid(len(keep_bits), new_bases, labels=labels, validate=False)
 
 
 def localization_denominator(sigma, tstar):
@@ -277,6 +298,16 @@ def axis_class(axis, k):
         return [(c**k, tuple(k * x for x in m))]
 
     return KClassLoc(line.ground, line.atoms, mono, name=f"{line.name}^{k}")
+
+
+def chern_factor(cls, var):
+    """The graded factor c(cls) = sum_k c_k(cls) var^k, as (axis, var) up to k = n - 1."""
+    return wedge_axis(cls, cls.ground - 1), var
+
+
+def power_factor(line, var):
+    """The graded factor sum_k b^k var^k of a line bundle's root b, as (axis, var) up to k = n - 1."""
+    return power_axis(line, line.ground - 1), var
 
 
 def grid_classes(base, rows, cols):

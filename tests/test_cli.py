@@ -81,8 +81,13 @@ def test_bad_simplex_shorthand_names_the_input(source):
         ({"type": "simplex", "ground_set": 3, "subset": [-1]}, "simplex subset [-1]"),
         ({"ground_set": 2, "rk": {"[0,5]": 1}}, "rk key [0, 5]"),
         ({"ground_set": 2, "rk": {"[-1]": 1}}, "rk key [-1]"),
+        ({"type": "simplex", "ground_set": 3, "subset": [True]}, "simplex subset [True]"),
+        ({"ground_set": 2, "rk": {"[true]": 1}}, "rk key [True]"),
+        ({"ground_set": 2, "rk": {"[0,0]": 1}}, "rk key [0, 0]"),
+        ({"type": "simplex", "ground_set": 2.5}, "ground_set 2.5"),
     ],
-    ids=["subset-5", "subset-0-5", "subset-negative", "rk-0-5", "rk-negative"],
+    ids=["subset-5", "subset-0-5", "subset-negative", "rk-0-5", "rk-negative", "subset-bool",
+         "rk-bool", "rk-repeated", "ground-float"],
 )
 def test_polytope_element_outside_the_ground_set_names_the_input(obj, name):
     with pytest.raises(ParseError, match=re.escape(name)):
@@ -95,8 +100,9 @@ def test_polytope_element_outside_the_ground_set_names_the_input(obj, name):
         ({"type": "graphic", "vertices": 2, "edges": [[0, 1], [0, 2]]}, "graphic edge [0, 2]"),
         ({"type": "graphic", "vertices": 2, "edges": [[0, 1], [0, -1]]}, "graphic edge [0, -1]"),
         ({"type": "graphic", "edges": [[0, 1], [0, -1]]}, "graphic edge [0, -1]"),
+        ({"type": "graphic", "vertices": 2, "edges": [[True, 0]]}, "graphic edge [True, 0]"),
     ],
-    ids=["endpoint-2", "endpoint-negative", "endpoint-negative-no-vertices"],
+    ids=["endpoint-2", "endpoint-negative", "endpoint-negative-no-vertices", "endpoint-bool"],
 )
 def test_graphic_endpoint_outside_the_vertices_names_the_input(obj, name, tmp_path):
     with pytest.raises(ParseError, match=re.escape(name)):
@@ -105,6 +111,30 @@ def test_graphic_endpoint_outside_the_vertices_names_the_input(obj, name, tmp_pa
     path.write_text(json.dumps(obj))
     with pytest.raises(ParseError, match=re.escape(name)):
         parse_matroid(f"graphic:@{path}")
+
+
+@pytest.mark.parametrize(
+    "obj, name",
+    [
+        ({"ground_set": 2, "bases": [[0, -1]]}, "basis [0, -1]"),
+        ({"ground_set": 2, "bases": [["a"]]}, "basis ['a']"),
+        ({"ground_set": 2, "bases": [[True]]}, "basis [True]"),
+        ({"ground_set": 2, "bases": [[0, 0]]}, "basis [0, 0]"),
+        ({"ground_set": 2, "bases": [0]}, "basis 0"),
+        ({"ground_set": 2, "bases": 7}, "bases 7"),
+        ({"ground_set": "x", "bases": [[0]]}, "ground_set 'x'"),
+        ({"ground_set": 2.5, "bases": [[0]]}, "ground_set 2.5"),
+    ],
+    ids=["negative", "string", "bool", "repeated", "int-basis", "int-bases", "ground-string",
+         "ground-float"],
+)
+def test_malformed_bases_name_the_input(obj, name, tmp_path, capsys):
+    with pytest.raises(ParseError, match=re.escape(name)):
+        matroid_from_json(obj)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    assert main(["info", str(path)]) == 2
+    assert f"ParseError: {name}" in capsys.readouterr().err
 
 
 def test_ehrhart_of_a_subset_outside_the_ground_set_exits_2(tmp_path, capsys):

@@ -15,8 +15,10 @@ def test_ground_set_size_reads_every_entry():
 
 
 def test_ground_set_size_rejects_what_matroid_from_json_rejects():
+    # ground_set must be a nonnegative JSON integer: not a string, a float or a bool
+    bad_sizes = [{"ground_set": n, "bases": [[0]]} for n in ("x", 2.5, True, -1)]
     for bad in ([4], {"type": "uniform", "r": 2}, {"type": "graphic"}, {"bases": []},
-                {"type": "paving", "n": 4}):
+                {"type": "paving", "n": 4}, *bad_sizes):
         with pytest.raises(ParseError):
             matroid_from_json(bad)
         with pytest.raises(ParseError):

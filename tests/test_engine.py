@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -11,11 +12,10 @@ import tautmat.perms
 from tautmat.corpus import builtin_matroid
 from tautmat.engine import (
     GenericPointMismatch,
-    GradedFactor,
+    GridAxis,
     InterpolationInconsistent,
     NonIntegral,
     SubDegreeNonzero,
-    chern_series,
     euler_char_ab,
     euler_char_many,
     integrate_graded,
@@ -29,7 +29,6 @@ from tautmat.engine import (
     _prefix_sums,
     _zeta_read_off,
     power_axis,
-    power_series,
     wedge_axis,
 )
 from tautmat.kclass import (
@@ -57,6 +56,7 @@ from tautmat.rat import Rat
 
 from reference import (
     alpha_beta_twist,
+    chern_factor,
     chi_reference,
     exterior_power,
     fs_classes,
@@ -64,6 +64,7 @@ from reference import (
     grid_classes,
     kc_product,
     localization_denominator,
+    power_factor,
     zeta_monomial_value,
     zeta_numerator,
 )
@@ -77,7 +78,7 @@ def test_localization_denominator():
 
 def test_point_variety(rng):
     # one-element ground set: a single fixed point, empty denominator
-    p = integrate_graded(1, [power_series(alpha_class(1), "x")], rng=rng)
+    p = integrate_graded(1, [power_factor(alpha_class(1), "x")], rng=rng)
     assert p.coeff((0,)) == 1
     assert euler_char_ab(structure_sheaf(1), rng=rng) == 1
 
@@ -85,31 +86,31 @@ def test_point_variety(rng):
 def test_alpha_and_beta_top_powers(rng):
     # pi_E is birational onto P^n, so the top power of either pullback has degree 1
     for n1 in (2, 3, 4):
-        pa = integrate_graded(n1, [power_series(alpha_class(n1), "x")], rng=rng)
+        pa = integrate_graded(n1, [power_factor(alpha_class(n1), "x")], rng=rng)
         assert pa.coeff((n1 - 1,)) == 1
-        pb = integrate_graded(n1, [power_series(beta_class(n1), "y")], rng=rng)
+        pb = integrate_graded(n1, [power_factor(beta_class(n1), "y")], rng=rng)
         assert pb.coeff((n1 - 1,)) == 1
 
 
 def test_alpha_beta_mixed_degrees_small(rng):
     # hand-derived for n = 1: deg(alpha) = deg(beta) = 1
     p = integrate_graded(
-        2, [power_series(beta_class(2), "y"), power_series(alpha_class(2), "x")], rng=rng
+        2, [power_factor(beta_class(2), "y"), power_factor(alpha_class(2), "x")], rng=rng
     )
     assert p.terms == {(0, 1): Rat(1), (1, 0): Rat(1)}
     # n = 2: the Cremona image of a line is a conic, so deg(alpha*beta) = 2
     p = integrate_graded(
-        3, [power_series(beta_class(3), "y"), power_series(alpha_class(3), "x")], rng=rng
+        3, [power_factor(beta_class(3), "y"), power_factor(alpha_class(3), "x")], rng=rng
     )
     assert p.coeff((1, 1)) == 2 and p.coeff((2, 0)) == 1 and p.coeff((0, 2)) == 1
 
 
 def test_callable_reference_path_agrees(rng, u24):
     factors = [
-        chern_series(dual_class(s_class(u24)), "z"),
-        chern_series(q_class(u24), "w"),
-        power_series(beta_class(4), "y"),
-        power_series(alpha_class(4), "x"),
+        chern_factor(dual_class(s_class(u24)), "z"),
+        chern_factor(q_class(u24), "w"),
+        power_factor(beta_class(4), "y"),
+        power_factor(alpha_class(4), "x"),
     ]
     fast = integrate_graded(4, factors, rng=rng)
 
@@ -136,16 +137,29 @@ def test_callable_reference_path_agrees(rng, u24):
     assert ref == fast.with_vars(("x", "y", "z", "w"))
 
 
+class _GivenAxis(GridAxis):
+    """A test double: an axis of cls whose classes E_low, ... are coeffs(roots)."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, cls, low, coeffs):
+        super().__init__(cls, low, True, low)
+        self.coeffs = coeffs
+
+    def values(self, roots):
+        return self.coeffs(roots)
+
+
 def test_grading_violation_detected(rng):
     # a degree-n value of t attached to formal degree 0 survives below the target
-    bad = GradedFactor("x", beta_class(3), lambda roots: [(0, roots[0] ** 2)])
+    bad = _GivenAxis(beta_class(3), 0, lambda roots: [roots[0] ** 2])
     with pytest.raises(SubDegreeNonzero):
-        integrate_graded(3, [bad], rng=rng)
+        integrate_graded(3, [(bad, "x")], rng=rng)
 
     # a degree-3 value at formal top degree leaves point-dependent residue
-    bad2 = GradedFactor("x", beta_class(3), lambda roots: [(2, roots[0] ** 3)])
+    bad2 = _GivenAxis(beta_class(3), 2, lambda roots: [roots[0] ** 3])
     with pytest.raises(GenericPointMismatch):
-        integrate_graded(3, [bad2], rng=rng)
+        integrate_graded(3, [(bad2, "x")], rng=rng)
 
 
 def _at_points(monkeypatch, *points):
@@ -159,13 +173,13 @@ def test_graded_failures_in_order(rng, monkeypatch):
     t0_at_first_0 = KClassLoc(3, (simplex(3),), lambda key: [(1, (1, 0, 0))] if key[0][0] else [])
 
     def first_only(roots):
-        return [(2, roots[0] ** 2)] if roots else []
+        return [roots[0] ** 2] if roots else []
 
     def with_low_term(roots):
-        return [(0, roots[0] ** 2), *first_only(roots)] if roots else []
+        return [roots[0] ** 2, 0, *first_only(roots)] if roots else []
 
-    top = [GradedFactor("x", t0_at_first_0, first_only)]
-    low = [GradedFactor("x", t0_at_first_0, with_low_term)]
+    top = [(_GivenAxis(t0_at_first_0, 2, first_only), "x")]
+    low = [(_GivenAxis(t0_at_first_0, 0, with_low_term), "x")]
     _at_points(monkeypatch, (1, 2, 4), (1, 2, 4))
     with pytest.raises(NonIntegral):
         integrate_graded(3, top, rng=rng)
@@ -181,12 +195,12 @@ def test_graded_failures_in_order(rng, monkeypatch):
 
 def test_partition_independence(rng, fano):
     factors = [
-        chern_series(dual_class(s_class(fano)), "z"),
-        chern_series(q_class(fano), "w"),
-        power_series(beta_class(7), "y"),
-        power_series(alpha_class(7), "x"),
+        chern_factor(dual_class(s_class(fano)), "z"),
+        chern_factor(q_class(fano), "w"),
+        power_factor(beta_class(7), "y"),
+        power_factor(alpha_class(7), "x"),
     ]
-    atoms = _dedup_atoms(tuple(a for f in factors for a in f.cls.atoms))
+    atoms = _dedup_atoms(tuple(a for axis, _ in factors for a in axis.cls.atoms))
     tstar = (3, 17, 5, 9, 2, 11, 7)
     d = _pairwise_diff_product(tstar)
     # oracle: every atom's vertex read off each permutation, no prefix-set walk
@@ -198,17 +212,38 @@ def test_partition_independence(rng, fano):
 
 
 def test_factor_values_at_literal_points():
-    # c^T(S^v, z) at sigma = id with greedy basis {0} and t* = (2, 3)
+    # c^T(S^v) at sigma = id with greedy basis {0} and t* = (2, 3): one root t_0 = 2
     m = uniform(1, 2)
-    f = chern_series(dual_class(s_class(m)), "z")
-    assert f.at(((1, 0),), (2, 3)) == {0: 1, 1: 2}
-    fq = chern_series(q_class(m), "w")
-    assert fq.at(((1, 0),), (2, 3)) == {0: 1, 1: -3}
+    sv = wedge_axis(dual_class(s_class(m)), 1)
+    assert sv.roots(((1, 0),)) == [(1, 0)]
+    assert sv.values([2]) == [1, 2]
+    # Q's one root is -t_1 = -3
+    q = wedge_axis(q_class(m), 1)
+    assert q.roots(((1, 0),)) == [(0, -1)]
+    assert q.values([-3]) == [1, -3]
     # at sigma = id the vertex of -Delta is -e_1, that of Delta is e_0
-    al = power_series(alpha_class(2), "x")
-    assert al.at(((0, -1),), (2, 3)) == {0: 1, 1: -3}
-    be = power_series(beta_class(2), "y")
-    assert be.at(((1, 0),), (2, 3)) == {0: 1, 1: 2}
+    al = power_axis(alpha_class(2), 1)
+    assert al.roots(((0, -1),)) == [(0, -1)]
+    assert al.values([-3]) == [1, -3]
+    be = power_axis(beta_class(2), 1)
+    assert be.roots(((1, 0),)) == [(1, 0)]
+    assert be.values([2]) == [1, 2]
+
+
+@given(st.lists(st.integers(-9, 9), max_size=6), st.integers(0, 6))
+def test_single_class_axis_reads_only_e_k(roots, k):
+    # g_polynomial's c_crk(Q) factor: the axis from k to k reads E_k alone
+    cls = structure_sheaf(7)
+    e_k = sum(map(math.prod, itertools.combinations(roots, k)))
+    assert wedge_axis(cls, k, k).values(roots) == [e_k] == wedge_axis(cls, 6).values(roots)[k : k + 1]
+
+
+def test_single_class_factor_folds_only_its_degree(u24):
+    crk = u24.corank
+    alpha = power_factor(alpha_class(4), "x")
+    full = integrate_graded(4, [chern_factor(q_class(u24), "w"), alpha], rng=random.Random(1))
+    one = integrate_graded(4, [(wedge_axis(q_class(u24), crk, crk), "w"), alpha], rng=random.Random(1))
+    assert one.terms == {e: c for e, c in full.terms.items() if e[0] == crk} != {}
 
 
 def test_difference_factor_of_a_non_quotient_raises():
@@ -218,11 +253,11 @@ def test_difference_factor_of_a_non_quotient_raises():
     m1, m2 = matroid_from_bases(3, [[2]]), uniform(2, 3)
     sdiff = kc_sum(dual_class(s_class(m2)), kc_negate(dual_class(s_class(m1))))
     assert sdiff.at((0, 1, 2)) == {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1}
-    factor = chern_series(sdiff, "s")
+    axis = wedge_axis(sdiff, 2)
     with pytest.raises(MixedSigns):
-        factor.at(sdiff.key_at((0, 1, 2)), (1, 2, 4))
+        axis.roots(sdiff.key_at((0, 1, 2)))
     with pytest.raises(MixedSigns):
-        integrate_graded(3, [factor], rng=random.Random(0))
+        integrate_graded(3, [(axis, "s")], rng=random.Random(0))
 
 
 def test_zeta_route_weight_independent(rng):
@@ -617,7 +652,7 @@ def test_integrate_graded_makes_one_walk(rng, monkeypatch, u24):
         return walk(atoms, ground, tables)
 
     monkeypatch.setattr(tautmat.engine, "_prefix_sums", counting)
-    factors = [chern_series(dual_class(s_class(u24)), "z"), power_series(beta_class(4), "y")]
+    factors = [chern_factor(dual_class(s_class(u24)), "z"), power_factor(beta_class(4), "y")]
     integrate_graded(4, factors, rng=rng)
     assert table_sets == [2]
 
@@ -679,7 +714,7 @@ def test_every_route_enforces_the_guardrail(monkeypatch):
         with pytest.raises(GuardrailExceeded):
             route(structure_sheaf(n), rng=random.Random(0))
     with pytest.raises(GuardrailExceeded):
-        integrate_graded(n, [power_series(alpha_class(n), "x")], rng=random.Random(0))
+        integrate_graded(n, [power_factor(alpha_class(n), "x")], rng=random.Random(0))
 
 
 @pytest.mark.parametrize("seed", range(12))

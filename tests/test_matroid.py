@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from reference import direct_sum, flat_chains
+from reference import direct_sum, flat_chains, minor_reference
+from test_walk import small_matroids
 from tautmat.genperm import base_polytope
 from tautmat.matroid import (
     EmptyBases,
@@ -136,6 +138,18 @@ def test_dual_minors_sums():
         assert m.delete(bit).dual() == m.dual().contract(bit)
     with pytest.raises(EmptyGroundSetResult):
         m.delete(m.full_mask)
+
+
+@given(small_matroids())
+@settings(max_examples=25, deadline=None)
+def test_minor_bases_match_greedy_completion(m):
+    full = m.full_mask
+    for upper in range(1, full + 1):
+        lower = upper
+        while lower:
+            lower = (lower - 1) & upper  # every proper subset of upper, down to the empty set
+            got, want = m.minor(upper, lower), minor_reference(m, upper, lower)
+            assert (got, got.labels) == (want, want.labels)
 
 
 def test_minor_labels():
