@@ -37,7 +37,7 @@ from .kclass import (
     structure_sheaf,
 )
 from .matroid import FlagMatroid, Matroid, bits, is_quotient, popcount
-from .poly import InconsistentSamples, SparsePoly, psi_inverse
+from .poly import InconsistentSamples, SparsePoly, psi_inverse, shift
 from .tutte import beta_pair, t_transform, tutte_delcontr
 from .weights import MinkowskiWeight
 
@@ -341,12 +341,7 @@ def fs_tutte(m: Matroid, *, rng, jobs=1, zeta_check=False) -> SparsePoly:
             for j, zz in enumerate(row):
                 if zz != chis[i, j]:
                     raise ChiRouteMismatch(f"fs class {(i, j)}: chi {chis[i, j]} vs zeta {zz}")
-    u1 = SparsePoly(("u", "v"), {(1, 0): 1, (0, 0): -1})
-    v1 = SparsePoly(("u", "v"), {(0, 1): 1, (0, 0): -1})
-    out = SparsePoly.zero(("u", "v"))
-    for (i, j), chi in chis.items():
-        if chi:
-            out = out + chi * u1**i * v1**j
+    out = shift(shift(SparsePoly(("u", "v"), chis), "u", -1), "v", -1)
     expected = tutte_delcontr(m).with_vars(("x", "y"))
     renamed = SparsePoly(("u", "v"), dict(expected.terms))
     if out != renamed:
@@ -423,13 +418,8 @@ def cf_check(m: Matroid, t_max=None, u_max=None, *, rng, jobs=1) -> CfReport:
         })
     except InconsistentSamples as exc:
         raise IdentityFailure(f"Q_M grid of {m!r} is not of degree <= {n}: {exc}") from exc
-    shifted = (
-        t_transform(m)
-        .substitute("x", SparsePoly(("x",), {(1,): 1, (0,): 1}))
-        .substitute("z", 1)
-        .substitute("w", 0)
-        .with_vars(("x", "y"))
-    )
+    shifted = shift(t_transform(m), "x", 1).substitute("z", 1).substitute("w", 0)
+    shifted = shifted.with_vars(("x", "y"))
     if psi != shifted:
         raise IdentityFailure(f"Psi(Q_M) differs from the Tutte transform for {m!r}")
     return CfReport(m, grid, psi_inverse(psi), psi)
@@ -474,32 +464,21 @@ def g_polynomial(m: Matroid, *, rng) -> SparsePoly:
         ],
         rng=rng,
     )
-    collapsed = top.substitute("x", 1).substitute("u", 1).substitute("w", 1)
-    g_chow = SparsePoly.zero(("s",))
-    for i in range(r + 1):
-        c = collapsed.coeff(_exp_for(collapsed.vars, {"z": r - i}))
-        if c:
-            g_chow = g_chow + SparsePoly(("s",), {(i,): comp_sign * (-1) ** i * c})
+    collapsed = top.substitute("x", 1).substitute("u", 1).substitute("w", 1).with_vars(("z",))
+    g_chow = SparsePoly(("s",), {
+        (i,): comp_sign * (-1) ** i * collapsed.coeff((r - i,)) for i in range(r + 1)
+    })
 
+    # comp_sign * P(-s-1, -1), P(a, b) = sum chi_ij a^i b^j
     chis = euler_char_grid(structure_sheaf(n1), *_wedge_axes(m), rng=rng)
-    x1 = SparsePoly(("x", "y"), {(1, 0): 1, (0, 0): -1})
-    y1 = SparsePoly(("x", "y"), {(0, 1): 1, (0, 0): -1})
-    pxy = SparsePoly.zero(("x", "y"))
-    for i, row in enumerate(chis):
-        for j, chi in enumerate(row):
-            if chi:
-                pxy = pxy + chi * x1**i * y1**j
-    h = pxy.substitute("y", 0).with_vars(("x",))
-    g_char = SparsePoly.zero(("s",))
-    for (e,), c in h.terms.items():
-        g_char = g_char + SparsePoly(("s",), {(e,): comp_sign * (-1) ** e * c})
+    p = SparsePoly(("s", "y"), {
+        (i, j): chi for i, row in enumerate(chis) for j, chi in enumerate(row)
+    })
+    p = p.substitute("y", -1).substitute("s", SparsePoly(("s",), {(1,): -1, (0,): -1}))
+    g_char = p * comp_sign
     if g_chow != g_char:
         raise RouteMismatch(f"g-polynomial routes disagree for {m!r}")
     return g_chow
-
-
-def _exp_for(vars, assignment):
-    return tuple(assignment.get(v, 0) for v in vars)
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +502,11 @@ def flag_tutte_kt(flag: FlagMatroid, *, rng) -> SparsePoly:
     if k > 1:
         collapsed = collapsed.substitute("v", 1)
     collapsed = collapsed.with_vars(("z", "w"))
-    x = SparsePoly.variable("x", ("x", "y"))
-    y = SparsePoly.variable("y", ("x", "y"))
-    one_minus_y = SparsePoly(("x", "y"), {(0, 0): 1, (0, 1): -1})
-    out = SparsePoly.zero(("x", "y"))
-    for (i, j), d in collapsed.terms.items():
-        out = out + d * x ** (r_top - i) * y ** (n1 - r_bot - j) * one_minus_y**j
-    return out
+    # d x^(r_top-i) y^(n-r_bot-j) w^j, then w -> 1 - y
+    kt = SparsePoly(("x", "y", "w"), {
+        (r_top - i, n1 - r_bot - j, j): d for (i, j), d in collapsed.terms.items()
+    })
+    return kt.substitute("w", SparsePoly(("y",), {(0,): 1, (1,): -1}))
 
 
 def flag_kchi(flag: FlagMatroid, *, rng) -> SparsePoly:
@@ -551,24 +528,22 @@ def kchi_from_kt(flag: FlagMatroid, kt: SparsePoly) -> SparsePoly:
 def lvt(m1: Matroid, m2: Matroid, *, rng) -> SparsePoly:
     """Las Vergnas Tutte polynomial of a matroid morphism, two routes.
 
-    Route (a): the defining corank-nullity style subset sum.  Route (b):
-    localization degrees of c_i(S_{M1}^v) c_j(Q_{M2}^v) c_k((S2/S1)^v)
-    against the deg_alpha weight.  Hard error if they disagree.
+    Route (a): the defining corank-nullity style subset sum, its subsets
+    counted by their three exponents.  Route (b): localization degrees of
+    c_i(S_{M1}^v) c_j(Q_{M2}^v) c_k((S2/S1)^v) against the deg_alpha
+    weight.  Hard error if they disagree.
     """
     if not is_quotient(m1, m2):
         raise NotAQuotient("every flat of the first matroid must be a flat of the second")
     n1 = m1.n_elements
     r1, r2 = m1.rank_value, m2.rank_value
-    vars3 = ("x", "y", "z")
-    x1 = SparsePoly(vars3, {(1, 0, 0): 1, (0, 0, 0): -1})
-    y1 = SparsePoly(vars3, {(0, 1, 0): 1, (0, 0, 0): -1})
-    z = SparsePoly.variable("z", vars3)
-    direct = SparsePoly.zero(vars3)
+    # subsets counted by their exponents of (x-1), (y-1) and z
+    counts = {}
     for a in range(1 << n1):
         ra1, ra2 = m1.rank(a), m2.rank(a)
-        direct = direct + (
-            x1 ** (r1 - ra1) * y1 ** (popcount(a) - ra2) * z ** (r2 - r1 - ra2 + ra1)
-        )
+        e = (r1 - ra1, popcount(a) - ra2, r2 - r1 - ra2 + ra1)
+        counts[e] = counts.get(e, 0) + 1
+    direct = shift(shift(SparsePoly(("x", "y", "z"), counts), "x", -1), "y", -1)
 
     # (S2/S1)^v: the dual of S_{M2} minus the dual of S_{M1}
     sdiff = kc_sum(dual_class(s_class(m2)), kc_negate(dual_class(s_class(m1))))
@@ -583,18 +558,11 @@ def lvt(m1: Matroid, m2: Matroid, *, rng) -> SparsePoly:
         rng=rng,
     )
     collapsed = top.substitute("x", 1).with_vars(("u", "v", "s"))
-    xx = SparsePoly.variable("x", vars3)
-    yy = SparsePoly.variable("y", vars3)
-    z1 = SparsePoly(vars3, {(0, 0, 1): 1, (0, 0, 0): 1})
-    local = SparsePoly.zero(vars3)
-    for (i, j, kk), d in collapsed.terms.items():
-        local = local + (
-            d
-            * xx ** (r1 - i)
-            * yy ** (n1 - r2 - j)
-            * y1**j
-            * z1 ** (r2 - r1 - kk)
-        )
+    # d x^(r1-i) y^(n-r2-j) (y-1)^j (z+1)^(r2-r1-k), with v for y - 1
+    local = SparsePoly(("x", "y", "z", "v"), {
+        (r1 - i, n1 - r2 - j, r2 - r1 - kk, j): d for (i, j, kk), d in collapsed.terms.items()
+    })
+    local = shift(local, "z", 1).substitute("v", SparsePoly(("y",), {(1,): 1, (0,): -1}))
     if direct != local:
         raise RouteMismatch(f"LVT routes disagree for ({m1!r}, {m2!r})")
     return direct

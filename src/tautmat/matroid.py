@@ -311,12 +311,12 @@ def _empty_matroid():
 # ---------------------------------------------------------------------------
 
 
-def matroid_from_bases(n_elements, bases, validate=True):
+def matroid_from_bases(n_elements, bases):
     """Matroid from explicit bases; each basis an iterable of elements or a mask."""
     masks = []
     for b in bases:
         masks.append(b if isinstance(b, int) else mask_of(b))
-    return Matroid(n_elements, masks, validate=validate)
+    return Matroid(n_elements, masks)
 
 
 def uniform(r, n_elements):

@@ -313,6 +313,11 @@ def _trusted(vars, terms):
     return p
 
 
+def shift(p, var, c):
+    """p with var replaced by var + c, expanded by one substitution."""
+    return p.substitute(var, SparsePoly((var,), {(1,): 1, (0,): c}))
+
+
 # ---------------------------------------------------------------------------
 # Exact univariate interpolation
 # ---------------------------------------------------------------------------

@@ -40,30 +40,30 @@ def matroid_to_json(m: Matroid):
     }
 
 
-def matroid_from_json(obj, validate=True) -> Matroid:
+def matroid_from_json(obj) -> Matroid:
     if not isinstance(obj, dict):
         raise ParseError(f"expected an object, got {type(obj).__name__}")
     kind = obj.get("type", "bases")
     try:
         if kind == "uniform":
-            return uniform(int(obj["r"]), int(obj["n"]))
+            return uniform(_integer(obj["r"], "r"), _integer(obj["n"], "n"))
         if kind == "graphic":
             return _graphic(obj)
         if kind == "bases":
-            n, bases = _ground_set(obj), obj["bases"]
+            n, bases = _integer(obj["ground_set"], "ground_set"), obj["bases"]
             if not isinstance(bases, list):
                 raise ParseError(f"bases {bases!r} is not a list")
-            return Matroid(n, [_mask(b, n, "basis") for b in bases], validate=validate)
+            return Matroid(n, [_mask(b, n, "basis") for b in bases])
     except KeyError as exc:
         raise ParseError(f"missing field {exc} in matroid input") from exc
     raise ParseError(f"unknown matroid type {kind!r}")
 
 
-def _ground_set(obj):
-    """obj["ground_set"], a nonnegative JSON integer, else ParseError."""
-    n = obj["ground_set"]
-    if type(n) is not int or n < 0:
-        raise ParseError(f"ground_set {n!r} is not a nonnegative integer")
+def _integer(n, what, nonnegative=True):
+    """n if it is a JSON integer (not a bool), nonnegative unless told not, else ParseError."""
+    if type(n) is not int or nonnegative and n < 0:
+        kind = "a nonnegative integer" if nonnegative else "an integer"
+        raise ParseError(f"{what} {n!r} is not {kind}")
     return n
 
 
@@ -92,7 +92,7 @@ def _mask(values, n, what):
 def _graphic(obj):
     """The cycle matroid of obj's edges on its vertices, each endpoint checked to be one."""
     n = obj.get("vertices")
-    n = None if n is None else int(n)
+    n = None if n is None else _integer(n, "vertices")
     return graphic([tuple(_elements(e, n, "graphic edge")) for e in obj["edges"]], n)
 
 
@@ -103,11 +103,11 @@ def ground_set_size(obj) -> int:
     kind = obj.get("type", "bases")
     try:
         if kind == "uniform":
-            return int(obj["n"])
+            return _integer(obj["n"], "n")
         if kind == "graphic":
             return len(obj["edges"])
         if kind == "bases":
-            return _ground_set(obj)
+            return _integer(obj["ground_set"], "ground_set")
     except KeyError as exc:
         raise ParseError(f"missing field {exc} in matroid input") from exc
     raise ParseError(f"unknown matroid type {kind!r}")
@@ -129,23 +129,31 @@ def genperm_from_json(obj) -> GenPermutohedron:
     kind = obj.get("type", "rk")
     try:
         if kind == "rk":
-            n = _ground_set(obj)
+            n, values = _integer(obj["ground_set"], "ground_set"), obj["rk"]
+            if not isinstance(values, dict):
+                raise ParseError(f"rk {values!r} is not an object")
             rk = [0] * (1 << n)
-            for key, v in obj["rk"].items():
-                rk[_mask(json.loads(key), n, "rk key")] = int(v)
+            for key, v in values.items():
+                try:
+                    subset = json.loads(key)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"rk key {key!r} is not a JSON list") from exc
+                rk[_mask(subset, n, "rk key")] = _integer(
+                    v, f"rk value of {key}", nonnegative=False
+                )
             return GenPermutohedron(n, rk)
         if kind == "base_polytope":
             return base_polytope(matroid_from_json(obj["matroid"]))
         if kind == "hypersimplex":
-            return base_polytope(uniform(int(obj["r"]), int(obj["n"])))
+            return base_polytope(uniform(_integer(obj["r"], "r"), _integer(obj["n"], "n")))
         if kind == "simplex":
-            n = _ground_set(obj)
+            n = _integer(obj["ground_set"], "ground_set")
             sub = _mask(obj["subset"], n, "simplex subset") if "subset" in obj else None
             return simplex(n, sub)
         if kind == "negate":
             return genperm_from_json(obj["of"]).negate()
         if kind == "dilate":
-            return genperm_from_json(obj["of"]).dilate(int(obj["c"]))
+            return genperm_from_json(obj["of"]).dilate(_integer(obj["c"], "c"))
         if kind == "minkowski_sum":
             parts = [genperm_from_json(o) for o in obj["summands"]]
             out = parts[0]

@@ -1,7 +1,8 @@
 """Tutte polynomials by three routes, and the 4-variable transform.
 
 Routes: the deletion-contraction recursion (memoized on the basis system),
-the corank-nullity subset sum, and the minor-convolution identity
+the corank-nullity subset sum (integer counts, expanded by one shift of each
+variable), and the minor-convolution identity
 (N_{(a,b)} * N_{(c,d)})(M) = a^rk d^crk T_M(1 + c/a, 1 + b/d), where
 (f * g)(M) = sum_A f(M|A) g(M/A) over all subsets including the empty
 matroid.  All three must agree; tests enforce it corpus-wide.
@@ -12,7 +13,7 @@ from __future__ import annotations
 import functools
 
 from .matroid import Matroid, popcount
-from .poly import SparsePoly
+from .poly import SparsePoly, shift
 
 
 class InexactDivision(ArithmeticError):
@@ -45,21 +46,17 @@ def tutte_delcontr(m: Matroid) -> SparsePoly:
 
 
 def tutte_coranknullity(m: Matroid) -> SparsePoly:
-    """T_M(x, y) = sum_S (x-1)^(r - rk S) (y-1)^(|S| - rk S)."""
-    x1 = SparsePoly(("x", "y"), {(1, 0): 1, (0, 0): -1})
-    y1 = SparsePoly(("x", "y"), {(0, 1): 1, (0, 0): -1})
+    """T_M(x, y) = sum_S (x-1)^(r - rk S) (y-1)^(|S| - rk S).
+
+    The subsets are counted by (r - rk S, |S| - rk S), then x and y shifted by -1.
+    """
     r = m.rank_value
-    powx = [SparsePoly.constant(1, ("x", "y"))]
-    powy = [SparsePoly.constant(1, ("x", "y"))]
-    for _ in range(r):
-        powx.append(powx[-1] * x1)
-    for _ in range(m.n_elements - r):
-        powy.append(powy[-1] * y1)
-    out = SparsePoly.zero(("x", "y"))
+    counts = {}
     for s in range(1 << m.n_elements):
         rk = m.rank(s)
-        out = out + powx[r - rk] * powy[popcount(s) - rk]
-    return out
+        e = (r - rk, popcount(s) - rk)
+        counts[e] = counts.get(e, 0) + 1
+    return shift(shift(SparsePoly(("x", "y"), counts), "x", -1), "y", -1)
 
 
 # -- minor convolution -------------------------------------------------------

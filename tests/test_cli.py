@@ -124,9 +124,16 @@ def test_graphic_endpoint_outside_the_vertices_names_the_input(obj, name, tmp_pa
         ({"ground_set": 2, "bases": 7}, "bases 7"),
         ({"ground_set": "x", "bases": [[0]]}, "ground_set 'x'"),
         ({"ground_set": 2.5, "bases": [[0]]}, "ground_set 2.5"),
+        ({"type": "uniform", "r": 2.5, "n": 4}, "r 2.5"),
+        ({"type": "uniform", "r": True, "n": 4}, "r True"),
+        ({"type": "uniform", "r": -1, "n": 4}, "r -1"),
+        ({"type": "uniform", "r": 2, "n": "4"}, "n '4'"),
+        ({"type": "graphic", "vertices": 2.5, "edges": [[0, 1]]}, "vertices 2.5"),
+        ({"type": "graphic", "vertices": -1, "edges": [[0, 1]]}, "vertices -1"),
     ],
     ids=["negative", "string", "bool", "repeated", "int-basis", "int-bases", "ground-string",
-         "ground-float"],
+         "ground-float", "uniform-r-float", "uniform-r-bool", "uniform-r-negative",
+         "uniform-n-string", "graphic-vertices-float", "graphic-vertices-negative"],
 )
 def test_malformed_bases_name_the_input(obj, name, tmp_path, capsys):
     with pytest.raises(ParseError, match=re.escape(name)):
@@ -142,6 +149,32 @@ def test_ehrhart_of_a_subset_outside_the_ground_set_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"type": "simplex", "ground_set": 3, "subset": [5]}))
     assert main(["ehrhart", str(path)]) == 2
     assert "ParseError: simplex subset [5]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "obj, name",
+    [
+        ({"type": "hypersimplex", "r": 1.5, "n": 3}, "r 1.5"),
+        ({"type": "hypersimplex", "r": 1, "n": True}, "n True"),
+        ({"type": "dilate", "c": 1.5, "of": {"type": "simplex", "ground_set": 3}}, "c 1.5"),
+        ({"type": "dilate", "c": -1, "of": {"type": "simplex", "ground_set": 3}}, "c -1"),
+        ({"ground_set": 2, "rk": {"[0]": 1.5}}, "rk value of [0] 1.5"),
+        ({"ground_set": 2, "rk": {"[0]": "1"}}, "rk value of [0] '1'"),
+        ({"ground_set": 2, "rk": {"[0": 1}}, "rk key '[0'"),
+        ({"ground_set": 2, "rk": {"0": 1}}, "rk key 0"),
+        ({"ground_set": 2, "rk": [1]}, "rk [1]"),
+    ],
+    ids=["hypersimplex-r-float", "hypersimplex-n-bool", "dilate-float", "dilate-negative",
+         "rk-value-float", "rk-value-string", "rk-key-not-json", "rk-key-not-a-list",
+         "rk-not-an-object"],
+)
+def test_malformed_polytope_names_the_input(obj, name, tmp_path, capsys):
+    with pytest.raises(ParseError, match=re.escape(name)):
+        genperm_from_json(obj)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(obj))
+    assert main(["ehrhart", str(path), "--c", "1"]) == 2
+    assert f"ParseError: {name}" in capsys.readouterr().err
 
 
 def test_validation_error_from_file(tmp_path):

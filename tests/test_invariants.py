@@ -41,7 +41,7 @@ from tautmat.kclass import restrict_to_chain, structure_sheaf
 from tautmat.matroid import FlagMatroid, higgs_lift, matroid_from_bases, uniform
 from tautmat.poly import SparsePoly, logconcave_unbroken_check
 from tautmat.rat import Rat
-from tautmat.tutte import beta_pair, t_transform, tutte_delcontr
+from tautmat.tutte import beta_pair, t_transform, tutte_coranknullity, tutte_delcontr
 from tautmat.weights import mw_balance_check
 from test_walk import small_matroids
 
@@ -425,6 +425,17 @@ def test_theorem_a_on_random_minors(data):
         m = m.dual()
     rng = _random.Random(7)
     assert taut_degree_polynomial(m, rng=rng) == t_transform(m)
+
+
+@given(small_matroids(), st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_lvt_of_a_matroid_with_itself_is_its_tutte_polynomial(m, seed):
+    # LVT(M, M) at z = 1 is T_M by both subset counts and deletion-contraction,
+    # loops, coloops and rank 0 included; lvt on the Higgs lift's pairs, (M_{r-1}, M)
+    # among them, runs in test_graded_identities_on_random_matroids
+    rng = random.Random(seed)
+    same = lvt(m, m, rng=rng).substitute("z", 1).with_vars(("x", "y"))
+    assert same == tutte_delcontr(m) == tutte_coranknullity(m)
 
 
 @given(small_matroids(), st.integers(0, 2**16))
