@@ -102,10 +102,6 @@ def build_parser():
     return p
 
 
-def _poly_json(p: SparsePoly):
-    return p.to_json()
-
-
 def _dispatch(args, rng, checks, results, inputs):
     """Compute one verb's results, appending each cross-check to checks."""
 
@@ -135,12 +131,12 @@ def _dispatch(args, rng, checks, results, inputs):
             flag = parse_flag(args.matroids)
             kt = flag_tutte_kt(flag, rng=rng)
             kchi = kchi_from_kt(flag, kt)
-            results["flag_tutte"] = _poly_json(kt)
-            results["k_characteristic"] = _poly_json(kchi)
+            results["flag_tutte"] = kt.to_json()
+            results["k_characteristic"] = kchi.to_json()
             check("kchi-alternating-signs", True)
         else:
             out = lvt(mats[0], mats[1], rng=rng)
-            results["lvt"] = _poly_json(out)
+            results["lvt"] = out.to_json()
             check("lvt-route-agreement", True)
     elif verb == "ehrhart":
         p = parse_genperm(args.polytope)
@@ -169,9 +165,9 @@ def _dispatch(args, rng, checks, results, inputs):
             from .tutte import char_polynomial
 
             t = tutte_delcontr(m)
-            results["tutte"] = _poly_json(t)
-            results["transform"] = _poly_json(t_transform(m))
-            results["char_polynomial"] = _poly_json(char_polynomial(m))
+            results["tutte"] = t.to_json()
+            results["transform"] = t_transform(m).to_json()
+            results["char_polynomial"] = char_polynomial(m).to_json()
             b1, b2 = beta_pair(m)
             results["beta"] = b1
             results["beta_dual"] = b2
@@ -179,7 +175,7 @@ def _dispatch(args, rng, checks, results, inputs):
             check("delcontr-equals-convolution", t == tutte_convolution(m))
         elif verb == "tautdeg":
             p = taut_degree_polynomial(m, rng=rng)
-            results["degree_polynomial"] = _poly_json(p)
+            results["degree_polynomial"] = p.to_json()
             check("equals-tutte-transform", p == t_transform(m))
         elif verb == "beta":
             b1, b2 = beta_pair(m)
@@ -207,16 +203,16 @@ def _dispatch(args, rng, checks, results, inputs):
                 check(f"csm-{k}-balanced", mw_balance_check(w) is None)
         elif verb == "gpoly":
             g = g_polynomial(m, rng=rng)
-            results["g_polynomial"] = _poly_json(g)
+            results["g_polynomial"] = g.to_json()
             check("route-agreement", True)
         elif verb == "fstutte":
             t = fs_tutte(m, rng=rng, zeta_check=args.zeta_check)
-            results["fs_tutte"] = _poly_json(t)
+            results["fs_tutte"] = t.to_json()
             check("equals-deletion-contraction", True)
         elif verb == "cf":
             rep = cf_check(m, args.t_range, args.u_range, rng=rng)
-            results["q_polynomial"] = _poly_json(rep.q_poly)
-            results["psi_image"] = _poly_json(rep.psi_image)
+            results["q_polynomial"] = rep.q_poly.to_json()
+            results["psi_image"] = rep.psi_image.to_json()
             results["grid"] = {f"{t},{u}": v for (t, u), v in sorted(rep.grid.items())}
             check("counts-match-characters", True)
             check("psi-identity", True)

@@ -58,7 +58,7 @@ from .kclass import KClassLoc, MixedSigns, _dedup_atoms, simplex_pair, structure
 from .matroid import bits
 from .perms import all_perms
 # interpolate_univariate is unused here; bench/tests asserts engine's binding of it
-from .poly import InconsistentSamples, SparsePoly, interpolate_univariate  # noqa: F401
+from .poly import SparsePoly, interpolate_univariate  # noqa: F401
 
 
 class GenericPointMismatch(AssertionError):
@@ -655,27 +655,6 @@ def _dq_coefficients(w):
         d = abs(a - b)
         coeffs = [x - y for x, y in itertools.zip_longest([0] * d + coeffs, coeffs, fillvalue=0)]
     return coeffs
-
-
-def forward_differences(values, degree_bound):
-    """Delta^0 P(q0), ..., Delta^degree_bound P(q0) of an integer polynomial P.
-
-    values are P(q0), P(q0 + 1), ... at consecutive integers, and
-    P(q0 + k) = sum_i binom(k, i) Delta^i P(q0) (Newton's forward formula).
-    Every sample past the first degree_bound + 1 verifies the bound: each
-    must make one more difference of order degree_bound + 1 vanish, else
-    InconsistentSamples.
-    """
-    diffs = list(values)
-    out = []
-    for _ in range(degree_bound + 1):
-        out.append(diffs[0])
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    if any(diffs):
-        raise InconsistentSamples(
-            f"order-{degree_bound + 1} differences of the samples do not vanish"
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from functools import lru_cache
 from .engine import (
     euler_char_ab,
     euler_char_grid,
-    forward_differences,
     integrate_graded,
     integrate_inhomogeneous,
     power_axis,
@@ -37,7 +36,7 @@ from .kclass import (
     structure_sheaf,
 )
 from .matroid import FlagMatroid, Matroid, bits, is_quotient, popcount
-from .poly import InconsistentSamples, SparsePoly, psi_inverse, shift
+from .poly import InconsistentSamples, SparsePoly, psi_from_samples, psi_inverse, shift
 from .tutte import beta_pair, t_transform, tutte_delcontr
 from .weights import MinkowskiWeight
 
@@ -375,12 +374,13 @@ def cf_check(m: Matroid, t_max=None, u_max=None, *, rng, jobs=1) -> CfReport:
     points of P(M) + t*nabla + u*Delta; the samples must agree.  The grid's
     polytopes share one memo of lattice-count states (count_lattice_points),
     made for this call and dropped with it.  Psi maps
-    binom(t,i) binom(u,j) to x^i y^j, so Psi(Q_M) is read off in integers:
-    its x^i y^j coefficient is the forward difference Delta_t^i Delta_u^j
-    Q_M(0, 0), i, j <= n.  Differences of higher order must vanish, else
-    the grid is not of degree <= n per variable (IdentityFailure).  Psi(Q_M)
-    must equal the Tutte transform specialized at (x+1, y, 1, 0); the
-    report's Q_M is psi_inverse of it, the one rational step.
+    binom(t,i) binom(u,j) to x^i y^j, so Psi(Q_M) is read off the integer
+    grid (psi_from_samples): its x^i y^j coefficient is the forward
+    difference Delta_t^i Delta_u^j Q_M(0, 0), i, j <= n.  Differences of
+    higher order must vanish, else the grid is not of degree <= n per
+    variable (IdentityFailure).  Psi(Q_M) must equal the Tutte transform
+    specialized at (x+1, y, 1, 0); the report's Q_M is psi_inverse of it,
+    the one rational step.
     """
     del jobs  # ignored; kept only because bench/worker.py passes jobs=1
     n1 = m.n_elements
@@ -409,13 +409,7 @@ def cf_check(m: Matroid, t_max=None, u_max=None, *, rng, jobs=1) -> CfReport:
             )
         grid[t, u] = chi
     try:
-        # Delta_t^i Q(0, u) for every u, then Delta_u^j of each of those
-        by_t = [forward_differences([grid[t, u] for t in ts], n) for u in us]
-        psi = SparsePoly(("x", "y"), {
-            (i, j): d
-            for i in range(n + 1)
-            for j, d in enumerate(forward_differences([col[i] for col in by_t], n))
-        })
+        psi = psi_from_samples(chis, n, n)
     except InconsistentSamples as exc:
         raise IdentityFailure(f"Q_M grid of {m!r} is not of degree <= {n}: {exc}") from exc
     shifted = shift(t_transform(m), "x", 1).substitute("z", 1).substitute("w", 0)
@@ -638,18 +632,18 @@ def _membership(polytope: GenPermutohedron, point, scale):
     return True
 
 
-def valuativity_demo(*, rng, denominator=4):
+def valuativity_demo(*, rng):
     """Brute-force the split's indicator identity, then three invariants.
 
     The indicator identity is checked at every point of the cube whose
-    coordinates are multiples of 1/d, d = denominator, scaled by d to the
-    integer points of {0..d}^4 with coordinate sum 2d; then
+    coordinates are multiples of 1/4, scaled by 4 to the integer points of
+    {0..4}^4 with coordinate sum 8; then
     inclusion-exclusion is asserted for the degree polynomial, the Bergman
     weight, and the beta pair.
     """
     u24, m1, m2, m12 = hypersimplex_split()
     polys = [base_polytope(mm) for mm in (u24, m1, m2, m12)]
-    d = denominator
+    d = 4
     for pt in itertools.product(range(d + 1), repeat=4):
         if sum(pt) != 2 * d:
             continue

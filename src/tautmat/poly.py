@@ -7,11 +7,12 @@ division made one: psi_inverse (the rational Cameron-Fink polynomial Q_M),
 "p/q" input, and the public interpolate_univariate, which no computation
 path calls (the library reads polynomials off one integer's digits,
 `engine._grid_interpolate` and `engine._zeta_read_off`, or off integer samples
-by forward differences, `engine.forward_differences`).  The canonical
+by forward differences, `forward_differences`).  The canonical
 term order used for serialization and rendering is graded lexicographic
 (total degree first).
 Also houses exact univariate Lagrange interpolation, the binomial-basis
-transform sending binom(t,i)binom(u,j) -> x^i y^j, and the log-concave
+transform sending binom(t,i)binom(u,j) -> x^i y^j, read off samples on a
+grid by forward differences (`psi_from_samples`), and the log-concave
 unbroken-array test for coefficient arrays of homogeneous polynomials.
 """
 
@@ -370,15 +371,6 @@ def interpolate_univariate(samples, degree_bound, var="q"):
 
 
 @lru_cache(maxsize=None)
-def _stirling2(n, k):
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
-@lru_cache(maxsize=None)
 def _falling_factorial_coeffs(i):
     """Coefficients of binom(t, i)*i! = t(t-1)...(t-i+1) as a dense list."""
     coeffs = [1]
@@ -391,43 +383,63 @@ def _falling_factorial_coeffs(i):
     return tuple(coeffs)
 
 
-def psi_transform(poly, var_map=(("t", "x"), ("u", "y"))):
+def forward_differences(values, degree_bound):
+    """Delta^0 P(q0), ..., Delta^degree_bound P(q0) of a polynomial P.
+
+    values are P(q0), P(q0 + 1), ... at consecutive integers, and
+    P(q0 + k) = sum_i binom(k, i) Delta^i P(q0) (Newton's forward formula).
+    Every sample past the first degree_bound + 1 verifies the bound: each
+    must make one more difference of order degree_bound + 1 vanish, else
+    InconsistentSamples.
+    """
+    diffs = list(values)
+    out = []
+    for _ in range(degree_bound + 1):
+        out.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    if any(diffs):
+        raise InconsistentSamples(
+            f"order-{degree_bound + 1} differences of the samples do not vanish"
+        )
+    return out
+
+
+def psi_from_samples(rows, t_degree, u_degree):
+    """Psi(Q) read off the samples rows[u][t] = Q(t, u), t, u = 0, 1, ....
+
+    Psi maps binom(t,i) binom(u,j) to x^i y^j, so by Newton's formula its
+    x^i y^j coefficient is Delta_t^i Delta_u^j Q(0, 0).  Samples past
+    t_degree + 1 per row or u_degree + 1 rows verify the degree bounds.
+    """
+    # Delta_t^i Q(0, u) for every u, then Delta_u^j of each of those
+    by_t = [forward_differences(row, t_degree) for row in rows]
+    return SparsePoly(("x", "y"), {
+        (i, j): d
+        for i in range(t_degree + 1)
+        for j, d in enumerate(forward_differences([col[i] for col in by_t], u_degree))
+    })
+
+
+def psi_transform(poly):
     """Expand in the product binomial basis and map binom(t,i)binom(u,j) -> x^i y^j.
 
-    The input must be a polynomial in the source variables of var_map.  The
-    change of basis uses t^a = sum_i S(a,i) i! binom(t,i) with S the Stirling
-    numbers of the second kind; the map is an invertible linear map.
+    The input must be a polynomial in t and u; the map is an invertible
+    linear map, read off the input's values on the grid 0..deg_t x 0..deg_u.
     """
-    var_map = tuple(var_map)
-    src = tuple(v for v, _ in var_map)
-    dst = tuple(v for _, v in var_map)
-    p = poly.with_vars(merge_vars(poly.vars, src))
-    idx = [p.vars.index(v) for v in src]
-    out = {}
-    for exp, c in p.terms.items():
-        for j, v in enumerate(p.vars):
-            if v not in src and exp[j]:
+    p = poly.with_vars(merge_vars(poly.vars, ("t", "u")))
+    for exp in p.terms:
+        for v, k in zip(p.vars, exp):
+            if k and v not in ("t", "u"):
                 raise VariableMismatch(f"unexpected variable {v!r} in psi input")
-        pows = [exp[i] for i in idx]
-        ranges = [range(a + 1) for a in pows]
-        for combo in itertools.product(*ranges):
-            f = c
-            for a, i in zip(pows, combo):
-                s = _stirling2(a, i)
-                if not s:
-                    f = 0
-                    break
-                fact = 1
-                for m in range(2, i + 1):
-                    fact *= m
-                f = f * (s * fact)
-            if f:
-                e = tuple(combo)
-                out[e] = out.get(e, 0) + f
-    return SparsePoly(dst, {e: c for e, c in out.items() if c})
+    tops = [max((exp[p.vars.index(v)] for exp in p.terms), default=0) for v in ("t", "u")]
+    # any other variable has degree 0 in every term, so any value will do
+    point = dict.fromkeys(p.vars, 0)
+    rows = [[p.evaluate({**point, "t": t, "u": u}) for t in range(tops[0] + 1)]
+            for u in range(tops[1] + 1)]
+    return psi_from_samples(rows, *tops)
 
 
-def psi_inverse(poly, var_map=(("t", "x"), ("u", "y"))):
+def psi_inverse(poly):
     """Inverse of psi_transform: x^i y^j -> binom(t,i)binom(u,j).
 
     binom(t, i) is the falling factorial t(t-1)...(t-i+1) over i!, written
@@ -437,9 +449,7 @@ def psi_inverse(poly, var_map=(("t", "x"), ("u", "y"))):
     product of the tops' factorials, made a Rat once.  The variables come in
     merge_vars order.
     """
-    var_map = tuple(var_map)
-    src = tuple(v for v, _ in var_map)
-    dst = tuple(v for _, v in var_map)
+    src, dst = ("t", "u"), ("x", "y")
     p = poly.with_vars(merge_vars(poly.vars, dst))
     idx = [p.vars.index(v) for v in dst]
     tops = [max((exp[k] for exp in p.terms), default=0) for k in idx]

@@ -50,9 +50,7 @@ def matroid_from_json(obj) -> Matroid:
         if kind == "graphic":
             return _graphic(obj)
         if kind == "bases":
-            n, bases = _integer(obj["ground_set"], "ground_set"), obj["bases"]
-            if not isinstance(bases, list):
-                raise ParseError(f"bases {bases!r} is not a list")
+            n, bases = _integer(obj["ground_set"], "ground_set"), _list(obj["bases"], "bases")
             return Matroid(n, [_mask(b, n, "basis") for b in bases])
     except KeyError as exc:
         raise ParseError(f"missing field {exc} in matroid input") from exc
@@ -67,6 +65,13 @@ def _integer(n, what, nonnegative=True):
     return n
 
 
+def _list(values, what):
+    """values if it is a JSON list, else ParseError naming what."""
+    if not isinstance(values, list):
+        raise ParseError(f"{what} {values!r} is not a list")
+    return values
+
+
 def _elements(values, n, what):
     """values, a list of ints (not bools) in range(n) (n None: any int >= 0), else ParseError."""
     if not isinstance(values, list) or not all(
@@ -79,10 +84,8 @@ def _elements(values, n, what):
 
 def _mask(values, n, what):
     """The mask of values, a list of distinct ints in range(n), else ParseError naming what."""
-    if not isinstance(values, list):
-        raise ParseError(f"{what} {values!r} is not a list")
     mask = 0
-    for i in values:
+    for i in _list(values, what):
         if type(i) is not int or not 0 <= i < n or mask >> i & 1:
             raise ParseError(f"{what} {values} has an entry not a distinct int in 0..{n - 1}")
         mask |= 1 << i
@@ -93,7 +96,8 @@ def _graphic(obj):
     """The cycle matroid of obj's edges on its vertices, each endpoint checked to be one."""
     n = obj.get("vertices")
     n = None if n is None else _integer(n, "vertices")
-    return graphic([tuple(_elements(e, n, "graphic edge")) for e in obj["edges"]], n)
+    edges = _list(obj["edges"], "edges")
+    return graphic([tuple(_elements(e, n, "graphic edge")) for e in edges], n)
 
 
 def ground_set_size(obj) -> int:
@@ -105,7 +109,7 @@ def ground_set_size(obj) -> int:
         if kind == "uniform":
             return _integer(obj["n"], "n")
         if kind == "graphic":
-            return len(obj["edges"])
+            return len(_list(obj["edges"], "edges"))
         if kind == "bases":
             return _integer(obj["ground_set"], "ground_set")
     except KeyError as exc:
@@ -155,7 +159,10 @@ def genperm_from_json(obj) -> GenPermutohedron:
         if kind == "dilate":
             return genperm_from_json(obj["of"]).dilate(_integer(obj["c"], "c"))
         if kind == "minkowski_sum":
-            parts = [genperm_from_json(o) for o in obj["summands"]]
+            summands = obj["summands"]
+            if not isinstance(summands, list) or not summands:
+                raise ParseError(f"summands {summands!r} is not a nonempty list")
+            parts = [genperm_from_json(o) for o in summands]
             out = parts[0]
             for q in parts[1:]:
                 out = out + q

@@ -4,6 +4,7 @@ Each function here recomputes, the slow and obvious way, something the
 library computes by a faster route, so the tests can compare the two.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -607,6 +608,36 @@ def level_walk_count(p):
                 nxt[key] = nxt.get(key, 0) + ways
         level = nxt
     return sum(ways for (remaining, b), ways in level.items() if remaining <= b[1])
+
+
+@functools.lru_cache(maxsize=None)
+def _stirling2(n, k):
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def psi_transform_reference(poly):
+    """poly.psi_transform term by term: t^a = sum_i S(a, i) i! binom(t, i), S the
+    Stirling numbers of the second kind, and binom(t,i)binom(u,j) -> x^i y^j."""
+    src = ("t", "u")
+    p = poly.with_vars(merge_vars(poly.vars, src))
+    idx = [p.vars.index(v) for v in src]
+    out = {}
+    for exp, c in p.terms.items():
+        for j, v in enumerate(p.vars):
+            if v not in src and exp[j]:
+                raise VariableMismatch(f"unexpected variable {v!r} in psi input")
+        pows = [exp[i] for i in idx]
+        for combo in itertools.product(*(range(a + 1) for a in pows)):
+            f = c
+            for a, i in zip(pows, combo):
+                f = f * (_stirling2(a, i) * math.factorial(i))
+            if f:
+                out[combo] = out.get(combo, 0) + f
+    return SparsePoly(("x", "y"), {e: c for e, c in out.items() if c})
 
 
 def psi_inverse_reference(poly, var_map=(("t", "x"), ("u", "y"))):

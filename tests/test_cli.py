@@ -101,8 +101,10 @@ def test_polytope_element_outside_the_ground_set_names_the_input(obj, name):
         ({"type": "graphic", "vertices": 2, "edges": [[0, 1], [0, -1]]}, "graphic edge [0, -1]"),
         ({"type": "graphic", "edges": [[0, 1], [0, -1]]}, "graphic edge [0, -1]"),
         ({"type": "graphic", "vertices": 2, "edges": [[True, 0]]}, "graphic edge [True, 0]"),
+        ({"type": "graphic", "edges": 5}, "edges 5"),
     ],
-    ids=["endpoint-2", "endpoint-negative", "endpoint-negative-no-vertices", "endpoint-bool"],
+    ids=["endpoint-2", "endpoint-negative", "endpoint-negative-no-vertices", "endpoint-bool",
+         "edges-int"],
 )
 def test_graphic_endpoint_outside_the_vertices_names_the_input(obj, name, tmp_path):
     with pytest.raises(ParseError, match=re.escape(name)):
@@ -130,10 +132,12 @@ def test_graphic_endpoint_outside_the_vertices_names_the_input(obj, name, tmp_pa
         ({"type": "uniform", "r": 2, "n": "4"}, "n '4'"),
         ({"type": "graphic", "vertices": 2.5, "edges": [[0, 1]]}, "vertices 2.5"),
         ({"type": "graphic", "vertices": -1, "edges": [[0, 1]]}, "vertices -1"),
+        ({"type": "graphic", "edges": 5}, "edges 5"),
     ],
     ids=["negative", "string", "bool", "repeated", "int-basis", "int-bases", "ground-string",
          "ground-float", "uniform-r-float", "uniform-r-bool", "uniform-r-negative",
-         "uniform-n-string", "graphic-vertices-float", "graphic-vertices-negative"],
+         "uniform-n-string", "graphic-vertices-float", "graphic-vertices-negative",
+         "graphic-edges-int"],
 )
 def test_malformed_bases_name_the_input(obj, name, tmp_path, capsys):
     with pytest.raises(ParseError, match=re.escape(name)):
@@ -163,10 +167,12 @@ def test_ehrhart_of_a_subset_outside_the_ground_set_exits_2(tmp_path, capsys):
         ({"ground_set": 2, "rk": {"[0": 1}}, "rk key '[0'"),
         ({"ground_set": 2, "rk": {"0": 1}}, "rk key 0"),
         ({"ground_set": 2, "rk": [1]}, "rk [1]"),
+        ({"type": "minkowski_sum", "summands": []}, "summands []"),
+        ({"type": "minkowski_sum", "summands": 5}, "summands 5"),
     ],
     ids=["hypersimplex-r-float", "hypersimplex-n-bool", "dilate-float", "dilate-negative",
          "rk-value-float", "rk-value-string", "rk-key-not-json", "rk-key-not-a-list",
-         "rk-not-an-object"],
+         "rk-not-an-object", "summands-empty", "summands-int"],
 )
 def test_malformed_polytope_names_the_input(obj, name, tmp_path, capsys):
     with pytest.raises(ParseError, match=re.escape(name)):

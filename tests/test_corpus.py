@@ -19,6 +19,8 @@ def test_ground_set_size_rejects_what_matroid_from_json_rejects():
     bad_sizes = [{"ground_set": n, "bases": [[0]]} for n in ("x", 2.5, True, -1)]
     # and so must a uniform matroid's n
     bad_sizes += [{"type": "uniform", "r": 1, "n": n} for n in ("4", 4.0, True, -1)]
+    # a graphic matroid's edges must be a list
+    bad_sizes.append({"type": "graphic", "edges": 5})
     for bad in ([4], {"type": "uniform", "r": 2}, {"type": "graphic"}, {"bases": []},
                 {"type": "paving", "n": 4}, *bad_sizes):
         with pytest.raises(ParseError):

@@ -22,7 +22,6 @@ from tautmat.engine import (
     euler_char_grid,
     integrate_inhomogeneous,
     fixed_point_compatibility_check,
-    forward_differences,
     _pairwise_diff_product,
     _point_steps,
     _kronecker_bits,
@@ -51,7 +50,7 @@ from tautmat.genperm import DEFAULT_GUARDRAIL, GuardrailExceeded, base_polytope,
 from tautmat.invariants import cf_check, chi_both_routes, chi_via_zeta, fs_tutte
 from tautmat.matroid import matroid_from_bases, uniform
 from tautmat.perms import all_perms
-from tautmat.poly import InconsistentSamples, SparsePoly, interpolate_univariate
+from tautmat.poly import InconsistentSamples, SparsePoly, forward_differences, interpolate_univariate
 from tautmat.rat import Rat
 
 from reference import (

@@ -39,7 +39,7 @@ from reference import (
 )
 from tautmat.kclass import restrict_to_chain, structure_sheaf
 from tautmat.matroid import FlagMatroid, higgs_lift, matroid_from_bases, uniform
-from tautmat.poly import SparsePoly, logconcave_unbroken_check
+from tautmat.poly import SparsePoly, logconcave_unbroken_check, psi_transform
 from tautmat.rat import Rat
 from tautmat.tutte import beta_pair, t_transform, tutte_coranknullity, tutte_delcontr
 from tautmat.weights import mw_balance_check
@@ -260,6 +260,14 @@ def test_q_poly_matches_term_by_term_psi_inverse(rng, name):
     # the same coefficients and the same variable order, so the same bytes
     rep = cf_check(builtin_matroid(name), rng=rng)
     assert rep.q_poly.to_json() == psi_inverse_reference(rep.psi_image).to_json()
+
+
+@pytest.mark.parametrize("name", ["uniform_1_2", "uniform_2_4", "uniform_2_5", "k4", "fano"])
+def test_psi_transform_of_q_poly_is_the_psi_image(rng, name):
+    # the other direction of the round trip: Psi of the rational Q_M read
+    # back off its own values equals the image read off the lattice counts
+    rep = cf_check(builtin_matroid(name), rng=rng)
+    assert psi_transform(rep.q_poly) == rep.psi_image
 
 
 def test_cf_psi_identity_u12(rng):

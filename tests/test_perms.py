@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from tautmat.corpus import builtin_matroid
 from tautmat.genperm import base_polytope
 from tautmat.kclass import simplex_pair
@@ -9,7 +11,7 @@ from reference import naive_perm_bases, perm_keys
 from tautmat.perms import all_perms, iter_perm_bases
 
 
-def test_incremental_matches_naive_exhaustively(small_corpus):
+def test_vertex_scan_matches_naive_exhaustively(small_corpus):
     for _, m in small_corpus:
         mats = [m, m.dual()]
         fast = dict(iter_perm_bases(mats))
@@ -19,7 +21,7 @@ def test_incremental_matches_naive_exhaustively(small_corpus):
             assert fast[sigma] == naive_perm_bases(mats, sigma)
 
 
-def test_incremental_matches_naive_sampled_on_vamos(vamos):
+def test_vertex_scan_matches_naive_sampled_on_vamos(vamos):
     fast = dict(iter_perm_bases([vamos]))
     assert len(fast) == 40320
     rng = random.Random(21)
@@ -28,13 +30,23 @@ def test_incremental_matches_naive_sampled_on_vamos(vamos):
         assert fast[sigma] == naive_perm_bases([vamos], sigma)
 
 
-def test_incremental_joint_vector():
+def test_vertex_scan_joint_vector():
     # several matroids scanned simultaneously stay aligned
     m1 = uniform(2, 4)
     m2 = matroid_from_bases(4, [[0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
     m3 = m1.dual()
     for sigma, bases in iter_perm_bases([m1, m2, m3]):
         assert bases == naive_perm_bases([m1, m2, m3], sigma)
+
+
+def test_iter_perm_bases_rejects_no_matroids():
+    with pytest.raises(ValueError, match="at least one matroid"):
+        next(iter_perm_bases([]))
+
+
+def test_iter_perm_bases_rejects_different_ground_sets():
+    with pytest.raises(ValueError, match="different ground sets"):
+        next(iter_perm_bases([uniform(2, 4), uniform(2, 5)]))
 
 
 def test_perm_keys_match_per_permutation_atoms(u24):

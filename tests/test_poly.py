@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,7 @@ from tautmat.poly import (
 )
 from tautmat.rat import Rat, parse_rat, rat_str
 
-from reference import psi_inverse_reference
+from reference import psi_inverse_reference, psi_transform_reference
 
 
 def P(vars, terms):
@@ -214,6 +215,40 @@ def test_psi_square():
 
 def test_psi_constant():
     assert psi_transform(P(("t", "u"), {(0, 0): 1})) == P(("x", "y"), {(0, 0): 1})
+
+
+def test_psi_rejects_a_third_variable():
+    with pytest.raises(VariableMismatch, match="unexpected variable 'z'"):
+        psi_transform(P(("t", "u", "z"), {(1, 0, 0): 1, (0, 1, 2): 3}))
+    # a third variable of degree 0 everywhere is no variable of the input
+    assert psi_transform(P(("t", "z"), {(2, 0): 1})) == P(("x", "y"), {(2, 0): 2, (1, 0): 1})
+
+
+_psi_coeffs = st.builds(Rat, st.integers(-30, 30), st.integers(1, 6))
+
+
+@st.composite
+def _psi_inputs(draw):
+    # in t and u, in t alone, in u alone, constants and zero, and a few with a third variable
+    vars = draw(st.sampled_from([("t", "u"), ("t",), ("u",), (), ("t", "u", "z")]))
+    exps = st.tuples(*[st.integers(0, 5 if v != "z" else 1) for v in vars])
+    return SparsePoly(vars, draw(st.dictionaries(exps, _psi_coeffs, max_size=6)))
+
+
+@given(_psi_inputs())
+@settings(max_examples=200, deadline=None)
+def test_psi_matches_the_stirling_expansion(p):
+    # the Stirling-number expansion that psi_transform's forward differences replace
+    try:
+        expect = psi_transform_reference(p)
+    except VariableMismatch as exc:
+        with pytest.raises(VariableMismatch, match=re.escape(str(exc))):
+            psi_transform(p)
+        return
+    got = psi_transform(p)
+    assert got == expect
+    assert got.vars == ("x", "y")
+    assert got.to_json() == expect.to_json()
 
 
 def test_psi_bijection_on_random_polys():
